@@ -16,15 +16,15 @@ from .errors import (CoincidentLandmarksError, CollinearTemplateError,
                      ConvergenceError, DegenerateBaselineError,
                      DegenerateConfigurationError, DegeneratePolygonError,
                      DegenerateQuadError, GridmorphError, HomologyError,
-                     InputError, InsufficientLandmarksError, NumericalError,
-                     OutsideDomainError, ParseError, RankDeficiencyError,
-                     SchemaError, SingularSystemError, VanishingLineError,
+                     InputError, InsufficientLandmarksError,
+                     NonConvexSourceError, NumericalError, OutsideDomainError,
+                     ParseError, RankDeficiencyError, SchemaError,
+                     SingularSystemError, VanishingLineError,
                      ZeroLengthSegmentError)
 from .formats import (Dataset, parse_csv, parse_tps_file, read_dataset,
                       read_landmarks, write_dataset)
 from .gridlab import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, DeformedGrid,
-                      GridPolyline, GridSpec, ROTATION_CONVENTION,
-                      SegmentRotationReport, as_point_map,
+                      GridSpec, ROTATION_CONVENTION, SegmentRotationReport,
                       convex_hull_polygon, deform_grid, extend_grid,
                       filter_rotations, kept_runs, landmark_cycle_polygon,
                       make_grid, point_in_polygon, points_in_polygon,
@@ -37,8 +37,8 @@ from .registration import (AffineMap2, Baseline, affine_fit, gpa_mean,
                            optimal_rotation_angle, procrustes_align,
                            remove_affine, two_point_register)
 from .render import (Label, Marker, Panel, Polyline, Scene, SegmentNetwork,
-                     Style, compose_four_panel, grid_scene, network_scene,
-                     outline_panel, render_scene, tile_scenes, write_svg)
+                     Style, grid_scene, network_scene, outline_panel,
+                     render_scene, tile_scenes, write_svg)
 from .synthetic import (PERTURBATION, PERTURBED_LANDMARK,
                         PLANTED_COEFFICIENTS, VILMANN_BASELINE,
                         VILMANN_LABELS, synthetic_vilmann, vilmann_target,

@@ -30,14 +30,13 @@ import numpy as np
 from .core import LandmarkConfiguration, Sample, enumerate_segments
 from .errors import InputError, NumericalError
 from .formats import Dataset, read_landmarks, write_dataset
-from .gridlab import (as_point_map, convex_hull_polygon, deform_grid, extend_grid,
-                      filter_rotations, landmark_cycle_polygon, make_grid,
-                      segment_rotations, trim_grid)
+from .gridlab import (convex_hull_polygon, deform_grid, extend_grid, filter_rotations,
+                      landmark_cycle_polygon, make_grid, segment_rotations, trim_grid)
 from .maps import BilinearMap, Quad, homography_from_quads, prototype_pair
 from .registration import (Baseline, gpa_mean, procrustes_align, remove_affine,
                            two_point_register)
-from .render import (Polyline, compose_four_panel, grid_scene, network_scene,
-                     outline_panel, tile_scenes, write_svg)
+from .render import (Polyline, grid_scene, network_scene, outline_panel, tile_scenes,
+                     write_svg)
 from .synthetic import synthetic_vilmann
 from .tps import tps_fit
 from .trend import trend_fit, trend_residual_report
@@ -145,27 +144,15 @@ def _positive_int(value, flag: str, minimum: int = 1) -> int:
     return number
 
 
-def _raw_group_mean(sample: Sample, tag: str) -> LandmarkConfiguration:
-    """Coordinate-wise mean of a group, in whatever frame the data sit in."""
+def _group_mean(sample: Sample, tag: str, procrustes: bool) -> LandmarkConfiguration:
+    """Procrustes (GPA) mean of a group, or its coordinate-wise mean in the data's frame."""
     configs = sample.configs_in_group(tag)
     if not configs:
         raise InputError(f"group {tag!r} has no configurations")
-    coords = np.mean([c.coords for c in configs], axis=0)
-    return LandmarkConfiguration(f"{tag}_mean", configs[0].labels, coords,
-                                 unit=configs[0].unit)
-
-
-def _gpa_group_mean(sample: Sample, tag: str) -> LandmarkConfiguration:
-    configs = sample.configs_in_group(tag)
-    if not configs:
-        raise InputError(f"group {tag!r} has no configurations")
-    return gpa_mean(Sample(tuple(configs)), name=f"{tag}_mean")
-
-
-def _kept_image_points(grid) -> np.ndarray:
-    chunks = [line.image[line.kept] for line in grid.polylines]
-    chunks = [c for c in chunks if len(c)]
-    return np.vstack(chunks) if chunks else np.empty((0, 2))
+    if procrustes:
+        return gpa_mean(Sample(tuple(configs)), name=f"{tag}_mean")
+    return configs[0].with_coords(np.mean([c.coords for c in configs], axis=0),
+                                  name=f"{tag}_mean")
 
 
 def _bounds_viewport(points: np.ndarray) -> tuple[float, float, float, float]:
@@ -205,7 +192,7 @@ def cmd_average(args) -> int:
         if tag is None:
             mean = gpa_mean(sample, name="mean")
         else:
-            mean = _gpa_group_mean(sample, tag)
+            mean = _group_mean(sample, tag, procrustes=True)
             groups[mean.name] = tag
         means.append(mean)
     out = Dataset(Sample(tuple(means), groups), provenance=dataset.provenance)
@@ -231,8 +218,8 @@ def cmd_survey(args) -> int:
     dataset = _load(args)
     sample = dataset.sample
     template_tag, target_tag = _parse_targets(_merged(args, "targets", None), sample)
-    template = _raw_group_mean(sample, template_tag)
-    target = _raw_group_mean(sample, target_tag)
+    template = _group_mean(sample, template_tag, procrustes=False)
+    target = _group_mean(sample, target_tag, procrustes=False)
     panels = []
     for seg in enumerate_segments(sample.landmark_count):
         reg_t = two_point_register(template, Baseline(seg.i, seg.j))
@@ -252,36 +239,31 @@ def cmd_rotations(args) -> int:
     template_tag, target_tag = _parse_targets(_merged(args, "targets", None), sample)
     threshold = float(_merged(args, "threshold", 0.15))
     nonaffine = bool(_merged(args, "nonaffine", False))
-    template = _gpa_group_mean(sample, template_tag)
-    target = procrustes_align(_gpa_group_mean(sample, target_tag), template)
+    template = _group_mean(sample, template_tag, procrustes=True)
+    target = procrustes_align(_group_mean(sample, target_tag, procrustes=True), template)
     if nonaffine:
         target = remove_affine(template, target)
     report = segment_rotations(template, target)
     selected = filter_rotations(report, threshold)
     position = {seg: idx for idx, seg in enumerate(report.segments)}
+    rows = [(seg, report.labels[seg.i], report.labels[seg.j],
+             float(report.rotations[position[seg]]), float(report.ratios[position[seg]]))
+            for seg in selected]
 
     print(f"{'i':>3} {'j':>3}  {'from':<10} {'to':<10} "
           f"{'rotation_rad':>13} {'rotation_deg':>13} {'length_ratio':>13}")
-    for seg in selected:
-        idx = position[seg]
-        rot = float(report.rotations[idx])
-        ratio = float(report.ratios[idx])
-        print(f"{seg.i + 1:>3} {seg.j + 1:>3}  {report.labels[seg.i]:<10} "
-              f"{report.labels[seg.j]:<10} {rot:>+13.6f} "
+    for seg, a, b, rot, ratio in rows:
+        print(f"{seg.i + 1:>3} {seg.j + 1:>3}  {a:<10} {b:<10} {rot:>+13.6f} "
               f"{math.degrees(rot):>+13.6f} {ratio:>13.6f}")
     mode = "nonaffine" if nonaffine else "raw"
     print(f"{len(selected)} of {len(report.segments)} segments with |rotation| >= "
           f"{threshold:g} rad ({mode}; {report.convention})", file=sys.stderr)
 
     if args.output:
-        rows = ["i,j,from,to,rotation_rad,rotation_deg,length_ratio"]
-        for seg in selected:
-            idx = position[seg]
-            rot = float(report.rotations[idx])
-            rows.append(f"{seg.i + 1},{seg.j + 1},{report.labels[seg.i]},"
-                        f"{report.labels[seg.j]},{rot:.12g},"
-                        f"{math.degrees(rot):.12g},{float(report.ratios[idx]):.12g}")
-        _write_text(args.output, "\n".join(rows) + "\n")
+        lines = ["i,j,from,to,rotation_rad,rotation_deg,length_ratio"]
+        lines += [f"{seg.i + 1},{seg.j + 1},{a},{b},{rot:.12g},{math.degrees(rot):.12g},"
+                  f"{ratio:.12g}" for seg, a, b, rot, ratio in rows]
+        _write_text(args.output, "\n".join(lines) + "\n")
         print(f"rotation table -> {args.output}", file=sys.stderr)
     if args.svg:
         write_svg(network_scene(template, target, tuple(selected)), args.svg)
@@ -309,8 +291,8 @@ def cmd_fit(args) -> int:
     extends = [_parse_extend(item) for item in (_merged(args, "extend", None) or [])]
     os.makedirs(args.outdir, exist_ok=True)
 
-    template = two_point_register(_raw_group_mean(sample, template_tag), baseline)
-    target = two_point_register(_raw_group_mean(sample, target_tag), baseline)
+    template = two_point_register(_group_mean(sample, template_tag, procrustes=False), baseline)
+    target = two_point_register(_group_mean(sample, target_tag, procrustes=False), baseline)
     trend = trend_fit(template, target, degree)
     fitted = template.with_coords(trend.fitted, name=f"{target_tag}_fitted")
     spline_observed = tps_fit(template, target)
@@ -332,8 +314,8 @@ def cmd_fit(args) -> int:
     grid_trimmed = trim_grid(grid_trend, polygon, space=space)
 
     viewport = _bounds_viewport(np.vstack([
-        _kept_image_points(grid_observed), _kept_image_points(grid_fitted),
-        _kept_image_points(grid_trend), target.coords, trend.fitted,
+        grid_observed.image[grid_observed.kept], grid_fitted.image[grid_fitted.kept],
+        grid_trend.image[grid_trend.kept], target.coords, trend.fitted,
     ]))
     k = sample.landmark_count
     ring = (baseline.start, baseline.end)
@@ -347,7 +329,8 @@ def cmd_fit(args) -> int:
     lower_right = grid_scene(grid_trimmed, solid_points=target.coords,
                              open_points=trend.fitted, baseline=ring,
                              viewport=viewport, landmark_count=k)
-    figure = compose_four_panel(upper_left, upper_right, lower_left, lower_right)
+    figure = tile_scenes([upper_left, upper_right, lower_left, lower_right],
+                         columns=2, panel_size=480.0)
 
     tag = f"{baseline.start + 1}-{baseline.end + 1}"
     svg_path = os.path.join(args.outdir, f"fit_{tag}.svg")
@@ -393,7 +376,7 @@ def _demo_prototype(kind: str, outdir: str) -> None:
     grid_flat = deform_grid(spec, lambda pts: pts)
     grid_warp = deform_grid(spec, model)
     viewport = _bounds_viewport(np.vstack([
-        _kept_image_points(grid_flat), _kept_image_points(grid_warp),
+        grid_flat.image[grid_flat.kept], grid_warp.image[grid_warp.kept],
         template.coords, target.coords,
     ]))
     left = grid_scene(grid_flat, solid_points=template.coords, viewport=viewport,
@@ -425,9 +408,9 @@ def _demo_kite_maps(outdir: str) -> None:
     chord = (1.0 - steps) * template.coords[1] + steps * template.coords[3]
 
     grids = [trim_grid(deform_grid(spec, m), polygon, space="template") for m in mappers]
-    images = [as_point_map(m)(chord) for m in mappers]
+    images = [m(chord) for m in mappers]
     viewport = _bounds_viewport(np.vstack(
-        [_kept_image_points(g) for g in grids] + [target.coords]))
+        [g.image[g.kept] for g in grids] + [target.coords]))
     panels = []
     for grid, mid in zip(grids, images):
         scene = grid_scene(grid, solid_points=target.coords, viewport=viewport,

@@ -95,6 +95,16 @@ class LandmarkConfiguration:
     __hash__ = None
 
 
+def require_homologous(a: LandmarkConfiguration, b: LandmarkConfiguration) -> None:
+    """Raise HomologyError unless a and b share their landmark count and labels."""
+    if len(a) != len(b):
+        raise HomologyError(f"configurations {a.name!r} and {b.name!r} are not homologous: "
+                            f"{len(a)} vs {len(b)} landmarks")
+    if a.labels != b.labels:
+        raise HomologyError(f"configurations {a.name!r} and {b.name!r} are not homologous: "
+                            "label sequences differ")
+
+
 @dataclass(frozen=True, eq=False)
 class Sample:
     """Homologous configurations with group tags and free-form metadata.
@@ -115,16 +125,8 @@ class Sample:
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
             raise InputError(f"duplicate configuration name {dup!r} in sample")
-        first = configs[0]
         for c in configs[1:]:
-            if len(c) != len(first):
-                raise HomologyError(
-                    f"configurations {first.name!r} and {c.name!r} are not homologous: "
-                    f"{len(first)} vs {len(c)} landmarks")
-            if c.labels != first.labels:
-                raise HomologyError(
-                    f"configurations {first.name!r} and {c.name!r} are not homologous: "
-                    f"label sequences differ")
+            require_homologous(configs[0], c)
         for name in self.groups:
             if name not in names:
                 raise InputError(f"group tag given for unknown configuration {name!r}")

@@ -19,18 +19,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LandmarkConfiguration, Segment, as_coords, enumerate_segments
+from .core import (LandmarkConfiguration, Segment, as_coords, enumerate_segments,
+                   require_homologous)
 from .errors import (
     DegenerateConfigurationError,
     DegeneratePolygonError,
-    HomologyError,
     InputError,
     ZeroLengthSegmentError,
 )
-from .maps import BilinearMap, Homography, Quad
-from .registration import AffineMap2
-from .tps import TpsModel, tps_eval
-from .trend import PolynomialTrend, trend_eval
 
 DEFAULT_CELLS = 24
 DEFAULT_SAMPLES_PER_EDGE = 10
@@ -68,6 +64,12 @@ class GridSpec:
     def cell_size(self) -> tuple[float, float]:
         return ((self.x_range[1] - self.x_range[0]) / self.nx,
                 (self.y_range[1] - self.y_range[0]) / self.ny)
+
+    @property
+    def line_shapes(self) -> tuple[tuple[int, int], tuple[int, int]]:
+        """(lines, samples per line) of the vertical, then the horizontal family."""
+        step = self.samples_per_edge - 1
+        return ((self.nx + 1, self.ny * step + 1), (self.ny + 1, self.nx * step + 1))
 
 
 def make_grid(template, margin: float = 0.0, cells: int = DEFAULT_CELLS,
@@ -134,34 +136,16 @@ def extend_grid(spec: GridSpec, direction: str, multiples: float) -> GridSpec:
                    ny=spec.ny + (cells_added if axis == 1 else 0))
 
 
-def as_point_map(obj):
-    """Uniform vectorized evaluation for anything that can move points.
-
-    Accepts a TpsModel, PolynomialTrend, AffineMap2, Homography, BilinearMap,
-    a (source Quad, destination Quad) pair, or a plain callable on (n, 2)
-    arrays. The returned callable maps (n, 2) -> (n, 2), with NaN rows where
-    the underlying map has no value (outside a bilinear source quad, on the
-    vanishing line of a homography).
-    """
-    if isinstance(obj, TpsModel):
-        return lambda pts: tps_eval(obj, pts)
-    if isinstance(obj, PolynomialTrend):
-        return lambda pts: trend_eval(obj, pts)
-    if isinstance(obj, (AffineMap2,)):
-        return obj
-    if isinstance(obj, (Homography, BilinearMap)):
-        return obj.map_points
-    if isinstance(obj, tuple) and len(obj) == 2 and all(isinstance(q, Quad) for q in obj):
-        return BilinearMap(*obj).map_points
-    if callable(obj):
-        return obj
-    raise InputError(f"cannot interpret {type(obj).__name__} as a point map")
-
-
 @dataclass(frozen=True, eq=False)
-class GridPolyline:
-    """One grid line: sampled preimage, its image, and per-sample kept flags."""
+class DeformedGrid:
+    """Every grid sample as flat arrays: template preimage, image, kept flag.
 
+    Rows hold the vertical lines (constant x, left to right), then the
+    horizontal lines (constant y, bottom to top), each sampled in order of
+    increasing coordinate; spec.line_shapes gives the line and sample counts.
+    """
+
+    spec: GridSpec
     preimage: np.ndarray  # (n, 2)
     image: np.ndarray     # (n, 2)
     kept: np.ndarray      # (n,) bool
@@ -172,58 +156,43 @@ class GridPolyline:
             arr.flags.writeable = False
             object.__setattr__(self, attr, arr)
 
-
-@dataclass(frozen=True, eq=False)
-class DeformedGrid:
-    """Two families of deformed grid lines plus the GridSpec they came from."""
-
-    spec: GridSpec
-    vertical: tuple[GridPolyline, ...]    # lines of constant x
-    horizontal: tuple[GridPolyline, ...]  # lines of constant y
-
-    @property
-    def polylines(self) -> tuple[GridPolyline, ...]:
-        return self.vertical + self.horizontal
+    def families(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(lines, samples, 2) image and (lines, samples) kept views, vertical then horizontal."""
+        views, start = [], 0
+        for lines, samples in self.spec.line_shapes:
+            stop = start + lines * samples
+            views.append((self.image[start:stop].reshape(lines, samples, 2),
+                          self.kept[start:stop].reshape(lines, samples)))
+            start = stop
+        return views
 
     @property
     def total_samples(self) -> int:
-        return sum(p.kept.size for p in self.polylines)
+        return self.kept.size
 
     @property
     def kept_samples(self) -> int:
-        return sum(int(p.kept.sum()) for p in self.polylines)
+        return int(self.kept.sum())
 
 
 def deform_grid(spec: GridSpec, mapping) -> DeformedGrid:
     """Sample every grid line and push the samples through the map.
 
-    Samples whose image is undefined are marked not kept; their preimages
-    stay, so trimming and rendering can still see the lattice.
+    mapping is any callable on (n, 2) arrays returning (n, 2), with NaN rows
+    where it has no value; every fitted map in gridmorph qualifies. Samples
+    whose image is undefined are marked not kept; their preimages stay, so
+    trimming and rendering can still see the lattice.
     """
-    pmap = as_point_map(mapping)
-    xs = np.linspace(spec.x_range[0], spec.x_range[1], spec.nx + 1)
-    ys = np.linspace(spec.y_range[0], spec.y_range[1], spec.ny + 1)
-    per_v = spec.ny * (spec.samples_per_edge - 1) + 1
-    per_h = spec.nx * (spec.samples_per_edge - 1) + 1
-    ts_v = np.linspace(spec.y_range[0], spec.y_range[1], per_v)
-    ts_h = np.linspace(spec.x_range[0], spec.x_range[1], per_h)
-
-    pre_v = [np.column_stack([np.full(per_v, x), ts_v]) for x in xs]
-    pre_h = [np.column_stack([ts_h, np.full(per_h, y)]) for y in ys]
-    stacked = np.vstack(pre_v + pre_h)
-    images = np.asarray(pmap(stacked), dtype=float)
-    if images.shape != stacked.shape:
+    (x0, x1), (y0, y1) = spec.x_range, spec.y_range
+    (nv, per_v), (nh, per_h) = spec.line_shapes
+    vx, vy = np.meshgrid(np.linspace(x0, x1, nv), np.linspace(y0, y1, per_v), indexing="ij")
+    hy, hx = np.meshgrid(np.linspace(y0, y1, nh), np.linspace(x0, x1, per_h), indexing="ij")
+    preimage = np.column_stack([np.concatenate([vx.ravel(), hx.ravel()]),
+                                np.concatenate([vy.ravel(), hy.ravel()])])
+    image = np.asarray(mapping(preimage), dtype=float)
+    if image.shape != preimage.shape:
         raise InputError("point map returned a wrong-shaped array")
-
-    lines: list[GridPolyline] = []
-    offset = 0
-    for pre in pre_v + pre_h:
-        img = images[offset:offset + len(pre)]
-        kept = np.isfinite(img).all(axis=1)
-        lines.append(GridPolyline(pre, img, kept))
-        offset += len(pre)
-    nv = len(pre_v)
-    return DeformedGrid(spec, tuple(lines[:nv]), tuple(lines[nv:]))
+    return DeformedGrid(spec, preimage, image, np.isfinite(image).all(axis=1))
 
 
 def _polygon_array(polygon) -> np.ndarray:
@@ -282,32 +251,24 @@ def trim_grid(grid: DeformedGrid, polygon, space: str = "template") -> DeformedG
     """
     if space not in ("template", "image"):
         raise InputError(f"space must be 'template' or 'image', got {space!r}")
-    poly = _polygon_array(polygon)
-
-    def trimmed(line: GridPolyline) -> GridPolyline:
-        where = line.preimage if space == "template" else line.image
-        keep = line.kept & points_in_polygon(where, poly)
-        return GridPolyline(line.preimage, line.image, keep)
-
-    return DeformedGrid(grid.spec,
-                        tuple(trimmed(p) for p in grid.vertical),
-                        tuple(trimmed(p) for p in grid.horizontal))
+    where = grid.preimage if space == "template" else grid.image
+    return replace(grid, kept=grid.kept & points_in_polygon(where, polygon))
 
 
-def kept_runs(line: GridPolyline) -> list[np.ndarray]:
-    """Split one deformed line into maximal kept runs of image points, for drawing."""
-    runs: list[np.ndarray] = []
-    start = None
-    for idx, flag in enumerate(line.kept):
-        if flag and start is None:
-            start = idx
-        elif not flag and start is not None:
-            if idx - start >= 2:
-                runs.append(line.image[start:idx])
-            start = None
-    if start is not None and len(line.kept) - start >= 2:
-        runs.append(line.image[start:])
-    return runs
+def kept_runs(image, kept) -> list[np.ndarray]:
+    """Maximal kept runs of at least two image points, for drawing.
+
+    image is one line (samples, 2) or a family of lines (lines, samples, 2)
+    with the matching kept mask; runs come line by line, in sample order.
+    """
+    image = np.asarray(image)
+    lines = image.reshape(-1, image.shape[-2], 2)
+    mask = np.asarray(kept, dtype=bool).reshape(len(lines), -1)
+    edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    stops = np.nonzero(edges == -1)[1]
+    return [lines[row, start:stop] for row, start, stop in zip(rows, starts, stops)
+            if stop - start >= 2]
 
 
 def landmark_cycle_polygon(config) -> np.ndarray:
@@ -377,9 +338,7 @@ def segment_rotations(template: LandmarkConfiguration,
     unit tags are checked because comparing segments across mismatched
     registrations is meaningless.
     """
-    if len(template) != len(target) or template.labels != target.labels:
-        raise HomologyError(
-            f"configurations {template.name!r} and {target.name!r} are not homologous")
+    require_homologous(template, target)
     if template.unit != target.unit:
         raise InputError(
             f"configurations must share a registration: unit tags are "

@@ -169,6 +169,9 @@ class BilinearMap:
         if not self.src.is_convex:
             raise NonConvexSourceError("bilinear source quad must be convex")
 
+    def __call__(self, points) -> np.ndarray:
+        return self.map_points(points)
+
     def map_points(self, points) -> np.ndarray:
         """Vectorized evaluation; rows outside the source quad come back NaN."""
         uv, ambiguous = invert_bilinear(self.src, points)
@@ -181,13 +184,10 @@ class BilinearMap:
 def bilinear_eval(src: Quad, dst: Quad, point) -> np.ndarray:
     """Image of a single point inside (or on) the source quad."""
     p = np.asarray(point, dtype=float).reshape(2)
-    uv, ambiguous = invert_bilinear(src, p[None, :])
-    if np.any(np.isnan(uv)):
+    image = BilinearMap(src, dst).map_points(p)
+    if np.isnan(image).any():
         raise OutsideDomainError(f"point {tuple(p)} lies outside the source quad")
-    if ambiguous[0]:
-        warnings.warn("bilinear inversion found two admissible roots; keeping smaller u",
-                      RuntimeWarning, stacklevel=2)
-    return _bilinear_combine(dst, uv)[0]
+    return image
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,6 +216,9 @@ class Homography:
     def compose(self, other: "Homography") -> "Homography":
         """self after other: (self.compose(other))(p) == self(other(p))."""
         return Homography(self.matrix @ other.matrix)
+
+    def __call__(self, points) -> np.ndarray:
+        return self.map_points(points)
 
     def map_points(self, points) -> np.ndarray:
         """Vectorized evaluation; rows on the vanishing line come back NaN."""
@@ -262,14 +265,10 @@ def homography_from_quads(src: Quad, dst: Quad) -> Homography:
 def homography_eval(h: Homography, point) -> np.ndarray:
     """Image of a single point; points on the vanishing line are rejected."""
     p = np.asarray(point, dtype=float).reshape(2)
-    m = h.matrix
-    w = m[2, 0] * p[0] + m[2, 1] * p[1] + m[2, 2]
-    if abs(w) <= 1e-12:
+    image = h.map_points(p)
+    if np.isnan(image).any():
         raise VanishingLineError(f"point {tuple(p)} lies on the vanishing line")
-    return np.array([
-        (m[0, 0] * p[0] + m[0, 1] * p[1] + m[0, 2]) / w,
-        (m[1, 0] * p[0] + m[1, 1] * p[1] + m[1, 2]) / w,
-    ])
+    return image
 
 
 _SQUARE_AXIS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])

@@ -20,13 +20,13 @@ from .core import (
     Sample,
     centroid,
     centroid_size,
+    require_homologous,
 )
 from .errors import (
     CollinearTemplateError,
     ConvergenceError,
     DegenerateBaselineError,
     DegenerateConfigurationError,
-    HomologyError,
     InputError,
     NumericalError,
 )
@@ -146,10 +146,7 @@ def procrustes_align(config: LandmarkConfiguration,
     The applied rotation is a pure rotation (determinant +1); reflections
     are never used. The reference is consulted only for the angle.
     """
-    if len(config) != len(reference):
-        raise HomologyError(
-            f"configurations {config.name!r} and {reference.name!r} are not homologous: "
-            f"{len(config)} vs {len(reference)} landmarks")
+    require_homologous(config, reference)
     p = _normalized(config.coords)
     q = reference.coords - reference.coords.mean(axis=0)
     if np.sqrt((q * q).sum()) <= 0.0:
@@ -192,10 +189,7 @@ def affine_fit(template: LandmarkConfiguration,
     Each target coordinate is regressed on (1, x, y) of the template. Solved
     by orthogonal decomposition; a collinear template is rejected.
     """
-    if len(template) != len(target):
-        raise HomologyError(
-            f"configurations {template.name!r} and {target.name!r} are not homologous: "
-            f"{len(template)} vs {len(target)} landmarks")
+    require_homologous(template, target)
     p = template.coords
     design = np.column_stack([np.ones(len(template)), p])
     coef, _, rank, _ = np.linalg.lstsq(design, target.coords, rcond=None)

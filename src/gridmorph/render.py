@@ -216,24 +216,6 @@ def write_svg(scene: Scene, path) -> None:
         handle.write(render_scene(scene))
 
 
-def compose_four_panel(upper_left: Scene, upper_right: Scene,
-                       lower_left: Scene, lower_right: Scene,
-                       panel_size: float = 480.0) -> Scene:
-    """Tile four scenes 2x2: observed spline, fitted spline, trend grid, trimmed trend.
-
-    The panels must agree on their landmark set when they declare one.
-    """
-    scenes = (upper_left, upper_right, lower_left, lower_right)
-    counts = {s.landmark_count for s in scenes if s.landmark_count is not None}
-    if len(counts) > 1:
-        raise InputError(f"panels disagree on landmark count: {sorted(counts)}")
-    p = float(panel_size)
-    rects = ((0.0, 0.0), (p, 0.0), (0.0, p), (p, p))
-    layers = tuple(Panel(scene, (x, y, p, p)) for scene, (x, y) in zip(scenes, rects))
-    return Scene(size=(2 * p, 2 * p), layers=layers,
-                 landmark_count=next(iter(counts)) if counts else None)
-
-
 def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
                baseline: tuple[int, int] | None = None, heavy_grid: bool = False,
                viewport=None, size: tuple[float, float] = (480.0, 480.0),
@@ -244,10 +226,8 @@ def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
     open circles (predictions). baseline names two landmark ordinals whose
     markers get the enclosing ring, on whichever point sets are present.
     """
-    layers: list = []
-    for line in grid.polylines:
-        for run in kept_runs(line):
-            layers.append(Polyline(run, heavy=heavy_grid))
+    layers: list = [Polyline(run, heavy=heavy_grid)
+                    for image, kept in grid.families() for run in kept_runs(image, kept)]
     ring = set(baseline) if baseline is not None else set()
     for pts, filled in ((solid_points, True), (open_points, False)):
         if pts is None:
@@ -307,9 +287,15 @@ def _title_anchor(viewport, template, target) -> np.ndarray:
 
 def tile_scenes(panels: list[Scene], columns: int | None = None,
                 panel_size: float = 240.0) -> Scene:
-    """Tile any number of panel scenes into one figure, row-major."""
+    """Tile any number of panel scenes into one figure, row-major.
+
+    The panels must agree on their landmark set when they declare one.
+    """
     if not panels:
         raise InputError("no panels to tile")
+    counts = {s.landmark_count for s in panels if s.landmark_count is not None}
+    if len(counts) > 1:
+        raise InputError(f"panels disagree on landmark count: {sorted(counts)}")
     n = len(panels)
     cols = columns if columns is not None else int(np.ceil(np.sqrt(n)))
     rows = int(np.ceil(n / cols))
@@ -318,6 +304,5 @@ def tile_scenes(panels: list[Scene], columns: int | None = None,
         Panel(scene, ((idx % cols) * p, (idx // cols) * p, p, p))
         for idx, scene in enumerate(panels)
     )
-    counts = {s.landmark_count for s in panels if s.landmark_count is not None}
     return Scene(size=(cols * p, rows * p), layers=layers,
-                 landmark_count=next(iter(counts)) if len(counts) == 1 else None)
+                 landmark_count=next(iter(counts)) if counts else None)

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LandmarkConfiguration
+from .core import LandmarkConfiguration, require_homologous
 from .errors import (
     CoincidentLandmarksError,
     CollinearTemplateError,
-    HomologyError,
     SingularSystemError,
 )
 
@@ -63,13 +62,13 @@ class TpsModel:
             arr.flags.writeable = False
             object.__setattr__(self, attr, arr)
 
+    def __call__(self, points) -> np.ndarray:
+        return tps_eval(self, points)
+
 
 def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration) -> TpsModel:
     """Interpolating spline sending every template landmark to its target position."""
-    if len(template) != len(target):
-        raise HomologyError(
-            f"configurations {template.name!r} and {target.name!r} are not homologous: "
-            f"{len(template)} vs {len(target)} landmarks")
+    require_homologous(template, target)
     p = template.coords
     k = len(template)
 
@@ -117,11 +116,10 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration) -> T
 def tps_eval(model: TpsModel, points) -> np.ndarray:
     """Evaluate the spline at one point (2,) or many (..., 2)."""
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
     flat = pts.reshape(-1, 2)
     g = _kernel(_squared_distances(flat, model.template_points))
     out = model.affine[0] + flat @ model.affine[1:] + g @ model.weights
-    return out[0] if single else out.reshape(pts.shape)
+    return out.reshape(pts.shape)
 
 
 def tps_jacobian(model: TpsModel, point) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LandmarkConfiguration
-from .errors import HomologyError, InputError, InsufficientLandmarksError, RankDeficiencyError
+from .core import LandmarkConfiguration, require_homologous
+from .errors import InputError, InsufficientLandmarksError, RankDeficiencyError
 
 BASIS_POWERS: dict[int, tuple[tuple[int, int], ...]] = {
     1: ((0, 0), (1, 0), (0, 1)),
@@ -86,6 +86,9 @@ class PolynomialTrend:
     def term_names(self) -> tuple[str, ...]:
         return TERM_NAMES[self.degree]
 
+    def __call__(self, points) -> np.ndarray:
+        return trend_eval(self, points)
+
 
 def trend_fit(template: LandmarkConfiguration, target: LandmarkConfiguration,
               degree: int) -> PolynomialTrend:
@@ -96,10 +99,7 @@ def trend_fit(template: LandmarkConfiguration, target: LandmarkConfiguration,
     and a design of full column rank.
     """
     m = basis_size(degree)
-    if len(template) != len(target):
-        raise HomologyError(
-            f"configurations {template.name!r} and {target.name!r} are not homologous: "
-            f"{len(template)} vs {len(target)} landmarks")
+    require_homologous(template, target)
     k = len(template)
     if k < m:
         raise InsufficientLandmarksError(
@@ -124,9 +124,7 @@ def trend_eval(trend: PolynomialTrend, points) -> np.ndarray:
     the caller's judgement.
     """
     pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    out = design_matrix(pts, trend.degree) @ trend.coefficients
-    return out[0] if single else out.reshape(pts.shape)
+    return (design_matrix(pts, trend.degree) @ trend.coefficients).reshape(pts.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from gridmorph import (HomologyError, InputError, LandmarkConfiguration,
-                       NumericalError, Sample,
-                       Segment, centroid, centroid_size, default_labels,
-                       enumerate_segments)
+                       NumericalError, Sample, Segment, affine_fit, centroid,
+                       centroid_size, default_labels, enumerate_segments,
+                       procrustes_align, tps_fit, trend_fit)
 
 square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
@@ -75,6 +75,19 @@ def test_sample_homology_names_both_configurations():
     with pytest.raises(HomologyError) as err:
         Sample((a, b))
     assert "alpha" in str(err.value) and "beta" in str(err.value)
+
+
+@pytest.mark.parametrize("fit", [tps_fit, lambda a, b: trend_fit(a, b, 1),
+                                 procrustes_align, affine_fit],
+                         ids=["tps_fit", "trend_fit", "procrustes_align", "affine_fit"])
+def test_fits_reject_relabelled_configurations(fit):
+    a = LandmarkConfiguration("alpha", default_labels(4), square)
+    b = LandmarkConfiguration("beta", ("L1", "L2", "L4", "L3"), square + 0.5)
+    with pytest.raises(HomologyError) as err:
+        fit(a, b)
+    assert "alpha" in str(err.value) and "beta" in str(err.value)
+    assert "label sequences differ" in str(err.value)
+    fit(a, LandmarkConfiguration("beta", default_labels(4), square + 0.5))  # same labels fit
 
 
 def test_sample_groups():

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from gridmorph import (AffineMap2, Baseline, InputError, LandmarkConfiguration,
-                       NumericalError, Segment, convex_hull_polygon, deform_grid,
+from gridmorph import (AffineMap2, Baseline, BilinearMap, InputError,
+                       LandmarkConfiguration, NumericalError, Quad, Segment,
+                       affine_fit, convex_hull_polygon, deform_grid,
                        default_labels, design_matrix, extend_grid,
-                       filter_rotations, kept_runs, landmark_cycle_polygon,
-                       make_grid, point_in_polygon, points_in_polygon,
-                       segment_rotations, trend_fit, trim_grid,
+                       filter_rotations, homography_from_quads, kept_runs,
+                       landmark_cycle_polygon, make_grid, point_in_polygon,
+                       points_in_polygon, prototype_pair, segment_rotations,
+                       tps_eval, tps_fit, trend_eval, trend_fit, trim_grid,
                        two_point_register, vilmann_template)
 
 
@@ -89,21 +94,22 @@ def test_extend_preserves_cell_size_with_snapping():
 def test_deform_identity():
     spec = make_grid(unit_square, margin=0.0, cells=2, samples_per_edge=5)
     grid = deform_grid(spec, lambda pts: pts)
-    assert grid.polylines
-    for line in grid.polylines:
-        assert line.kept.all()
-        assert np.array_equal(line.preimage, line.image)
+    assert grid.total_samples > 0
+    assert grid.kept.all()
+    assert np.array_equal(grid.preimage, grid.image)
     # vertical lines: nx+1 of them, each with ny*(samples-1)+1 points
-    assert len(grid.vertical) == 3
-    assert len(grid.vertical[0].preimage) == 2 * 4 + 1
+    (vertical, _), (horizontal, _) = grid.families()
+    assert vertical.shape == (3, 2 * 4 + 1, 2)
+    assert horizontal.shape == (3, 2 * 4 + 1, 2)
+    assert np.all(vertical[:, :, 0] == vertical[:, :1, 0])  # constant x per line
+    assert np.all(horizontal[:, :, 1] == horizontal[:, :1, 1])  # constant y per line
 
 
 def test_deform_affine_lines_straight():
     spec = make_grid(unit_square, margin=0.5, cells=6)
     amap = AffineMap2(np.array([(1.5, 0.4), (-0.2, 0.9)]), np.array([2.0, -1.0]))
     grid = deform_grid(spec, amap)
-    for line in grid.polylines:
-        img = line.image
+    for img in (line for image, _ in grid.families() for line in image):
         chord = img[-1] - img[0]
         n = np.array([-chord[1], chord[0]]) / np.linalg.norm(chord)
         assert np.abs((img - img[0]) @ n).max() < 1e-10
@@ -119,9 +125,8 @@ def test_deform_quadratic_trend_matches_direct_evaluation():
     trend = trend_fit(config(template), config(target), 2)
     spec = make_grid(config(template), margin=0.25, cells=10)
     grid = deform_grid(spec, trend)
-    for line in grid.polylines:
-        direct = design_matrix(line.preimage, 2) @ trend.coefficients
-        assert np.abs(line.image - direct).max() < 1e-12
+    direct = design_matrix(grid.preimage, 2) @ trend.coefficients
+    assert np.abs(grid.image - direct).max() < 1e-12
 
 
 def test_deform_marks_nan_not_kept():
@@ -133,21 +138,93 @@ def test_deform_marks_nan_not_kept():
         return out
 
     grid = deform_grid(spec, half_plane)
-    kept = np.concatenate([line.kept for line in grid.polylines])
-    assert kept.any() and not kept.all()
-    for line in grid.polylines:
-        assert np.isfinite(line.image[line.kept]).all()
+    assert grid.kept.any() and not grid.kept.all()
+    assert np.isfinite(grid.image[grid.kept]).all()
+    assert np.array_equal(grid.kept, grid.preimage[:, 0] <= 0.5)
+
+
+def test_every_map_is_a_point_map():
+    template, target = prototype_pair("kite")
+    source, destination = Quad(template.coords), Quad(target.coords)
+    spline = tps_fit(template, target)
+    trend = trend_fit(template, target, 1)
+    affine = affine_fit(template, target)
+    projective = homography_from_quads(source, destination)
+    bilinear = BilinearMap(source, destination)
+    pts = np.random.default_rng(84).uniform(-0.5, 0.5, size=(17, 2))
+    for mapping, direct in ((spline, tps_eval(spline, pts)), (trend, trend_eval(trend, pts)),
+                            (affine, pts @ affine.linear.T + affine.translation),
+                            (projective, projective.map_points(pts)),
+                            (bilinear, bilinear.map_points(pts))):
+        out = mapping(pts)
+        assert out.shape == pts.shape
+        assert np.array_equal(out, direct)
+    # undefined images come back as NaN rows, not errors
+    assert np.isnan(bilinear(np.array([(5.0, 5.0)]))).all()
+
+
+def test_deform_spline_equals_tps_eval_on_preimage():
+    template, target = prototype_pair("kite")
+    spline = tps_fit(template, target)
+    grid = deform_grid(make_grid(template, margin=0.25, cells=6, samples_per_edge=4), spline)
+    assert np.array_equal(grid.image, tps_eval(spline, grid.preimage))
+    assert grid.kept.all()
+
+
+def reference_kept_runs(image, kept):
+    """The per-sample loop that kept_runs vectorizes, one line at a time."""
+    runs = []
+    for line, flags in zip(image, kept):
+        start = None
+        for idx, flag in enumerate(flags):
+            if flag and start is None:
+                start = idx
+            elif not flag and start is not None:
+                if idx - start >= 2:
+                    runs.append(line[start:idx])
+                start = None
+        if start is not None and len(flags) - start >= 2:
+            runs.append(line[start:])
+    return runs
+
+
+def assert_same_runs(kept):
+    kept = np.asarray(kept, dtype=bool)
+    image = np.arange(kept.size * 2, dtype=float).reshape(kept.shape + (2,))
+    got = kept_runs(image, kept)
+    want = reference_kept_runs(image, kept)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kept", [
+    [[1, 1, 1, 1, 1]],                 # all kept: one run per line
+    [[0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],  # none kept
+    [[1, 0, 1, 0, 1], [0, 1, 0, 1, 0]],  # isolated single samples draw nothing
+    [[0, 0, 0, 1, 1], [1, 1, 0, 1, 1]],  # runs ending on the last sample
+    [[1, 1, 1], [1, 1, 1]],            # runs never join across lines
+])
+def test_kept_runs_edge_cases(kept):
+    assert_same_runs(kept)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(arrays(np.bool_, st.tuples(st.integers(1, 6), st.integers(1, 30))))
+def test_kept_runs_matches_per_sample_loop(kept):
+    assert_same_runs(kept)
 
 
 def test_kept_runs_split():
     spec = make_grid(unit_square, margin=0.0, cells=1, samples_per_edge=7)
     grid = deform_grid(spec, lambda pts: pts)
-    line = grid.horizontal[0]
-    kept = line.kept.copy()
+    _, (image, kept) = grid.families()
+    kept = kept[0].copy()
     kept[2] = False
-    runs = kept_runs(type(line)(line.preimage, line.image, kept))
+    runs = kept_runs(image[0], kept)
     assert len(runs) == 2
     assert len(runs[0]) == 2 and len(runs[1]) == 4  # runs of >= 2 points only
+    assert np.array_equal(runs[1], image[0, 3:])
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +270,7 @@ def test_trim_noop_with_bounding_box():
     grid = deform_grid(spec, lambda pts: pts)
     box = np.array([(-0.1, -0.1), (1.1, -0.1), (1.1, 1.1), (-0.1, 1.1)])
     trimmed = trim_grid(grid, box)
-    for a, b in zip(grid.polylines, trimmed.polylines):
-        assert np.array_equal(a.kept, b.kept)
+    assert np.array_equal(grid.kept, trimmed.kept)
 
 
 def test_trim_everything_with_distant_polygon():
@@ -202,7 +278,7 @@ def test_trim_everything_with_distant_polygon():
     grid = deform_grid(spec, lambda pts: pts)
     far = square_poly + 50.0
     trimmed = trim_grid(grid, far)
-    assert not any(line.kept.any() for line in trimmed.polylines)
+    assert not trimmed.kept.any()
 
 
 def test_trim_never_alters_images():
@@ -210,9 +286,9 @@ def test_trim_never_alters_images():
     amap = AffineMap2(np.array([(1.2, 0.1), (0.0, 0.8)]), np.zeros(2))
     grid = deform_grid(spec, amap)
     trimmed = trim_grid(grid, square_poly)
-    for a, b in zip(grid.polylines, trimmed.polylines):
-        assert np.array_equal(a.image, b.image)
-        assert np.array_equal(a.preimage, b.preimage)
+    assert trimmed.kept_samples < grid.kept_samples
+    assert np.array_equal(grid.image, trimmed.image)
+    assert np.array_equal(grid.preimage, trimmed.preimage)
 
 
 def shoelace(poly):
@@ -228,8 +304,8 @@ def test_trim_kept_fraction_matches_area():
     grid = deform_grid(spec, lambda pts: pts)
     polygon = landmark_cycle_polygon(template)
     trimmed = trim_grid(grid, polygon)
-    kept = sum(int(line.kept.sum()) for line in trimmed.polylines)
-    total = sum(len(line.kept) for line in trimmed.polylines)
+    kept = trimmed.kept_samples
+    total = trimmed.total_samples
     window = ((spec.x_range[1] - spec.x_range[0])
               * (spec.y_range[1] - spec.y_range[0]))
     want = shoelace(polygon) / window
@@ -251,8 +327,8 @@ def test_trim_by_image_space():
     around_image = square_poly * 1.2 + np.array([9.9, -0.1])
     by_template = trim_grid(grid, around_image, space="template")
     by_image = trim_grid(grid, around_image, space="image")
-    assert not any(line.kept.any() for line in by_template.polylines)
-    assert all(line.kept.all() for line in by_image.polylines)
+    assert not by_template.kept.any()
+    assert by_image.kept.all()
 
 
 def test_landmark_cycle_and_hull_polygons():

@@ -3,8 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from gridmorph import (BilinearMap, Homography, InputError, NumericalError,
-                       PROTOTYPE_KINDS, Quad, bilinear_eval, homography_eval,
+from gridmorph import (BilinearMap, Homography, InputError, NonConvexSourceError,
+                       NumericalError, PROTOTYPE_KINDS, Quad, bilinear_eval, homography_eval,
                        homography_from_quads, invert_bilinear, prototype_pair)
 
 axis_square = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
@@ -120,8 +120,11 @@ def test_invert_bilinear_round_trip():
 
 def test_nonconvex_source_rejected():
     dart = np.array([(0.0, 0.0), (2.0, 0.0), (0.5, 0.4), (0.0, 2.0)])
-    with pytest.raises(NumericalError):
+    with pytest.raises(NonConvexSourceError):
         BilinearMap(Quad(dart), Quad(axis_square))
+    with pytest.raises(NonConvexSourceError):
+        bilinear_eval(Quad(dart), Quad(axis_square), (0.2, 0.2))
+    assert issubclass(NonConvexSourceError, NumericalError)
 
 
 # ---------------------------------------------------------------------------

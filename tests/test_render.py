@@ -4,8 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridmorph import (Baseline, InputError, Segment, compose_four_panel,
-                       deform_grid, default_labels, grid_scene, make_grid,
+from gridmorph import (Baseline, InputError, Segment, deform_grid, default_labels, grid_scene, make_grid,
                        network_scene, outline_panel, render_scene, tile_scenes,
                        two_point_register, vilmann_target, vilmann_template,
                        write_svg)
@@ -145,15 +144,29 @@ def test_network_scene_one_line_per_segment():
     assert names.count("circle") == 2 * 8
 
 
-def test_compose_four_panel_dimensions():
+def test_tile_scenes_four_panel_dimensions():
     template, target, baseline = vilmann_pair()
     panel = outline_panel(template, target, baseline, "p", size=(480, 480))
-    composite = compose_four_panel(panel, panel, panel, panel, panel_size=480)
+    composite = tile_scenes([panel, panel, panel, panel], columns=2, panel_size=480)
     root = parse(render_scene(composite))
     assert root.get("width") == "960" and root.get("height") == "960"
     assert tags(root).count("rect") == 4  # one border per panel
     # every panel contributes the same layer count
     assert tags(root).count("text") == 4
+    assert [layer.rect for layer in composite.layers] == [
+        (0.0, 0.0, 480.0, 480.0), (480.0, 0.0, 480.0, 480.0),
+        (0.0, 480.0, 480.0, 480.0), (480.0, 480.0, 480.0, 480.0)]
+    assert composite.landmark_count == len(template)
+
+
+def test_tile_scenes_rejects_mixed_landmark_counts():
+    template, target, baseline = vilmann_pair()
+    panel = outline_panel(template, target, baseline, "p")
+    other = Scene(size=(240, 240), viewport=(0, 0, 1, 1), landmark_count=len(template) + 1)
+    with pytest.raises(InputError, match="landmark count"):
+        tile_scenes([panel, other])
+    undeclared = Scene(size=(240, 240), viewport=(0, 0, 1, 1))
+    assert tile_scenes([panel, undeclared]).landmark_count == len(template)
 
 
 def test_tile_scenes_layout():
