@@ -35,7 +35,8 @@ from .maps import (BilinearMap, Homography, PROTOTYPE_KINDS,
                    prototype_pair)
 from .registration import (AffineMap2, Baseline, affine_fit, gpa_mean,
                            optimal_rotation_angle, procrustes_align,
-                           remove_affine, two_point_register)
+                           remove_affine, two_point_register,
+                           two_point_register_sample)
 from .render import (Label, Marker, Panel, Polyline, Scene, SegmentNetwork,
                      Style, grid_scene, network_scene, outline_panel,
                      render_scene, tile_scenes, write_svg)

@@ -34,7 +34,7 @@ from .gridlab import (convex_hull_polygon, deform_grid, extend_grid, filter_rota
                       landmark_cycle_polygon, make_grid, segment_rotations, trim_grid)
 from .maps import BilinearMap, Quad, homography_from_quads, prototype_pair
 from .registration import (Baseline, gpa_mean, procrustes_align, remove_affine,
-                           two_point_register)
+                           two_point_register, two_point_register_sample)
 from .render import (Polyline, grid_scene, network_scene, outline_panel, tile_scenes,
                      write_svg)
 from .synthetic import synthetic_vilmann
@@ -59,6 +59,8 @@ def _load_config(path: str | None) -> dict:
             doc = json.load(handle)
     except json.JSONDecodeError as exc:
         raise InputError(f"config {path!r} is not valid JSON: {exc.msg} (line {exc.lineno})")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config {path!r} is not UTF-8 text (byte {exc.start})")
     if not isinstance(doc, dict):
         raise InputError(f"config {path!r} must hold a JSON object of flag values")
     return {str(key).replace("-", "_"): value for key, value in doc.items()}
@@ -204,11 +206,8 @@ def cmd_average(args) -> int:
 def cmd_twopoint(args) -> int:
     dataset = _load(args)
     baseline = _parse_baseline(_merged(args, "baseline", None))
-    registered = tuple(two_point_register(c, baseline)
-                       for c in dataset.sample.configurations)
-    out = Dataset(Sample(registered, dict(dataset.sample.groups)),
-                  provenance=dataset.provenance)
-    _write_text(args.output, write_dataset(out))
+    registered = two_point_register_sample(dataset.sample, baseline)
+    _write_text(args.output, write_dataset(Dataset(registered, provenance=dataset.provenance)))
     print(f"registered {len(registered)} configuration(s) to baseline "
           f"{baseline.start + 1},{baseline.end + 1} -> {args.output}", file=sys.stderr)
     return EXIT_OK

@@ -122,13 +122,14 @@ class Sample:
         if not configs:
             raise InputError("sample must contain at least one configuration")
         names = [c.name for c in configs]
-        if len(set(names)) != len(names):
+        known = set(names)
+        if len(known) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
             raise InputError(f"duplicate configuration name {dup!r} in sample")
         for c in configs[1:]:
             require_homologous(configs[0], c)
         for name in self.groups:
-            if name not in names:
+            if name not in known:
                 raise InputError(f"group tag given for unknown configuration {name!r}")
         object.__setattr__(self, "configurations", configs)
 
@@ -143,6 +144,11 @@ class Sample:
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.configurations)
+
+    @property
+    def coords(self) -> np.ndarray:
+        """All coordinates as one new (n, k, 2) array, in configuration order."""
+        return np.stack([c.coords for c in self.configurations])
 
     def __len__(self) -> int:
         return len(self.configurations)
@@ -194,11 +200,15 @@ def centroid(config) -> np.ndarray:
     return as_coords(config).mean(axis=0)
 
 
+def centered(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center (..., k, 2) coordinates per configuration, with their centroid sizes (maybe 0)."""
+    dev = coords - coords.mean(axis=-2, keepdims=True)
+    return dev, np.sqrt((dev * dev).sum(axis=(-2, -1)))
+
+
 def centroid_size(config) -> float:
     """Square root of the summed squared distances of landmarks from their centroid."""
-    coords = as_coords(config)
-    dev = coords - coords.mean(axis=0)
-    size = float(np.sqrt((dev * dev).sum()))
+    size = float(centered(as_coords(config))[1])
     if size <= 0.0:
         raise DegenerateConfigurationError("all landmarks coincide; centroid size is zero")
     return size

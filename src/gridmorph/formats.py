@@ -10,8 +10,10 @@ exactly.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -47,40 +49,50 @@ class Dataset:
     __hash__ = None
 
 
-def _num(value: float) -> str:
-    """A JSON number with 17 significant digits (exact float64 round trip).
-
-    -0.0 is written as 0: JSON readers may hand "-0" back as the integer
-    zero, so the sign bit would not survive a round trip anyway.
-    """
-    v = float(value)
-    if v == 0.0:
-        v = 0.0
-    return "%.17g" % v
-
-
 def write_dataset(dataset: Dataset) -> str:
-    """Serialize to canonical JSON text. Deterministic: same dataset, same bytes."""
+    """Serialize to canonical JSON text. Deterministic: same dataset, same bytes.
+
+    Every coordinate is a JSON number with 17 significant digits (exact
+    float64 round trip). -0.0 is written as 0 (adding 0.0 folds it): JSON
+    readers may hand "-0" back as the integer zero, so the sign bit would
+    not survive a round trip anyway.
+    """
     sample = dataset.sample
-    lines = ["{"]
-    lines.append(f'  "schema": {dataset.schema},')
-    lines.append(f'  "landmarks": [{", ".join(json.dumps(l) for l in sample.labels)}],')
-    lines.append('  "configurations": [')
-    for idx, config in enumerate(sample.configurations):
-        coords = ", ".join(f"[{_num(x)}, {_num(y)}]" for x, y in config.coords)
-        comma = "," if idx < len(sample.configurations) - 1 else ""
-        lines.append(f'    {{"id": {json.dumps(config.name)}, '
-                     f'"group": {json.dumps(sample.group_of(config.name))}, '
-                     f'"coords": [{coords}]}}{comma}')
-    lines.append("  ],")
+    coords = "[" + ", ".join(["[%.17g, %.17g]"] * sample.landmark_count) + "]"
+    last = sample.configurations[-1]
+    lines = ["{", f'  "schema": {dataset.schema},',
+             f'  "landmarks": [{", ".join(json.dumps(l) for l in sample.labels)}],',
+             '  "configurations": [']
+    lines += [f'    {{"id": {json.dumps(config.name)}, '
+              f'"group": {json.dumps(sample.group_of(config.name))}, '
+              f'"coords": {coords % tuple((config.coords + 0.0).ravel().tolist())}}}'
+              f'{"" if config is last else ","}' for config in sample.configurations]
     sources = ", ".join(json.dumps(s) for s in dataset.provenance)
-    lines.append(f'  "provenance": {{"sources": [{sources}]}}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    # one join, ending in "\n", so the text is built once
+    lines += ["  ],", f'  "provenance": {{"sources": [{sources}]}}', "}", ""]
+    return "\n".join(lines)
 
 
 def _reject_constant(token: str):
     raise SchemaError(f"non-finite number {token!r} in dataset JSON")
+
+
+def _coords_array(cid: str, coords) -> np.ndarray:
+    """A configuration's "coords" value as a (k, 2) array, or SchemaError.
+
+    Only JSON numbers are coordinates: true/false, strings and numbers
+    beyond the float64 range (a long integer, 1e400) are rejected.
+    """
+    if (type(coords) is list and set(map(type, coords)) <= {list}
+            and set(map(len, coords)) <= {2}):
+        values = list(itertools.chain.from_iterable(coords))
+        if set(map(type, values)) <= {int, float}:
+            with contextlib.suppress(OverflowError):  # an int beyond the float64 range
+                array = np.array(values, dtype=float).reshape(-1, 2)
+                if np.isfinite(array).all():
+                    return array
+    raise SchemaError(
+        f"configuration {cid!r}: \"coords\" must be [[x, y], ...] with finite numbers")
 
 
 def read_dataset(text: str) -> Dataset:
@@ -92,7 +104,7 @@ def read_dataset(text: str) -> Dataset:
     if not isinstance(doc, dict):
         raise SchemaError("dataset JSON must be an object")
     schema = doc.get("schema")
-    if schema != SCHEMA_VERSION:
+    if type(schema) is not int or schema != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema version {schema!r}; this build reads {SCHEMA_VERSION}")
     labels = doc.get("landmarks")
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
@@ -100,30 +112,25 @@ def read_dataset(text: str) -> Dataset:
     entries = doc.get("configurations")
     if not isinstance(entries, list) or not entries:
         raise SchemaError("\"configurations\" must be a non-empty list")
+    labels = tuple(labels)
     configs: list[LandmarkConfiguration] = []
     groups: dict[str, str] = {}
     for entry in entries:
         if not isinstance(entry, dict) or "id" not in entry or "coords" not in entry:
             raise SchemaError("each configuration needs \"id\" and \"coords\"")
         cid = entry["id"]
-        coords = entry["coords"]
         if not isinstance(cid, str):
             raise SchemaError("configuration \"id\" must be a string")
-        if (not isinstance(coords, list)
-                or not all(isinstance(pt, list) and len(pt) == 2 and
-                           all(isinstance(v, (int, float)) and math.isfinite(v) for v in pt)
-                           for pt in coords)):
-            raise SchemaError(f"configuration {cid!r}: \"coords\" must be [[x, y], ...] with finite numbers")
-        configs.append(LandmarkConfiguration(cid, tuple(labels), np.asarray(coords, dtype=float)))
+        configs.append(LandmarkConfiguration(cid, labels, _coords_array(cid, entry["coords"])))
         group = entry.get("group", "")
         if not isinstance(group, str):
             raise SchemaError(f"configuration {cid!r}: \"group\" must be a string")
         if group:
             groups[cid] = group
     prov = doc.get("provenance", {})
-    sources = tuple(prov.get("sources", ())) if isinstance(prov, dict) else ()
-    if not all(isinstance(s, str) for s in sources):
-        raise SchemaError("\"provenance.sources\" must be strings")
+    sources = prov.get("sources", []) if isinstance(prov, dict) else []
+    if type(sources) is not list or not all(isinstance(s, str) for s in sources):
+        raise SchemaError("\"provenance.sources\" must be a list of strings")
     return Dataset(Sample(tuple(configs), groups), schema, sources)
 
 
@@ -309,8 +316,11 @@ def _parse_csv_wide(rows, k: int, with_group: bool) -> Sample:
 def read_landmarks(path: str) -> Dataset:
     """Load any supported landmark file, detecting the format by extension."""
     lower = str(path).lower()
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{str(path)!r} is not UTF-8 text (byte {exc.start})") from exc
     if lower.endswith(".tps"):
         sample = parse_tps_file(text)
     elif lower.endswith(".csv"):

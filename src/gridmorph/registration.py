@@ -18,8 +18,7 @@ from .core import (
     UNIT_TWO_POINT,
     LandmarkConfiguration,
     Sample,
-    centroid,
-    centroid_size,
+    centered,
     require_homologous,
 )
 from .errors import (
@@ -91,52 +90,88 @@ def _check_baseline(config: LandmarkConfiguration, baseline: Baseline) -> Baseli
     return Baseline(start, end)
 
 
-def two_point_register(config: LandmarkConfiguration, baseline: Baseline) -> LandmarkConfiguration:
-    """Register to baseline coordinates: similarity sending the baseline to (0,0)-(1,0).
+def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
+    """Register every configuration to baseline coordinates in one array operation.
 
-    The transform is the orientation-preserving similarity determined by the
-    two baseline landmarks; no reflection is introduced. The baseline
-    endpoints land exactly on their anchors.
+    Each gets the orientation-preserving similarity sending its baseline to
+    (0,0)-(1,0): no reflection, and the endpoints land exactly on their
+    anchors. Group tags and metadata carry over. An error names the first
+    configuration whose landmarks, or baseline landmarks, (nearly) coincide.
     """
-    baseline = _check_baseline(config, baseline)
-    p = config.coords
-    a = p[baseline.start]
-    d = p[baseline.end] - a
-    nsq = d[0] * d[0] + d[1] * d[1]
-    if np.sqrt(nsq) <= 1e-12 * centroid_size(config):
-        raise DegenerateBaselineError(
-            f"baseline landmarks {baseline.start} and {baseline.end} nearly coincide")
-    rel = p - a
+    baseline = _check_baseline(sample.configurations[0], baseline)
+    p = sample.coords
+    a = p[:, baseline.start]
+    d = p[:, baseline.end] - a
+    nsq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    size = centered(p)[1]
+    bad = (size <= 0.0) | (np.sqrt(nsq) <= 1e-12 * size)
+    if bad.any():
+        first = int(np.argmax(bad))
+        name = sample.configurations[first].name
+        if size[first] <= 0.0:
+            raise DegenerateConfigurationError(f"configuration {name!r}: all landmarks coincide")
+        raise DegenerateBaselineError(f"configuration {name!r}: baseline landmarks "
+                                      f"{baseline.start} and {baseline.end} nearly coincide")
+    rel = p - a[:, None]
+    dx, dy, nsq = d[:, 0, None], d[:, 1, None], nsq[:, None]
     # Similarity as division by the baseline vector in complex form.
-    x = (rel[:, 0] * d[0] + rel[:, 1] * d[1]) / nsq
-    y = (rel[:, 1] * d[0] - rel[:, 0] * d[1]) / nsq
-    out = np.column_stack([x, y])
+    out = np.stack([(rel[..., 0] * dx + rel[..., 1] * dy) / nsq,
+                    (rel[..., 1] * dx - rel[..., 0] * dy) / nsq], axis=-1)
     # the arithmetic already lands the anchors on (0,0) and (1,0), but can
     # leave a -0.0 behind; pin them so the contract holds bit for bit
-    out[baseline.start] = (0.0, 0.0)
-    out[baseline.end] = (1.0, 0.0)
-    return config.with_coords(out, unit=UNIT_TWO_POINT)
+    out[:, baseline.start] = (0.0, 0.0)
+    out[:, baseline.end] = (1.0, 0.0)
+    registered = tuple(c.with_coords(q, unit=UNIT_TWO_POINT)
+                       for c, q in zip(sample.configurations, out))
+    return Sample(registered, dict(sample.groups), dict(sample.metadata))
+
+
+def two_point_register(config: LandmarkConfiguration, baseline: Baseline) -> LandmarkConfiguration:
+    """Register one configuration to baseline coordinates (see two_point_register_sample)."""
+    return two_point_register_sample(Sample((config,)), baseline).configurations[0]
 
 
 def _normalized(coords: np.ndarray) -> np.ndarray:
-    """Center at the origin and scale to unit centroid size."""
-    dev = coords - coords.mean(axis=0)
-    size = np.sqrt((dev * dev).sum())
-    if size <= 0.0:
+    """Center each (k, 2) configuration of (..., k, 2), scaled to unit centroid size."""
+    dev, size = centered(coords)
+    if np.any(size <= 0.0):
         raise DegenerateConfigurationError("all landmarks coincide; centroid size is zero")
-    return dev / size
+    return dev / size[..., None, None]
 
 
-def optimal_rotation_angle(coords: np.ndarray, reference: np.ndarray) -> float:
-    """Closed-form angle rotating coords onto reference in the least-squares sense.
+def _rotation_angles(shapes: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Closed-form angle rotating each (k, 2) shape of (n, k, 2) onto the (k, 2) reference.
 
-    Both inputs must already be centered. The optimum of
+    All inputs must already be centered. The optimum of
     sum ||R(theta) p_i - q_i||^2 is atan2(sum(x_i y'_i - y_i x'_i),
     sum(x_i x'_i + y_i y'_i)) with primes on the reference.
     """
-    a = float((coords[:, 0] * reference[:, 0] + coords[:, 1] * reference[:, 1]).sum())
-    b = float((coords[:, 0] * reference[:, 1] - coords[:, 1] * reference[:, 0]).sum())
-    return float(np.arctan2(b, a))
+    x, y = shapes[..., 0], shapes[..., 1]
+    a = (x * reference[:, 0] + y * reference[:, 1]).sum(axis=-1)
+    b = (x * reference[:, 1] - y * reference[:, 0]).sum(axis=-1)
+    return np.arctan2(b, a)
+
+
+def optimal_rotation_angle(coords: np.ndarray, reference: np.ndarray) -> float:
+    """Closed-form angle rotating centered coords onto a centered reference (least squares)."""
+    return float(_rotation_angles(coords[None], reference)[0])
+
+
+def _rotated_onto(shapes: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Rotate every centered shape of an (n, k, 2) stack onto the centered reference
+    by its optimal pure rotation (determinant +1, never a reflection)."""
+    theta = _rotation_angles(shapes, reference)
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    return shapes @ rot.transpose(0, 2, 1)
+
+
+def _centered_reference(coords: np.ndarray, name: str) -> np.ndarray:
+    q, size = centered(coords)
+    if size <= 0.0:
+        raise DegenerateConfigurationError(
+            f"reference {name!r} is degenerate (all landmarks coincide)")
+    return q
 
 
 def procrustes_align(config: LandmarkConfiguration,
@@ -147,36 +182,30 @@ def procrustes_align(config: LandmarkConfiguration,
     are never used. The reference is consulted only for the angle.
     """
     require_homologous(config, reference)
-    p = _normalized(config.coords)
-    q = reference.coords - reference.coords.mean(axis=0)
-    if np.sqrt((q * q).sum()) <= 0.0:
-        raise DegenerateConfigurationError(
-            f"reference {reference.name!r} is degenerate (all landmarks coincide)")
-    theta = optimal_rotation_angle(p, q)
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    return config.with_coords(p @ rot.T, unit=UNIT_PROCRUSTES)
+    q = _centered_reference(reference.coords, reference.name)
+    aligned = _rotated_onto(_normalized(config.coords[None]), q)[0]
+    return config.with_coords(aligned, unit=UNIT_PROCRUSTES)
 
 
 def gpa_mean(sample: Sample, name: str = "mean") -> LandmarkConfiguration:
     """Generalized Procrustes mean of all configurations in the sample.
 
     The reference starts as the first configuration centered and scaled to
-    unit centroid size. Each pass aligns every configuration to the
-    reference, averages coordinates, and re-centers/re-scales the average;
-    iteration stops when the mean moves less than 1e-10 RMS.
+    unit centroid size. Each pass rotates every configuration (centered and
+    scaled once, up front) onto the re-centered reference by its
+    closed-form optimal pure rotation, never a reflection; averages
+    coordinates; and re-centers/re-scales the average. Iteration stops when
+    the mean moves less than 1e-10 RMS. A pass is a few operations on one
+    (n, k, 2) array.
     """
-    configs = sample.configurations
-    ref = _normalized(configs[0].coords)
-    labels = sample.labels
+    shapes = _normalized(sample.coords)
+    ref = shapes[0]
     for iteration in range(1, GPA_MAX_ITER + 1):
-        ref_config = LandmarkConfiguration(name, labels, ref, UNIT_PROCRUSTES)
-        aligned = np.stack([procrustes_align(c, ref_config).coords for c in configs])
-        avg = _normalized(aligned.mean(axis=0))
+        avg = _normalized(_rotated_onto(shapes, _centered_reference(ref, name)).mean(axis=0))
         rms = float(np.sqrt(((avg - ref) ** 2).mean()))
         ref = avg
         if rms < GPA_TOL:
-            return LandmarkConfiguration(name, labels, ref, UNIT_PROCRUSTES)
+            return LandmarkConfiguration(name, sample.labels, ref, UNIT_PROCRUSTES)
     raise ConvergenceError(
         f"generalized Procrustes averaging did not converge in {GPA_MAX_ITER} iterations "
         f"(last RMS movement {rms:.3e})")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,8 +7,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gridmorph import (Dataset, Sample, default_labels, gpa_mean, read_dataset,
-                       synthetic_vilmann, two_point_register, write_dataset)
+from gridmorph import (Dataset, InputError, Sample, SchemaError, default_labels, gpa_mean,
+                       read_dataset, read_landmarks, synthetic_vilmann,
+                       two_point_register, write_dataset)
 from gridmorph.cli import main
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.registration import Baseline
@@ -149,6 +151,106 @@ def test_twopoint_pins_anchors(tmp_path, capsys):
         # anchors are exact even after a serialization round trip
         assert cfg.coords[2, 0] == 0.0 and cfg.coords[2, 1] == 0.0
         assert cfg.coords[7, 0] == 1.0 and cfg.coords[7, 1] == 0.0
+    capsys.readouterr()
+
+
+GOOD_JSON = ('{"schema": 1, "landmarks": ["L1", "L2", "L3"], "configurations": '
+             '[{"id": "a", "group": "", "coords": [[0, 0], [1, 0], [0, 1]]}], '
+             '"provenance": {"sources": []}}')
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"sources": []', '"sources": 9'),              # was a TypeError traceback
+    ('[1, 0]', '[1' + "0" * 400 + ', 0]'),           # was an OverflowError traceback
+    ('[1, 0]', '[true, 0]'),                        # was read as 1.0
+    ('[1, 0]', '["1", 0]'),
+    ('[1, 0]', '[1e400, 0]'),
+    ('"schema": 1', '"schema": true'),              # was read as schema 1
+    ('"sources": []', '"sources": "in.csv"'),       # was read as six sources
+], ids=["sources-number", "huge-integer", "true", "string", "1e400", "schema-true",
+        "sources-string"])
+def test_ingest_rejects_malformed_dataset_json(tmp_path, capsys, old, new):
+    assert read_dataset(GOOD_JSON).sample.names == ("a",)
+    text = GOOD_JSON.replace(old, new)
+    assert text != GOOD_JSON
+    with pytest.raises(SchemaError):
+        read_dataset(text)
+    path = tmp_path / "x.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["ingest", str(path), "-o", str(tmp_path / "out.json")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".tps", ".json"])
+def test_non_utf8_input_is_input_error(tmp_path, capsys, suffix):
+    path = tmp_path / f"latin1{suffix}"
+    path.write_bytes("id,label,x,y\nspécimen,L1,0,0\n".encode("latin-1"))
+    with pytest.raises(InputError, match="UTF-8"):
+        read_landmarks(str(path))
+    assert main(["ingest", str(path), "-o", str(tmp_path / "out.json")]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_input_error(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(GOOD_JSON, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_bytes('{"group": "é"}'.encode("latin-1"))
+    assert main(["average", str(good), "--config", str(config),
+                 "-o", str(tmp_path / "out.json")]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
+def byte_guard_inputs():
+    """Six specimens of six landmarks in two groups, as TPS and wide CSV text.
+
+    Built with plain float arithmetic (rotations with rational cosines) and
+    written with four decimals, so the input bytes are the same everywhere.
+    """
+    base = [(0.0, 0.0), (4.0, 0.5), (6.0, 3.0), (4.5, 6.0), (1.0, 5.5), (-1.5, 2.5)]
+    turns = [(0.8, 0.6), (0.6, -0.8), (-0.28, 0.96), (1.0, 0.0), (0.96, 0.28), (-0.6, 0.8)]
+    tps = []
+    rows = ["id,group," + ",".join(f"x{i},y{i}" for i in range(1, 7))]
+    for n, (a, b) in enumerate(turns):
+        name, group = f"spec_{n + 1}", ("young", "old")[n % 2]
+        cells = []
+        for j, (x, y) in enumerate(base):
+            x += 0.4 * (n % 2) * (j % 3) + 0.05 * ((3 * n + j) % 4)
+            y += 0.3 * (n % 2) * (j % 2) - 0.05 * ((n + 2 * j) % 3)
+            cells += [f"{(a * x - b * y) * (10 + n) + 100 * n:.4f}",
+                      f"{(b * x + a * y) * (10 + n) - 50 * n:.4f}"]
+        tps += [f"LM={len(base)}"]
+        tps += [f"{cells[2 * j]} {cells[2 * j + 1]}" for j in range(len(base))]
+        tps += [f"ID={name}"]
+        rows.append(f"{name},{group}," + ",".join(cells))
+    return "\n".join(tps) + "\n", "\n".join(rows) + "\n"
+
+
+# SHA-256 of each output, recorded before the whole-sample array rewrite of
+# formats and registration (x86-64 Linux, numpy 2.4, OpenBLAS). means.json
+# carries GPA arithmetic, so its bytes follow the platform's libm and BLAS.
+BYTE_GUARD = {
+    "tps.json": "bfa330599d373157dacb8329658b3699dee7623d7763ada24b91fe8576b94e6c",
+    "csv.json": "abccfe523cfaeec174797dea5298a1460ddf99d2b08f9644c31bb0bd54b443cb",
+    "means.json": "8cc2dcdf6037f0cee09957533bb8e380ceea3fb11fc32332ba007171d828f6a3",
+    "twopoint.json": "b7830346b2df4a7ee3d9b23694f07c9b69af17cb03dfcd9b4f3c2e1c3769f406",
+}
+
+
+def test_sample_commands_keep_their_bytes(tmp_path, capsys, monkeypatch):
+    tps, wide = byte_guard_inputs()
+    (tmp_path / "in.tps").write_text(tps, encoding="utf-8")
+    (tmp_path / "in.csv").write_text(wide, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # provenance records the input path as given
+    for argv in (["ingest", "in.tps", "-o", "tps.json"],
+                 ["ingest", "in.csv", "-o", "csv.json"],
+                 ["average", "csv.json", "-o", "means.json"],
+                 ["twopoint", "csv.json", "--baseline", "1,4", "-o", "twopoint.json"]):
+        assert main(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in BYTE_GUARD}
+    assert digests == BYTE_GUARD
     capsys.readouterr()
 
 

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridmorph import (Dataset, HomologyError, InputError, ParseError, Sample,
                        SchemaError, parse_csv, parse_tps_file, read_dataset,
@@ -172,6 +175,22 @@ def test_dataset_serializes_awkward_floats():
     dataset = Dataset(Sample((cfg,)))
     again = read_dataset(write_dataset(dataset))
     assert np.array_equal(again.sample.configurations[0].coords, coords)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.integers(3, 6).flatmap(
+    lambda k: arrays(np.float64, (n, k, 2), elements=st.floats(allow_nan=False,
+                                                               allow_infinity=False)))))
+@example(np.array([[[-0.0, 5e-324], [1e308, -1e308], [-2.2250738585072014e-308, 0.1]]]))
+def test_dataset_round_trip_is_exact(stack):
+    configs = tuple(LandmarkConfiguration.build(f"c{i}", coords) for i, coords in enumerate(stack))
+    text = write_dataset(Dataset(Sample(configs, {"c0": "first"})))
+    again = read_dataset(text).sample
+    assert again.groups == {"c0": "first"}
+    back = again.coords
+    assert np.array_equal(back, stack)  # bit for bit, and -0.0 comes back as 0.0
+    assert not np.signbit(back[stack == 0.0]).any()
+    assert write_dataset(Dataset(again)) == text
 
 
 def test_dataset_text_is_valid_json_with_schema():

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridmorph import (AffineMap2, Baseline, ConvergenceError,
-                       DegenerateBaselineError, InputError, NumericalError,
-                       LandmarkConfiguration, Sample, affine_fit,
-                       centroid_size, default_labels, gpa_mean,
-                       optimal_rotation_angle, procrustes_align,
-                       remove_affine, two_point_register)
+                       DegenerateBaselineError, DegenerateConfigurationError,
+                       InputError, NumericalError,
+                       LandmarkConfiguration, Sample, UNIT_PROCRUSTES,
+                       UNIT_TWO_POINT, affine_fit, centroid_size,
+                       default_labels, gpa_mean, optimal_rotation_angle,
+                       procrustes_align, remove_affine, two_point_register,
+                       two_point_register_sample)
+from gridmorph.core import centered
+from gridmorph.registration import GPA_MAX_ITER, GPA_TOL, _normalized
 
 
 def config(coords, name="cfg", unit="raw"):
@@ -286,3 +293,87 @@ def test_gpa_single_config():
     coords = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
     mean = gpa_mean(Sample((config(coords),)))
     assert centroid_size(mean.coords) == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# whole-sample arrays against one configuration at a time
+
+def stacked_sample(stack):
+    configs = tuple(config(coords, name=f"c{i}") for i, coords in enumerate(stack))
+    return Sample(configs, {c.name: "ab"[i % 2] for i, c in enumerate(configs)})
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the GridmorphError it raised."""
+    try:
+        return fn(*args)
+    except (InputError, NumericalError) as exc:
+        return type(exc)
+
+
+def per_specimen_gpa(sample):
+    """Reference: align each configuration onto the reference, average, renormalize."""
+    ref = _normalized(sample.configurations[0].coords)
+    for _ in range(GPA_MAX_ITER):
+        ref_config = LandmarkConfiguration("mean", sample.labels, ref, UNIT_PROCRUSTES)
+        aligned = np.stack([procrustes_align(c, ref_config).coords
+                            for c in sample.configurations])
+        avg = _normalized(aligned.mean(axis=0))
+        rms = float(np.sqrt(((avg - ref) ** 2).mean()))
+        ref = avg
+        if rms < GPA_TOL:
+            return ref
+    return ConvergenceError
+
+
+@st.composite
+def noisy_copies(draw):
+    """One shape under n similarities plus noise, as an (n, k, 2) stack."""
+    n, k = draw(st.integers(1, 10)), draw(st.integers(3, 9))
+    base = draw(arrays(np.float64, (k, 2), elements=st.floats(-10, 10)))
+    noise = draw(arrays(np.float64, (n, k, 2), elements=st.floats(-1, 1)))
+    angle = draw(arrays(np.float64, n, elements=st.floats(-np.pi, np.pi)))
+    scale = draw(arrays(np.float64, n, elements=st.floats(1e-3, 1e3)))
+    c, s = scale * np.cos(angle), scale * np.sin(angle)
+    rot = np.stack([c, -s, s, c], axis=-1).reshape(n, 2, 2)
+    return (base + draw(st.sampled_from([0.0, 1e-3, 0.3])) * noise) @ rot.transpose(0, 2, 1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(noisy_copies())
+def test_gpa_mean_equals_per_specimen_loop(stack):
+    sample = stacked_sample(stack)
+    expected = outcome(per_specimen_gpa, sample)
+    got = outcome(gpa_mean, sample)
+    if isinstance(expected, type):
+        assert got is expected
+    else:
+        assert got.unit == UNIT_PROCRUSTES and got.labels == sample.labels
+        assert np.array_equal(got.coords, expected)  # bit for bit, not allclose
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_two_point_sample_equals_per_configuration(data):
+    n, k = data.draw(st.integers(1, 8)), data.draw(st.integers(3, 9))
+    stack = data.draw(arrays(np.float64, (n, k, 2), elements=st.floats(-1e6, 1e6)))
+    start, end = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                                    unique=True))
+    baseline = Baseline(start, end)
+    j = data.draw(st.integers(0, n - 1))
+    broken = stack.copy()
+    broken[j, end] = broken[j, start]  # coincident baseline landmarks in specimen j
+    for coords in (stack, broken):
+        sample = stacked_sample(coords)
+        expected = [outcome(two_point_register, c, baseline) for c in sample.configurations]
+        failures = [e for e in expected if isinstance(e, type)]
+        got = outcome(two_point_register_sample, sample, baseline)
+        if failures:  # the first failing specimen names the error
+            assert got is failures[0]
+            continue
+        assert got.names == sample.names and got.groups == sample.groups
+        for a, b in zip(got.configurations, expected):
+            assert a.unit == UNIT_TWO_POINT
+            assert np.array_equal(a.coords, b.coords)
+    assert expected[j] is (DegenerateBaselineError if centered(broken[j])[1] > 0.0
+                           else DegenerateConfigurationError)
