@@ -24,7 +24,7 @@ from .errors import (CoincidentLandmarksError, CollinearTemplateError,
 from .formats import (Dataset, parse_csv, parse_tps_file, read_dataset,
                       read_landmarks, write_dataset)
 from .gridlab import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, DeformedGrid,
-                      GridSpec, ROTATION_CONVENTION, SegmentRotationReport,
+                      GridSpec, MAX_GRID_SAMPLES, ROTATION_CONVENTION, SegmentRotationReport,
                       convex_hull_polygon, deform_grid, extend_grid,
                       filter_rotations, kept_runs, landmark_cycle_polygon,
                       make_grid, point_in_polygon, points_in_polygon,

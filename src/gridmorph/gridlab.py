@@ -31,6 +31,9 @@ from .errors import (
 DEFAULT_CELLS = 24
 DEFAULT_SAMPLES_PER_EDGE = 10
 BOUNDARY_TOL = 1e-12
+# Most samples one grid may hold (its preimage and image alone take 32 B a sample):
+# an oversized --cells/--samples request is an InputError, not an out-of-memory kill.
+MAX_GRID_SAMPLES = 2 ** 22
 ROTATION_CONVENTION = "counterclockwise-positive"
 
 
@@ -57,6 +60,10 @@ class GridSpec:
             raise InputError("grid needs at least one cell per axis")
         if self.samples_per_edge < 2:
             raise InputError("need at least 2 samples per cell edge")
+        samples = sum(lines * per_line for lines, per_line in self.line_shapes)
+        if samples > MAX_GRID_SAMPLES:
+            raise InputError(f"grid of {samples} samples exceeds the budget of "
+                             f"{MAX_GRID_SAMPLES} samples; use fewer cells or samples per edge")
         if self.base_extent is None:
             object.__setattr__(self, "base_extent", (x1 - x0, y1 - y0))
 
@@ -208,22 +215,29 @@ def _polygon_array(polygon) -> np.ndarray:
 
 
 def points_in_polygon(points, polygon) -> np.ndarray:
-    """Even-odd test for many points; boundary points (within 1e-12) count inside."""
+    """Even-odd test for many points; boundary points (within 1e-12) count inside.
+
+    Points are sorted by y once; each edge tests only those within its y span.
+    """
     poly = _polygon_array(polygon)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    x, y = pts[:, 0], pts[:, 1]
+    order = np.argsort(pts[:, 1])
+    xs, ys = pts[order, 0], pts[order, 1]
     inside = np.zeros(len(pts), dtype=bool)
     boundary = np.zeros(len(pts), dtype=bool)
-    finite = np.isfinite(pts).all(axis=1)
-    m = len(poly)
-    for a in range(m):
-        ax, ay = poly[a]
-        bx, by = poly[(a + 1) % m]
+    ends = np.roll(poly, -1, axis=0)
+    # twice the tolerance plus a few ulps of the polygon covers the rounding of
+    # the closest-point expression below, so the slices never cut a true hit
+    pad = 2.0 * BOUNDARY_TOL + 8.0 * np.finfo(float).eps * np.abs(poly).max()
+    lo = np.searchsorted(ys, np.minimum(poly[:, 1], ends[:, 1]) - pad, side="left")
+    hi = np.searchsorted(ys, np.maximum(poly[:, 1], ends[:, 1]) + pad, side="right")
+    for (ax, ay), (bx, by), i0, i1 in zip(poly, ends, lo, hi):
+        x, y = xs[i0:i1], ys[i0:i1]
         # crossing test, half-open in y so shared vertices count once
         cond = (ay > y) != (by > y)
         with np.errstate(divide="ignore", invalid="ignore"):
             x_hit = ax + (y - ay) * (bx - ax) / (by - ay)
-        inside ^= cond & (x < x_hit)
+        inside[i0:i1] ^= cond & (x < x_hit)
         # boundary proximity
         ex, ey = bx - ax, by - ay
         len2 = ex * ex + ey * ey
@@ -233,8 +247,10 @@ def points_in_polygon(points, polygon) -> np.ndarray:
             t = np.zeros_like(x)
         dx = x - (ax + t * ex)
         dy = y - (ay + t * ey)
-        boundary |= dx * dx + dy * dy <= BOUNDARY_TOL ** 2
-    return (inside | boundary) & finite
+        boundary[i0:i1] |= dx * dx + dy * dy <= BOUNDARY_TOL ** 2
+    result = np.empty(len(pts), dtype=bool)
+    result[order] = inside | boundary
+    return result & np.isfinite(pts).all(axis=1)
 
 
 def point_in_polygon(point, polygon) -> bool:

@@ -89,6 +89,11 @@ def _fmt(value: float) -> str:
     return "%.6g" % v
 
 
+def _fmt_points(pts: np.ndarray) -> str:
+    """Points as "x,y x,y ...", each coordinate as _fmt prints it, in one % operation."""
+    return " ".join(["%.6g,%.6g"] * len(pts)) % tuple((pts + 0.0).ravel().tolist())
+
+
 def _content_bounds(layers) -> np.ndarray | None:
     chunks = []
     for layer in layers:
@@ -167,9 +172,8 @@ def _emit_layers(scene: Scene, rect, out: list[str]):
             tag = "polygon" if layer.closed else "polyline"
             width = style.heavy_width if layer.heavy else style.light_width
             dash = ' stroke-dasharray="4 3"' if layer.dashed else ""
-            coords = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in pts)
             out.append(f'<{tag} fill="none" stroke="black" stroke-width="{_fmt(width)}"'
-                       f'{dash} points="{coords}"/>')
+                       f'{dash} points="{_fmt_points(pts)}"/>')
         elif isinstance(layer, Marker):
             (cx, cy), = tf.apply(layer.center)
             r = style.marker_radius

@@ -28,19 +28,18 @@ from .errors import (
 
 SIDE_CONDITION_TOL = 1e-9
 MIN_SEPARATION = 1e-10
+EVAL_BLOCK = 2 ** 16  # kernel entries (points x centres) per tps_eval block: bounds its temporaries
 
 
-def _kernel(r2: np.ndarray) -> np.ndarray:
-    """U(r) = r^2 log r evaluated from squared distances, with U(0) = 0."""
-    out = np.zeros_like(r2)
-    pos = r2 > 0.0
-    out[pos] = 0.5 * r2[pos] * np.log(r2[pos])
-    return out
+def _kernel_terms(points: np.ndarray, centres: np.ndarray):
+    """Per-axis differences dx, dy, squared distances r2 and log r2, each (n, k).
 
-
-def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = a[:, None, :] - b[None, :, :]
-    return (diff * diff).sum(axis=2)
+    log r2 is 0 where r2 = 0, so U = 0.5 r2 log r2 = r^2 log r needs no mask.
+    """
+    dx = points[:, :1] - centres[:, 0]
+    dy = points[:, 1:] - centres[:, 1]
+    r2 = dx * dx + dy * dy
+    return dx, dy, r2, np.log(r2, out=np.zeros_like(r2), where=r2 > 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +71,7 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration) -> T
     p = template.coords
     k = len(template)
 
-    d2 = _squared_distances(p, p)
+    _, _, d2, log_d2 = _kernel_terms(p, p)
     d2_off = d2.copy()
     np.fill_diagonal(d2_off, np.inf)
     if d2_off.min() < MIN_SEPARATION ** 2:
@@ -85,7 +84,7 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration) -> T
         raise CollinearTemplateError(
             f"template {template.name!r} landmarks are collinear; spline system is singular")
 
-    kernel = _kernel(d2)
+    kernel = 0.5 * d2 * log_d2
     pmat = np.column_stack([np.ones(k), p])
     lmat = np.zeros((k + 3, k + 3))
     lmat[:k, :k] = kernel
@@ -117,8 +116,13 @@ def tps_eval(model: TpsModel, points) -> np.ndarray:
     """Evaluate the spline at one point (2,) or many (..., 2)."""
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
-    g = _kernel(_squared_distances(flat, model.template_points))
-    out = model.affine[0] + flat @ model.affine[1:] + g @ model.weights
+    rows = max(1, EVAL_BLOCK // len(model.template_points))
+    out = np.empty_like(flat)
+    for start in range(0, len(flat), rows):
+        block = flat[start:start + rows]
+        _, _, r2, log_r2 = _kernel_terms(block, model.template_points)
+        out[start:start + rows] = (model.affine[0] + block @ model.affine[1:]
+                                   + (0.5 * r2 * log_r2) @ model.weights)
     return out.reshape(pts.shape)
 
 
@@ -127,13 +131,10 @@ def tps_jacobian(model: TpsModel, point) -> np.ndarray:
 
     Uses dU/dx = x (2 log r + 1) with the limit 0 at r = 0.
     """
-    p = np.asarray(point, dtype=float).reshape(2)
-    diff = p - model.template_points
-    r2 = (diff * diff).sum(axis=1)
-    factor = np.zeros_like(r2)
-    pos = r2 > 0.0
-    factor[pos] = np.log(r2[pos]) + 1.0  # 2 log r + 1
-    grad_u = diff * factor[:, None]  # (k, 2): d U / d p
+    p = np.asarray(point, dtype=float).reshape(1, 2)
+    dx, dy, r2, log_r2 = _kernel_terms(p, model.template_points)
+    factor = log_r2[0] + (r2[0] > 0.0)  # 2 log r + 1, or 0 at r = 0
+    grad_u = np.column_stack([dx[0], dy[0]]) * factor[:, None]  # (k, 2): d U / d p
     return model.affine[1:].T + model.weights.T @ grad_u
 
 

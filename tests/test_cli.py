@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -7,9 +8,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gridmorph import (Dataset, InputError, Sample, SchemaError, default_labels, gpa_mean,
-                       read_dataset, read_landmarks, synthetic_vilmann,
-                       two_point_register, write_dataset)
+from gridmorph import (MAX_GRID_SAMPLES, Dataset, InputError, Sample, SchemaError,
+                       default_labels, gpa_mean, read_dataset, read_landmarks,
+                       synthetic_vilmann, two_point_register, write_dataset)
 from gridmorph.cli import main
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.registration import Baseline
@@ -327,6 +328,16 @@ def test_fit_outputs_and_determinism(tmp_path, capsys):
     for name in names:
         assert (outdir / name).read_bytes() == (outdir2 / name).read_bytes(), name
     capsys.readouterr()
+
+
+def test_fit_over_grid_sample_budget_is_input_error(tmp_path, capsys):
+    # refused when the grid is specified, before any sample array exists
+    path = write_vilmann(tmp_path)
+    assert main(["fit", path, "--degree", "2", "--baseline", "3,8", "--cells", "5000",
+                 "--samples", "2", "--outdir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"grid of \d+ samples exceeds the budget of {MAX_GRID_SAMPLES}", err)
+    assert not (tmp_path / "out" / "fit_3-8.svg").exists()
 
 
 def test_fit_trim_target_hull(tmp_path, capsys):

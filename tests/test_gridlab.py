@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gridmorph import (AffineMap2, Baseline, BilinearMap, InputError,
-                       LandmarkConfiguration, NumericalError, Quad, Segment,
+from gridmorph import (MAX_GRID_SAMPLES, AffineMap2, Baseline, BilinearMap, GridSpec,
+                       InputError, LandmarkConfiguration, NumericalError, Quad, Segment,
                        affine_fit, convex_hull_polygon, deform_grid,
                        default_labels, design_matrix, extend_grid,
                        filter_rotations, homography_from_quads, kept_runs,
@@ -77,6 +77,18 @@ def test_extend_all_sides():
     assert extend_grid(spec, "right", 1.0).x_range == (0.0, 2.0)
     assert extend_grid(spec, "up", 0.5).y_range == (0.0, 1.5)
     assert extend_grid(spec, "down", 0.5).y_range == (-0.5, 1.0)
+
+
+def test_grid_sample_budget():
+    # GridSpec holds no arrays, so an oversized request is refused before
+    # anything is allocated
+    with pytest.raises(InputError, match=f"grid of 50020002 samples exceeds the budget "
+                                         f"of {MAX_GRID_SAMPLES}"):
+        GridSpec((0.0, 1.0), (0.0, 1.0), 5000, 5000, samples_per_edge=2)
+    spec = make_grid(unit_square, margin=0.0, cells=1000, samples_per_edge=2)
+    assert sum(lines * per for lines, per in spec.line_shapes) == 2 * 1001 * 1001
+    with pytest.raises(InputError, match="exceeds the budget"):
+        extend_grid(spec, "right", 2.0)
 
 
 def test_extend_preserves_cell_size_with_snapping():
@@ -255,6 +267,68 @@ def test_points_in_polygon_vectorized_matches_scalar():
     flags = points_in_polygon(pts, poly)
     for p, flag in zip(pts, flags):
         assert flag == point_in_polygon(p, poly)
+
+
+def reference_points_in_polygon(points, polygon):
+    """points_in_polygon before the y-sorted slices: every edge tests every point."""
+    poly = np.asarray(polygon, dtype=float)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    x, y = pts[:, 0], pts[:, 1]
+    inside = np.zeros(len(pts), dtype=bool)
+    boundary = np.zeros(len(pts), dtype=bool)
+    m = len(poly)
+    for a in range(m):
+        ax, ay = poly[a]
+        bx, by = poly[(a + 1) % m]
+        cond = (ay > y) != (by > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_hit = ax + (y - ay) * (bx - ax) / (by - ay)
+        inside ^= cond & (x < x_hit)
+        ex, ey = bx - ax, by - ay
+        len2 = ex * ex + ey * ey
+        if len2 > 0.0:
+            t = np.clip(((x - ax) * ex + (y - ay) * ey) / len2, 0.0, 1.0)
+        else:
+            t = np.zeros_like(x)
+        dx = x - (ax + t * ex)
+        dy = y - (ay + t * ey)
+        boundary |= dx * dx + dy * dy <= 1e-12 ** 2
+    return (inside | boundary) & np.isfinite(pts).all(axis=1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 40), scale=st.floats(-3.0, 6.0),
+       offset=st.floats(-1e4, 1e4), snapped=st.booleans())
+def test_points_in_polygon_equals_per_edge_loop(seed, m, scale, offset, snapped):
+    rng = np.random.default_rng(seed)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    radii = rng.uniform(0.2, 1.0, m)
+    star = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    if snapped:  # a coarse lattice: horizontal edges, repeated vertices, shared y values
+        star = np.round(star * 4.0) / 4.0
+    poly = star * 10.0 ** scale + offset
+    ends = np.roll(poly, -1, axis=0)
+    edge = ends - poly
+    normal = np.column_stack([-edge[:, 1], edge[:, 0]])
+    length = np.hypot(normal[:, 0], normal[:, 1])[:, None]
+    normal = np.divide(normal, length, out=np.zeros_like(normal), where=length > 0)
+    t = rng.uniform(0.0, 1.0, (m, 1))
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    pts = np.vstack([
+        rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (300, 2)),
+        poly,                                      # vertices
+        (poly + ends) / 2.0,                       # edge midpoints
+        *(poly + t * edge + d * normal for d in (0.0, 1e-13, -1e-13, 2e-12, -2e-12)),
+        np.column_stack([rng.uniform(lo[0], hi[0], m), poly[:, 1]]),  # on vertex heights
+        [(np.nan, np.nan), (np.nan, poly[0, 1]), (poly[0, 0], np.nan),
+         (np.inf, poly[0, 1]), (poly[0, 0], -np.inf)],
+    ])
+    with np.errstate(invalid="ignore"):  # inf * 0 in the infinite rows
+        try:
+            got = points_in_polygon(pts, poly)
+        except NumericalError:
+            assume(False)  # the lattice collapsed the star onto a line
+        assert np.array_equal(got, reference_points_in_polygon(pts, poly))
 
 
 def test_degenerate_polygon_rejected():

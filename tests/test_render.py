@@ -3,13 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridmorph import (Baseline, InputError, Segment, deform_grid, default_labels, grid_scene, make_grid,
                        network_scene, outline_panel, render_scene, tile_scenes,
                        two_point_register, vilmann_target, vilmann_template,
                        write_svg)
 from gridmorph.core import LandmarkConfiguration
-from gridmorph.render import Label, Marker, Polyline, Scene, _fmt
+from gridmorph.render import Label, Marker, Polyline, Scene, _fmt, _fmt_points
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,6 +96,15 @@ def test_float_formatting():
     assert _fmt(0.25) == "0.25"
     assert _fmt(1 / 3) == "0.333333"
     assert _fmt(1200000.0) == "1.2e+06"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(0, 12), st.just(2)), elements=st.floats()))
+@example(np.array([[0.0, -0.0], [5e-324, -2.5e-320], [1e300, -1e300], [-1e-07, -9.9999996e-08],
+                   [np.nan, -np.nan], [np.inf, -np.inf]]))
+def test_polyline_points_equal_per_coordinate_fmt(pts):
+    want = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in pts)
+    assert _fmt_points(pts) == want
 
 
 def test_render_is_deterministic(tmp_path):

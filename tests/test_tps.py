@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmorph import (LandmarkConfiguration, NumericalError, TpsModel,
                        bending_energy, default_labels, tps_eval, tps_fit,
                        tps_jacobian)
+from gridmorph.tps import EVAL_BLOCK
 
 
 def config(coords, name="cfg"):
@@ -175,3 +178,70 @@ def test_eval_shapes():
     assert batch.shape == (5, 2)
     grid = tps_eval(model, np.zeros((3, 4, 2)))
     assert grid.shape == (3, 4, 2)
+
+
+# ---------------------------------------------------------------------------
+# the chunked, mask-free kernel against the formulation it replaced
+
+def masked_kernel(r2):
+    out = np.zeros_like(r2)
+    pos = r2 > 0.0
+    out[pos] = 0.5 * r2[pos] * np.log(r2[pos])
+    return out
+
+
+def reference_whole_eval(model, points):
+    """tps_eval before chunking: an (n, k, 2) difference array and a masked kernel."""
+    flat = np.asarray(points, dtype=float).reshape(-1, 2)
+    diff = flat[:, None, :] - model.template_points[None, :, :]
+    g = masked_kernel((diff * diff).sum(axis=2))
+    return model.affine[0] + flat @ model.affine[1:] + g @ model.weights
+
+
+def reference_jacobian(model, point):
+    diff = np.asarray(point, dtype=float).reshape(2) - model.template_points
+    r2 = (diff * diff).sum(axis=1)
+    factor = np.zeros_like(r2)
+    pos = r2 > 0.0
+    factor[pos] = np.log(r2[pos]) + 1.0
+    return model.affine[1:].T + model.weights.T @ (diff * factor[:, None])
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 300),
+       n_in_blocks=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)]),
+       scale=st.floats(-3.0, 3.0))
+def test_eval_equals_masked_whole_array_formulation(seed, k, n_in_blocks, scale):
+    rows = EVAL_BLOCK // k  # points per block
+    n = max(0, n_in_blocks[0] * rows + n_in_blocks[1])
+    rng = np.random.default_rng(seed)
+    template = rng.normal(size=(k, 2)) * 10.0 ** scale
+    target = template + rng.normal(scale=0.2, size=(k, 2)) * 10.0 ** scale
+    model = tps_fit(config(template), config(target))
+    pts = rng.uniform(-2.0, 2.0, size=(n, 2)) * 10.0 ** scale
+    on_centres = rng.integers(0, k, size=n // 2)
+    pts[: n // 2] = template[on_centres]  # r = 0 exactly: U(0) = 0
+    got = tps_eval(model, pts)
+    # Each block of points is the old formulation, bit for bit; up to one
+    # block, so is the whole result.
+    blocks = [reference_whole_eval(model, pts[s:s + rows]) for s in range(0, n, rows)]
+    assert np.array_equal(got, np.concatenate(blocks) if blocks else np.zeros((0, 2)))
+    want = reference_whole_eval(model, pts)
+    if n <= rows:
+        assert np.array_equal(got, want)
+    else:
+        # BLAS may sum a row's k products in another order when the product
+        # has fewer rows, so across blocks the results agree to a dot-product
+        # rounding bound over k + 3 terms.
+        diff = pts[:, None, :] - template[None, :, :]
+        terms = (np.abs(model.affine[0]) + np.abs(pts) @ np.abs(model.affine[1:])
+                 + np.abs(masked_kernel((diff * diff).sum(axis=2))) @ np.abs(model.weights))
+        assert np.all(np.abs(got - want) <= 2 * (k + 3) * np.finfo(float).eps * terms)
+    if n:
+        single = tps_eval(model, pts[0])
+        assert np.array_equal(single, reference_whole_eval(model, pts[:1])[0])
+        half = n // 2 * 2
+        grid = tps_eval(model, pts[:half].reshape(2, -1, 2))
+        assert np.array_equal(grid, tps_eval(model, pts[:half]).reshape(2, -1, 2))
+        for q in (pts[0], pts[-1]):
+            assert np.array_equal(tps_jacobian(model, q), reference_jacobian(model, q))
