@@ -148,13 +148,11 @@ def _positive_int(value, flag: str, minimum: int = 1) -> int:
 
 def _group_mean(sample: Sample, tag: str, procrustes: bool) -> LandmarkConfiguration:
     """Procrustes (GPA) mean of a group, or its coordinate-wise mean in the data's frame."""
-    configs = sample.configs_in_group(tag)
-    if not configs:
-        raise InputError(f"group {tag!r} has no configurations")
+    group = sample.in_group(tag)
     if procrustes:
-        return gpa_mean(Sample(tuple(configs)), name=f"{tag}_mean")
-    return configs[0].with_coords(np.mean([c.coords for c in configs], axis=0),
-                                  name=f"{tag}_mean")
+        return gpa_mean(group, name=f"{tag}_mean")
+    return LandmarkConfiguration(f"{tag}_mean", group.labels, group.coords.mean(axis=0),
+                                 group.units[0])
 
 
 def _bounds_viewport(points: np.ndarray) -> tuple[float, float, float, float]:
@@ -175,7 +173,7 @@ def cmd_ingest(args) -> int:
     dataset = _load(args)
     _write_text(args.output, write_dataset(dataset))
     sample = dataset.sample
-    print(f"ingested {len(sample.configurations)} configuration(s) of "
+    print(f"ingested {len(sample)} configuration(s) of "
           f"{sample.landmark_count} landmarks -> {args.output}", file=sys.stderr)
     return EXIT_OK
 

@@ -10,7 +10,8 @@ configurations check the tags instead of guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -83,6 +84,13 @@ class LandmarkConfiguration:
             unit if unit is not None else self.unit,
         )
 
+    @classmethod
+    def _trusted(cls, name: str, labels: tuple[str, ...], coords: np.ndarray, unit: str):
+        """A configuration from parts already checked (a row of a validated Sample)."""
+        config = cls.__new__(cls)
+        config.__dict__.update(name=name, labels=labels, coords=coords, unit=unit)
+        return config
+
     def __len__(self) -> int:
         return self.coords.shape[0]
 
@@ -105,53 +113,88 @@ def require_homologous(a: LandmarkConfiguration, b: LandmarkConfiguration) -> No
                             "label sequences differ")
 
 
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """Homologous configurations with group tags and free-form metadata.
+def _require_unique_names(names: tuple[str, ...]) -> None:
+    if len(set(names)) != len(names):
+        dup = next(n for n in names if names.count(n) > 1)
+        raise InputError(f"duplicate configuration name {dup!r} in sample")
 
-    groups maps configuration name to a group tag; names absent from the
-    mapping belong to the anonymous group "".
+
+@dataclass(frozen=True, eq=False, init=False)
+class Sample:
+    """Homologous configurations, stored as one stack checked as a whole.
+
+    coords is a read-only (n, k, 2) float64 array; names and units hold one
+    entry per configuration, labels one per landmark. groups maps
+    configuration name to a group tag; names absent from the mapping belong
+    to the anonymous group "".
     """
 
-    configurations: tuple[LandmarkConfiguration, ...]
-    groups: dict[str, str] = field(default_factory=dict)
-    metadata: dict[str, str] = field(default_factory=dict)
+    names: tuple[str, ...]
+    labels: tuple[str, ...]
+    coords: np.ndarray
+    units: tuple[str, ...]
+    groups: dict[str, str]
+    metadata: dict[str, str]
+
+    def __init__(self, configurations: Iterable[LandmarkConfiguration],
+                 groups: dict[str, str] | None = None, metadata: dict[str, str] | None = None):
+        configs = tuple(configurations)
+        names = tuple(c.name for c in configs)
+        if any(c.labels != configs[0].labels for c in configs):
+            _require_unique_names(names)  # reported before homology, as always
+            for c in configs[1:]:
+                require_homologous(configs[0], c)
+        stacked = Sample.from_stack(names, configs[0].labels if configs else (),
+                                    np.array([c.coords for c in configs]),
+                                    [c.unit for c in configs], groups, metadata)
+        self.__dict__.update(stacked.__dict__, configurations=configs)
+
+    @classmethod
+    def from_stack(cls, names: Iterable[str], labels: Iterable[str], coords,
+                   units: str | Iterable[str] = UNIT_RAW, groups: dict[str, str] | None = None,
+                   metadata: dict[str, str] | None = None) -> "Sample":
+        """A sample of n names, k labels and (n, k, 2) coords; units is one tag or n tags."""
+        names = tuple(names)
+        sample = cls.__new__(cls)
+        sample.__dict__.update(
+            names=names, labels=labels, coords=coords, groups=dict(groups or {}),
+            units=(units,) * len(names) if isinstance(units, str) else tuple(units),
+            metadata=dict(metadata or {}))
+        sample.__post_init__()
+        return sample
 
     def __post_init__(self):
-        configs = tuple(self.configurations)
-        if not configs:
+        names, units, coords = self.names, self.units, _freeze(self.coords)
+        if not names:
             raise InputError("sample must contain at least one configuration")
-        names = [c.name for c in configs]
+        if coords.ndim != 3 or coords.shape[::2] != (len(names), 2) or len(units) != len(names):
+            raise InputError(f"{len(names)} configurations need (n, k, 2) coords and as many "
+                             f"unit tags, got {coords.shape} and {len(units)}")
+        labels = tuple(str(s) for s in self.labels)
+        bad = ~np.isfinite(coords).all(axis=(1, 2)) | [u not in _UNITS for u in units]
+        bad[0] |= not 3 <= coords.shape[1] == len(labels) == len(set(labels))
+        if bad.any():  # the first faulty configuration's own checks raise its error
+            first = int(np.argmax(bad))
+            LandmarkConfiguration(names[first], labels, coords[first], units[first])
+        _require_unique_names(names)
         known = set(names)
-        if len(known) != len(names):
-            dup = next(n for n in names if names.count(n) > 1)
-            raise InputError(f"duplicate configuration name {dup!r} in sample")
-        for c in configs[1:]:
-            require_homologous(configs[0], c)
         for name in self.groups:
             if name not in known:
                 raise InputError(f"group tag given for unknown configuration {name!r}")
-        object.__setattr__(self, "configurations", configs)
+        self.__dict__.update(labels=labels, coords=coords)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.configurations[0].labels
+    @cached_property
+    def configurations(self) -> tuple[LandmarkConfiguration, ...]:
+        """One configuration per stack row (read-only views), built on first access."""
+        return tuple(LandmarkConfiguration._trusted(name, self.labels, coords, unit)
+                     for name, coords, unit in zip(self.names, self.coords, self.units))
 
     @property
     def landmark_count(self) -> int:
-        return len(self.configurations[0])
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.configurations)
-
-    @property
-    def coords(self) -> np.ndarray:
-        """All coordinates as one new (n, k, 2) array, in configuration order."""
-        return np.stack([c.coords for c in self.configurations])
+        return self.coords.shape[1]
 
     def __len__(self) -> int:
-        return len(self.configurations)
+        return len(self.names)
 
     def group_of(self, name: str) -> str:
         return self.groups.get(name, "")
@@ -159,20 +202,22 @@ class Sample:
     @property
     def group_tags(self) -> list[str]:
         """Group tags in order of first appearance (ungrouped configurations excluded)."""
-        seen: list[str] = []
-        for c in self.configurations:
-            tag = self.group_of(c.name)
-            if tag and tag not in seen:
-                seen.append(tag)
-        return seen
+        return [tag for tag in dict.fromkeys(map(self.group_of, self.names)) if tag]
 
-    def configs_in_group(self, tag: str) -> list[LandmarkConfiguration]:
-        return [c for c in self.configurations if self.group_of(c.name) == tag]
+    def in_group(self, tag: str) -> "Sample":
+        """The configurations tagged tag, as a sample of their own (rows of the stack)."""
+        rows = [i for i, name in enumerate(self.names) if self.group_of(name) == tag]
+        if not rows:
+            raise InputError(f"group {tag!r} has no configurations")
+        names = [self.names[i] for i in rows]
+        return Sample.from_stack(names, self.labels, self.coords[rows],
+                                 [self.units[i] for i in rows], {n: tag for n in names if tag})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sample):
             return NotImplemented
-        return (self.configurations == other.configurations
+        return (self.names == other.names and self.labels == other.labels
+                and self.units == other.units and np.array_equal(self.coords, other.coords)
                 and self.groups == other.groups and self.metadata == other.metadata)
 
     __hash__ = None

@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,14 +60,14 @@ def write_dataset(dataset: Dataset) -> str:
     """
     sample = dataset.sample
     coords = "[" + ", ".join(["[%.17g, %.17g]"] * sample.landmark_count) + "]"
-    last = sample.configurations[-1]
+    # a row at a time: Python floats for the whole stack at once raise the peak memory
+    rows = (row.tolist() for row in (sample.coords + 0.0).reshape(len(sample), -1))
     lines = ["{", f'  "schema": {dataset.schema},',
              f'  "landmarks": [{", ".join(json.dumps(l) for l in sample.labels)}],',
              '  "configurations": [']
-    lines += [f'    {{"id": {json.dumps(config.name)}, '
-              f'"group": {json.dumps(sample.group_of(config.name))}, '
-              f'"coords": {coords % tuple((config.coords + 0.0).ravel().tolist())}}}'
-              f'{"" if config is last else ","}' for config in sample.configurations]
+    lines += [f'    {{"id": {json.dumps(name)}, "group": {json.dumps(sample.group_of(name))}, '
+              f'"coords": {coords % tuple(row)}}},' for name, row in zip(sample.names, rows)]
+    lines[-1] = lines[-1][:-1]  # no comma after the last configuration
     sources = ", ".join(json.dumps(s) for s in dataset.provenance)
     # one join, ending in "\n", so the text is built once
     lines += ["  ],", f'  "provenance": {{"sources": [{sources}]}}', "}", ""]
@@ -77,22 +78,41 @@ def _reject_constant(token: str):
     raise SchemaError(f"non-finite number {token!r} in dataset JSON")
 
 
-def _coords_array(cid: str, coords) -> np.ndarray:
-    """A configuration's "coords" value as a (k, 2) array, or SchemaError.
+def _coords_stack(values: list, k: int) -> np.ndarray | None:
+    """Several "coords" values as one (n, k, 2) array, or None.
 
-    Only JSON numbers are coordinates: true/false, strings and numbers
-    beyond the float64 range (a long integer, 1e400) are rejected.
+    Each value must be a list of k [x, y] pairs. Only JSON numbers are
+    coordinates: true/false, strings and numbers beyond the float64 range
+    (a long integer, 1e400) give None. Types are checked over the chained
+    values, and one cast builds the stack.
     """
-    if (type(coords) is list and set(map(type, coords)) <= {list}
-            and set(map(len, coords)) <= {2}):
-        values = list(itertools.chain.from_iterable(coords))
-        if set(map(type, values)) <= {int, float}:
-            with contextlib.suppress(OverflowError):  # an int beyond the float64 range
-                array = np.array(values, dtype=float).reshape(-1, 2)
-                if np.isfinite(array).all():
-                    return array
-    raise SchemaError(
-        f"configuration {cid!r}: \"coords\" must be [[x, y], ...] with finite numbers")
+    if set(map(type, values)) <= {list} and set(map(len, values)) <= {k}:
+        pairs = list(itertools.chain.from_iterable(values))
+        if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
+            numbers = list(itertools.chain.from_iterable(pairs))
+            if set(map(type, numbers)) <= {int, float}:
+                with contextlib.suppress(OverflowError):  # an int beyond the float64 range
+                    stack = np.array(numbers, dtype=float).reshape(len(values), k, 2)
+                    if np.isfinite(stack).all():
+                        return stack
+    return None
+
+
+def _raise_entry_error(labels: tuple[str, ...], entries: list) -> None:
+    """Check the entries one at a time and raise the first error found."""
+    for entry in entries:
+        if not isinstance(entry, dict) or "id" not in entry or "coords" not in entry:
+            raise SchemaError("each configuration needs \"id\" and \"coords\"")
+        cid, coords = entry["id"], entry["coords"]
+        if not isinstance(cid, str):
+            raise SchemaError("configuration \"id\" must be a string")
+        stack = _coords_stack([coords], len(coords)) if type(coords) is list else None
+        if stack is None:
+            raise SchemaError(
+                f"configuration {cid!r}: \"coords\" must be [[x, y], ...] with finite numbers")
+        LandmarkConfiguration(cid, labels, stack[0])
+        if not isinstance(entry.get("group", ""), str):
+            raise SchemaError(f"configuration {cid!r}: \"group\" must be a string")
 
 
 def read_dataset(text: str) -> Dataset:
@@ -113,28 +133,48 @@ def read_dataset(text: str) -> Dataset:
     if not isinstance(entries, list) or not entries:
         raise SchemaError("\"configurations\" must be a non-empty list")
     labels = tuple(labels)
-    configs: list[LandmarkConfiguration] = []
-    groups: dict[str, str] = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or "id" not in entry or "coords" not in entry:
-            raise SchemaError("each configuration needs \"id\" and \"coords\"")
-        cid = entry["id"]
-        if not isinstance(cid, str):
-            raise SchemaError("configuration \"id\" must be a string")
-        configs.append(LandmarkConfiguration(cid, labels, _coords_array(cid, entry["coords"])))
-        group = entry.get("group", "")
-        if not isinstance(group, str):
-            raise SchemaError(f"configuration {cid!r}: \"group\" must be a string")
-        if group:
-            groups[cid] = group
+    k = len(labels)
+    stack = None
+    if k >= 3 and len(set(labels)) == k and all(
+            type(e) is dict and type(e.get("id")) is str and "coords" in e
+            and type(e.get("group", "")) is str for e in entries):
+        stack = _coords_stack([e["coords"] for e in entries], k)
+    if stack is None:
+        _raise_entry_error(labels, entries)
     prov = doc.get("provenance", {})
     sources = prov.get("sources", []) if isinstance(prov, dict) else []
     if type(sources) is not list or not all(isinstance(s, str) for s in sources):
         raise SchemaError("\"provenance.sources\" must be a list of strings")
-    return Dataset(Sample(tuple(configs), groups), schema, sources)
+    groups = {e["id"]: e["group"] for e in entries if e.get("group")}
+    return Dataset(Sample.from_stack([e["id"] for e in entries], labels, stack, groups=groups),
+                   schema, sources)
 
 
 _KEY_LINE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)=(.*)$")
+
+CAST_BLOCK = 4096  # coordinate lines cast to float at a time
+
+
+def _floats(tokens, count: int) -> np.ndarray | None:
+    """float() of count tokens, or None if one is malformed or a value is not finite."""
+    try:
+        values = np.fromiter(map(float, tokens), float, count)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _tps_coordinates(line: str, line_no: int) -> None:
+    """Check one TPS coordinate line on its own, raising its error."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise ParseError(f"expected two coordinates, got {len(parts)} field(s)", line=line_no)
+    try:
+        x, y = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ParseError(f"malformed coordinates {line.strip()!r}", line=line_no)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ParseError("non-finite coordinates are not allowed", line=line_no)
 
 
 def parse_tps_file(text: str) -> Sample:
@@ -143,78 +183,102 @@ def parse_tps_file(text: str) -> Sample:
     Each record is LM=<k> followed by k coordinate lines; ID= names the
     specimen and SCALE= is applied multiplicatively. Other KEY= lines are
     ignored. Labels default to L1..Lk since the format has none.
+
+    One pass tells KEY= lines from coordinate lines, which are cast to float
+    CAST_BLOCK lines at a time. The first error in file order is reported:
+    the lines above a structural error are cast before it is raised, and a
+    block that fails is rescanned line by line.
     """
-    configs: list[LandmarkConfiguration] = []
-    pending: list[tuple[float, float]] | None = None
-    remaining = 0
-    ident: str | None = None
-    scale = 1.0
-    start_line = 0
+    lines = text.splitlines()
+    rows = array("l")  # index of each coordinate line
+    blocks: list[np.ndarray] = []  # values of the coordinate lines cast so far
+    records: list[tuple[str, int, float]] = []  # name, count and scale of closed records
+    ident, scale, count, remaining, start = None, 1.0, 0, 0, 0
 
-    def finish(line_no: int):
-        nonlocal pending, ident, scale
-        if pending is None:
-            return
-        if remaining > 0:
-            raise ParseError(f"record starting at line {start_line} ends early: "
-                             f"{remaining} coordinate line(s) missing", line=line_no)
-        name = ident if ident else f"specimen_{len(configs) + 1}"
-        coords = np.asarray(pending, dtype=float) * scale
-        configs.append(LandmarkConfiguration(name, default_labels(len(pending)), coords))
-        pending, ident, scale = None, None, 1.0
+    def cast():
+        for b in range(sum(map(len, blocks)) // 2, len(rows), CAST_BLOCK):
+            block = rows[b:b + CAST_BLOCK]
+            # "|" (which float() rejects) between lines: if every third token is
+            # one and the rest are numbers, each line held exactly two fields
+            tokens = " | ".join(map(lines.__getitem__, block)).split()
+            two_fields = len(tokens) == 3 * len(block) - 1 and set(tokens[2::3]) <= {"|"}
+            del tokens[2::3]
+            values = _floats(tokens, 2 * len(block)) if two_fields else None
+            if values is None:  # the first bad line of the block raises
+                for i in block:
+                    _tps_coordinates(lines[i], i + 1)
+            blocks.append(values)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    def fail(message: str, line_no: int):
+        cast()  # a bad coordinate line above the error comes first
+        raise ParseError(message, line=line_no)
+
+    def ends_early(line_no: int):
+        fail(f"record starting at line {start} ends early: "
+             f"{remaining} coordinate line(s) missing", line_no)
+
+    def close():
+        nonlocal ident, scale
+        records.append((ident or f"specimen_{len(records) + 1}", count, scale))
+        if count < 3 or scale > 1.0:
+            # too short, or scaled up (an overflow is non-finite): checked as it closes
+            done = len(blocks)
+            cast()
+            coords = np.concatenate(blocks[done:])[-2 * count:].reshape(-1, 2)
+            with np.errstate(over="ignore"):
+                LandmarkConfiguration(records[-1][0], default_labels(count), coords * scale)
+        ident, scale = None, 1.0
+
+    for i, raw in enumerate(lines):
         line = raw.strip()
-        if not line:
-            continue
-        match = _KEY_LINE.match(line)
-        if match:
+        match = _KEY_LINE.match(line) if "=" in line else None
+        if match is None and line:
+            if not remaining:
+                fail(f"unexpected line outside a landmark record: {line!r}", i + 1)
+            rows.append(i)
+            remaining -= 1
+        elif match:
             key, value = match.group(1).upper(), match.group(2).strip()
-            if key == "LM":
-                if pending is not None and remaining > 0:
-                    raise ParseError(f"record starting at line {start_line} ends early: "
-                                     f"{remaining} coordinate line(s) missing", line=line_no)
-                finish(line_no)
+            if remaining and key == "LM":
+                ends_early(i + 1)
+            elif remaining:
+                fail(f"expected a coordinate line ({remaining} to go), got {key}=", i + 1)
+            elif key == "LM":
+                if count:
+                    close()
                 try:
                     count = int(value)
                 except ValueError:
-                    raise ParseError(f"LM= needs an integer, got {value!r}", line=line_no)
+                    fail(f"LM= needs an integer, got {value!r}", i + 1)
                 if count <= 0:
-                    raise ParseError(f"LM= must be positive, got {count}", line=line_no)
-                pending = []
-                remaining = count
-                start_line = line_no
-            elif pending is not None and remaining > 0:
-                raise ParseError(f"expected a coordinate line ({remaining} to go), got {key}=",
-                                 line=line_no)
+                    fail(f"LM= must be positive, got {count}", i + 1)
+                remaining, start = count, i + 1
             elif key == "ID":
                 ident = value
             elif key == "SCALE":
                 try:
                     scale = float(value)
                 except ValueError:
-                    raise ParseError(f"SCALE= needs a number, got {value!r}", line=line_no)
+                    fail(f"SCALE= needs a number, got {value!r}", i + 1)
                 if not math.isfinite(scale) or scale <= 0.0:
-                    raise ParseError(f"SCALE= must be positive and finite, got {value}", line=line_no)
+                    fail(f"SCALE= must be positive and finite, got {value}", i + 1)
             # other KEY= lines (IMAGE=, COMMENT=, ...) are ignored
-            continue
-        if pending is None or remaining == 0:
-            raise ParseError(f"unexpected line outside a landmark record: {line!r}", line=line_no)
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected two coordinates, got {len(parts)} field(s)", line=line_no)
-        try:
-            x, y = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ParseError(f"malformed coordinates {line!r}", line=line_no)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError("non-finite coordinates are not allowed", line=line_no)
-        pending.append((x, y))
-        remaining -= 1
-    finish(len(text.splitlines()))
-    if not configs:
+    if remaining:
+        ends_early(len(lines))
+    if count:
+        close()
+    if not records:
         raise ParseError("no LM= records found", line=1)
-    return Sample(tuple(configs))
+    cast()
+    values = np.concatenate(blocks).reshape(-1, 2)
+    names, counts, scales = zip(*records)
+    if len(set(counts)) > 1:  # records of different lengths: the general constructor reports it
+        return Sample(LandmarkConfiguration(name, default_labels(len(xy)), xy * s) for name, xy, s
+                      in zip(names, np.split(values, np.cumsum(counts)[:-1]), scales))
+    coords = values.reshape(len(records), counts[0], 2)
+    if set(scales) != {1.0}:
+        coords *= np.array(scales)[:, None, None]
+    return Sample.from_stack(names, default_labels(counts[0]), coords)
 
 
 _WIDE_PAIR = re.compile(r"^([xy])(\d+)$")
@@ -263,54 +327,60 @@ def _parse_float(token: str, line: int) -> float:
     return value
 
 
+def _csv_coordinates(data: list[list[str]], width: int, first: int, last: int) -> np.ndarray:
+    """Cells first:last of every data row, as floats in one cast.
+
+    Each row must have width fields and an id. On any failure the rows are
+    checked one at a time (field count, id, then each coordinate in order)
+    and the first error is raised, with its row number.
+    """
+    end = next((i for i, row in enumerate(data) if len(row) != width or not row[0].strip()),
+               len(data))
+    cells = itertools.chain.from_iterable(row[first:last] for row in data[:end])
+    values = _floats(map(str.strip, cells), end * (last - first))
+    if values is None or end < len(data):
+        for line_no, row in enumerate(data[:end + 1], start=2):
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}", line=line_no)
+            if not row[0].strip():
+                raise ParseError("empty id", line=line_no)
+            for cell in row[first:last]:
+                _parse_float(cell.strip(), line_no)
+    return values
+
+
 def _parse_csv_long(rows, with_group: bool) -> Sample:
-    width = 5 if with_group else 4
-    order: list[str] = []
-    per_id: dict[str, list[tuple[str, float, float]]] = {}
+    data = rows[1:]
+    values = _csv_coordinates(data, 5 if with_group else 4, 2, 4).reshape(-1, 2)
+    ids = [row[0].strip() for row in data]
+    order = {cid: i for i, cid in enumerate(dict.fromkeys(ids))}
     groups: dict[str, str] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ParseError(f"expected {width} fields, got {len(row)}", line=line_no)
-        cid, label = row[0].strip(), row[1].strip()
-        if not cid:
-            raise ParseError("empty id", line=line_no)
-        x = _parse_float(row[2].strip(), line_no)
-        y = _parse_float(row[3].strip(), line_no)
-        if cid not in per_id:
-            order.append(cid)
-            per_id[cid] = []
-        per_id[cid].append((label, x, y))
+    for cid, row in zip(ids, data):
         if with_group and row[4].strip():
             groups.setdefault(cid, row[4].strip())
-    configs = []
-    for cid in order:
-        entries = per_id[cid]
-        labels = tuple(label for label, _, _ in entries)
-        coords = np.asarray([(x, y) for _, x, y in entries], dtype=float)
-        configs.append(LandmarkConfiguration(cid, labels, coords))
-    return Sample(tuple(configs), groups)
+    codes = np.fromiter(map(order.__getitem__, ids), np.intp, len(ids))
+    rank = np.argsort(codes, kind="stable")  # rows grouped by id, in file order within an id
+    labels = np.array([row[1].strip() for row in data], dtype=object)[rank]
+    counts = np.bincount(codes, minlength=len(order))
+    n, k = len(order), len(data) // max(len(order), 1)
+    if n and (counts == k).all():
+        table = labels.reshape(n, k)
+        if (table == table[0]).all():
+            return Sample.from_stack(order, tuple(table[0]), values[rank].reshape(n, k, 2),
+                                     groups=groups)
+    # configurations of different lengths or labels: the general constructor reports it
+    bounds = np.cumsum(counts)[:-1]
+    return Sample((LandmarkConfiguration(cid, tuple(l), xy) for cid, l, xy in
+                   zip(order, np.split(labels, bounds), np.split(values[rank], bounds))), groups)
 
 
 def _parse_csv_wide(rows, k: int, with_group: bool) -> Sample:
-    labels = default_labels(k)
-    configs = []
-    groups: dict[str, str] = {}
     base = 2 if with_group else 1
-    width = base + 2 * k
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ParseError(f"expected {width} fields, got {len(row)}", line=line_no)
-        cid = row[0].strip()
-        if not cid:
-            raise ParseError("empty id", line=line_no)
-        coords = np.asarray(
-            [(_parse_float(row[base + 2 * i].strip(), line_no),
-              _parse_float(row[base + 2 * i + 1].strip(), line_no)) for i in range(k)],
-            dtype=float)
-        configs.append(LandmarkConfiguration(cid, labels, coords))
-        if with_group and row[1].strip():
-            groups[cid] = row[1].strip()
-    return Sample(tuple(configs), groups)
+    data = rows[1:2] if k < 3 else rows[1:]  # too few landmarks: the first row reports it
+    values = _csv_coordinates(data, base + 2 * k, base, base + 2 * k)
+    groups = {row[0].strip(): row[1].strip() for row in data if with_group and row[1].strip()}
+    return Sample.from_stack([row[0].strip() for row in data], default_labels(k),
+                             values.reshape(len(data), k, 2), groups=groups)
 
 
 def read_landmarks(path: str) -> Dataset:

@@ -217,14 +217,16 @@ def _polygon_array(polygon) -> np.ndarray:
 def points_in_polygon(points, polygon) -> np.ndarray:
     """Even-odd test for many points; boundary points (within 1e-12) count inside.
 
-    Points are sorted by y once; each edge tests only those within its y span.
+    Only finite points can be inside. They are sorted by y once; each edge
+    tests only those within its y span.
     """
     poly = _polygon_array(polygon)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     order = np.argsort(pts[:, 1])
+    order = order[np.isfinite(pts).all(axis=1)[order]]
     xs, ys = pts[order, 0], pts[order, 1]
-    inside = np.zeros(len(pts), dtype=bool)
-    boundary = np.zeros(len(pts), dtype=bool)
+    inside = np.zeros(len(order), dtype=bool)
+    boundary = np.zeros(len(order), dtype=bool)
     ends = np.roll(poly, -1, axis=0)
     # twice the tolerance plus a few ulps of the polygon covers the rounding of
     # the closest-point expression below, so the slices never cut a true hit
@@ -248,9 +250,9 @@ def points_in_polygon(points, polygon) -> np.ndarray:
         dx = x - (ax + t * ex)
         dy = y - (ay + t * ey)
         boundary[i0:i1] |= dx * dx + dy * dy <= BOUNDARY_TOL ** 2
-    result = np.empty(len(pts), dtype=bool)
+    result = np.zeros(len(pts), dtype=bool)
     result[order] = inside | boundary
-    return result & np.isfinite(pts).all(axis=1)
+    return result
 
 
 def point_in_polygon(point, polygon) -> bool:

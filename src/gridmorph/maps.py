@@ -206,8 +206,9 @@ class Homography:
             raise InputError(f"homography needs a (3, 3) matrix, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InputError("homography entries must be finite")
-        if abs(np.linalg.det(m)) <= 1e-12:
-            raise SingularSystemError("homography matrix is singular (|det| <= 1e-12)")
+        # relative to the product of the column norms (Hadamard's bound), so units do not matter
+        if abs(np.linalg.det(m)) <= 1e-12 * np.prod(np.linalg.norm(m, axis=0)):
+            raise SingularSystemError("homography matrix is singular (|det| <= 1e-12 x Hadamard bound)")
         if abs(m[2, 2]) > 1e-12:
             m = m / m[2, 2]
         m.flags.writeable = False

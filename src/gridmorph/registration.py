@@ -74,14 +74,14 @@ class AffineMap2:
         return float(np.linalg.det(self.linear))
 
     def inverse(self) -> "AffineMap2":
-        if abs(self.determinant) <= 1e-12:
-            raise NumericalError("affine map is not invertible (|det| <= 1e-12)")
+        # relative to the product of the column norms (Hadamard's bound), so units do not matter
+        if abs(self.determinant) <= 1e-12 * np.prod(np.linalg.norm(self.linear, axis=0)):
+            raise NumericalError("affine map is not invertible (|det| <= 1e-12 x Hadamard bound)")
         inv = np.linalg.inv(self.linear)
         return AffineMap2(inv, -inv @ self.translation)
 
 
-def _check_baseline(config: LandmarkConfiguration, baseline: Baseline) -> Baseline:
-    k = len(config)
+def _check_baseline(k: int, baseline: Baseline) -> Baseline:
     start, end = int(baseline[0]), int(baseline[1])
     if not (0 <= start < k and 0 <= end < k):
         raise InputError(f"baseline ({start}, {end}) out of range for {k} landmarks")
@@ -98,7 +98,7 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
     anchors. Group tags and metadata carry over. An error names the first
     configuration whose landmarks, or baseline landmarks, (nearly) coincide.
     """
-    baseline = _check_baseline(sample.configurations[0], baseline)
+    baseline = _check_baseline(sample.landmark_count, baseline)
     p = sample.coords
     a = p[:, baseline.start]
     d = p[:, baseline.end] - a
@@ -107,7 +107,7 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
     bad = (size <= 0.0) | (np.sqrt(nsq) <= 1e-12 * size)
     if bad.any():
         first = int(np.argmax(bad))
-        name = sample.configurations[first].name
+        name = sample.names[first]
         if size[first] <= 0.0:
             raise DegenerateConfigurationError(f"configuration {name!r}: all landmarks coincide")
         raise DegenerateBaselineError(f"configuration {name!r}: baseline landmarks "
@@ -121,9 +121,8 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
     # leave a -0.0 behind; pin them so the contract holds bit for bit
     out[:, baseline.start] = (0.0, 0.0)
     out[:, baseline.end] = (1.0, 0.0)
-    registered = tuple(c.with_coords(q, unit=UNIT_TWO_POINT)
-                       for c, q in zip(sample.configurations, out))
-    return Sample(registered, dict(sample.groups), dict(sample.metadata))
+    return Sample.from_stack(sample.names, sample.labels, out, UNIT_TWO_POINT,
+                             sample.groups, sample.metadata)
 
 
 def two_point_register(config: LandmarkConfiguration, baseline: Baseline) -> LandmarkConfiguration:

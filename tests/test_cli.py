@@ -127,7 +127,7 @@ def test_average_matches_library_gpa(tmp_path, capsys):
     means = read_dataset(out.read_text(encoding="utf-8")).sample
     assert means.names == ("juv_mean", "adult_mean")
     assert means.groups == {"juv_mean": "juv", "adult_mean": "adult"}
-    want = gpa_mean(Sample(tuple(sample.configs_in_group("juv"))))
+    want = gpa_mean(sample.in_group("juv"))
     got = means.configurations[0]
     assert np.abs(got.coords - want.coords).max() < 1e-12
     capsys.readouterr()

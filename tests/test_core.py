@@ -96,7 +96,7 @@ def test_sample_groups():
     s = Sample((a, b), groups={"a1": "young", "b1": "old"})
     assert s.group_tags == ["young", "old"]
     assert s.group_of("a1") == "young"
-    assert [c.name for c in s.configs_in_group("old")] == ["b1"]
+    assert s.in_group("old").names == ("b1",)
     with pytest.raises(InputError):
         Sample((a, b), groups={"nobody": "young"})
 
@@ -125,3 +125,67 @@ def test_enumerate_segments_order_and_bounds():
 
 def test_default_labels():
     assert default_labels(3) == ("L1", "L2", "L3")
+
+
+def test_sample_from_stack_stores_one_read_only_stack():
+    stack = np.stack([square, square + 1.0, square * 2.0])
+    s = Sample.from_stack(["a", "b", "c"], default_labels(4), stack, groups={"b": "g"})
+    assert s.names == ("a", "b", "c") and s.units == ("raw",) * 3 and len(s) == 3
+    assert s.coords is s.coords and not s.coords.flags.writeable
+    assert np.array_equal(s.coords, stack) and not np.shares_memory(s.coords, stack)
+    assert "configurations" not in vars(s)  # built on first access only
+    first = s.configurations[0]
+    assert s.configurations is s.configurations
+    assert first.name == "a" and first.labels == s.labels and first.unit == "raw"
+    assert np.shares_memory(first.coords, s.coords) and not first.coords.flags.writeable
+    assert s == Sample(s.configurations, {"b": "g"})
+    group = s.in_group("g")
+    assert group.names == ("b",) and np.array_equal(group.coords, stack[1:2])
+    assert group.groups == {"b": "g"} and s.in_group("").names == ("a", "c")
+    with pytest.raises(InputError, match="has no configurations"):
+        s.in_group("nobody")
+
+
+def test_sample_keeps_the_configurations_it_was_given():
+    a = LandmarkConfiguration("a", default_labels(4), square)
+    b = LandmarkConfiguration("b", default_labels(4), square + 1.0, unit="two-point")
+    s = Sample((a, b))
+    assert s.configurations[0] is a and s.units == ("raw", "two-point")
+
+
+@pytest.mark.parametrize("names, labels, coords, units, groups, message", [
+    ([], default_labels(4), np.zeros((0, 4, 2)), "raw", {}, "at least one configuration"),
+    (["a"], default_labels(4), square, "raw", {}, r"need \(n, k, 2\) coords"),
+    (["a", "b"], default_labels(4), np.stack([square] * 3), "raw", {}, r"need \(n, k, 2\)"),
+    (["a"], default_labels(4), square[None], ["raw", "raw"], {}, "as many unit tags"),
+    (["a", "b"], default_labels(2), np.stack([square[:2]] * 2), "raw", {},
+     "'a': at least 3 landmarks required, got 2"),
+    (["a", "b", "c"], default_labels(4), np.stack([square, square + np.inf, square + np.nan]),
+     "raw", {}, "'b': coordinates must be finite"),
+    (["a", "b"], ("L1", "L2", "L3"), np.stack([square] * 2), "raw", {}, "'a': 3 labels for 4"),
+    (["a", "b"], ("L1", "L2", "L1", "L4"), np.stack([square] * 2), "raw", {},
+     "'a': landmark labels must be unique"),
+    (["a", "b"], default_labels(4), np.stack([square] * 2), ["raw", "feet"], {},
+     "'b': unknown unit tag 'feet'"),
+    (["a", "a"], default_labels(4), np.stack([square] * 2), "raw", {}, "duplicate .* 'a'"),
+    (["a", "b"], default_labels(4), np.stack([square] * 2), "raw", {"c": "g"},
+     "unknown configuration 'c'"),
+])
+def test_sample_from_stack_rejects(names, labels, coords, units, groups, message):
+    with pytest.raises(InputError, match=message):
+        Sample.from_stack(names, labels, coords, units, groups)
+
+
+def test_sample_errors_come_in_configuration_order():
+    # the first faulty configuration decides, whichever of its checks fails
+    bad = np.stack([square, square, square])
+    bad[1, 0, 0] = np.nan
+    with pytest.raises(InputError, match="'b': coordinates must be finite"):
+        Sample.from_stack(["a", "b", "c"], default_labels(4), bad, ["raw", "raw", "feet"])
+    with pytest.raises(InputError, match="'a': unknown unit"):
+        Sample.from_stack(["a", "b", "c"], default_labels(4), bad, ["feet", "raw", "raw"])
+    # duplicate names are reported before homology, as before
+    a = LandmarkConfiguration("same", default_labels(4), square)
+    b = LandmarkConfiguration("same", default_labels(3), square[:3])
+    with pytest.raises(InputError, match="duplicate"):
+        Sample((a, b))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -323,12 +325,22 @@ def test_points_in_polygon_equals_per_edge_loop(seed, m, scale, offset, snapped)
         [(np.nan, np.nan), (np.nan, poly[0, 1]), (poly[0, 0], np.nan),
          (np.inf, poly[0, 1]), (poly[0, 0], -np.inf)],
     ])
-    with np.errstate(invalid="ignore"):  # inf * 0 in the infinite rows
-        try:
-            got = points_in_polygon(pts, poly)
-        except NumericalError:
-            assume(False)  # the lattice collapsed the star onto a line
+    try:
+        got = points_in_polygon(pts, poly)
+    except NumericalError:
+        assume(False)  # the lattice collapsed the star onto a line
+    with np.errstate(invalid="ignore"):  # the reference computes inf * 0 in the infinite rows
         assert np.array_equal(got, reference_points_in_polygon(pts, poly))
+
+
+def test_points_in_polygon_nonfinite_points_do_not_warn():
+    square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    pts = np.array([(np.inf, 0.5), (0.5, 0.5), (-np.inf, 0.5), (np.nan, 0.5), (0.5, np.inf),
+                     (1.0, 0.5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = points_in_polygon(pts, square)
+    assert got.tolist() == [False, True, False, False, False, True]
 
 
 def test_degenerate_polygon_rejected():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gridmorph import (BilinearMap, Homography, InputError, NonConvexSourceError,
-                       NumericalError, PROTOTYPE_KINDS, Quad, bilinear_eval, homography_eval,
+                       NumericalError, PROTOTYPE_KINDS, Quad, SingularSystemError,
+                       bilinear_eval, homography_eval,
                        homography_from_quads, invert_bilinear, prototype_pair)
 
 axis_square = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
@@ -343,3 +344,19 @@ def test_ambiguity_warning_for_nearly_degenerate_points():
         uv = rng.uniform(0.02, 0.98, size=(200, 2))
         pts = bilinear_forward(src, uv[:, :1], uv[:, 1:])
         m.map_points(pts)
+
+
+def test_homography_singularity_test_is_scale_free():
+    kite = np.array([(0.0, 0.0), (1.2, 0.0), (1.0, 1.3), (0.0, 1.0)])
+    square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    for size in (1e-7, 1.0, 1e7):  # |det| is about 1/size^2 here
+        h = homography_from_quads(Quad(square * size), Quad(kite))
+        assert np.allclose(h(square * size), kite, atol=1e-9)
+
+
+def test_homography_rejects_rank_deficient_matrix():
+    for m in ([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]],
+              [[1e7, 0.0, 1e7], [0.0, 1e7, 0.0], [1.0, 0.0, 1.0]],
+              np.zeros((3, 3))):
+        with pytest.raises(SingularSystemError):
+            Homography(np.array(m))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -262,6 +262,20 @@ def test_affine_map_inverse_and_determinant():
     assert np.allclose(inv(amap(pts)), pts, atol=1e-12)
 
 
+def test_affine_inverse_is_scale_free():
+    template = config([(0.0, 0.0), (1.1, 0.0), (1.0, 1.2), (0.0, 1.0)])
+    for size in (1e-7, 1.0, 1e7):  # |det| is about size^2
+        target = config((template.coords + (3.0, -2.0)) * size)
+        inverse = affine_fit(template, target).inverse()
+        assert np.allclose(inverse(target.coords), template.coords, atol=1e-9)
+
+
+def test_affine_inverse_rejects_rank_deficient_map():
+    for linear in ([(1.0, 2.0), (2.0, 4.0)], [(1e-7, 0.0), (0.0, 0.0)], np.zeros((2, 2))):
+        with pytest.raises(NumericalError):
+            AffineMap2(np.array(linear), np.zeros(2)).inverse()
+
+
 def test_remove_affine_refit_is_identity():
     rng = np.random.default_rng(53)
     for _ in range(20):
@@ -377,3 +391,59 @@ def test_two_point_sample_equals_per_configuration(data):
             assert np.array_equal(a.coords, b.coords)
     assert expected[j] is (DegenerateBaselineError if centered(broken[j])[1] > 0.0
                            else DegenerateConfigurationError)
+
+
+# ---------------------------------------------------------------------------
+# similarity equivariance over the stack path
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def specimens_and_similarities(draw):
+    """Noisy copies of one shape, (n, k, 2), and one similarity per specimen."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(3, 9))
+    base = draw(arrays(np.float64, (k, 2), elements=st.floats(-10, 10)))
+    stack = base + draw(arrays(np.float64, (n, k, 2), elements=st.floats(-0.3, 0.3)))
+    angle = draw(arrays(np.float64, n, elements=st.floats(-np.pi, np.pi)))
+    scale = draw(arrays(np.float64, n, elements=st.floats(1e-3, 1e3)))
+    shift = draw(arrays(np.float64, (n, 2), elements=st.floats(-1e4, 1e4)))
+    c, s = scale * np.cos(angle), scale * np.sin(angle)
+    rot = np.stack([c, -s, s, c], axis=-1).reshape(n, 2, 2)
+    return stack, stack @ rot.transpose(0, 2, 1) + shift[:, None], angle
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(specimens_and_similarities(), st.data())
+def test_two_point_sample_is_similarity_invariant(case, data):
+    stack, moved, _ = case
+    k = stack.shape[1]
+    start, end = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+    baselines = [np.hypot(*(p[:, end] - p[:, start]).T) for p in (stack, moved)]
+    assume(all((b > 1e-3 * centered(p)[1]).all() for b, p in zip(baselines, (stack, moved))))
+    got = [two_point_register_sample(Sample.from_stack([f"c{i}" for i in range(len(p))],
+                                                       default_labels(k), p), Baseline(start, end))
+           for p in (stack, moved)]
+    assert all(s.units == (UNIT_TWO_POINT,) * len(stack) for s in got)
+    # rounding of p - a and of the division by the baseline vector, for both inputs
+    registered = np.abs(got[0].coords).max(axis=(1, 2))
+    reach = sum(np.abs(p).max(axis=(1, 2)) / b for p, b in zip((stack, moved), baselines))
+    tol = 16 * EPS * (reach * (1 + registered) + registered)
+    assert (np.abs(got[0].coords - got[1].coords).max(axis=(1, 2)) <= tol).all()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(specimens_and_similarities())
+def test_gpa_mean_is_similarity_invariant(case):
+    stack, moved, angle = case
+    assume((centered(stack)[1] > 1.0).all())
+    names = [f"c{i}" for i in range(len(stack))]
+    means = [gpa_mean(Sample.from_stack(names, default_labels(stack.shape[1]), p)).coords
+             for p in (stack, moved)]
+    # the reference starts from the first specimen, so the mean turns with it
+    c, s = np.cos(angle[0]), np.sin(angle[0])
+    expected = means[0] @ np.array([(c, -s), (s, c)]).T
+    # centering and scaling to unit size cost about eps * |p| / size per
+    # coordinate; either run may stop up to GPA_TOL short of the fixed point
+    reach = max((np.abs(p).max(axis=(1, 2)) / centered(p)[1]).max() for p in (stack, moved))
+    assert np.abs(means[1] - expected).max() <= GPA_TOL + 64 * EPS * reach
