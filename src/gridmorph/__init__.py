@@ -17,9 +17,8 @@ from .errors import (CoincidentLandmarksError, CollinearTemplateError,
                      DegenerateConfigurationError, DegeneratePolygonError,
                      DegenerateQuadError, GridmorphError, HomologyError,
                      InputError, InsufficientLandmarksError,
-                     NonConvexSourceError, NumericalError, OutsideDomainError,
-                     ParseError, RankDeficiencyError, SchemaError,
-                     SingularSystemError, VanishingLineError,
+                     NonConvexSourceError, NumericalError, ParseError,
+                     RankDeficiencyError, SchemaError, SingularSystemError,
                      ZeroLengthSegmentError)
 from .formats import (Dataset, parse_csv, parse_tps_file, read_dataset,
                       read_landmarks, write_dataset)
@@ -27,15 +26,12 @@ from .gridlab import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, DeformedGrid,
                       GridSpec, MAX_GRID_SAMPLES, ROTATION_CONVENTION, SegmentRotationReport,
                       convex_hull_polygon, deform_grid, extend_grid,
                       filter_rotations, kept_runs, landmark_cycle_polygon,
-                      make_grid, point_in_polygon, points_in_polygon,
-                      segment_rotations, trim_grid)
+                      make_grid, points_in_polygon, segment_rotations, trim_grid)
 from .maps import (BilinearMap, Homography, PROTOTYPE_KINDS,
-                   PROTOTYPE_PARAMETER, Quad, bilinear_eval,
-                   homography_eval, homography_from_quads, invert_bilinear,
-                   prototype_pair)
+                   PROTOTYPE_PARAMETER, Quad, homography_from_quads,
+                   invert_bilinear, prototype_pair)
 from .registration import (AffineMap2, Baseline, affine_fit, gpa_mean,
-                           optimal_rotation_angle, procrustes_align,
-                           remove_affine, two_point_register,
+                           procrustes_align, remove_affine, two_point_register,
                            two_point_register_sample)
 from .render import (Label, Marker, Panel, Polyline, Scene, SegmentNetwork,
                      Style, grid_scene, network_scene, outline_panel,

@@ -30,9 +30,10 @@ import numpy as np
 from .core import LandmarkConfiguration, Sample, enumerate_segments
 from .errors import InputError, NumericalError
 from .formats import Dataset, read_landmarks, write_dataset
-from .gridlab import (convex_hull_polygon, deform_grid, extend_grid, filter_rotations,
+from .gridlab import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES,
+                      convex_hull_polygon, deform_grid, extend_grid, filter_rotations,
                       landmark_cycle_polygon, make_grid, segment_rotations, trim_grid)
-from .maps import BilinearMap, Quad, homography_from_quads, prototype_pair
+from .maps import PROTOTYPE_KINDS, BilinearMap, Quad, homography_from_quads, prototype_pair
 from .registration import (Baseline, gpa_mean, procrustes_align, remove_affine,
                            two_point_register, two_point_register_sample)
 from .render import (Polyline, grid_scene, network_scene, outline_panel, tile_scenes,
@@ -45,11 +46,109 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-_EXTEND_SIDES = ("left", "right", "up", "down")
-
-
 # ---------------------------------------------------------------------------
-# flag plumbing
+# options
+
+_REQUIRED = object()
+
+
+def _number(kind, low, high=math.inf):
+    """Check for a finite number in [low, high]; kind int also refuses fractions."""
+    noun = "an integer" if kind is int else "a number"
+    span = f"at least {low:g}" if high == math.inf else f"between {low:g} and {high:g}"
+
+    def check(value, flag, argv):
+        try:
+            number = kind(value) if argv or type(value) in (int, kind) else None
+        except (ValueError, OverflowError):
+            number = None
+        if number is None:
+            raise InputError(f"{flag} expects {noun}, got {value!r}")
+        if not low <= number <= high or abs(number) == math.inf:
+            raise InputError(f"{flag} must be {span}, got {number!r}")
+        return number
+    return check
+
+
+def _typed(kind, noun, choices=()):
+    """Check for a value of one JSON type (str for command-line text, bool for a
+    switch), and one of the choices if any are given."""
+    def check(value, flag, argv):
+        if not isinstance(value, kind) or choices and value not in choices:
+            raise InputError(f"{flag} expects {noun}, got {value!r}")
+        return value
+    return check
+
+
+_switch, _text = _typed(bool, "true or false"), _typed(str, "a string")
+
+
+def _baseline(value, flag, argv) -> Baseline:
+    try:
+        i, j = (int(part) for part in _text(value, flag, argv).split(","))
+    except ValueError:  # also a count of parts other than two
+        i = j = 0
+    if i < 1 or j < 1 or i == j:
+        raise InputError(f"{flag} expects two distinct 1-based landmark ordinals I,J, "
+                         f"got {value!r}")
+    return Baseline(i - 1, j - 1)
+
+
+def _extends(value, flag, argv) -> list[tuple[str, float]]:
+    items = [value] if isinstance(value, str) else value
+    if not (isinstance(items, list) and all(isinstance(item, str) for item in items)):
+        raise InputError(f"{flag} expects SIDE:MULT or a list of them, got {value!r}")
+    extends = []
+    for item in items:
+        side, _, amount = item.partition(":")
+        side = side.strip().lower()
+        try:
+            mult = float(amount)
+        except ValueError:
+            mult = math.nan
+        if side not in ("left", "right", "up", "down") or not 0.0 < mult < math.inf:
+            raise InputError(f"{flag} expects SIDE:MULT with SIDE left, right, up or down "
+                             f"and MULT a positive number, got {item!r}")
+        extends.append((side, mult))
+    return extends
+
+
+# Every option of every subcommand, once: name -> (check, default, help). A check
+# takes command-line text (argv=True) or a --config value, which must already
+# have the option's JSON type, and returns the typed value or raises an
+# InputError that names the flag.
+OPTIONS = {
+    "group": (_text, None, "average only this group"),
+    "baseline": (_baseline, _REQUIRED, "two landmark ordinals I,J, 1-based"),
+    "targets": (_text, None, "template and target group tags G1,G2"),
+    "threshold": (_number(float, 0.0), 0.15, "keep segments with |rotation| >= this (radians)"),
+    "nonaffine": (_switch, False, "remove the affine component before measuring"),
+    "degree": (_number(int, 2, 3), _REQUIRED, "trend degree, 2 or 3"),
+    "trim": (_typed(str, "template or target", ("template", "target")), "template",
+             "trim the grid by the template polygon (preimage test) or the target "
+             "polygon (image test)"),
+    "hull": (_switch, False, "trim with the convex hull instead of the landmark cycle"),
+    "extend": (_extends, (), "extend the grid by SIDE:MULT, e.g. left:2.0 (repeatable)"),
+    # more cells than the sample budget can never fit
+    "cells": (_number(int, 1, MAX_GRID_SAMPLES), DEFAULT_CELLS, "grid cells on the longer side"),
+    # past 100 the data is a speck, and far enough out the maps overflow to no grid at all
+    "margin": (_number(float, 0.0, 100.0), 0.25, "grid margin as a fraction of the bounding box"),
+    "samples": (_number(int, 2), DEFAULT_SAMPLES_PER_EDGE, "samples per cell edge"),
+}
+
+
+def _option(args, name: str):
+    """The command line's value, else the --config file's, else the default."""
+    check, default, text = OPTIONS[name]
+    value, argv = getattr(args, name), True
+    if value is None:
+        value, argv = args.config_values.get(name), False
+    if value is None:
+        if default is _REQUIRED:
+            raise InputError(f"missing --{name}: {text}")
+        return default
+    return check(value, f"--{name}", argv)
+
 
 def _load_config(path: str | None) -> dict:
     if not path:
@@ -63,18 +162,12 @@ def _load_config(path: str | None) -> dict:
         raise InputError(f"config {path!r} is not UTF-8 text (byte {exc.start})")
     if not isinstance(doc, dict):
         raise InputError(f"config {path!r} must hold a JSON object of flag values")
-    return {str(key).replace("-", "_"): value for key, value in doc.items()}
-
-
-def _merged(args, name: str, builtin):
-    """Resolve a flag: explicit command line, then --config file, then built-in."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    config = getattr(args, "config_values", {})
-    if name in config and config[name] is not None:
-        return config[name]
-    return builtin
+    config = {key.replace("-", "_"): value for key, value in doc.items()}
+    for key in doc:
+        if key.replace("-", "_") not in OPTIONS:
+            raise InputError(f"config {path!r}: unknown key {key!r}; a config file sets "
+                             f"only {', '.join(OPTIONS)}")
+    return config
 
 
 def _write_text(path: str, text: str) -> None:
@@ -82,68 +175,25 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _load(args) -> Dataset:
-    return read_landmarks(args.input)
-
-
-def _parse_baseline(value) -> Baseline:
-    if value is None:
-        raise InputError("missing --baseline: give two landmark ordinals as i,j (1-based)")
-    parts = str(value).split(",")
-    if len(parts) != 2:
-        raise InputError(f"--baseline expects i,j got {value!r}")
-    try:
-        i, j = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise InputError(f"--baseline expects two integers, got {value!r}")
-    if i < 1 or j < 1:
-        raise InputError("--baseline ordinals are 1-based and must be positive")
-    if i == j:
-        raise InputError("--baseline needs two distinct landmarks")
-    return Baseline(i - 1, j - 1)
+def _require_group(sample: Sample, tag: str) -> None:
+    if tag not in sample.group_tags:
+        known = ", ".join(sample.group_tags) or "none"
+        raise InputError(f"unknown group {tag!r}; dataset groups: {known}")
 
 
 def _parse_targets(value, sample: Sample) -> tuple[str, str]:
     tags = sample.group_tags
     if value:
-        parts = [p.strip() for p in str(value).split(",")]
+        parts = [p.strip() for p in value.split(",")]
         if len(parts) != 2 or not all(parts) or parts[0] == parts[1]:
             raise InputError(f"--targets expects two distinct group tags, got {value!r}")
         for part in parts:
-            if part not in tags:
-                known = ", ".join(tags) if tags else "none"
-                raise InputError(f"unknown group {part!r}; dataset groups: {known}")
+            _require_group(sample, part)
         return parts[0], parts[1]
     if len(tags) == 2:
         return tags[0], tags[1]
     raise InputError(f"--targets required: dataset has {len(tags)} group(s), "
                      "it must have exactly 2 for the default to apply")
-
-
-def _parse_extend(item: str) -> tuple[str, float]:
-    side, sep, amount = str(item).partition(":")
-    if not sep:
-        raise InputError(f"--extend expects side:multiple (e.g. left:2.0), got {item!r}")
-    side = side.strip().lower()
-    if side not in _EXTEND_SIDES:
-        raise InputError(f"--extend side must be one of {', '.join(_EXTEND_SIDES)}, got {side!r}")
-    try:
-        mult = float(amount)
-    except ValueError:
-        raise InputError(f"--extend multiple must be a number, got {amount!r}")
-    if not math.isfinite(mult) or mult <= 0.0:
-        raise InputError(f"--extend multiple must be positive, got {amount!r}")
-    return side, mult
-
-
-def _positive_int(value, flag: str, minimum: int = 1) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{flag} expects an integer, got {value!r}")
-    if number < minimum:
-        raise InputError(f"{flag} must be at least {minimum}, got {number}")
-    return number
 
 
 def _group_mean(sample: Sample, tag: str, procrustes: bool) -> LandmarkConfiguration:
@@ -170,7 +220,7 @@ def _bounds_viewport(points: np.ndarray) -> tuple[float, float, float, float]:
 # subcommands
 
 def cmd_ingest(args) -> int:
-    dataset = _load(args)
+    dataset = read_landmarks(args.input)
     _write_text(args.output, write_dataset(dataset))
     sample = dataset.sample
     print(f"ingested {len(sample)} configuration(s) of "
@@ -179,12 +229,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_average(args) -> int:
-    dataset = _load(args)
+    dataset = read_landmarks(args.input)
     sample = dataset.sample
-    group = _merged(args, "group", None)
-    if group is not None and group not in sample.group_tags:
-        known = ", ".join(sample.group_tags) if sample.group_tags else "none"
-        raise InputError(f"unknown group {group!r}; dataset groups: {known}")
+    group = _option(args, "group")
+    if group is not None:
+        _require_group(sample, group)
     tags = [group] if group is not None else (sample.group_tags or [None])
     means = []
     groups: dict[str, str] = {}
@@ -202,8 +251,8 @@ def cmd_average(args) -> int:
 
 
 def cmd_twopoint(args) -> int:
-    dataset = _load(args)
-    baseline = _parse_baseline(_merged(args, "baseline", None))
+    dataset = read_landmarks(args.input)
+    baseline = _option(args, "baseline")
     registered = two_point_register_sample(dataset.sample, baseline)
     _write_text(args.output, write_dataset(Dataset(registered, provenance=dataset.provenance)))
     print(f"registered {len(registered)} configuration(s) to baseline "
@@ -212,9 +261,9 @@ def cmd_twopoint(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    dataset = _load(args)
+    dataset = read_landmarks(args.input)
     sample = dataset.sample
-    template_tag, target_tag = _parse_targets(_merged(args, "targets", None), sample)
+    template_tag, target_tag = _parse_targets(_option(args, "targets"), sample)
     template = _group_mean(sample, template_tag, procrustes=False)
     target = _group_mean(sample, target_tag, procrustes=False)
     panels = []
@@ -231,11 +280,11 @@ def cmd_survey(args) -> int:
 
 
 def cmd_rotations(args) -> int:
-    dataset = _load(args)
+    dataset = read_landmarks(args.input)
     sample = dataset.sample
-    template_tag, target_tag = _parse_targets(_merged(args, "targets", None), sample)
-    threshold = float(_merged(args, "threshold", 0.15))
-    nonaffine = bool(_merged(args, "nonaffine", False))
+    template_tag, target_tag = _parse_targets(_option(args, "targets"), sample)
+    threshold = _option(args, "threshold")
+    nonaffine = _option(args, "nonaffine")
     template = _group_mean(sample, template_tag, procrustes=True)
     target = procrustes_align(_group_mean(sample, target_tag, procrustes=True), template)
     if nonaffine:
@@ -269,23 +318,15 @@ def cmd_rotations(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    dataset = _load(args)
+    dataset = read_landmarks(args.input)
     sample = dataset.sample
-    degree = _positive_int(_merged(args, "degree", None) or 0, "--degree")
-    if degree not in (2, 3):
-        raise InputError(f"--degree must be 2 or 3, got {degree}")
-    baseline = _parse_baseline(_merged(args, "baseline", None))
-    template_tag, target_tag = _parse_targets(_merged(args, "targets", None), sample)
-    trim_mode = str(_merged(args, "trim", "template"))
-    if trim_mode not in ("template", "target"):
-        raise InputError(f"--trim must be template or target, got {trim_mode!r}")
-    hull = bool(_merged(args, "hull", False))
-    cells = _positive_int(_merged(args, "cells", 24), "--cells")
-    samples = _positive_int(_merged(args, "samples", 10), "--samples", minimum=2)
-    margin = float(_merged(args, "margin", 0.25))
-    if not math.isfinite(margin) or margin < 0.0:
-        raise InputError(f"--margin must be a nonnegative number, got {margin!r}")
-    extends = [_parse_extend(item) for item in (_merged(args, "extend", None) or [])]
+    degree = _option(args, "degree")
+    baseline = _option(args, "baseline")
+    template_tag, target_tag = _parse_targets(_option(args, "targets"), sample)
+    trim_mode = _option(args, "trim")
+    hull = _option(args, "hull")
+    cells, margin, samples = (_option(args, name) for name in ("cells", "margin", "samples"))
+    extends = _option(args, "extend")
     os.makedirs(args.outdir, exist_ok=True)
 
     template = two_point_register(_group_mean(sample, template_tag, procrustes=False), baseline)
@@ -302,10 +343,7 @@ def cmd_fit(args) -> int:
     grid_observed = deform_grid(spec, spline_observed)
     grid_fitted = deform_grid(spec, spline_fitted)
     grid_trend = deform_grid(spec, trend)
-    if trim_mode == "template":
-        outline_config, space = template, "template"
-    else:
-        outline_config, space = target, "image"
+    outline_config, space = (template, "template") if trim_mode == "template" else (target, "image")
     polygon = (convex_hull_polygon(outline_config.coords) if hull
                else landmark_cycle_polygon(outline_config))
     grid_trimmed = trim_grid(grid_trend, polygon, space=space)
@@ -316,18 +354,13 @@ def cmd_fit(args) -> int:
     ]))
     k = sample.landmark_count
     ring = (baseline.start, baseline.end)
-    upper_left = grid_scene(grid_observed, solid_points=target.coords,
-                            baseline=ring, viewport=viewport, landmark_count=k)
-    upper_right = grid_scene(grid_fitted, open_points=trend.fitted,
-                             baseline=ring, viewport=viewport, landmark_count=k)
-    lower_left = grid_scene(grid_trend, solid_points=target.coords,
-                            open_points=trend.fitted, baseline=ring,
-                            viewport=viewport, landmark_count=k)
-    lower_right = grid_scene(grid_trimmed, solid_points=target.coords,
-                             open_points=trend.fitted, baseline=ring,
-                             viewport=viewport, landmark_count=k)
-    figure = tile_scenes([upper_left, upper_right, lower_left, lower_right],
-                         columns=2, panel_size=480.0)
+    # (grid, solid points, open points) of the upper left, upper right, lower left, lower right
+    panels = ((grid_observed, target.coords, None), (grid_fitted, None, trend.fitted),
+              (grid_trend, target.coords, trend.fitted),
+              (grid_trimmed, target.coords, trend.fitted))
+    figure = tile_scenes([grid_scene(grid, solid_points=solid, open_points=hollow, baseline=ring,
+                                     viewport=viewport, landmark_count=k)
+                          for grid, solid, hollow in panels], columns=2, panel_size=480.0)
 
     tag = f"{baseline.start + 1}-{baseline.end + 1}"
     svg_path = os.path.join(args.outdir, f"fit_{tag}.svg")
@@ -441,81 +474,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridmorph",
         description="Landmark registration, trend surfaces, and deformation grids.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE",
-                        help="JSON file of flag defaults; explicit flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common],
-                       help="convert TPS/CSV/JSON landmarks to canonical JSON")
-    p.add_argument("input", help="landmark file (.tps, .csv or .json)")
-    p.add_argument("-o", "--output", required=True, help="output dataset JSON")
-    p.set_defaults(func=cmd_ingest)
+    def command(name, func, summary, *options, source="dataset file",
+                output="output dataset JSON"):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if source:
+            p.add_argument("input", help=source)
+        p.add_argument("--config", metavar="FILE",
+                       help="JSON file of option values; explicit flags win")
+        for option in options:
+            check, default, text = OPTIONS[option]
+            if default is _REQUIRED:
+                text += " (required)"
+            elif default not in (None, False, ()):
+                text += f" (default {default})"
+            action = {_switch: "store_true", _extends: "append"}.get(check, "store")
+            p.add_argument(f"--{option}", action=action, default=None, help=text)
+        if output:
+            p.add_argument("-o", "--output", required=True, help=output)
+        return p
 
-    p = sub.add_parser("average", parents=[common],
-                       help="Procrustes mean of each group")
-    p.add_argument("input", help="dataset file")
-    p.add_argument("--group", help="average only this group")
-    p.add_argument("-o", "--output", required=True, help="output dataset JSON")
-    p.set_defaults(func=cmd_average)
-
-    p = sub.add_parser("twopoint", parents=[common],
-                       help="two-point registration of every configuration")
-    p.add_argument("input", help="dataset file")
-    p.add_argument("--baseline", metavar="I,J",
-                   help="baseline landmark ordinals, 1-based")
-    p.add_argument("-o", "--output", required=True, help="output dataset JSON")
-    p.set_defaults(func=cmd_twopoint)
-
-    p = sub.add_parser("survey", parents=[common],
-                       help="outline panels for every possible baseline")
-    p.add_argument("input", help="dataset file")
-    p.add_argument("--targets", metavar="G1,G2",
-                   help="template and target group tags")
-    p.add_argument("-o", "--output", required=True, help="output SVG")
-    p.set_defaults(func=cmd_survey)
-
-    p = sub.add_parser("rotations", parents=[common],
-                       help="segment rotations between two group means")
-    p.add_argument("input", help="dataset file")
-    p.add_argument("--targets", metavar="G1,G2",
-                   help="template and target group tags")
-    p.add_argument("--threshold", type=float, metavar="RAD",
-                   help="keep segments with |rotation| >= RAD (default 0.15)")
-    p.add_argument("--nonaffine", action="store_true", default=None,
-                   help="remove the affine component before measuring")
+    command("ingest", cmd_ingest, "convert TPS/CSV/JSON landmarks to canonical JSON",
+            source="landmark file (.tps, .csv or .json)")
+    command("average", cmd_average, "Procrustes mean of each group", "group")
+    command("twopoint", cmd_twopoint, "two-point registration of every configuration",
+            "baseline")
+    command("survey", cmd_survey, "outline panels for every possible baseline", "targets",
+            output="output SVG")
+    p = command("rotations", cmd_rotations, "segment rotations between two group means",
+                "targets", "threshold", "nonaffine", output=None)
     p.add_argument("-o", "--output", help="write the table as CSV")
     p.add_argument("--svg", help="write the selected segment network as SVG")
-    p.set_defaults(func=cmd_rotations)
-
-    p = sub.add_parser("fit", parents=[common],
-                       help="polynomial trend fit with four-panel figure")
-    p.add_argument("input", help="dataset file")
-    p.add_argument("--degree", type=int, choices=(2, 3), help="trend degree")
-    p.add_argument("--baseline", metavar="I,J",
-                   help="baseline landmark ordinals, 1-based")
-    p.add_argument("--targets", metavar="G1,G2",
-                   help="template and target group tags")
-    p.add_argument("--trim", choices=("template", "target"),
-                   help="trim the grid by the template polygon (preimage test) "
-                        "or the target polygon (image test); default template")
-    p.add_argument("--hull", action="store_true", default=None,
-                   help="trim with the convex hull instead of the landmark cycle")
-    p.add_argument("--extend", action="append", metavar="SIDE:MULT",
-                   help="extend the grid, e.g. left:2.0 (repeatable)")
-    p.add_argument("--cells", type=int, help="grid cells on the longer side (default 24)")
-    p.add_argument("--margin", type=float,
-                   help="grid margin as a fraction of the bounding box (default 0.25)")
-    p.add_argument("--samples", type=int, help="samples per cell edge (default 10)")
+    p = command("fit", cmd_fit, "polynomial trend fit with four-panel figure", "degree",
+                "baseline", "targets", "trim", "hull", "extend", "cells", "margin", "samples",
+                output=None)
     p.add_argument("--outdir", required=True, help="output directory")
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("demo", parents=[common],
-                       help="built-in datasets and illustrative figures")
-    p.add_argument("kind", choices=("parallelogram", "rotated_parallelogram",
-                                    "trapezoid", "kite", "synthetic-vilmann"))
+    p = command("demo", cmd_demo, "built-in datasets and illustrative figures", source=None,
+                output=None)
+    p.add_argument("kind", choices=PROTOTYPE_KINDS + ("synthetic-vilmann",))
     p.add_argument("--outdir", required=True, help="output directory")
-    p.set_defaults(func=cmd_demo)
     return parser
 
 
@@ -523,9 +522,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.config_values = _load_config(getattr(args, "config", None))
+        args.config_values = _load_config(args.config)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as exc:
@@ -534,9 +533,6 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -71,10 +71,6 @@ class ConvergenceError(NumericalError):
     pass
 
 
-class OutsideDomainError(NumericalError):
-    pass
-
-
 class NonConvexSourceError(NumericalError):
     pass
 
@@ -84,10 +80,6 @@ class DegenerateQuadError(NumericalError):
 
 
 class DegeneratePolygonError(NumericalError):
-    pass
-
-
-class VanishingLineError(NumericalError):
     pass
 
 

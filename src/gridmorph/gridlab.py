@@ -58,6 +58,9 @@ class GridSpec:
             raise InputError(f"grid ranges must be non-empty, got x={self.x_range} y={self.y_range}")
         if self.nx < 1 or self.ny < 1:
             raise InputError("grid needs at least one cell per axis")
+        if not all(map(math.isfinite, (x0, x1, y0, y1, *self.cell_size))):
+            raise InputError(f"grid window and cells must be finite, got x={self.x_range} "
+                             f"y={self.y_range}")
         if self.samples_per_edge < 2:
             raise InputError("need at least 2 samples per cell edge")
         samples = sum(lines * per_line for lines, per_line in self.line_shapes)
@@ -95,9 +98,10 @@ def make_grid(template, margin: float = 0.0, cells: int = DEFAULT_CELLS,
         raise DegenerateConfigurationError("bounding box has zero area; cannot build a grid")
     if cells < 1:
         raise InputError("cells must be at least 1")
-    lo = lo - margin * w
-    hi = hi + margin * w
-    w = hi - lo
+    with np.errstate(over="ignore"):  # GridSpec refuses a window that overflowed
+        lo = lo - margin * w
+        hi = hi + margin * w
+        w = hi - lo
     h = float(w.max()) / cells
     n = [cells, cells]
     for ax in range(2):
@@ -127,6 +131,8 @@ def extend_grid(spec: GridSpec, direction: str, multiples: float) -> GridSpec:
     axis, sign = _DIRECTIONS[direction]
     amount = multiples * spec.base_extent[axis]
     h = spec.cell_size[axis]
+    if not math.isfinite(amount / h):
+        raise InputError(f"extending the grid {direction} by {multiples} overflows its window")
     cells_added = int(math.floor(amount / h + 0.5))
     if abs(cells_added * h - amount) > 1e-9 * max(h, amount):
         amount = cells_added * h  # snap to the lattice
@@ -253,11 +259,6 @@ def points_in_polygon(points, polygon) -> np.ndarray:
     result = np.zeros(len(pts), dtype=bool)
     result[order] = inside | boundary
     return result
-
-
-def point_in_polygon(point, polygon) -> bool:
-    """Even-odd test for one point; boundary points (within 1e-12) count inside."""
-    return bool(points_in_polygon(np.asarray(point, dtype=float).reshape(1, 2), polygon)[0])
 
 
 def trim_grid(grid: DeformedGrid, polygon, space: str = "template") -> DeformedGrid:

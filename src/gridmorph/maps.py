@@ -26,9 +26,7 @@ from .errors import (
     DegenerateQuadError,
     InputError,
     NonConvexSourceError,
-    OutsideDomainError,
     SingularSystemError,
-    VanishingLineError,
 )
 
 PROTOTYPE_PARAMETER = 0.25
@@ -181,15 +179,6 @@ class BilinearMap:
         return _bilinear_combine(self.dst, uv)
 
 
-def bilinear_eval(src: Quad, dst: Quad, point) -> np.ndarray:
-    """Image of a single point inside (or on) the source quad."""
-    p = np.asarray(point, dtype=float).reshape(2)
-    image = BilinearMap(src, dst).map_points(p)
-    if np.isnan(image).any():
-        raise OutsideDomainError(f"point {tuple(p)} lies outside the source quad")
-    return image
-
-
 @dataclass(frozen=True, eq=False)
 class Homography:
     """Projective map of the plane, stored as a 3x3 matrix.
@@ -201,7 +190,7 @@ class Homography:
     matrix: np.ndarray  # (3, 3)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)  # a copy: the caller's array stays writeable
         if m.shape != (3, 3):
             raise InputError(f"homography needs a (3, 3) matrix, got {m.shape}")
         if not np.all(np.isfinite(m)):
@@ -261,15 +250,6 @@ def homography_from_quads(src: Quad, dst: Quad) -> Homography:
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"homography system is singular: {exc}") from exc
     return Homography(np.append(h, 1.0).reshape(3, 3))
-
-
-def homography_eval(h: Homography, point) -> np.ndarray:
-    """Image of a single point; points on the vanishing line are rejected."""
-    p = np.asarray(point, dtype=float).reshape(2)
-    image = h.map_points(p)
-    if np.isnan(image).any():
-        raise VanishingLineError(f"point {tuple(p)} lies on the vanishing line")
-    return image
 
 
 _SQUARE_AXIS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])

@@ -151,11 +151,6 @@ def _rotation_angles(shapes: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.arctan2(b, a)
 
 
-def optimal_rotation_angle(coords: np.ndarray, reference: np.ndarray) -> float:
-    """Closed-form angle rotating centered coords onto a centered reference (least squares)."""
-    return float(_rotation_angles(coords[None], reference)[0])
-
-
 def _rotated_onto(shapes: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Rotate every centered shape of an (n, k, 2) stack onto the centered reference
     by its optimal pure rotation (determinant +1, never a reflection)."""

@@ -432,6 +432,60 @@ def test_config_must_be_object(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# Each of these ended in a traceback (exit 1), ran with a misread value, or
+# exited 0 having selected or drawn nothing.
+@pytest.mark.parametrize("command, config, argv, flag", [
+    ("fit", '{"margin": "a"}', [], "--margin"),
+    ("rotations", '{"threshold": "x"}', [], "--threshold"),
+    ("fit", '{"cells": 1e400}', [], "--cells"),
+    ("fit", '{"hull": "no"}', [], "--hull"),
+    ("rotations", '{"nonaffine": "false"}', [], "--nonaffine"),
+    ("fit", '{"cells": 2.5}', [], "--cells"),
+    ("fit", '{"samples": true}', [], "--samples"),
+    ("fit", '{"degree": "2"}', [], "--degree"),
+    ("fit", '{"extend": ["left:2", 3]}', [], "--extend"),
+    ("rotations", None, ["--threshold", "nan"], "--threshold"),
+    ("fit", None, ["--margin", "1e308"], "--margin"),
+    ("fit", None, ["--cells", "2.5"], "--cells"),
+    ("fit", '{"thresold": 0.1}', [], "'thresold'"),
+], ids=["margin-string", "threshold-string", "cells-1e400", "hull-string",
+        "nonaffine-string", "cells-float", "samples-true", "degree-string",
+        "extend-list-number", "threshold-nan", "margin-1e308", "cells-text-float",
+        "unknown-key"])
+def test_bad_option_value_is_input_error(tmp_path, capsys, command, config, argv, flag):
+    path = write_vilmann(tmp_path)
+    args = [command, path, *argv]
+    if command == "fit":
+        args += ["--outdir", str(tmp_path / "out")]
+        if config is None or "degree" not in config:
+            args += ["--degree", "2", "--baseline", "3,8"]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
+        args += ["--config", str(tmp_path / "cfg.json")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+    assert not (tmp_path / "out" / "fit_3-8.svg").exists()
+
+
+def test_config_extend_string_and_list(tmp_path, capsys):
+    path = write_vilmann(tmp_path)
+    base = ["fit", path, "--degree", "2", "--baseline", "3,8", "--cells", "6"]
+    svgs = []
+    for name, config, argv in (("flag", None, ["--extend", "left:2"]),
+                               ("string", {"extend": "left:2"}, []),
+                               ("list", {"extend": ["left:1", "left:1"]}, []),
+                               ("replaced", {"extend": ["up:1"]}, ["--extend", "left:2"])):
+        args = base + argv + ["--outdir", str(tmp_path / name)]
+        if config is not None:
+            (tmp_path / f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+            args += ["--config", str(tmp_path / f"{name}.json")]
+        assert main(args) == 0, name
+        svgs.append((tmp_path / name / "fit_3-8.svg").read_bytes())
+    assert svgs[1:] == svgs[:1] * 3  # an explicit --extend replaces the config list
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 

@@ -11,8 +11,7 @@ from gridmorph import (MAX_GRID_SAMPLES, AffineMap2, Baseline, BilinearMap, Grid
                        affine_fit, convex_hull_polygon, deform_grid,
                        default_labels, design_matrix, extend_grid,
                        filter_rotations, homography_from_quads, kept_runs,
-                       landmark_cycle_polygon, make_grid, point_in_polygon,
-                       points_in_polygon, prototype_pair, segment_rotations,
+                       landmark_cycle_polygon, make_grid, points_in_polygon, prototype_pair, segment_rotations,
                        tps_eval, tps_fit, trend_eval, trend_fit, trim_grid,
                        two_point_register, vilmann_template)
 
@@ -91,6 +90,24 @@ def test_grid_sample_budget():
     assert sum(lines * per for lines, per in spec.line_shapes) == 2 * 1001 * 1001
     with pytest.raises(InputError, match="exceeds the budget"):
         extend_grid(spec, "right", 2.0)
+
+
+@pytest.mark.parametrize("x_range, y_range", [
+    ((-np.inf, np.inf), (0.0, 1.0)),            # was accepted
+    ((0.0, 1.0), (0.0, np.inf)),
+    ((-1.7e308, 1.7e308), (0.0, 1.0)),          # finite ends, the width overflows
+])
+def test_grid_spec_rejects_non_finite_window(x_range, y_range):
+    with pytest.raises(InputError, match="must be finite"):
+        GridSpec(x_range, y_range, 2, 2)
+
+
+def test_oversized_window_is_input_error():
+    # the margin overflows the window; no RuntimeWarning escapes on the way
+    with pytest.raises(InputError, match="must be finite"):
+        make_grid(unit_square, margin=1e308, cells=2)
+    with pytest.raises(InputError, match="overflows its window"):
+        extend_grid(make_grid(unit_square, margin=0.0, cells=2), "left", 1e308)
 
 
 def test_extend_preserves_cell_size_with_snapping():
@@ -248,27 +265,25 @@ square_poly = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 
 def test_point_in_polygon_basics():
-    assert point_in_polygon((0.5, 0.5), square_poly)
-    assert not point_in_polygon((2.0, 2.0), square_poly)
-    assert point_in_polygon((0.5, 0.0), square_poly)  # boundary counts as inside
-    assert point_in_polygon((1.0, 1.0), square_poly)  # vertex too
+    # inside, outside, on an edge and on a vertex: the boundary counts as inside
+    pts = np.array([(0.5, 0.5), (2.0, 2.0), (0.5, 0.0), (1.0, 1.0)])
+    assert points_in_polygon(pts, square_poly).tolist() == [True, False, True, True]
 
 
 def test_point_in_polygon_concave():
     # a C-shape: inside the notch is outside the polygon
     cshape = np.array([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (3, 2), (3, 3), (0, 3)],
                       dtype=float)
-    assert point_in_polygon((0.5, 1.5), cshape)
-    assert not point_in_polygon((2.0, 1.5), cshape)
+    assert points_in_polygon(np.array([(0.5, 1.5), (2.0, 1.5)]), cshape).tolist() == [True, False]
 
 
-def test_points_in_polygon_vectorized_matches_scalar():
+def test_points_in_polygon_batch_matches_single_rows():
     rng = np.random.default_rng(82)
     poly = np.array([(0, 0), (2, 0.3), (2.5, 2), (1, 2.7), (-0.5, 1.5)], dtype=float)
     pts = rng.uniform(-1, 3, size=(300, 2))
     flags = points_in_polygon(pts, poly)
     for p, flag in zip(pts, flags):
-        assert flag == point_in_polygon(p, poly)
+        assert flag == points_in_polygon(p[None], poly)[0]
 
 
 def reference_points_in_polygon(points, polygon):
@@ -345,7 +360,7 @@ def test_points_in_polygon_nonfinite_points_do_not_warn():
 
 def test_degenerate_polygon_rejected():
     with pytest.raises(NumericalError):
-        point_in_polygon((0.0, 0.0), np.array([(0, 0), (1, 1), (2, 2)], dtype=float))
+        points_in_polygon(np.zeros((1, 2)), np.array([(0, 0), (1, 1), (2, 2)], dtype=float))
 
 
 # ---------------------------------------------------------------------------

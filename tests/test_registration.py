@@ -9,11 +9,10 @@ from gridmorph import (AffineMap2, Baseline, ConvergenceError,
                        InputError, NumericalError,
                        LandmarkConfiguration, Sample, UNIT_PROCRUSTES,
                        UNIT_TWO_POINT, affine_fit, centroid_size,
-                       default_labels, gpa_mean, optimal_rotation_angle,
-                       procrustes_align, remove_affine, two_point_register,
+                       default_labels, gpa_mean, procrustes_align, remove_affine, two_point_register,
                        two_point_register_sample)
 from gridmorph.core import centered
-from gridmorph.registration import GPA_MAX_ITER, GPA_TOL, _normalized
+from gridmorph.registration import GPA_MAX_ITER, GPA_TOL, _normalized, _rotation_angles
 
 
 def config(coords, name="cfg", unit="raw"):
@@ -132,7 +131,7 @@ def test_optimal_rotation_quarter_turn():
     base = np.array([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (0.5, 0.5)])
     base -= base.mean(axis=0)
     rot90 = np.array([(0.0, -1.0), (1.0, 0.0)])
-    angle = optimal_rotation_angle(base, base @ rot90.T)
+    angle = _rotation_angles(base[None], base @ rot90.T)[0]
     assert angle == pytest.approx(np.pi / 2, abs=1e-12)
 
 
@@ -143,7 +142,7 @@ def test_optimal_rotation_matches_scan():
         coords -= coords.mean(axis=0)
         reference = rng.normal(size=(6, 2))
         reference -= reference.mean(axis=0)
-        angle = optimal_rotation_angle(coords, reference)
+        angle = _rotation_angles(coords[None], reference)[0]
         scanned = brute_rotation_angle(coords, reference)
         assert angle == pytest.approx(scanned, abs=1e-4)
 
