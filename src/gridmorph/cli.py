@@ -27,20 +27,14 @@ import sys
 
 import numpy as np
 
-from .core import LandmarkConfiguration, Sample, enumerate_segments
+# Only what ingest, average and twopoint run is imported here; the commands that
+# draw import gridlab, maps, render, tps, trend and synthetic when they run.
+from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, PROTOTYPE_KINDS,
+                   LandmarkConfiguration, Sample, enumerate_segments)
 from .errors import InputError, NumericalError
 from .formats import Dataset, read_landmarks, write_dataset
-from .gridlab import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES,
-                      convex_hull_polygon, deform_grid, extend_grid, filter_rotations,
-                      landmark_cycle_polygon, make_grid, segment_rotations, trim_grid)
-from .maps import PROTOTYPE_KINDS, BilinearMap, Quad, homography_from_quads, prototype_pair
 from .registration import (Baseline, gpa_mean, procrustes_align, remove_affine,
                            two_point_register, two_point_register_sample)
-from .render import (Polyline, grid_scene, network_scene, outline_panel, tile_scenes,
-                     write_svg)
-from .synthetic import synthetic_vilmann
-from .tps import tps_fit
-from .trend import trend_fit, trend_residual_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -162,12 +156,11 @@ def _load_config(path: str | None) -> dict:
         raise InputError(f"config {path!r} is not UTF-8 text (byte {exc.start})")
     if not isinstance(doc, dict):
         raise InputError(f"config {path!r} must hold a JSON object of flag values")
-    config = {key.replace("-", "_"): value for key, value in doc.items()}
     for key in doc:
-        if key.replace("-", "_") not in OPTIONS:
+        if key not in OPTIONS:
             raise InputError(f"config {path!r}: unknown key {key!r}; a config file sets "
                              f"only {', '.join(OPTIONS)}")
-    return config
+    return doc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -261,6 +254,7 @@ def cmd_twopoint(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    from .render import outline_panel, tile_scenes, write_svg
     dataset = read_landmarks(args.input)
     sample = dataset.sample
     template_tag, target_tag = _parse_targets(_option(args, "targets"), sample)
@@ -280,6 +274,8 @@ def cmd_survey(args) -> int:
 
 
 def cmd_rotations(args) -> int:
+    from .gridlab import filter_rotations, segment_rotations
+    from .render import network_scene, write_svg
     dataset = read_landmarks(args.input)
     sample = dataset.sample
     template_tag, target_tag = _parse_targets(_option(args, "targets"), sample)
@@ -318,6 +314,11 @@ def cmd_rotations(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .gridlab import (convex_hull_polygon, deform_grid, extend_grid, landmark_cycle_polygon,
+                          make_grid, trim_grid)
+    from .render import grid_scene, tile_scenes, write_svg
+    from .tps import tps_fit
+    from .trend import trend_fit, trend_residual_report
     dataset = read_landmarks(args.input)
     sample = dataset.sample
     degree = _option(args, "degree")
@@ -394,6 +395,10 @@ def cmd_fit(args) -> int:
 
 
 def _demo_prototype(kind: str, outdir: str) -> None:
+    from .gridlab import deform_grid, make_grid
+    from .maps import prototype_pair
+    from .render import grid_scene, tile_scenes, write_svg
+    from .tps import tps_fit
     template, target = prototype_pair(kind)
     dataset = Dataset(Sample((template, target),
                              groups={template.name: "template", target.name: "target"}),
@@ -424,6 +429,10 @@ def _demo_kite_maps(outdir: str) -> None:
     The spline bends the horizontal midline, the projective map keeps it
     straight, and the bilinear map bends it into a parabolic arc.
     """
+    from .gridlab import deform_grid, landmark_cycle_polygon, make_grid, trim_grid
+    from .maps import BilinearMap, Quad, homography_from_quads, prototype_pair
+    from .render import Polyline, grid_scene, tile_scenes, write_svg
+    from .tps import tps_fit
     template, target = prototype_pair("kite")
     source = Quad(template.coords)
     destination = Quad(target.coords)
@@ -456,6 +465,7 @@ def _demo_kite_maps(outdir: str) -> None:
 def cmd_demo(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     if args.kind == "synthetic-vilmann":
+        from .synthetic import synthetic_vilmann
         dataset = Dataset(synthetic_vilmann(), provenance=("demo:synthetic-vilmann",))
         path = os.path.join(args.outdir, "demo_synthetic_vilmann.json")
         _write_text(path, write_dataset(dataset))

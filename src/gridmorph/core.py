@@ -23,6 +23,15 @@ UNIT_TWO_POINT = "two-point"
 UNIT_PROCRUSTES = "procrustes"
 _UNITS = (UNIT_RAW, UNIT_TWO_POINT, UNIT_PROCRUSTES)
 
+# Grid and prototype defaults, here so the command line's option table needs no
+# drawing module; gridlab and maps re-export them.
+DEFAULT_CELLS = 24
+DEFAULT_SAMPLES_PER_EDGE = 10
+# Most samples one grid may hold (its preimage and image alone take 32 B a sample):
+# an oversized --cells/--samples request is an InputError, not an out-of-memory kill.
+MAX_GRID_SAMPLES = 2 ** 22
+PROTOTYPE_KINDS = ("parallelogram", "rotated_parallelogram", "trapezoid", "kite")
+
 
 def default_labels(k: int) -> tuple[str, ...]:
     """Placeholder landmark labels L1..Lk."""

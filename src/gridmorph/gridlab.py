@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (LandmarkConfiguration, Segment, as_coords, enumerate_segments,
+from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES,
+                   LandmarkConfiguration, Segment, as_coords, enumerate_segments,
                    require_homologous)
 from .errors import (
     DegenerateConfigurationError,
@@ -28,12 +29,7 @@ from .errors import (
     ZeroLengthSegmentError,
 )
 
-DEFAULT_CELLS = 24
-DEFAULT_SAMPLES_PER_EDGE = 10
 BOUNDARY_TOL = 1e-12
-# Most samples one grid may hold (its preimage and image alone take 32 B a sample):
-# an oversized --cells/--samples request is an InputError, not an out-of-memory kill.
-MAX_GRID_SAMPLES = 2 ** 22
 ROTATION_CONVENTION = "counterclockwise-positive"
 
 
@@ -138,15 +134,10 @@ def extend_grid(spec: GridSpec, direction: str, multiples: float) -> GridSpec:
         amount = cells_added * h  # snap to the lattice
     if cells_added == 0:
         return spec
-    rng = list(spec.x_range if axis == 0 else spec.y_range)
+    window, count = ("x_range", "nx") if axis == 0 else ("y_range", "ny")
+    rng = list(getattr(spec, window))
     rng[0 if sign < 0 else 1] += sign * amount
-    new_ranges = {
-        "x_range": tuple(rng) if axis == 0 else spec.x_range,
-        "y_range": tuple(rng) if axis == 1 else spec.y_range,
-    }
-    return replace(spec, **new_ranges,
-                   nx=spec.nx + (cells_added if axis == 0 else 0),
-                   ny=spec.ny + (cells_added if axis == 1 else 0))
+    return replace(spec, **{window: tuple(rng), count: getattr(spec, count) + cells_added})
 
 
 @dataclass(frozen=True, eq=False)
@@ -391,8 +382,6 @@ def filter_rotations(report: SegmentRotationReport, threshold: float) -> list[Se
     """Segments whose |rotation| meets the threshold, largest magnitude first."""
     if threshold < 0.0:
         raise InputError(f"threshold must be non-negative, got {threshold}")
-    picked = [(abs(float(report.rotations[idx])), seg)
-              for idx, seg in enumerate(report.segments)
-              if abs(float(report.rotations[idx])) >= threshold]
-    picked.sort(key=lambda item: (-item[0], item[1]))
-    return [seg for _, seg in picked]
+    size = dict(zip(report.segments, np.abs(report.rotations).tolist()))
+    return sorted((seg for seg in report.segments if size[seg] >= threshold),
+                  key=lambda seg: (-size[seg], seg))

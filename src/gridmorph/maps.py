@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LandmarkConfiguration
+from .core import PROTOTYPE_KINDS, LandmarkConfiguration
 from .errors import (
     DegenerateQuadError,
     InputError,
@@ -30,7 +30,6 @@ from .errors import (
 )
 
 PROTOTYPE_PARAMETER = 0.25
-PROTOTYPE_KINDS = ("parallelogram", "rotated_parallelogram", "trapezoid", "kite")
 
 _UV_TOL = 1e-9
 
@@ -212,6 +211,7 @@ class Homography:
 
     def map_points(self, points) -> np.ndarray:
         """Vectorized evaluation; rows on the vanishing line come back NaN."""
+        shape = np.shape(points)
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         m = self.matrix
         w = pts @ m[2, :2] + m[2, 2]
@@ -219,7 +219,6 @@ class Homography:
         out = np.full_like(num, np.nan)
         ok = np.abs(w) > 1e-12
         out[ok] = num[ok] / w[ok, None]
-        shape = np.asarray(points, dtype=float).shape
         return out.reshape(shape)
 
 
@@ -239,14 +238,11 @@ def homography_from_quads(src: Quad, dst: Quad) -> Homography:
                 raise DegenerateQuadError(
                     f"{name} quad has three collinear corners (omit corner {drop})")
     a = np.zeros((8, 8))
-    b = np.zeros(8)
     for i, ((x, y), (xp, yp)) in enumerate(zip(src.corners, dst.corners)):
         a[2 * i] = [x, y, 1, 0, 0, 0, -xp * x, -xp * y]
         a[2 * i + 1] = [0, 0, 0, x, y, 1, -yp * x, -yp * y]
-        b[2 * i] = xp
-        b[2 * i + 1] = yp
     try:
-        h = np.linalg.solve(a, b)
+        h = np.linalg.solve(a, dst.corners.ravel())  # right-hand side x'0, y'0, x'1, ...
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"homography system is singular: {exc}") from exc
     return Homography(np.append(h, 1.0).reshape(3, 3))
@@ -265,11 +261,8 @@ def prototype_pair(kind: str) -> tuple[LandmarkConfiguration, LandmarkConfigurat
     fixed at 0.25 so the figures are reproducible.
     """
     s = PROTOTYPE_PARAMETER
-    if kind == "parallelogram":
-        square = _SQUARE_AXIS
-        moved = np.column_stack([square[:, 0] + s * square[:, 1], square[:, 1]])
-    elif kind == "rotated_parallelogram":
-        square = _SQUARE_DIAMOND
+    if kind in ("parallelogram", "rotated_parallelogram"):
+        square = _SQUARE_AXIS if kind == "parallelogram" else _SQUARE_DIAMOND
         moved = np.column_stack([square[:, 0] + s * square[:, 1], square[:, 1]])
     elif kind == "trapezoid":
         square = _SQUARE_AXIS

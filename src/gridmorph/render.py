@@ -13,7 +13,6 @@ flip, so shapes are never distorted anisotropically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -94,17 +93,19 @@ def _fmt_points(pts: np.ndarray) -> str:
     return " ".join(["%.6g,%.6g"] * len(pts)) % tuple((pts + 0.0).ravel().tolist())
 
 
+def _escape(text: str) -> str:
+    """Text content escaped as xml.sax.saxutils.escape does, without importing xml."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _content_bounds(layers) -> np.ndarray | None:
     chunks = []
     for layer in layers:
-        if isinstance(layer, Polyline):
+        if isinstance(layer, (Polyline, SegmentNetwork)):
             chunks.append(np.asarray(layer.points, dtype=float).reshape(-1, 2))
-        elif isinstance(layer, Marker):
-            chunks.append(np.asarray(layer.center, dtype=float).reshape(1, 2))
-        elif isinstance(layer, Label):
-            chunks.append(np.asarray(layer.anchor, dtype=float).reshape(1, 2))
-        elif isinstance(layer, SegmentNetwork):
-            chunks.append(np.asarray(layer.points, dtype=float).reshape(-1, 2))
+        elif isinstance(layer, (Marker, Label)):
+            point = layer.center if isinstance(layer, Marker) else layer.anchor
+            chunks.append(np.asarray(point, dtype=float).reshape(1, 2))
     if not chunks:
         return None
     pts = np.vstack(chunks)
@@ -143,9 +144,7 @@ def _scene_viewport(scene: Scene):
     if bounds is None:
         return None
     (x0, y0), (x1, y1) = bounds
-    w = max(x1 - x0, 1e-9)
-    h = max(y1 - y0, 1e-9)
-    pad = 0.05 * max(w, h)
+    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
     return (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
 
 
@@ -192,7 +191,7 @@ def _emit_layers(scene: Scene, rect, out: list[str]):
         elif isinstance(layer, Label):
             (x, y), = tf.apply(layer.anchor)
             out.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
-                       f'font-size="{_fmt(style.font_size)}">{escape(layer.text)}</text>')
+                       f'font-size="{_fmt(style.font_size)}">{_escape(layer.text)}</text>')
         elif isinstance(layer, SegmentNetwork):
             pts = tf.apply(layer.points)
             width = style.heavy_width if layer.heavy else style.light_width
@@ -250,14 +249,10 @@ def network_scene(template, target, segments: tuple[Segment, ...], *,
     The template network is light with open markers, the target heavy with
     filled markers, so the eye can track each segment's rotation.
     """
-    layers: list = [
-        SegmentNetwork(template.coords, tuple(segments), heavy=False),
-        SegmentNetwork(target.coords, tuple(segments), heavy=True),
-    ]
-    for row in template.coords:
-        layers.append(Marker(np.asarray(row), filled=False))
-    for row in target.coords:
-        layers.append(Marker(np.asarray(row), filled=True))
+    layers = [SegmentNetwork(template.coords, tuple(segments), heavy=False),
+              SegmentNetwork(target.coords, tuple(segments), heavy=True),
+              *(Marker(row, filled=False) for row in template.coords),
+              *(Marker(row, filled=True) for row in target.coords)]
     return Scene(size=size, viewport=viewport, layers=tuple(layers),
                  landmark_count=len(template))
 
@@ -265,15 +260,11 @@ def network_scene(template, target, segments: tuple[Segment, ...], *,
 def outline_panel(template, target, baseline: tuple[int, int], title: str, *,
                   viewport=None, size: tuple[float, float] = (240.0, 240.0)) -> Scene:
     """One survey panel: template and target outlines with the baseline ringed."""
-    layers: list = [
-        Polyline(template.coords, heavy=False, closed=True),
-        Polyline(target.coords, heavy=True, closed=True),
-    ]
-    ring = set(baseline)
-    for idx, row in enumerate(template.coords):
-        layers.append(Marker(np.asarray(row), filled=False, baseline=idx in ring))
-    for idx, row in enumerate(target.coords):
-        layers.append(Marker(np.asarray(row), filled=True, baseline=idx in ring))
+    layers = [Polyline(template.coords, heavy=False, closed=True),
+              Polyline(target.coords, heavy=True, closed=True)]
+    for config, filled in ((template, False), (target, True)):
+        layers += [Marker(row, filled=filled, baseline=idx in baseline)
+                   for idx, row in enumerate(config.coords)]
     layers.append(Label(_title_anchor(viewport, template, target), title))
     return Scene(size=size, viewport=viewport, layers=tuple(layers),
                  landmark_count=len(template))

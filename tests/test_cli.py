@@ -415,13 +415,15 @@ def test_explicit_flag_beats_config(tmp_path, capsys):
 
 
 def test_config_with_dashed_keys(tmp_path, capsys):
+    # a config key is an option name as written: no dash-to-underscore spelling
     path = write_vilmann(tmp_path)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"baseline": "3,8", "degree": 2}), encoding="utf-8")
+    cfg.write_text(json.dumps({"baseline": "3,8", "degree": 2, "samples-per-edge": 3}),
+                   encoding="utf-8")
     outdir = tmp_path / "out"
-    assert main(["fit", path, "--config", str(cfg), "--outdir", str(outdir)]) == 0
-    assert (outdir / "fit_3-8.svg").is_file()
-    capsys.readouterr()
+    assert main(["fit", path, "--config", str(cfg), "--outdir", str(outdir)]) == 2
+    assert "unknown key 'samples-per-edge'" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_config_must_be_object(tmp_path, capsys):
