@@ -29,8 +29,8 @@ import numpy as np
 
 # Only what ingest, average and twopoint run is imported here; the commands that
 # draw import gridlab, maps, render, tps, trend and synthetic when they run.
-from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, PROTOTYPE_KINDS,
-                   LandmarkConfiguration, Sample, enumerate_segments)
+from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MAX_MARGIN,
+                   PROTOTYPE_KINDS, LandmarkConfiguration, Sample, enumerate_segments)
 from .errors import InputError, NumericalError
 from .formats import Dataset, read_landmarks, write_dataset
 from .registration import (Baseline, gpa_mean, procrustes_align, remove_affine,
@@ -125,8 +125,8 @@ OPTIONS = {
     "extend": (_extends, (), "extend the grid by SIDE:MULT, e.g. left:2.0 (repeatable)"),
     # more cells than the sample budget can never fit
     "cells": (_number(int, 1, MAX_GRID_SAMPLES), DEFAULT_CELLS, "grid cells on the longer side"),
-    # past 100 the data is a speck, and far enough out the maps overflow to no grid at all
-    "margin": (_number(float, 0.0, 100.0), 0.25, "grid margin as a fraction of the bounding box"),
+    "margin": (_number(float, 0.0, MAX_MARGIN), 0.25,
+               "grid margin as a fraction of the bounding box"),
     "samples": (_number(int, 2), DEFAULT_SAMPLES_PER_EDGE, "samples per cell edge"),
 }
 
@@ -198,15 +198,12 @@ def _group_mean(sample: Sample, tag: str, procrustes: bool) -> LandmarkConfigura
                                  group.units[0])
 
 
-def _bounds_viewport(points: np.ndarray) -> tuple[float, float, float, float]:
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    pts = pts[np.isfinite(pts).all(axis=1)]
-    if len(pts) == 0:
+def _bounds_viewport(chunks) -> tuple[float, float, float, float]:
+    from .render import padded_bounds
+    viewport = padded_bounds(chunks)
+    if viewport is None:
         raise NumericalError("no finite points to frame a viewport around")
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    pad = 0.05 * max(float((hi - lo).max()), 1e-9)
-    return (float(lo[0]) - pad, float(lo[1]) - pad, float(hi[0]) + pad, float(hi[1]) + pad)
+    return viewport
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +225,9 @@ def cmd_average(args) -> int:
     if group is not None:
         _require_group(sample, group)
     tags = [group] if group is not None else (sample.group_tags or [None])
-    means = []
-    groups: dict[str, str] = {}
-    for tag in tags:
-        if tag is None:
-            mean = gpa_mean(sample, name="mean")
-        else:
-            mean = _group_mean(sample, tag, procrustes=True)
-            groups[mean.name] = tag
-        means.append(mean)
+    means = [gpa_mean(sample, name="mean") if tag is None
+             else _group_mean(sample, tag, procrustes=True) for tag in tags]
+    groups = {mean.name: tag for mean, tag in zip(means, tags) if tag is not None}
     out = Dataset(Sample(tuple(means), groups), provenance=dataset.provenance)
     _write_text(args.output, write_dataset(out))
     print(f"wrote {len(means)} Procrustes mean(s) -> {args.output}", file=sys.stderr)
@@ -349,10 +340,9 @@ def cmd_fit(args) -> int:
                else landmark_cycle_polygon(outline_config))
     grid_trimmed = trim_grid(grid_trend, polygon, space=space)
 
-    viewport = _bounds_viewport(np.vstack([
-        grid_observed.image[grid_observed.kept], grid_fitted.image[grid_fitted.kept],
-        grid_trend.image[grid_trend.kept], target.coords, trend.fitted,
-    ]))
+    # untrimmed grids keep exactly their finite rows, which is all the viewport reads
+    viewport = _bounds_viewport([grid_observed.image, grid_fitted.image, grid_trend.image,
+                                 target.coords, trend.fitted])
     k = sample.landmark_count
     ring = (baseline.start, baseline.end)
     # (grid, solid points, open points) of the upper left, upper right, lower left, lower right
@@ -368,17 +358,14 @@ def cmd_fit(args) -> int:
     write_svg(figure, svg_path)
 
     report = trend_residual_report(trend)
-    rows = ["label,dx,dy,magnitude"]
-    for label, residual, magnitude in report.rows():
-        rows.append(f"{label},{residual[0]:.12g},{residual[1]:.12g},{magnitude:.12g}")
     residuals_path = os.path.join(args.outdir, f"fit_{tag}_residuals.csv")
-    _write_text(residuals_path, "\n".join(rows) + "\n")
-
-    rows = ["term,x_coefficient,y_coefficient"]
-    for term, (cx, cy) in zip(trend.term_names, trend.coefficients):
-        rows.append(f"{term},{cx:.17g},{cy:.17g}")
+    _write_text(residuals_path, "\n".join(["label,dx,dy,magnitude"] + [
+        f"{label},{dx:.12g},{dy:.12g},{magnitude:.12g}"
+        for label, (dx, dy), magnitude in report.rows()]) + "\n")
     coefficients_path = os.path.join(args.outdir, f"fit_{tag}_coefficients.csv")
-    _write_text(coefficients_path, "\n".join(rows) + "\n")
+    _write_text(coefficients_path, "\n".join(["term,x_coefficient,y_coefficient"] + [
+        f"{term},{cx:.17g},{cy:.17g}"
+        for term, (cx, cy) in zip(trend.term_names, trend.coefficients)]) + "\n")
 
     print(f"fit: degree {degree} trend, baseline {baseline.start + 1},{baseline.end + 1}, "
           f"template {template_tag}, target {target_tag}, {k} landmarks")
@@ -394,10 +381,21 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _write_grid_panels(grids, points, path: str, extra_layers=None) -> None:
+    """One 360-pixel panel per grid, with its landmarks, side by side on a shared viewport."""
+    from .render import grid_scene, tile_scenes, write_svg
+    viewport = _bounds_viewport([g.image[g.kept] for g in grids] + list(points))
+    panels = [grid_scene(grid, solid_points=pts, viewport=viewport, size=(360.0, 360.0),
+                         landmark_count=len(pts)) for grid, pts in zip(grids, points)]
+    if extra_layers is not None:
+        panels = [dataclasses.replace(scene, layers=scene.layers + (layer,))
+                  for scene, layer in zip(panels, extra_layers)]
+    write_svg(tile_scenes(panels, columns=len(panels), panel_size=360.0), path)
+
+
 def _demo_prototype(kind: str, outdir: str) -> None:
     from .gridlab import deform_grid, make_grid
     from .maps import prototype_pair
-    from .render import grid_scene, tile_scenes, write_svg
     from .tps import tps_fit
     template, target = prototype_pair(kind)
     dataset = Dataset(Sample((template, target),
@@ -406,20 +404,10 @@ def _demo_prototype(kind: str, outdir: str) -> None:
     json_path = os.path.join(outdir, f"demo_{kind}.json")
     _write_text(json_path, write_dataset(dataset))
 
-    model = tps_fit(template, target)
     spec = make_grid(template, margin=0.25, cells=8, samples_per_edge=10)
-    grid_flat = deform_grid(spec, lambda pts: pts)
-    grid_warp = deform_grid(spec, model)
-    viewport = _bounds_viewport(np.vstack([
-        grid_flat.image[grid_flat.kept], grid_warp.image[grid_warp.kept],
-        template.coords, target.coords,
-    ]))
-    left = grid_scene(grid_flat, solid_points=template.coords, viewport=viewport,
-                      size=(360.0, 360.0), landmark_count=len(template))
-    right = grid_scene(grid_warp, solid_points=target.coords, viewport=viewport,
-                       size=(360.0, 360.0), landmark_count=len(target))
+    grids = [deform_grid(spec, lambda pts: pts), deform_grid(spec, tps_fit(template, target))]
     svg_path = os.path.join(outdir, f"demo_{kind}.svg")
-    write_svg(tile_scenes([left, right], columns=2, panel_size=360.0), svg_path)
+    _write_grid_panels(grids, [template.coords, target.coords], svg_path)
     print(f"prototype {kind} -> {json_path}, {svg_path}", file=sys.stderr)
 
 
@@ -431,7 +419,7 @@ def _demo_kite_maps(outdir: str) -> None:
     """
     from .gridlab import deform_grid, landmark_cycle_polygon, make_grid, trim_grid
     from .maps import BilinearMap, Quad, homography_from_quads, prototype_pair
-    from .render import Polyline, grid_scene, tile_scenes, write_svg
+    from .render import Polyline
     from .tps import tps_fit
     template, target = prototype_pair("kite")
     source = Quad(template.coords)
@@ -447,17 +435,10 @@ def _demo_kite_maps(outdir: str) -> None:
     chord = (1.0 - steps) * template.coords[1] + steps * template.coords[3]
 
     grids = [trim_grid(deform_grid(spec, m), polygon, space="template") for m in mappers]
-    images = [m(chord) for m in mappers]
-    viewport = _bounds_viewport(np.vstack(
-        [g.image[g.kept] for g in grids] + [target.coords]))
-    panels = []
-    for grid, mid in zip(grids, images):
-        scene = grid_scene(grid, solid_points=target.coords, viewport=viewport,
-                           size=(360.0, 360.0), landmark_count=len(target))
-        midline = Polyline(mid[np.isfinite(mid).all(axis=1)], heavy=True, dashed=True)
-        panels.append(dataclasses.replace(scene, layers=scene.layers + (midline,)))
+    midlines = [Polyline(mid[np.isfinite(mid).all(axis=1)], heavy=True, dashed=True)
+                for mid in (m(chord) for m in mappers)]
     svg_path = os.path.join(outdir, "demo_kite_maps.svg")
-    write_svg(tile_scenes(panels, columns=3, panel_size=360.0), svg_path)
+    _write_grid_panels(grids, [target.coords] * len(grids), svg_path, midlines)
     print(f"kite midline comparison (spline, projective, bilinear) -> {svg_path}",
           file=sys.stderr)
 

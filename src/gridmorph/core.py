@@ -30,12 +30,21 @@ DEFAULT_SAMPLES_PER_EDGE = 10
 # Most samples one grid may hold (its preimage and image alone take 32 B a sample):
 # an oversized --cells/--samples request is an InputError, not an out-of-memory kill.
 MAX_GRID_SAMPLES = 2 ** 22
+MAX_MARGIN = 100.0  # largest grid margin per bounding box: far out, the fitted maps overflow
 PROTOTYPE_KINDS = ("parallelogram", "rotated_parallelogram", "trapezoid", "kite")
 
 
 def default_labels(k: int) -> tuple[str, ...]:
     """Placeholder landmark labels L1..Lk."""
     return tuple(f"L{i}" for i in range(1, k + 1))
+
+
+def freeze_arrays(obj, *names: str, dtype=float) -> None:
+    """Set each named field of a frozen dataclass instance to a read-only array of it."""
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=dtype)
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -19,9 +19,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES,
+from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MAX_MARGIN,
                    LandmarkConfiguration, Segment, as_coords, enumerate_segments,
-                   require_homologous)
+                   freeze_arrays, require_homologous)
 from .errors import (
     DegenerateConfigurationError,
     DegeneratePolygonError,
@@ -87,13 +87,14 @@ def make_grid(template, margin: float = 0.0, cells: int = DEFAULT_CELLS,
     widened symmetrically to hold a whole number of cells.
     """
     coords = as_coords(template)
-    lo = coords.min(axis=0)
-    hi = coords.max(axis=0)
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
     w = hi - lo
     if w[0] <= 0.0 or w[1] <= 0.0:
         raise DegenerateConfigurationError("bounding box has zero area; cannot build a grid")
     if cells < 1:
         raise InputError("cells must be at least 1")
+    if not (math.isfinite(margin) and margin <= MAX_MARGIN):
+        raise InputError(f"margin must be finite and at most {MAX_MARGIN:g}, got {margin!r}")
     with np.errstate(over="ignore"):  # GridSpec refuses a window that overflowed
         lo = lo - margin * w
         hi = hi + margin * w
@@ -155,10 +156,7 @@ class DeformedGrid:
     kept: np.ndarray      # (n,) bool
 
     def __post_init__(self):
-        for attr in ("preimage", "image", "kept"):
-            arr = np.asarray(getattr(self, attr))
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
+        freeze_arrays(self, "preimage", "image", "kept", dtype=None)
 
     def families(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(lines, samples, 2) image and (lines, samples) kept views, vertical then horizontal."""
@@ -327,17 +325,14 @@ class SegmentRotationReport:
     convention: str = ROTATION_CONVENTION
 
     def __post_init__(self):
-        for attr in ("rotations", "ratios", "template_directions"):
-            arr = np.asarray(getattr(self, attr), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
+        freeze_arrays(self, "rotations", "ratios", "template_directions")
 
     def rows(self):
         """Yield (segment, label pair, rotation, ratio, template direction)."""
-        for idx, seg in enumerate(self.segments):
-            yield (seg, (self.labels[seg.i], self.labels[seg.j]),
-                   float(self.rotations[idx]), float(self.ratios[idx]),
-                   float(self.template_directions[idx]))
+        for seg, rot, ratio, direction in zip(self.segments, self.rotations.tolist(),
+                                              self.ratios.tolist(),
+                                              self.template_directions.tolist()):
+            yield seg, (self.labels[seg.i], self.labels[seg.j]), rot, ratio, direction
 
 
 def segment_rotations(template: LandmarkConfiguration,

@@ -52,14 +52,12 @@ class AffineMap2:
     translation: np.ndarray  # (2,)
 
     def __post_init__(self):
-        linear = np.asarray(self.linear, dtype=float).reshape(2, 2)
-        translation = np.asarray(self.translation, dtype=float).reshape(2)
-        if not (np.all(np.isfinite(linear)) and np.all(np.isfinite(translation))):
-            raise InputError("affine map entries must be finite")
-        linear.flags.writeable = False
-        translation.flags.writeable = False
-        object.__setattr__(self, "linear", linear)
-        object.__setattr__(self, "translation", translation)
+        for attr, shape in (("linear", (2, 2)), ("translation", (2,))):
+            arr = np.asarray(getattr(self, attr), dtype=float).reshape(shape)
+            if not np.all(np.isfinite(arr)):
+                raise InputError("affine map entries must be finite")
+            arr.flags.writeable = False
+            object.__setattr__(self, attr, arr)
 
     @classmethod
     def identity(cls) -> "AffineMap2":

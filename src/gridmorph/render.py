@@ -88,9 +88,59 @@ def _fmt(value: float) -> str:
     return "%.6g" % v
 
 
-def _fmt_points(pts: np.ndarray) -> str:
-    """Points as "x,y x,y ...", each coordinate as _fmt prints it, in one % operation."""
-    return " ".join(["%.6g,%.6g"] * len(pts)) % tuple((pts + 0.0).ravel().tolist())
+PRINT_BLOCK = 2 ** 14  # polyline coordinates per _fmt_coords call: its arrays take ~130 B each
+_POW10 = 10.0 ** np.arange(11)  # exact in binary
+# 0-999 as ASCII in the low bytes of little-endian words, 1000 words a form: all three
+# digits (from 0); no leading zeros from byte 1 on, byte 0 left for a sign, 0 as nothing
+# (_LEAD); no leading zeros (_INT); no trailing zeros, 0 as nothing (_TRAIL)
+_LEAD, _INT, _TRAIL = 1000, 2000, 3000
+_DIGITS = np.frombuffer(b"".join(text.encode().ljust(4, b"\0") for text in [
+    *("%03d" % n for n in range(1000)), "", *("\0%d" % n for n in range(1, 1000)),
+    *("%d" % n for n in range(1000)), *(("%03d" % n).rstrip("0") for n in range(1000))]), "<u4")
+
+
+def _fmt_coords(values: np.ndarray, seps: np.ndarray) -> str:
+    """Each value as _fmt prints it, then its separator byte (0 for none), in whole-array passes.
+
+    Where %.6g prints fixed notation, its six digits are the value scaled by
+    the exact 10^(5-e) and rounded. The product is within 1.2e-10 of the
+    exact one, so its rounding is exact unless the fraction is within 1e-6
+    of a half. Those near-ties, zero, non-finite values and exponential
+    notation go to _fmt: exact digits or an exact fallback (Steele & White,
+    PLDI 1990). Each value owns 20 bytes of a canvas, zero bytes being
+    padding: sign, integer part and fraction in 3-digit groups, separator.
+    """
+    x = np.asarray(values, dtype=float)
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e6)  # false for nan and inf
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)).astype(np.int32), -4, 5)
+    s = a * _POW10[5 - e]
+    e += (s >= 1e6).view(np.int8) - (s < 1e5).view(np.int8)  # log10 can be one off
+    p = _POW10[5 - e]
+    s = a * p
+    m = np.rint(s)  # 10^6 where the rounding carries into the next power of ten
+    fast &= (np.abs(s - np.floor(s) - 0.5) >= 1e-6) & ((e < 5) | (m < 1e6))
+    i = np.floor(m / p)
+    f = ((m - i * p) * (1e9 / p)).astype(np.int32)  # the fraction's digits times 10^9
+    i = np.minimum(i.astype(np.int32), 999999)  # 10^6 only where fast is false
+    ihi, f1 = i // 1000, f // 1000000  # int32 division by a constant is far faster than %
+    ilo, f23 = i - ihi * 1000, f - f1 * 1000000
+    f2 = f23 // 1000
+    f3 = f23 - f2 * 1000
+    canvas = np.empty((len(x), 5), dtype="<u4")
+    canvas[:, 0] = _DIGITS[ihi + _LEAD]
+    canvas[:, 1] = _DIGITS[ilo + (ihi == 0) * _INT]
+    canvas[:, 2] = _DIGITS[f1 + (f23 == 0) * _TRAIL]
+    canvas[:, 3] = _DIGITS[f2 + (f3 == 0) * _TRAIL]
+    canvas[:, 4] = _DIGITS[f3 + _TRAIL]
+    text = canvas.view(np.uint8)  # free bytes 0, 7 and 19 take sign, point and separator
+    text[:, 0], text[:, 7], text[:, 19] = (x < 0) * ord("-"), (f > 0) * ord("."), seps
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        exact = b"".join(_fmt(v).encode().ljust(19, b"\0") for v in x[slow].tolist())
+        text[slow, :19] = np.frombuffer(exact, dtype=np.uint8).reshape(-1, 19)
+    return canvas.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _escape(text: str) -> str:
@@ -98,21 +148,19 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _content_bounds(layers) -> np.ndarray | None:
-    chunks = []
-    for layer in layers:
-        if isinstance(layer, (Polyline, SegmentNetwork)):
-            chunks.append(np.asarray(layer.points, dtype=float).reshape(-1, 2))
-        elif isinstance(layer, (Marker, Label)):
-            point = layer.center if isinstance(layer, Marker) else layer.anchor
-            chunks.append(np.asarray(point, dtype=float).reshape(1, 2))
-    if not chunks:
+def padded_bounds(chunks) -> tuple[float, float, float, float] | None:
+    """Bounding box of the finite rows of some (n, 2) arrays, read one at a time (never
+    stacked), padded by 5 percent of its longer side; None if no row is finite."""
+    lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
+    for chunk in chunks:
+        pts = np.asarray(chunk, dtype=float).reshape(-1, 2)
+        pts = pts[np.isfinite(pts).all(axis=1)]
+        if len(pts):
+            lo, hi = np.minimum(lo, pts.min(axis=0)), np.maximum(hi, pts.max(axis=0))
+    if lo[0] == np.inf:
         return None
-    pts = np.vstack(chunks)
-    pts = pts[np.isfinite(pts).all(axis=1)]
-    if len(pts) == 0:
-        return None
-    return np.array([pts.min(axis=0), pts.max(axis=0)])
+    pad = 0.05 * max(float((hi - lo).max()), 1e-9)
+    return (float(lo[0]) - pad, float(lo[1]) - pad, float(hi[0]) + pad, float(hi[1]) + pad)
 
 
 class _Transform:
@@ -126,8 +174,7 @@ class _Transform:
         self.scale = min(pw / (x1 - x0), ph / (y1 - y0))
         self.ox = px + (pw - (x1 - x0) * self.scale) / 2.0
         self.oy = py + (ph - (y1 - y0) * self.scale) / 2.0
-        self.x0 = x0
-        self.y1 = y1
+        self.x0, self.y1 = x0, y1
 
     def apply(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
@@ -140,15 +187,18 @@ class _Transform:
 def _scene_viewport(scene: Scene):
     if scene.viewport is not None:
         return scene.viewport
-    bounds = _content_bounds(scene.layers)
-    if bounds is None:
-        return None
-    (x0, y0), (x1, y1) = bounds
-    pad = 0.05 * max(x1 - x0, y1 - y0, 1e-9)
-    return (x0 - pad, y0 - pad, x1 + pad, y1 + pad)
+    chunks = []
+    for layer in scene.layers:
+        if isinstance(layer, (Polyline, SegmentNetwork)):
+            chunks.append(layer.points)
+        elif isinstance(layer, (Marker, Label)):
+            chunks.append(layer.center if isinstance(layer, Marker) else layer.anchor)
+    return padded_bounds(chunks)
 
 
-def _emit_layers(scene: Scene, rect, out: list[str]):
+def _emit_layers(scene: Scene, rect, out: list[str], polylines: list):
+    """Append the scene's SVG lines to out. A polyline's line is left open, and its
+    (slot in out, transform, points) goes to polylines for _print_polylines."""
     viewport = _scene_viewport(scene)
     tf = _Transform(viewport, rect) if viewport is not None else None
     style = scene.style
@@ -160,34 +210,30 @@ def _emit_layers(scene: Scene, rect, out: list[str]):
                 out.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(pw)}" '
                            f'height="{_fmt(ph)}" fill="none" stroke="black" '
                            f'stroke-width="{_fmt(style.light_width)}"/>')
-            _emit_layers(layer.scene, (px, py, pw, ph), out)
+            _emit_layers(layer.scene, (px, py, pw, ph), out, polylines)
             continue
         if tf is None:
             raise InputError("scene has drawable layers but no viewport could be derived")
         if isinstance(layer, Polyline):
-            pts = tf.apply(layer.points)
+            pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)
             if len(pts) < 2:
                 continue
             tag = "polygon" if layer.closed else "polyline"
             width = style.heavy_width if layer.heavy else style.light_width
             dash = ' stroke-dasharray="4 3"' if layer.dashed else ""
+            polylines.append((len(out), tf, pts))
             out.append(f'<{tag} fill="none" stroke="black" stroke-width="{_fmt(width)}"'
-                       f'{dash} points="{_fmt_points(pts)}"/>')
+                       f'{dash} points="')
         elif isinstance(layer, Marker):
             (cx, cy), = tf.apply(layer.center)
-            r = style.marker_radius
-            if layer.filled:
-                out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-                           f'fill="black" stroke="none"/>')
-            else:
-                out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" '
-                           f'fill="white" stroke="black" '
-                           f'stroke-width="{_fmt(style.light_width)}"/>')
+            stroke = f'stroke="black" stroke-width="{_fmt(style.light_width)}"'
+            circles = [(style.marker_radius, 'fill="black" stroke="none"' if layer.filled
+                        else f'fill="white" {stroke}')]
             if layer.baseline:
-                ring = r * style.baseline_ring_ratio
-                out.append(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(ring)}" '
-                           f'fill="none" stroke="black" '
-                           f'stroke-width="{_fmt(style.light_width)}"/>')
+                circles.append((style.marker_radius * style.baseline_ring_ratio,
+                                f'fill="none" {stroke}'))
+            out += [f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {paint}/>'
+                    for r, paint in circles]
         elif isinstance(layer, Label):
             (x, y), = tf.apply(layer.anchor)
             out.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
@@ -204,14 +250,41 @@ def _emit_layers(scene: Scene, rect, out: list[str]):
             raise InputError(f"unknown scene layer type {type(layer).__name__}")
 
 
+def _print_polylines(polylines: list, out: list[str]) -> None:
+    """Close each polyline's line in out with its points as _fmt prints them, "x,y x,y ...",
+    transformed and printed in order PRINT_BLOCK coordinates at a time (a polyline may span
+    blocks), so that no array holds the whole figure."""
+    pieces, closed, size, head = [], [], 0, ""
+    for index, (slot, tf, pts) in enumerate(polylines):
+        start = 0
+        while start < len(pts):
+            piece = pts[start:start + PRINT_BLOCK // 2 - size]
+            pieces.append(tf.apply(piece))
+            size, start = size + len(piece), start + len(piece)
+            if start == len(pts):
+                closed.append((slot, size))
+            if size < PRINT_BLOCK // 2 and index < len(polylines) - 1:
+                continue
+            seps = np.tile(np.frombuffer(b", ", dtype=np.uint8), size)
+            seps[[2 * end - 1 for _, end in closed]] = ord("\n")
+            *texts, rest = _fmt_coords(np.concatenate(pieces).ravel(), seps).split("\n")
+            for (done, _), text in zip(closed, texts):
+                out[done] = "".join((out[done], head, text, '"/>'))
+                head = ""
+            head += rest
+            pieces, closed, size = [], [], 0
+
+
 def render_scene(scene: Scene) -> str:
     """Serialize a scene to SVG 1.1 text. Same scene in, same bytes out."""
     w, h = scene.size
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
            f'width="{_fmt(w)}" height="{_fmt(h)}" viewBox="0 0 {_fmt(w)} {_fmt(h)}">']
-    _emit_layers(scene, (0.0, 0.0, float(w), float(h)), out)
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    polylines = []
+    _emit_layers(scene, (0.0, 0.0, float(w), float(h)), out, polylines)
+    _print_polylines(polylines, out)
+    out.append("</svg>\n")  # joined once: the SVG is never copied to add its last newline
+    return "\n".join(out)
 
 
 def write_svg(scene: Scene, path) -> None:
@@ -232,12 +305,9 @@ def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
     layers: list = [Polyline(run, heavy=heavy_grid)
                     for image, kept in grid.families() for run in kept_runs(image, kept)]
     ring = set(baseline) if baseline is not None else set()
-    for pts, filled in ((solid_points, True), (open_points, False)):
-        if pts is None:
-            continue
-        arr = np.asarray(pts, dtype=float).reshape(-1, 2)
-        for idx, row in enumerate(arr):
-            layers.append(Marker(row, filled=filled, baseline=idx in ring))
+    layers += [Marker(row, filled=filled, baseline=idx in ring)
+               for pts, filled in ((solid_points, True), (open_points, False)) if pts is not None
+               for idx, row in enumerate(np.asarray(pts, dtype=float).reshape(-1, 2))]
     return Scene(size=size, viewport=viewport, layers=tuple(layers),
                  landmark_count=landmark_count)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LandmarkConfiguration, require_homologous
+from .core import LandmarkConfiguration, freeze_arrays, require_homologous
 from .errors import (
     CoincidentLandmarksError,
     CollinearTemplateError,
@@ -56,10 +56,7 @@ class TpsModel:
     energy: tuple[float, float]
 
     def __post_init__(self):
-        for attr in ("template_points", "weights", "affine"):
-            arr = np.asarray(getattr(self, attr), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
+        freeze_arrays(self, "template_points", "weights", "affine")
 
     def __call__(self, points) -> np.ndarray:
         return tps_eval(self, points)

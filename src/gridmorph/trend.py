@@ -21,20 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LandmarkConfiguration, require_homologous
+from .core import LandmarkConfiguration, freeze_arrays, require_homologous
 from .errors import InputError, InsufficientLandmarksError, RankDeficiencyError
 
-BASIS_POWERS: dict[int, tuple[tuple[int, int], ...]] = {
-    1: ((0, 0), (1, 0), (0, 1)),
-    2: ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1)),
-    3: ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (3, 0), (0, 3), (2, 1), (1, 2)),
-}
-
-TERM_NAMES: dict[int, tuple[str, ...]] = {
-    1: ("1", "x", "y"),
-    2: ("1", "x", "y", "x^2", "y^2", "xy"),
-    3: ("1", "x", "y", "x^2", "y^2", "xy", "x^3", "y^3", "x^2y", "xy^2"),
-}
+# each degree's basis extends the one below it
+_POWERS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (3, 0), (0, 3), (2, 1), (1, 2))
+_TERMS = ("1", "x", "y", "x^2", "y^2", "xy", "x^3", "y^3", "x^2y", "xy^2")
+BASIS_POWERS = {degree: _POWERS[:size] for degree, size in ((1, 3), (2, 6), (3, 10))}
+TERM_NAMES = {degree: _TERMS[:len(powers)] for degree, powers in BASIS_POWERS.items()}
 
 
 def basis_size(degree: int) -> int:
@@ -68,10 +62,7 @@ class PolynomialTrend:
     condition: float
 
     def __post_init__(self):
-        for attr in ("coefficients", "fitted", "residuals"):
-            arr = np.asarray(getattr(self, attr), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
+        freeze_arrays(self, "coefficients", "fitted", "residuals")
 
     @property
     def saturated(self) -> bool:

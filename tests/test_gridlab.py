@@ -106,8 +106,23 @@ def test_oversized_window_is_input_error():
     # the margin overflows the window; no RuntimeWarning escapes on the way
     with pytest.raises(InputError, match="must be finite"):
         make_grid(unit_square, margin=1e308, cells=2)
+    with pytest.raises(InputError, match="grid window and cells must be finite"):
+        make_grid(config(unit_square.coords * 1e306), margin=100.0, cells=2)
     with pytest.raises(InputError, match="overflows its window"):
         extend_grid(make_grid(unit_square, margin=0.0, cells=2), "left", 1e308)
+
+
+@pytest.mark.parametrize("margin", [np.inf, -np.inf, np.nan, 100.5, 1e160])
+def test_make_grid_refuses_huge_margin(margin):
+    # 1e160 used to pass here and overflow the spline in deform_grid
+    with pytest.raises(InputError, match="margin must be finite and at most 100"):
+        make_grid(unit_square, margin=margin, cells=2)
+
+
+def test_largest_margin_deforms_without_overflow():
+    template, target = prototype_pair("kite")
+    grid = deform_grid(make_grid(template, margin=100.0, cells=4), tps_fit(template, target))
+    assert grid.kept.all()
 
 
 def test_extend_preserves_cell_size_with_snapping():
@@ -495,6 +510,18 @@ def test_rotations_two_block_matches_direct_arithmetic():
         want = np.arctan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
         assert rotation == pytest.approx(want, abs=1e-12)
         assert ratio == pytest.approx(np.linalg.norm(v) / np.linalg.norm(u), rel=1e-12)
+
+
+def test_rotation_rows_equal_the_arrays():
+    template, target = two_block_pair()
+    report = segment_rotations(config(template, "a"), config(target, "b"))
+    segments, pairs, rotations, ratios, directions = zip(*report.rows())
+    assert segments == report.segments
+    assert pairs == tuple((report.labels[s.i], report.labels[s.j]) for s in report.segments)
+    assert list(rotations) == report.rotations.tolist()
+    assert list(ratios) == report.ratios.tolist()
+    assert list(directions) == report.template_directions.tolist()
+    assert {type(v) for v in rotations + ratios + directions} == {float}
 
 
 def test_rotations_two_block_filter_selects_within_block():

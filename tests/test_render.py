@@ -11,8 +11,9 @@ from gridmorph import (Baseline, InputError, Segment, deform_grid, default_label
                        network_scene, outline_panel, render_scene, tile_scenes,
                        two_point_register, vilmann_target, vilmann_template,
                        write_svg)
+from gridmorph import render
 from gridmorph.core import LandmarkConfiguration
-from gridmorph.render import Label, Marker, Polyline, Scene, _fmt, _fmt_points
+from gridmorph.render import Label, Marker, Panel, Polyline, Scene, _fmt, _fmt_coords
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -98,13 +99,98 @@ def test_float_formatting():
     assert _fmt(1200000.0) == "1.2e+06"
 
 
+def fixed_notation_ties():
+    """(k + 0.5) 10^(e-5) at every exponent e that %.6g prints in fixed notation, and negated.
+
+    Per exponent: three nearest doubles of ties, one of which carries into the
+    next power of ten, and one tie that a double holds exactly.
+    """
+    values = []
+    for e in range(-4, 6):
+        step = 5 ** (5 - e)  # (2k + 1) / 2^(6-e) / 5^(5-e) is a double when step divides 2k + 1
+        exact = step * (-(-200001 // step) | 1)
+        values += [odd / (2 * 10 ** (5 - e)) for odd in (200001, 271829, 1999999, exact)]
+    return np.array(values + [-v for v in values]).reshape(-1, 2)
+
+
+def ulp_neighbours():
+    """1e-4, 1e5, 1e6, 1 and 10, each with its neighbouring doubles, and two carries."""
+    values = [np.nextafter(v, to) for v in (1e-4, 1e5, 1e6, 1.0, 10.0) for to in (0.0, v, np.inf)]
+    return np.array(values + [99999.95, 999999.5, -99999.95]).reshape(-1, 2)
+
+
+def pre_rounded(decimals):
+    return np.round(np.random.default_rng(decimals).uniform(-1000, 1000, (100, 2)), decimals)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(0, 12), st.just(2)), elements=st.floats()))
 @example(np.array([[0.0, -0.0], [5e-324, -2.5e-320], [1e300, -1e300], [-1e-07, -9.9999996e-08],
                    [np.nan, -np.nan], [np.inf, -np.inf]]))
+@example(fixed_notation_ties())
+@example(ulp_neighbours())
+@example(pre_rounded(2))
+@example(pre_rounded(6))
 def test_polyline_points_equal_per_coordinate_fmt(pts):
     want = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in pts)
-    assert _fmt_points(pts) == want
+    seps = np.tile(np.frombuffer(b", ", dtype=np.uint8), len(pts))
+    seps[-1:] = 0
+    assert _fmt_coords(pts.ravel(), seps) == want
+
+
+def test_fmt_coords_equals_fmt_across_scales():
+    rng = np.random.default_rng(3)
+    values = np.concatenate([rng.choice([-1.0, 1.0], 200_000) * 10 ** rng.uniform(-6, 7, 200_000),
+                             rng.uniform(0, 960, 50_000)])
+    seps = np.full(len(values), ord(" "), dtype=np.uint8)
+    assert _fmt_coords(values, seps) == "".join(_fmt(v) + " " for v in values.tolist())
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_fmt_coords_digits_do_not_depend_on_log10_rounding(monkeypatch, shift):
+    # an exponent that log10 puts one off is corrected against the exact powers of ten
+    values = np.concatenate([fixed_notation_ties().ravel(), ulp_neighbours().ravel(),
+                             pre_rounded(2).ravel(), [0.5, 1.5, 7.25, 42.0, 314.159, 5e5]])
+    seps = np.full(len(values), ord(" "), dtype=np.uint8)
+    want = "".join(_fmt(v) + " " for v in values.tolist())
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    assert _fmt_coords(values, seps) == want
+
+
+def percent_print_polylines(polylines, out):
+    """The per-polyline % path that _print_polylines replaced, kept as the oracle."""
+    for slot, tf, pts in polylines:
+        xy = tf.apply(pts) + 0.0
+        out[slot] += " ".join(["%.6g,%.6g"] * len(xy)) % tuple(xy.ravel().tolist()) + '"/>'
+
+
+def random_scene(rng, lengths, depth=0):
+    """Polylines of the given lengths among markers, some inside nested panels."""
+    layers = []
+    for n in lengths:
+        pts = rng.normal(size=(n, 2)) * 10 ** rng.uniform(-3, 4)
+        pts[rng.random(n) < 0.01] = np.nan
+        layers.append(Polyline(pts, heavy=bool(rng.integers(2)), closed=bool(rng.integers(2))))
+        if rng.random() < 0.3:
+            layers.append(Marker(rng.normal(size=2)))
+        if depth < 2 and rng.random() < 0.3:
+            inner = random_scene(rng, rng.choice([0, 1, 2, 3, 17], size=3), depth + 1)
+            layers.append(Panel(inner, tuple(rng.uniform(0, 100, 4) + [0, 0, 10, 10])))
+    x0, y0 = rng.normal(size=2)
+    return Scene(size=(300, 200), viewport=(x0, y0, x0 + 2, y0 + 1), layers=tuple(layers))
+
+
+@pytest.mark.parametrize("block", [2, 6, 64, render.PRINT_BLOCK])
+def test_render_scene_equals_per_polyline_percent_oracle(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    half = block // 2
+    lengths = [0, 1, 2, 3, half - 1, half, half + 1, 2 * half + 1, 5, 2, 40]
+    scenes = [random_scene(rng, rng.permutation(lengths)) for _ in range(3)]
+    monkeypatch.setattr(render, "PRINT_BLOCK", block)
+    got = [render_scene(scene) for scene in scenes]
+    monkeypatch.setattr(render, "_print_polylines", percent_print_polylines)
+    assert got == [render_scene(scene) for scene in scenes]
 
 
 def test_render_is_deterministic(tmp_path):
