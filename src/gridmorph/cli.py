@@ -251,14 +251,11 @@ def cmd_survey(args) -> int:
     template_tag, target_tag = _parse_targets(_option(args, "targets"), sample)
     template = _group_mean(sample, template_tag, procrustes=False)
     target = _group_mean(sample, target_tag, procrustes=False)
-    panels = []
-    for seg in enumerate_segments(sample.landmark_count):
-        reg_t = two_point_register(template, Baseline(seg.i, seg.j))
-        reg_g = two_point_register(target, Baseline(seg.i, seg.j))
-        panels.append(outline_panel(reg_t, reg_g, (seg.i, seg.j),
-                                    f"{seg.i + 1}-{seg.j + 1}"))
-    scene = tile_scenes(panels, panel_size=240.0)
-    write_svg(scene, args.output)
+    panels = [outline_panel(two_point_register(template, Baseline(*seg)),
+                            two_point_register(target, Baseline(*seg)), seg,
+                            f"{seg.i + 1}-{seg.j + 1}")
+              for seg in enumerate_segments(sample.landmark_count)]
+    write_svg(tile_scenes(panels, panel_size=240.0), args.output)
     print(f"{len(panels)} baseline panels ({template_tag} vs {target_tag}) "
           f"-> {args.output}", file=sys.stderr)
     return EXIT_OK
@@ -417,7 +414,7 @@ def _demo_kite_maps(outdir: str) -> None:
     The spline bends the horizontal midline, the projective map keeps it
     straight, and the bilinear map bends it into a parabolic arc.
     """
-    from .gridlab import deform_grid, landmark_cycle_polygon, make_grid, trim_grid
+    from .gridlab import deform_grid, finite_rows, landmark_cycle_polygon, make_grid, trim_grid
     from .maps import BilinearMap, Quad, homography_from_quads, prototype_pair
     from .render import Polyline
     from .tps import tps_fit
@@ -435,7 +432,7 @@ def _demo_kite_maps(outdir: str) -> None:
     chord = (1.0 - steps) * template.coords[1] + steps * template.coords[3]
 
     grids = [trim_grid(deform_grid(spec, m), polygon, space="template") for m in mappers]
-    midlines = [Polyline(mid[np.isfinite(mid).all(axis=1)], heavy=True, dashed=True)
+    midlines = [Polyline(mid[finite_rows(mid)], heavy=True, dashed=True)
                 for mid in (m(chord) for m in mappers)]
     svg_path = os.path.join(outdir, "demo_kite_maps.svg")
     _write_grid_panels(grids, [target.coords] * len(grids), svg_path, midlines)

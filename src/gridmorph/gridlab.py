@@ -29,7 +29,7 @@ from .errors import (
     ZeroLengthSegmentError,
 )
 
-BOUNDARY_TOL = 1e-12
+BOUNDARY_TOL = 1e-12  # boundary proximity, relative to the polygon's extent (longer box side)
 ROTATION_CONVENTION = "counterclockwise-positive"
 
 
@@ -177,6 +177,12 @@ class DeformedGrid:
         return int(self.kept.sum())
 
 
+def finite_rows(points: np.ndarray) -> np.ndarray:
+    """Mask of the (n, 2) rows with both coordinates finite, taken column by column: far
+    faster than np.isfinite(points).all(axis=1), whose reduce strides across each row."""
+    return np.isfinite(points[:, 0]) & np.isfinite(points[:, 1])
+
+
 def deform_grid(spec: GridSpec, mapping) -> DeformedGrid:
     """Sample every grid line and push the samples through the map.
 
@@ -194,7 +200,7 @@ def deform_grid(spec: GridSpec, mapping) -> DeformedGrid:
     image = np.asarray(mapping(preimage), dtype=float)
     if image.shape != preimage.shape:
         raise InputError("point map returned a wrong-shaped array")
-    return DeformedGrid(spec, preimage, image, np.isfinite(image).all(axis=1))
+    return DeformedGrid(spec, preimage, image, finite_rows(image))
 
 
 def _polygon_array(polygon) -> np.ndarray:
@@ -210,7 +216,8 @@ def _polygon_array(polygon) -> np.ndarray:
 
 
 def points_in_polygon(points, polygon) -> np.ndarray:
-    """Even-odd test for many points; boundary points (within 1e-12) count inside.
+    """Even-odd test for many points; points within BOUNDARY_TOL times the polygon's
+    extent of its boundary count inside, at every scale.
 
     Only finite points can be inside. They are sorted by y once; each edge
     tests only those within its y span.
@@ -218,14 +225,15 @@ def points_in_polygon(points, polygon) -> np.ndarray:
     poly = _polygon_array(polygon)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     order = np.argsort(pts[:, 1])
-    order = order[np.isfinite(pts).all(axis=1)[order]]
+    order = order[finite_rows(pts)[order]]
     xs, ys = pts[order, 0], pts[order, 1]
     inside = np.zeros(len(order), dtype=bool)
     boundary = np.zeros(len(order), dtype=bool)
     ends = np.roll(poly, -1, axis=0)
     # twice the tolerance plus a few ulps of the polygon covers the rounding of
     # the closest-point expression below, so the slices never cut a true hit
-    pad = 2.0 * BOUNDARY_TOL + 8.0 * np.finfo(float).eps * np.abs(poly).max()
+    tol = BOUNDARY_TOL * float((poly.max(axis=0) - poly.min(axis=0)).max())
+    pad = 2.0 * tol + 8.0 * np.finfo(float).eps * np.abs(poly).max()
     lo = np.searchsorted(ys, np.minimum(poly[:, 1], ends[:, 1]) - pad, side="left")
     hi = np.searchsorted(ys, np.maximum(poly[:, 1], ends[:, 1]) + pad, side="right")
     for (ax, ay), (bx, by), i0, i1 in zip(poly, ends, lo, hi):
@@ -244,7 +252,7 @@ def points_in_polygon(points, polygon) -> np.ndarray:
             t = np.zeros_like(x)
         dx = x - (ax + t * ex)
         dy = y - (ay + t * ey)
-        boundary[i0:i1] |= dx * dx + dy * dy <= BOUNDARY_TOL ** 2
+        boundary[i0:i1] |= dx * dx + dy * dy <= tol * tol
     result = np.zeros(len(pts), dtype=bool)
     result[order] = inside | boundary
     return result
@@ -290,13 +298,10 @@ def convex_hull_polygon(config) -> np.ndarray:
 
     def half(points):
         chain: list[tuple[float, float]] = []
-        for p in points:
-            while len(chain) >= 2:
-                (ox, oy), (ax, ay) = chain[-2], chain[-1]
-                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) <= 0:
-                    chain.pop()
-                else:
-                    break
+        for p in points:  # drop the last point while it does not turn left on the way to p
+            while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                                       - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])) <= 0:
+                chain.pop()
             chain.append(p)
         return chain
 

@@ -75,11 +75,8 @@ class Quad:
 
 def _segments_cross(a, b, c, d) -> bool:
     """True when open segments ab and cd properly intersect."""
-    def orient(p, q, r):
-        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
+    o1, o2 = _cross(b - a, c - a), _cross(b - a, d - a)
+    o3, o4 = _cross(d - c, a - c), _cross(d - c, b - c)
     return (o1 * o2 < 0) and (o3 * o4 < 0)
 
 

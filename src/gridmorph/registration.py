@@ -59,10 +59,6 @@ class AffineMap2:
             arr.flags.writeable = False
             object.__setattr__(self, attr, arr)
 
-    @classmethod
-    def identity(cls) -> "AffineMap2":
-        return cls(np.eye(2), np.zeros(2))
-
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.linear.T + self.translation

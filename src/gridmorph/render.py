@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Segment
 from .errors import InputError
-from .gridlab import DeformedGrid, kept_runs
+from .gridlab import DeformedGrid, finite_rows, kept_runs
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,10 @@ def padded_bounds(chunks) -> tuple[float, float, float, float] | None:
     lo, hi = np.full(2, np.inf), np.full(2, -np.inf)
     for chunk in chunks:
         pts = np.asarray(chunk, dtype=float).reshape(-1, 2)
-        pts = pts[np.isfinite(pts).all(axis=1)]
-        if len(pts):
-            lo, hi = np.minimum(lo, pts.min(axis=0)), np.maximum(hi, pts.max(axis=0))
+        keep = finite_rows(pts)
+        x, y = (pts[:, 0], pts[:, 1]) if keep.all() else (pts[keep, 0], pts[keep, 1])
+        if len(x):  # column by column: a min over axis 0 of (n, 2) strides across each row
+            lo, hi = np.minimum(lo, (x.min(), y.min())), np.maximum(hi, (x.max(), y.max()))
     if lo[0] == np.inf:
         return None
     pad = 0.05 * max(float((hi - lo).max()), 1e-9)
@@ -176,30 +177,21 @@ class _Transform:
         self.oy = py + (ph - (y1 - y0) * self.scale) / 2.0
         self.x0, self.y1 = x0, y1
 
-    def apply(self, pts: np.ndarray) -> np.ndarray:
+    def apply(self, pts: np.ndarray, out=None) -> np.ndarray:
+        """Pixel coordinates of (n, 2) world points, into out if given (it may be pts)."""
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        out = np.empty_like(pts)
+        out = np.empty_like(pts) if out is None else out
         out[:, 0] = self.ox + (pts[:, 0] - self.x0) * self.scale
         out[:, 1] = self.oy + (self.y1 - pts[:, 1]) * self.scale
         return out
 
 
-def _scene_viewport(scene: Scene):
-    if scene.viewport is not None:
-        return scene.viewport
-    chunks = []
-    for layer in scene.layers:
-        if isinstance(layer, (Polyline, SegmentNetwork)):
-            chunks.append(layer.points)
-        elif isinstance(layer, (Marker, Label)):
-            chunks.append(layer.center if isinstance(layer, Marker) else layer.anchor)
-    return padded_bounds(chunks)
-
-
 def _emit_layers(scene: Scene, rect, out: list[str], polylines: list):
     """Append the scene's SVG lines to out. A polyline's line is left open, and its
     (slot in out, transform, points) goes to polylines for _print_polylines."""
-    viewport = _scene_viewport(scene)
+    viewport = scene.viewport if scene.viewport is not None else padded_bounds(
+        getattr(layer, name) for layer in scene.layers  # a Panel has none of them
+        for name in ("points", "center", "anchor") if hasattr(layer, name))
     tf = _Transform(viewport, rect) if viewport is not None else None
     style = scene.style
     for layer in scene.layers:
@@ -253,26 +245,32 @@ def _emit_layers(scene: Scene, rect, out: list[str], polylines: list):
 def _print_polylines(polylines: list, out: list[str]) -> None:
     """Close each polyline's line in out with its points as _fmt prints them, "x,y x,y ...",
     transformed and printed in order PRINT_BLOCK coordinates at a time (a polyline may span
-    blocks), so that no array holds the whole figure."""
-    pieces, closed, size, head = [], [], 0, ""
+    blocks), so that no array holds the whole figure. Each run of a block's pieces that
+    share a transform goes through it in one call."""
+    pieces, runs, closed, size, head = [], [], [], 0, ""
     for index, (slot, tf, pts) in enumerate(polylines):
         start = 0
         while start < len(pts):
             piece = pts[start:start + PRINT_BLOCK // 2 - size]
-            pieces.append(tf.apply(piece))
+            pieces.append(piece)
+            if not runs or runs[-1][0] is not tf:
+                runs.append((tf, size))
             size, start = size + len(piece), start + len(piece)
             if start == len(pts):
                 closed.append((slot, size))
             if size < PRINT_BLOCK // 2 and index < len(polylines) - 1:
                 continue
+            block = np.concatenate(pieces)
+            for (run_tf, begin), (_, end) in zip(runs, runs[1:] + [(None, size)]):
+                run_tf.apply(block[begin:end], out=block[begin:end])
             seps = np.tile(np.frombuffer(b", ", dtype=np.uint8), size)
             seps[[2 * end - 1 for _, end in closed]] = ord("\n")
-            *texts, rest = _fmt_coords(np.concatenate(pieces).ravel(), seps).split("\n")
+            *texts, rest = _fmt_coords(block.ravel(), seps).split("\n")
             for (done, _), text in zip(closed, texts):
                 out[done] = "".join((out[done], head, text, '"/>'))
                 head = ""
             head += rest
-            pieces, closed, size = [], [], 0
+            pieces, runs, closed, size = [], [], [], 0
 
 
 def render_scene(scene: Scene) -> str:

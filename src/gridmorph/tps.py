@@ -26,20 +26,25 @@ from .errors import (
     SingularSystemError,
 )
 
-SIDE_CONDITION_TOL = 1e-9
-MIN_SEPARATION = 1e-10
-EVAL_BLOCK = 2 ** 16  # kernel entries (points x centres) per tps_eval block: bounds its temporaries
+SIDE_CONDITION_TOL = 1e-9  # largest side-condition moment, relative to its terms' magnitude
+MIN_SEPARATION = 1e-10  # nearest landmark pair, relative to the template's diameter
+EVAL_BLOCK = 2 ** 16  # kernel entries (points x centres) per tps_eval block: 2 buffers, 1 MB
 
 
-def _kernel_terms(points: np.ndarray, centres: np.ndarray):
-    """Per-axis differences dx, dy, squared distances r2 and log r2, each (n, k).
+def _kernel(points: np.ndarray, centres: np.ndarray, u=None, t=None) -> np.ndarray:
+    """U = 0.5 r2 log r2 = r^2 log r for every point and centre, (n, k), built in place in u.
 
-    log r2 is 0 where r2 = 0, so U = 0.5 r2 log r2 = r^2 log r needs no mask.
+    u and t are optional (n, k) float buffers. The log is taken of r2 + (r2 == 0): that adds
+    0.0 where r2 > 0 and makes an exact 0 into 1, so U(0) = 0 needs no mask.
     """
-    dx = points[:, :1] - centres[:, 0]
-    dy = points[:, 1:] - centres[:, 1]
-    r2 = dx * dx + dy * dy
-    return dx, dy, r2, np.log(r2, out=np.zeros_like(r2), where=r2 > 0.0)
+    u = np.subtract(points[:, :1], centres[:, 0], out=u)
+    t = np.subtract(points[:, 1:], centres[:, 1], out=t)
+    np.square(u, out=u)
+    u += np.square(t, out=t)  # r2 = dx * dx + dy * dy
+    np.log(np.add(u, u == 0.0, out=t), out=t)
+    u *= 0.5
+    u *= t
+    return u
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,42 +73,40 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration) -> T
     p = template.coords
     k = len(template)
 
-    _, _, d2, log_d2 = _kernel_terms(p, p)
-    d2_off = d2.copy()
-    np.fill_diagonal(d2_off, np.inf)
-    if d2_off.min() < MIN_SEPARATION ** 2:
-        a, b = divmod(int(np.argmin(d2_off)), k)
+    diff = p[:, None] - p
+    d2 = (diff * diff).sum(axis=2)
+    nearest = d2 + np.diag(np.full(k, np.inf))
+    if nearest.min() <= MIN_SEPARATION ** 2 * d2.max():
+        a, b = divmod(int(np.argmin(nearest)), k)
         raise CoincidentLandmarksError(
             f"template landmarks {template.labels[a]!r} and {template.labels[b]!r} "
-            f"are closer than {MIN_SEPARATION}")
+            f"are closer than {MIN_SEPARATION} times the template's diameter")
     sv = np.linalg.svd(p - p.mean(axis=0), compute_uv=False)
     if sv[1] <= 1e-12 * sv[0]:
         raise CollinearTemplateError(
             f"template {template.name!r} landmarks are collinear; spline system is singular")
 
-    kernel = 0.5 * d2 * log_d2
+    kernel = _kernel(p, p)
     pmat = np.column_stack([np.ones(k), p])
-    lmat = np.zeros((k + 3, k + 3))
-    lmat[:k, :k] = kernel
-    lmat[:k, k:] = pmat
-    lmat[k:, :k] = pmat.T
-    rhs = np.zeros((k + 3, 2))
-    rhs[:k] = target.coords
+    lmat = np.block([[kernel, pmat], [pmat.T, np.zeros((3, 3))]])
     try:
-        solution = np.linalg.solve(lmat, rhs)
+        solution = np.linalg.solve(lmat, np.vstack([target.coords, np.zeros((3, 2))]))
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"spline system is singular: {exc}") from exc
 
     weights = solution[:k]
     affine = solution[k:]
+    # Each test is relative to the magnitude of the terms it sums. Rounding leaves weights
+    # of about eps |target| / diameter^2 even where the exact ones vanish (an affine target),
+    # so every |w| is counted at least at |target| / diameter^2, which scales as w does.
+    size = np.abs(weights) + np.abs(target.coords).max() / d2.max()
     moments = pmat.T @ weights  # side conditions, one column per coordinate
-    scale = max(1.0, float(np.abs(target.coords).max()))
-    if np.abs(moments).max() > SIDE_CONDITION_TOL * scale:
+    if (np.abs(moments) > SIDE_CONDITION_TOL * (np.abs(pmat).T @ size)).any():
         raise SingularSystemError(
             "spline side conditions violated; system is too ill-conditioned "
             f"(max moment {np.abs(moments).max():.3e})")
     energy = tuple(float(weights[:, c] @ kernel @ weights[:, c]) for c in range(2))
-    if min(energy) < -1e-12:
+    if (np.array(energy) < -1e-12 * (size * (np.abs(kernel) @ size)).sum(axis=0)).any():
         raise SingularSystemError(
             f"bending energy came out negative ({min(energy):.3e}); system is ill-conditioned")
     return TpsModel(p, weights, affine, energy)
@@ -113,13 +116,15 @@ def tps_eval(model: TpsModel, points) -> np.ndarray:
     """Evaluate the spline at one point (2,) or many (..., 2)."""
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
-    rows = max(1, EVAL_BLOCK // len(model.template_points))
+    centres = model.template_points
+    rows = max(1, EVAL_BLOCK // len(centres))
     out = np.empty_like(flat)
+    u, t = (np.empty((min(rows, len(flat)), len(centres))) for _ in range(2))
     for start in range(0, len(flat), rows):
         block = flat[start:start + rows]
-        _, _, r2, log_r2 = _kernel_terms(block, model.template_points)
+        kernel = _kernel(block, centres, u[:len(block)], t[:len(block)])
         out[start:start + rows] = (model.affine[0] + block @ model.affine[1:]
-                                   + (0.5 * r2 * log_r2) @ model.weights)
+                                   + kernel @ model.weights)
     return out.reshape(pts.shape)
 
 
@@ -128,11 +133,10 @@ def tps_jacobian(model: TpsModel, point) -> np.ndarray:
 
     Uses dU/dx = x (2 log r + 1) with the limit 0 at r = 0.
     """
-    p = np.asarray(point, dtype=float).reshape(1, 2)
-    dx, dy, r2, log_r2 = _kernel_terms(p, model.template_points)
-    factor = log_r2[0] + (r2[0] > 0.0)  # 2 log r + 1, or 0 at r = 0
-    grad_u = np.column_stack([dx[0], dy[0]]) * factor[:, None]  # (k, 2): d U / d p
-    return model.affine[1:].T + model.weights.T @ grad_u
+    diff = np.asarray(point, dtype=float).reshape(2) - model.template_points  # (k, 2)
+    r2 = (diff * diff).sum(axis=1)
+    factor = np.log(r2 + (r2 == 0.0)) + (r2 > 0.0)  # 2 log r + 1, or 0 at r = 0
+    return model.affine[1:].T + model.weights.T @ (diff * factor[:, None])
 
 
 def bending_energy(model: TpsModel) -> float:

@@ -189,6 +189,23 @@ def test_deform_marks_nan_not_kept():
     assert np.array_equal(grid.kept, grid.preimage[:, 0] <= 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_deform_keeps_exactly_the_rows_with_both_coordinates_finite(bad):
+    spec = make_grid(unit_square, margin=0.0, cells=3, samples_per_edge=4)
+    rng = np.random.default_rng(85)
+
+    def half_broken(pts):
+        out = np.array(pts, dtype=float)
+        for column in (0, 1):  # only x, only y, then both (rows drawn twice)
+            out[rng.random(len(out)) < 0.3, column] = bad
+        return out
+
+    grid = deform_grid(spec, half_broken)
+    one_bad = np.isfinite(grid.image[:, 0]) != np.isfinite(grid.image[:, 1])
+    assert one_bad.any() and grid.kept.any() and not np.isfinite(grid.image).all(axis=1).all()
+    assert np.array_equal(grid.kept, np.isfinite(grid.image).all(axis=1))
+
+
 def test_every_map_is_a_point_map():
     template, target = prototype_pair("kite")
     source, destination = Quad(template.coords), Quad(target.coords)
@@ -304,6 +321,7 @@ def test_points_in_polygon_batch_matches_single_rows():
 def reference_points_in_polygon(points, polygon):
     """points_in_polygon before the y-sorted slices: every edge tests every point."""
     poly = np.asarray(polygon, dtype=float)
+    tol = 1e-12 * (poly.max(axis=0) - poly.min(axis=0)).max()
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     x, y = pts[:, 0], pts[:, 1]
     inside = np.zeros(len(pts), dtype=bool)
@@ -324,7 +342,7 @@ def reference_points_in_polygon(points, polygon):
             t = np.zeros_like(x)
         dx = x - (ax + t * ex)
         dy = y - (ay + t * ey)
-        boundary |= dx * dx + dy * dy <= 1e-12 ** 2
+        boundary |= dx * dx + dy * dy <= tol * tol
     return (inside | boundary) & np.isfinite(pts).all(axis=1)
 
 
@@ -346,11 +364,13 @@ def test_points_in_polygon_equals_per_edge_loop(seed, m, scale, offset, snapped)
     normal = np.divide(normal, length, out=np.zeros_like(normal), where=length > 0)
     t = rng.uniform(0.0, 1.0, (m, 1))
     lo, hi = poly.min(axis=0), poly.max(axis=0)
+    extent = (hi - lo).max()
     pts = np.vstack([
         rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (300, 2)),
         poly,                                      # vertices
         (poly + ends) / 2.0,                       # edge midpoints
         *(poly + t * edge + d * normal for d in (0.0, 1e-13, -1e-13, 2e-12, -2e-12)),
+        *(poly + t * edge + d * extent * normal for d in (1e-13, -1e-13, 2e-12, -2e-12)),
         np.column_stack([rng.uniform(lo[0], hi[0], m), poly[:, 1]]),  # on vertex heights
         [(np.nan, np.nan), (np.nan, poly[0, 1]), (poly[0, 0], np.nan),
          (np.inf, poly[0, 1]), (poly[0, 0], -np.inf)],
@@ -371,6 +391,37 @@ def test_points_in_polygon_nonfinite_points_do_not_warn():
         warnings.simplefilter("error")
         got = points_in_polygon(pts, square)
     assert got.tolist() == [False, True, False, False, False, True]
+
+
+def test_points_in_polygon_drops_rows_with_one_non_finite_coordinate():
+    rng = np.random.default_rng(86)
+    poly = np.array([(0.0, 0.0), (2.0, 0.3), (2.5, 2.0), (1.0, 2.7), (-0.5, 1.5)])
+    pts = rng.uniform(-1.0, 3.0, size=(400, 2))
+    for column, bad in ((0, np.nan), (1, np.nan), (0, np.inf), (1, -np.inf)):
+        pts[rng.random(len(pts)) < 0.1, column] = bad
+    finite = np.isfinite(pts).all(axis=1)
+    got = points_in_polygon(pts, poly)
+    assert not got[~finite].any()
+    assert np.array_equal(got[finite], points_in_polygon(pts[finite], poly))
+
+
+# A unit square and probes in units of its side: on a vertex and an edge, a
+# relative 1e-13 off an edge (inside the tolerance), then 0.1% and half a side
+# away, outside and inside.
+SWEEP_PROBES = np.array([(0.5, 0.5), (0.0, 0.0), (0.5, 0.0), (1.0, 0.3), (0.5, -1e-13),
+                         (1.0 + 1e-13, 0.5), (0.5, -1e-3), (-1e-3, 0.5), (1.001, 1.0),
+                         (0.5, -0.5), (1.5, 0.5), (0.999, 0.5), (0.5, 1e-3)])
+SWEEP_INSIDE = [True, True, True, True, True, True, False, False, False, False, False, True,
+                True]
+
+
+@pytest.mark.parametrize("exponent", range(-14, 11))
+@pytest.mark.parametrize("offset", [0.0, 3.0])
+def test_points_in_polygon_boundary_tolerance_is_scale_free(exponent, offset):
+    scale = 10.0 ** exponent
+    square = (np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]) + offset) * scale
+    got = points_in_polygon((SWEEP_PROBES + offset) * scale, square)
+    assert got.tolist() == SWEEP_INSIDE
 
 
 def test_degenerate_polygon_rejected():

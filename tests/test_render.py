@@ -193,6 +193,42 @@ def test_render_scene_equals_per_polyline_percent_oracle(monkeypatch, block):
     assert got == [render_scene(scene) for scene in scenes]
 
 
+def row_mask_padded_bounds(chunks):
+    """padded_bounds as it was: the finite rows by a row-wise mask, stacked."""
+    pts = np.concatenate([np.asarray(c, dtype=float).reshape(-1, 2) for c in chunks])
+    pts = pts[np.isfinite(pts).all(axis=1)]
+    if not len(pts):
+        return None
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    pad = 0.05 * max(float((hi - lo).max()), 1e-9)
+    return (float(lo[0]) - pad, float(lo[1]) - pad, float(hi[0]) + pad, float(hi[1]) + pad)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_padded_bounds_equals_row_mask_reference(seed):
+    rng = np.random.default_rng(seed)
+    chunks = [np.zeros((0, 2)), rng.normal(size=2)]
+    for n in (1, 5, 300):
+        for column in ([0], [1], [0, 1]):  # non-finite in x only, y only, both
+            for bad in (np.nan, np.inf, -np.inf):
+                pts = rng.normal(size=(n, 2)) * 10 ** rng.uniform(-3, 3)
+                # outliers that are only half finite must not stretch the box
+                pts[rng.random(n) < 0.3] = 1e6
+                pts[np.ix_(np.flatnonzero(pts[:, 0] == 1e6), column)] = bad
+                chunks.append(pts)
+    chunks = [chunks[i] for i in rng.permutation(len(chunks))]
+    assert render.padded_bounds(chunks) == row_mask_padded_bounds(chunks)
+    assert render.padded_bounds(iter(chunks)) == row_mask_padded_bounds(chunks)
+
+
+def test_padded_bounds_of_nothing_finite_is_none():
+    half = np.array([(np.nan, 1.0), (2.0, np.inf), (-np.inf, np.nan)])
+    assert render.padded_bounds([]) is None
+    assert render.padded_bounds([np.zeros((0, 2))]) is None
+    assert render.padded_bounds([half, np.zeros((0, 2)), half[1]]) is None
+    assert render.padded_bounds([half, [3.0, 4.0]]) == row_mask_padded_bounds([[3.0, 4.0]])
+
+
 def test_render_is_deterministic(tmp_path):
     rng = np.random.default_rng(7)
     layers = tuple(Marker(p) for p in rng.normal(size=(40, 2)))

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmorph import (LandmarkConfiguration, NumericalError, TpsModel,
+from gridmorph import (CoincidentLandmarksError, LandmarkConfiguration, NumericalError,
+                       SingularSystemError, TpsModel,
                        bending_energy, default_labels, tps_eval, tps_fit,
                        tps_jacobian)
+from gridmorph import tps
 from gridmorph.tps import EVAL_BLOCK
 
 
@@ -245,3 +247,104 @@ def test_eval_equals_masked_whole_array_formulation(seed, k, n_in_blocks, scale)
         assert np.array_equal(grid, tps_eval(model, pts[:half]).reshape(2, -1, 2))
         for q in (pts[0], pts[-1]):
             assert np.array_equal(tps_jacobian(model, q), reference_jacobian(model, q))
+
+
+# ---------------------------------------------------------------------------
+# tolerances relative to the data: the same fit at every scale
+
+EPS = np.finfo(float).eps
+
+
+def test_fit_is_scale_free():
+    # bending energy is invariant under a common similarity of template and target
+    rng = np.random.default_rng(23)
+    template = rng.normal(size=(8, 2))
+    warped = template + rng.normal(scale=0.2, size=(8, 2))
+    affine = template @ np.array([(1.3, -0.2), (0.4, 0.8)]).T + (2.0, -0.5)
+    energy = bending_energy(tps_fit(config(template), config(warped)))
+    for exponent in range(-12, 9):
+        s = 10.0 ** exponent
+        model = tps_fit(config(template * s), config(warped * s))
+        assert bending_energy(model) == pytest.approx(energy, rel=1e-9)
+        assert np.abs(tps_eval(model, template * s) - warped * s).max() <= 1e-9 * s
+        for target in (affine, template):  # weights at rounding level: no false alarm
+            assert abs(bending_energy(tps_fit(config(template * s), config(target * s)))) \
+                <= 1e-12 * energy
+
+
+@pytest.mark.parametrize("exponent", [-12, -6, 0, 6, 8])
+def test_coincident_landmarks_rejected_at_every_scale(exponent):
+    template = np.array([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.2)])
+    for gap in (0.0, 1e-11):  # relative to the template's diameter
+        template[1, 0] = gap
+        with pytest.raises(CoincidentLandmarksError) as err:
+            tps_fit(config(template * 10.0 ** exponent), config(np.eye(5, 2)))
+        assert "'L1' and 'L2'" in str(err.value)
+
+
+@pytest.mark.parametrize("exponent", [-12, -6, 0, 6, 8])
+def test_side_condition_check_fires_at_every_scale(monkeypatch, exponent):
+    # a solve that returns every weight shifted by delta leaves moments k delta
+    rng = np.random.default_rng(24)
+    template = rng.normal(size=(8, 2)) * 10.0 ** exponent
+    target = template + rng.normal(scale=0.2, size=(8, 2)) * 10.0 ** exponent
+    solve = np.linalg.solve
+    for relative in (1e-13, 1e-6):  # of the largest weight: rounding level, then far above it
+
+        def shifted(a, b):
+            solution = solve(a, b)
+            solution[:-3] += relative * np.abs(solution[:-3]).max()
+            return solution
+
+        monkeypatch.setattr(np.linalg, "solve", shifted)
+        if relative < 1e-9:
+            tps_fit(config(template), config(target))
+        else:
+            with pytest.raises(SingularSystemError, match="side conditions violated"):
+                tps_fit(config(template), config(target))
+
+
+@pytest.mark.parametrize("exponent", [-12, -6, 0, 6, 8])
+def test_negative_energy_check_fires_at_every_scale(monkeypatch, exponent):
+    # a negated kernel flips the weights' sign, not their moments: w K w < 0 for a warp
+    rng = np.random.default_rng(25)
+    template = rng.normal(size=(8, 2)) * 10.0 ** exponent
+    target = template + rng.normal(scale=0.2, size=(8, 2)) * 10.0 ** exponent
+    kernel = tps._kernel
+    monkeypatch.setattr(tps, "_kernel", lambda points, centres: -kernel(points, centres))
+    with pytest.raises(SingularSystemError, match="bending energy came out negative"):
+        tps_fit(config(template), config(target))
+
+
+def star(rng, k):
+    """k landmarks, one per sector of the circle: well apart and never collinear."""
+    angles = 2.0 * np.pi * (np.arange(k) + rng.uniform(-0.3, 0.3, k)) / k
+    radii = rng.uniform(0.5, 1.0, k)
+    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(4, 15), angle=st.floats(-np.pi, np.pi),
+       exponent=st.floats(-6.0, 6.0),
+       shift=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_fit_is_similarity_equivariant(seed, k, angle, exponent, shift):
+    rng = np.random.default_rng(seed)
+    template = star(rng, k)
+    target = template + rng.normal(scale=0.3, size=(k, 2))
+    pts = rng.uniform(-1.5, 1.5, size=(40, 2))
+    scale = 10.0 ** exponent
+    c, s = scale * np.cos(angle), scale * np.sin(angle)
+    offset = scale * np.array(shift)  # shift is in units of the template's size
+
+    def move(p):
+        return p @ np.array([(c, -s), (s, c)]).T + offset
+
+    model = tps_fit(config(template), config(target))
+    moved = tps_fit(config(move(template)), config(move(target)))
+    # f_S(S p) = S f(p). Every coordinate the fits read or write is rounded to
+    # eps of the largest one; the bordered solve is not centred, so its error
+    # grows with the shift, to about 7e3 eps of it over 3000 seeded draws.
+    reach = scale * (np.abs(np.vstack([template, target, pts, model(pts)])).max()
+                     + np.abs(shift).max())
+    assert np.abs(moved(move(pts)) - move(model(pts))).max() <= 2 ** 16 * EPS * reach
+    assert bending_energy(moved) == pytest.approx(bending_energy(model), rel=1e-6)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmorph import (InsufficientLandmarksError, LandmarkConfiguration,
                        NumericalError, basis_size, default_labels,
@@ -169,3 +171,41 @@ def test_residual_report():
     mags = np.array([m for _, _, m in rows])
     assert np.allclose(mags, factors * np.hypot(1e-3, 1e-3), atol=1e-9)
     assert report.rss[0] == pytest.approx((fit.residuals[:, 0] ** 2).sum(), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# similarity equivariance
+
+EPS = np.finfo(float).eps
+# The rank test compares the singular values of the raw monomial design, so it
+# refuses well-posed fits of degree 2 and 3 far from unit size or from the
+# origin (degree 3 from 1e5 or 1e-5 on). Each degree is drawn within the
+# (decades of scale, shift in template sizes) that it handles.
+REACH = {1: (6.0, 1e3), 2: (5.0, 1.0), 3: (3.0, 1.0)}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), degree=st.sampled_from([1, 2, 3]),
+       angle=st.floats(-np.pi, np.pi), exponent=st.floats(-1.0, 1.0),
+       shift=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_fitted_values_are_similarity_equivariant(seed, degree, angle, exponent, shift):
+    rng = np.random.default_rng(seed)
+    template = octagon(rng, k=int(rng.integers(basis_size(degree) + 1, 16)))
+    target = template + rng.normal(scale=0.3, size=template.shape)
+    decades, sizes = REACH[degree]
+    scale = 10.0 ** (decades * exponent)
+    c, s = scale * np.cos(angle), scale * np.sin(angle)
+    shift = sizes * np.array(shift)  # in units of the template's size
+    offset = scale * shift
+
+    def move(p):
+        return p @ np.array([(c, -s), (s, c)]).T + offset
+
+    fit = trend_fit(config(template), config(target), degree)
+    moved = trend_fit(config(move(template)), config(move(target)), degree)
+    # The basis is closed under affine maps of the plane, so the fitted values
+    # (the projection of the target) move with the data. A least-squares
+    # solve loses about eps times its condition of the largest value.
+    reach = scale * (np.abs(np.vstack([template, target])).max() + np.abs(shift).max())
+    bound = 64 * EPS * reach * (fit.condition + moved.condition)
+    assert np.abs(moved.fitted - move(fit.fitted)).max() <= bound
