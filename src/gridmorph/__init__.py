@@ -29,13 +29,12 @@ _EXPORTS = {
             "homography_from_quads invert_bilinear prototype_pair",
     "registration": "AffineMap2 Baseline affine_fit gpa_mean procrustes_align remove_affine "
                     "two_point_register two_point_register_sample",
-    "render": "Label Marker Panel Polyline Scene SegmentNetwork Style grid_scene network_scene "
+    "render": "Label Marker Panel Polyline Scene SegmentNetwork grid_scene network_scene "
               "outline_panel render_scene tile_scenes write_svg",
     "synthetic": "PERTURBATION PERTURBED_LANDMARK PLANTED_COEFFICIENTS VILMANN_BASELINE "
                  "VILMANN_LABELS synthetic_vilmann vilmann_target vilmann_template",
     "tps": "TpsModel bending_energy tps_eval tps_fit tps_jacobian",
-    "trend": "PolynomialTrend TrendResidualReport basis_size design_matrix trend_eval trend_fit "
-             "trend_residual_report",
+    "trend": "PolynomialTrend basis_size design_matrix trend_eval trend_fit",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -30,7 +30,8 @@ import numpy as np
 # Only what ingest, average and twopoint run is imported here; the commands that
 # draw import gridlab, maps, render, tps, trend and synthetic when they run.
 from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MAX_MARGIN,
-                   PROTOTYPE_KINDS, LandmarkConfiguration, Sample, enumerate_segments)
+                   PROTOTYPE_KINDS, UNIT_PROCRUSTES, LandmarkConfiguration, Sample,
+                   enumerate_segments)
 from .errors import InputError, NumericalError
 from .formats import Dataset, read_landmarks, write_dataset
 from .registration import (Baseline, gpa_mean, procrustes_align, remove_affine,
@@ -228,7 +229,9 @@ def cmd_average(args) -> int:
     means = [gpa_mean(sample, name="mean") if tag is None
              else _group_mean(sample, tag, procrustes=True) for tag in tags]
     groups = {mean.name: tag for mean, tag in zip(means, tags) if tag is not None}
-    out = Dataset(Sample(tuple(means), groups), provenance=dataset.provenance)
+    out = Dataset(Sample([mean.name for mean in means], sample.labels,
+                         [mean.coords for mean in means], UNIT_PROCRUSTES, groups),
+                  provenance=dataset.provenance)
     _write_text(args.output, write_dataset(out))
     print(f"wrote {len(means)} Procrustes mean(s) -> {args.output}", file=sys.stderr)
     return EXIT_OK
@@ -306,7 +309,7 @@ def cmd_fit(args) -> int:
                           make_grid, trim_grid)
     from .render import grid_scene, tile_scenes, write_svg
     from .tps import tps_fit
-    from .trend import trend_fit, trend_residual_report
+    from .trend import trend_fit
     dataset = read_landmarks(args.input)
     sample = dataset.sample
     degree = _option(args, "degree")
@@ -354,11 +357,10 @@ def cmd_fit(args) -> int:
     svg_path = os.path.join(args.outdir, f"fit_{tag}.svg")
     write_svg(figure, svg_path)
 
-    report = trend_residual_report(trend)
     residuals_path = os.path.join(args.outdir, f"fit_{tag}_residuals.csv")
     _write_text(residuals_path, "\n".join(["label,dx,dy,magnitude"] + [
-        f"{label},{dx:.12g},{dy:.12g},{magnitude:.12g}"
-        for label, (dx, dy), magnitude in report.rows()]) + "\n")
+        f"{label},{dx:.12g},{dy:.12g},{magnitude:.12g}" for label, (dx, dy), magnitude
+        in zip(template.labels, trend.residuals, trend.magnitudes)]) + "\n")
     coefficients_path = os.path.join(args.outdir, f"fit_{tag}_coefficients.csv")
     _write_text(coefficients_path, "\n".join(["term,x_coefficient,y_coefficient"] + [
         f"{term},{cx:.17g},{cy:.17g}"
@@ -366,13 +368,13 @@ def cmd_fit(args) -> int:
 
     print(f"fit: degree {degree} trend, baseline {baseline.start + 1},{baseline.end + 1}, "
           f"template {template_tag}, target {target_tag}, {k} landmarks")
-    print(f"rss: x {report.rss[0]:.6g}, y {report.rss[1]:.6g}; df {report.df} per coordinate; "
+    print(f"rss: x {trend.rss[0]:.6g}, y {trend.rss[1]:.6g}; df {trend.df} per coordinate; "
           f"design condition {trend.condition:.6g}")
-    if report.saturated:
+    if trend.saturated:
         print("saturated fit: as many coefficients as landmarks, residuals vanish")
     else:
-        worst = int(np.argmax(report.magnitudes))
-        print(f"largest residual: {report.labels[worst]} ({report.magnitudes[worst]:.6g})")
+        worst = int(np.argmax(trend.magnitudes))
+        print(f"largest residual: {template.labels[worst]} ({trend.magnitudes[worst]:.6g})")
     for path in (svg_path, residuals_path, coefficients_path):
         print(f"wrote {path}", file=sys.stderr)
     return EXIT_OK
@@ -395,7 +397,8 @@ def _demo_prototype(kind: str, outdir: str) -> None:
     from .maps import prototype_pair
     from .tps import tps_fit
     template, target = prototype_pair(kind)
-    dataset = Dataset(Sample((template, target),
+    dataset = Dataset(Sample((template.name, target.name), template.labels,
+                             [template.coords, target.coords],
                              groups={template.name: "template", target.name: "target"}),
                       provenance=(f"demo:{kind}",))
     json_path = os.path.join(outdir, f"demo_{kind}.json")

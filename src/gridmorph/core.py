@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,14 +85,6 @@ class LandmarkConfiguration:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "coords", _freeze(coords))
 
-    @classmethod
-    def build(cls, name: str, coords, labels: Iterable[str] | None = None,
-              unit: str = UNIT_RAW) -> "LandmarkConfiguration":
-        coords = np.asarray(coords, dtype=float)
-        if labels is None:
-            labels = default_labels(coords.shape[0] if coords.ndim == 2 else 0)
-        return cls(name, tuple(labels), coords, unit)
-
     def with_coords(self, coords, unit: str | None = None, name: str | None = None) -> "LandmarkConfiguration":
         """Copy of this configuration with new positions (and optionally a new unit tag)."""
         return LandmarkConfiguration(
@@ -121,14 +113,17 @@ class LandmarkConfiguration:
     __hash__ = None
 
 
-def require_homologous(a: LandmarkConfiguration, b: LandmarkConfiguration) -> None:
-    """Raise HomologyError unless a and b share their landmark count and labels."""
-    if len(a) != len(b):
-        raise HomologyError(f"configurations {a.name!r} and {b.name!r} are not homologous: "
-                            f"{len(a)} vs {len(b)} landmarks")
-    if a.labels != b.labels:
-        raise HomologyError(f"configurations {a.name!r} and {b.name!r} are not homologous: "
-                            "label sequences differ")
+def require_homologous(*configs: LandmarkConfiguration) -> None:
+    """Raise HomologyError unless every configuration shares the first one's landmark
+    count and labels; the error names the first one and the first that differs."""
+    for b in configs[1:]:
+        a = configs[0]
+        if len(a) != len(b):
+            raise HomologyError(f"configurations {a.name!r} and {b.name!r} are not homologous: "
+                                f"{len(a)} vs {len(b)} landmarks")
+        if a.labels != b.labels:
+            raise HomologyError(f"configurations {a.name!r} and {b.name!r} are not homologous: "
+                                "label sequences differ")
 
 
 def _require_unique_names(names: tuple[str, ...]) -> None:
@@ -137,52 +132,26 @@ def _require_unique_names(names: tuple[str, ...]) -> None:
         raise InputError(f"duplicate configuration name {dup!r} in sample")
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Sample:
     """Homologous configurations, stored as one stack checked as a whole.
 
-    coords is a read-only (n, k, 2) float64 array; names and units hold one
-    entry per configuration, labels one per landmark. groups maps
-    configuration name to a group tag; names absent from the mapping belong
-    to the anonymous group "".
+    coords is a read-only (n, k, 2) float64 array; names hold one entry per
+    configuration and labels one per landmark. units is one unit tag for all
+    configurations or one per configuration, and is stored as n tags. groups
+    maps configuration name to a group tag; names absent from the mapping
+    belong to the anonymous group "".
     """
 
     names: tuple[str, ...]
     labels: tuple[str, ...]
     coords: np.ndarray
-    units: tuple[str, ...]
-    groups: dict[str, str]
-    metadata: dict[str, str]
-
-    def __init__(self, configurations: Iterable[LandmarkConfiguration],
-                 groups: dict[str, str] | None = None, metadata: dict[str, str] | None = None):
-        configs = tuple(configurations)
-        names = tuple(c.name for c in configs)
-        if any(c.labels != configs[0].labels for c in configs):
-            _require_unique_names(names)  # reported before homology, as always
-            for c in configs[1:]:
-                require_homologous(configs[0], c)
-        stacked = Sample.from_stack(names, configs[0].labels if configs else (),
-                                    np.array([c.coords for c in configs]),
-                                    [c.unit for c in configs], groups, metadata)
-        self.__dict__.update(stacked.__dict__, configurations=configs)
-
-    @classmethod
-    def from_stack(cls, names: Iterable[str], labels: Iterable[str], coords,
-                   units: str | Iterable[str] = UNIT_RAW, groups: dict[str, str] | None = None,
-                   metadata: dict[str, str] | None = None) -> "Sample":
-        """A sample of n names, k labels and (n, k, 2) coords; units is one tag or n tags."""
-        names = tuple(names)
-        sample = cls.__new__(cls)
-        sample.__dict__.update(
-            names=names, labels=labels, coords=coords, groups=dict(groups or {}),
-            units=(units,) * len(names) if isinstance(units, str) else tuple(units),
-            metadata=dict(metadata or {}))
-        sample.__post_init__()
-        return sample
+    units: str | tuple[str, ...] = UNIT_RAW
+    groups: dict[str, str] | None = None
 
     def __post_init__(self):
-        names, units, coords = self.names, self.units, _freeze(self.coords)
+        names, coords, groups = tuple(self.names), _freeze(self.coords), dict(self.groups or {})
+        units = (self.units,) * len(names) if isinstance(self.units, str) else tuple(self.units)
         if not names:
             raise InputError("sample must contain at least one configuration")
         if coords.ndim != 3 or coords.shape[::2] != (len(names), 2) or len(units) != len(names):
@@ -196,10 +165,11 @@ class Sample:
             LandmarkConfiguration(names[first], labels, coords[first], units[first])
         _require_unique_names(names)
         known = set(names)
-        for name in self.groups:
+        for name in groups:
             if name not in known:
                 raise InputError(f"group tag given for unknown configuration {name!r}")
-        self.__dict__.update(labels=labels, coords=coords)
+        self.__dict__.update(names=names, labels=labels, coords=coords, units=units,
+                             groups=groups)
 
     @cached_property
     def configurations(self) -> tuple[LandmarkConfiguration, ...]:
@@ -228,15 +198,15 @@ class Sample:
         if not rows:
             raise InputError(f"group {tag!r} has no configurations")
         names = [self.names[i] for i in rows]
-        return Sample.from_stack(names, self.labels, self.coords[rows],
-                                 [self.units[i] for i in rows], {n: tag for n in names if tag})
+        return Sample(names, self.labels, self.coords[rows], [self.units[i] for i in rows],
+                      {n: tag for n in names if tag})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sample):
             return NotImplemented
         return (self.names == other.names and self.labels == other.labels
                 and self.units == other.units and np.array_equal(self.coords, other.coords)
-                and self.groups == other.groups and self.metadata == other.metadata)
+                and self.groups == other.groups)
 
     __hash__ = None
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LandmarkConfiguration, Sample, default_labels
+from .core import (LandmarkConfiguration, Sample, _require_unique_names, default_labels,
+                   require_homologous)
 from .errors import InputError, ParseError, SchemaError
 
 SCHEMA_VERSION = 1
@@ -30,22 +31,18 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A sample plus schema version and provenance (source paths)."""
+    """A sample plus provenance (source paths)."""
 
     sample: Sample
-    schema: int = SCHEMA_VERSION
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "provenance", tuple(str(s) for s in self.provenance))
-        if self.schema != SCHEMA_VERSION:
-            raise SchemaError(f"unsupported schema version {self.schema}; this build reads {SCHEMA_VERSION}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (self.schema == other.schema and self.provenance == other.provenance
-                and self.sample == other.sample)
+        return self.provenance == other.provenance and self.sample == other.sample
 
     __hash__ = None
 
@@ -62,7 +59,7 @@ def write_dataset(dataset: Dataset) -> str:
     coords = "[" + ", ".join(["[%.17g, %.17g]"] * sample.landmark_count) + "]"
     # a row at a time: Python floats for the whole stack at once raise the peak memory
     rows = (row.tolist() for row in (sample.coords + 0.0).reshape(len(sample), -1))
-    lines = ["{", f'  "schema": {dataset.schema},',
+    lines = ["{", f'  "schema": {SCHEMA_VERSION},',
              f'  "landmarks": [{", ".join(json.dumps(l) for l in sample.labels)}],',
              '  "configurations": [']
     lines += [f'    {{"id": {json.dumps(name)}, "group": {json.dumps(sample.group_of(name))}, '
@@ -146,8 +143,7 @@ def read_dataset(text: str) -> Dataset:
     if type(sources) is not list or not all(isinstance(s, str) for s in sources):
         raise SchemaError("\"provenance.sources\" must be a list of strings")
     groups = {e["id"]: e["group"] for e in entries if e.get("group")}
-    return Dataset(Sample.from_stack([e["id"] for e in entries], labels, stack, groups=groups),
-                   schema, sources)
+    return Dataset(Sample([e["id"] for e in entries], labels, stack, groups=groups), sources)
 
 
 _KEY_LINE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)=(.*)$")
@@ -272,13 +268,15 @@ def parse_tps_file(text: str) -> Sample:
     cast()
     values = np.concatenate(blocks).reshape(-1, 2)
     names, counts, scales = zip(*records)
-    if len(set(counts)) > 1:  # records of different lengths: the general constructor reports it
-        return Sample(LandmarkConfiguration(name, default_labels(len(xy)), xy * s) for name, xy, s
-                      in zip(names, np.split(values, np.cumsum(counts)[:-1]), scales))
+    if len(set(counts)) > 1:  # records of different lengths: the first to differ raises
+        configs = [LandmarkConfiguration(name, default_labels(len(xy)), xy * s) for name, xy, s
+                   in zip(names, np.split(values, np.cumsum(counts)[:-1]), scales)]
+        _require_unique_names(names)  # reported before homology, as always
+        require_homologous(*configs)
     coords = values.reshape(len(records), counts[0], 2)
     if set(scales) != {1.0}:
         coords *= np.array(scales)[:, None, None]
-    return Sample.from_stack(names, default_labels(counts[0]), coords)
+    return Sample(names, default_labels(counts[0]), coords)
 
 
 _WIDE_PAIR = re.compile(r"^([xy])(\d+)$")
@@ -363,15 +361,12 @@ def _parse_csv_long(rows, with_group: bool) -> Sample:
     labels = np.array([row[1].strip() for row in data], dtype=object)[rank]
     counts = np.bincount(codes, minlength=len(order))
     n, k = len(order), len(data) // max(len(order), 1)
-    if n and (counts == k).all():
-        table = labels.reshape(n, k)
-        if (table == table[0]).all():
-            return Sample.from_stack(order, tuple(table[0]), values[rank].reshape(n, k, 2),
-                                     groups=groups)
-    # configurations of different lengths or labels: the general constructor reports it
-    bounds = np.cumsum(counts)[:-1]
-    return Sample((LandmarkConfiguration(cid, tuple(l), xy) for cid, l, xy in
-                   zip(order, np.split(labels, bounds), np.split(values[rank], bounds))), groups)
+    if not (n and (counts == k).all() and (labels.reshape(n, k) == labels[:k]).all()):
+        # ids of different lengths or labels: the first to differ from the first id raises
+        bounds = np.cumsum(counts)[:-1]
+        require_homologous(*(LandmarkConfiguration(cid, tuple(l), xy) for cid, l, xy in
+                             zip(order, np.split(labels, bounds), np.split(values[rank], bounds))))
+    return Sample(order, tuple(labels[:k]), values[rank].reshape(n, k, 2), groups=groups)
 
 
 def _parse_csv_wide(rows, k: int, with_group: bool) -> Sample:
@@ -379,8 +374,8 @@ def _parse_csv_wide(rows, k: int, with_group: bool) -> Sample:
     data = rows[1:2] if k < 3 else rows[1:]  # too few landmarks: the first row reports it
     values = _csv_coordinates(data, base + 2 * k, base, base + 2 * k)
     groups = {row[0].strip(): row[1].strip() for row in data if with_group and row[1].strip()}
-    return Sample.from_stack([row[0].strip() for row in data], default_labels(k),
-                             values.reshape(len(data), k, 2), groups=groups)
+    return Sample([row[0].strip() for row in data], default_labels(k),
+                  values.reshape(len(data), k, 2), groups=groups)
 
 
 def read_landmarks(path: str) -> Dataset:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROTOTYPE_KINDS, LandmarkConfiguration
+from .core import PROTOTYPE_KINDS, LandmarkConfiguration, default_labels
 from .errors import (
     DegenerateQuadError,
     InputError,
@@ -214,7 +214,8 @@ class Homography:
         w = pts @ m[2, :2] + m[2, 2]
         num = pts @ m[:2, :2].T + m[:2, 2]
         out = np.full_like(num, np.nan)
-        ok = np.abs(w) > 1e-12
+        # |w| against the size of its terms, so the test holds in any unit of the data
+        ok = np.abs(w) > 1e-12 * (np.abs(pts) @ np.abs(m[2, :2]) + abs(m[2, 2]))
         out[ok] = num[ok] / w[ok, None]
         return out.reshape(shape)
 
@@ -270,6 +271,6 @@ def prototype_pair(kind: str) -> tuple[LandmarkConfiguration, LandmarkConfigurat
         moved = square + np.array([[0.0, s], [0.0, 0.0], [0.0, s], [0.0, 0.0]])
     else:
         raise InputError(f"unknown prototype kind {kind!r}; expected one of {PROTOTYPE_KINDS}")
-    template = LandmarkConfiguration.build("square", square)
-    target = LandmarkConfiguration.build(kind, moved)
+    template = LandmarkConfiguration("square", default_labels(4), square)
+    target = LandmarkConfiguration(kind, default_labels(4), moved)
     return template, target

@@ -89,8 +89,8 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
 
     Each gets the orientation-preserving similarity sending its baseline to
     (0,0)-(1,0): no reflection, and the endpoints land exactly on their
-    anchors. Group tags and metadata carry over. An error names the first
-    configuration whose landmarks, or baseline landmarks, (nearly) coincide.
+    anchors. Group tags carry over. An error names the first configuration
+    whose landmarks, or baseline landmarks, (nearly) coincide.
     """
     baseline = _check_baseline(sample.landmark_count, baseline)
     p = sample.coords
@@ -115,13 +115,13 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
     # leave a -0.0 behind; pin them so the contract holds bit for bit
     out[:, baseline.start] = (0.0, 0.0)
     out[:, baseline.end] = (1.0, 0.0)
-    return Sample.from_stack(sample.names, sample.labels, out, UNIT_TWO_POINT,
-                             sample.groups, sample.metadata)
+    return Sample(sample.names, sample.labels, out, UNIT_TWO_POINT, sample.groups)
 
 
 def two_point_register(config: LandmarkConfiguration, baseline: Baseline) -> LandmarkConfiguration:
     """Register one configuration to baseline coordinates (see two_point_register_sample)."""
-    return two_point_register_sample(Sample((config,)), baseline).configurations[0]
+    sample = Sample((config.name,), config.labels, config.coords[None], config.unit)
+    return two_point_register_sample(sample, baseline).configurations[0]
 
 
 def _normalized(coords: np.ndarray) -> np.ndarray:

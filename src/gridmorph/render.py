@@ -12,7 +12,7 @@ flip, so shapes are never distorted anisotropically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,13 +21,9 @@ from .errors import InputError
 from .gridlab import DeformedGrid, finite_rows, kept_runs
 
 
-@dataclass(frozen=True)
-class Style:
-    light_width: float = 0.75
-    heavy_width: float = 1.5
-    marker_radius: float = 2.5
-    baseline_ring_ratio: float = 1.8
-    font_size: float = 10.0
+LIGHT_WIDTH, HEAVY_WIDTH = 0.75, 1.5  # stroke widths in pixels
+MARKER_RADIUS, BASELINE_RING_RATIO = 2.5, 1.8
+FONT_SIZE = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +38,7 @@ class Polyline:
 class Marker:
     center: np.ndarray  # (2,)
     filled: bool = True
-    baseline: bool = False  # adds an enclosing ring 1.8x the marker radius
+    baseline: bool = False  # adds an enclosing ring BASELINE_RING_RATIO x the marker radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +57,7 @@ class SegmentNetwork:
 @dataclass(frozen=True, eq=False)
 class Panel:
     scene: "Scene"
-    rect: tuple[float, float, float, float]  # x, y, w, h in pixels
-    border: bool = True
+    rect: tuple[float, float, float, float]  # x, y, w, h in pixels, drawn as a border
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,7 +72,6 @@ class Scene:
     size: tuple[float, float] = (480.0, 480.0)
     viewport: tuple[float, float, float, float] | None = None
     layers: tuple = ()
-    style: Style = field(default_factory=Style)
     landmark_count: int | None = None
 
 
@@ -193,15 +187,13 @@ def _emit_layers(scene: Scene, rect, out: list[str], polylines: list):
         getattr(layer, name) for layer in scene.layers  # a Panel has none of them
         for name in ("points", "center", "anchor") if hasattr(layer, name))
     tf = _Transform(viewport, rect) if viewport is not None else None
-    style = scene.style
     for layer in scene.layers:
         if isinstance(layer, Panel):
             px, py, pw, ph = layer.rect
             px, py = px + rect[0], py + rect[1]
-            if layer.border:
-                out.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(pw)}" '
-                           f'height="{_fmt(ph)}" fill="none" stroke="black" '
-                           f'stroke-width="{_fmt(style.light_width)}"/>')
+            out.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(pw)}" '
+                       f'height="{_fmt(ph)}" fill="none" stroke="black" '
+                       f'stroke-width="{_fmt(LIGHT_WIDTH)}"/>')
             _emit_layers(layer.scene, (px, py, pw, ph), out, polylines)
             continue
         if tf is None:
@@ -211,28 +203,27 @@ def _emit_layers(scene: Scene, rect, out: list[str], polylines: list):
             if len(pts) < 2:
                 continue
             tag = "polygon" if layer.closed else "polyline"
-            width = style.heavy_width if layer.heavy else style.light_width
+            width = HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH
             dash = ' stroke-dasharray="4 3"' if layer.dashed else ""
             polylines.append((len(out), tf, pts))
             out.append(f'<{tag} fill="none" stroke="black" stroke-width="{_fmt(width)}"'
                        f'{dash} points="')
         elif isinstance(layer, Marker):
             (cx, cy), = tf.apply(layer.center)
-            stroke = f'stroke="black" stroke-width="{_fmt(style.light_width)}"'
-            circles = [(style.marker_radius, 'fill="black" stroke="none"' if layer.filled
+            stroke = f'stroke="black" stroke-width="{_fmt(LIGHT_WIDTH)}"'
+            circles = [(MARKER_RADIUS, 'fill="black" stroke="none"' if layer.filled
                         else f'fill="white" {stroke}')]
             if layer.baseline:
-                circles.append((style.marker_radius * style.baseline_ring_ratio,
-                                f'fill="none" {stroke}'))
+                circles.append((MARKER_RADIUS * BASELINE_RING_RATIO, f'fill="none" {stroke}'))
             out += [f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {paint}/>'
                     for r, paint in circles]
         elif isinstance(layer, Label):
             (x, y), = tf.apply(layer.anchor)
             out.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
-                       f'font-size="{_fmt(style.font_size)}">{_escape(layer.text)}</text>')
+                       f'font-size="{_fmt(FONT_SIZE)}">{_escape(layer.text)}</text>')
         elif isinstance(layer, SegmentNetwork):
             pts = tf.apply(layer.points)
-            width = style.heavy_width if layer.heavy else style.light_width
+            width = HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH
             for seg in layer.segments:
                 a, b = pts[seg.i], pts[seg.j]
                 out.append(f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" '
@@ -291,8 +282,8 @@ def write_svg(scene: Scene, path) -> None:
 
 
 def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
-               baseline: tuple[int, int] | None = None, heavy_grid: bool = False,
-               viewport=None, size: tuple[float, float] = (480.0, 480.0),
+               baseline: tuple[int, int] | None = None, viewport=None,
+               size: tuple[float, float] = (480.0, 480.0),
                landmark_count: int | None = None) -> Scene:
     """Scene showing a deformed grid with optional landmark markers.
 
@@ -300,7 +291,7 @@ def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
     open circles (predictions). baseline names two landmark ordinals whose
     markers get the enclosing ring, on whichever point sets are present.
     """
-    layers: list = [Polyline(run, heavy=heavy_grid)
+    layers: list = [Polyline(run)
                     for image, kept in grid.families() for run in kept_runs(image, kept)]
     ring = set(baseline) if baseline is not None else set()
     layers += [Marker(row, filled=filled, baseline=idx in ring)
@@ -310,8 +301,7 @@ def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
                  landmark_count=landmark_count)
 
 
-def network_scene(template, target, segments: tuple[Segment, ...], *,
-                  viewport=None, size: tuple[float, float] = (480.0, 480.0)) -> Scene:
+def network_scene(template, target, segments: tuple[Segment, ...]) -> Scene:
     """Scene showing segment networks of two registered configurations.
 
     The template network is light with open markers, the target heavy with
@@ -321,31 +311,21 @@ def network_scene(template, target, segments: tuple[Segment, ...], *,
               SegmentNetwork(target.coords, tuple(segments), heavy=True),
               *(Marker(row, filled=False) for row in template.coords),
               *(Marker(row, filled=True) for row in target.coords)]
-    return Scene(size=size, viewport=viewport, layers=tuple(layers),
-                 landmark_count=len(template))
+    return Scene(layers=tuple(layers), landmark_count=len(template))
 
 
-def outline_panel(template, target, baseline: tuple[int, int], title: str, *,
-                  viewport=None, size: tuple[float, float] = (240.0, 240.0)) -> Scene:
-    """One survey panel: template and target outlines with the baseline ringed."""
+def outline_panel(template, target, baseline: tuple[int, int], title: str) -> Scene:
+    """One 240-pixel survey panel: template and target outlines with the baseline ringed,
+    titled in the upper left of their bounding box."""
     layers = [Polyline(template.coords, heavy=False, closed=True),
               Polyline(target.coords, heavy=True, closed=True)]
     for config, filled in ((template, False), (target, True)):
         layers += [Marker(row, filled=filled, baseline=idx in baseline)
                    for idx, row in enumerate(config.coords)]
-    layers.append(Label(_title_anchor(viewport, template, target), title))
-    return Scene(size=size, viewport=viewport, layers=tuple(layers),
-                 landmark_count=len(template))
-
-
-def _title_anchor(viewport, template, target) -> np.ndarray:
-    if viewport is not None:
-        x0, y0, x1, y1 = viewport
-    else:
-        pts = np.vstack([template.coords, target.coords])
-        x0, y0 = pts.min(axis=0)
-        x1, y1 = pts.max(axis=0)
-    return np.array([x0 + 0.04 * (x1 - x0), y1 - 0.08 * (y1 - y0)])
+    pts = np.vstack([template.coords, target.coords])
+    (x0, y0), (x1, y1) = pts.min(axis=0), pts.max(axis=0)
+    layers.append(Label(np.array([x0 + 0.04 * (x1 - x0), y1 - 0.08 * (y1 - y0)]), title))
+    return Scene(size=(240.0, 240.0), layers=tuple(layers), landmark_count=len(template))
 
 
 def tile_scenes(panels: list[Scene], columns: int | None = None,

@@ -74,5 +74,5 @@ def synthetic_vilmann() -> Sample:
     """Two-configuration sample (groups age7 and age150) with known answer."""
     template = vilmann_template()
     target = vilmann_target()
-    return Sample((template, target),
+    return Sample((template.name, target.name), VILMANN_LABELS, [template.coords, target.coords],
                   groups={template.name: "age7", target.name: "age150"})

@@ -74,6 +74,11 @@ class PolynomialTrend:
         return (self.residuals ** 2).sum(axis=0)
 
     @property
+    def magnitudes(self) -> np.ndarray:
+        """Length of each landmark's residual vector, shape (k,)."""
+        return np.sqrt((self.residuals ** 2).sum(axis=1))
+
+    @property
     def term_names(self) -> tuple[str, ...]:
         return TERM_NAMES[self.degree]
 
@@ -116,33 +121,3 @@ def trend_eval(trend: PolynomialTrend, points) -> np.ndarray:
     """
     pts = np.asarray(points, dtype=float)
     return (design_matrix(pts, trend.degree) @ trend.coefficients).reshape(pts.shape)
-
-
-@dataclass(frozen=True, eq=False)
-class TrendResidualReport:
-    """Per-landmark residuals of a trend fit, plus per-coordinate totals."""
-
-    labels: tuple[str, ...]
-    residuals: np.ndarray   # (k, 2)
-    magnitudes: np.ndarray  # (k,)
-    rss: tuple[float, float]
-    df: int
-    saturated: bool
-
-    def rows(self):
-        """Yield (label, residual_vector, magnitude) per landmark, in landmark order."""
-        for i, label in enumerate(self.labels):
-            yield label, self.residuals[i], float(self.magnitudes[i])
-
-
-def trend_residual_report(trend: PolynomialTrend) -> TrendResidualReport:
-    magnitudes = np.sqrt((trend.residuals ** 2).sum(axis=1))
-    rss = trend.rss
-    return TrendResidualReport(
-        labels=trend.template.labels,
-        residuals=trend.residuals,
-        magnitudes=magnitudes,
-        rss=(float(rss[0]), float(rss[1])),
-        df=trend.df,
-        saturated=trend.saturated,
-    )

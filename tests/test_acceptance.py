@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gridmorph import (Baseline, BilinearMap, PLANTED_COEFFICIENTS,
-                       PERTURBED_LANDMARK, Quad, Sample, Segment,
+                       PERTURBED_LANDMARK, Quad, Segment,
                        bending_energy, default_labels, design_matrix,
                        enumerate_segments, filter_rotations, gpa_mean,
                        homography_from_quads,
@@ -23,6 +23,7 @@ from gridmorph import (Baseline, BilinearMap, PLANTED_COEFFICIENTS,
 from gridmorph.cli import main
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.registration import _normalized
+from helpers import sample_of
 
 
 def config(coords, name="cfg"):
@@ -202,7 +203,7 @@ def test_criterion_08_gpa_mean():
             scale = rng.uniform(0.3, 3.0)
             moved = rot(base, angle, about=np.zeros(2)) * scale + rng.normal(size=2)
             configs.append(config(moved, f"c{i}"))
-        mean = gpa_mean(Sample(tuple(configs)))  # raises if 100 iterations pass
+        mean = gpa_mean(sample_of(configs))  # raises if 100 iterations pass
         aligned = procrustes_align(mean, reference)
         worst = max(worst, float(np.linalg.norm(aligned.coords - reference.coords)))
     assert worst < 1e-8

@@ -8,12 +8,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gridmorph import (MAX_GRID_SAMPLES, Dataset, InputError, Sample, SchemaError,
+from gridmorph import (MAX_GRID_SAMPLES, Dataset, InputError, SchemaError,
                        default_labels, gpa_mean, read_dataset, read_landmarks,
                        synthetic_vilmann, two_point_register, write_dataset)
 from gridmorph.cli import main
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.registration import Baseline
+from helpers import sample_of
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -34,7 +35,7 @@ def random_sample(k, per_group=3, seed=0):
             coords = rng.normal(size=(k, 2)) + (0.0 if tag == "juv" else 0.3)
             configs.append(LandmarkConfiguration(name, labels, coords))
             groups[name] = tag
-    return Sample(tuple(configs), groups)
+    return sample_of(configs, groups)
 
 
 def write_sample(tmp_path, sample, name="data.json"):
@@ -94,7 +95,7 @@ def test_collinear_data_is_numerical_error(tmp_path, capsys):
         coords = np.column_stack([np.arange(6.0) + shift, np.zeros(6)])
         configs.append(LandmarkConfiguration(tag, labels, coords))
         groups[tag] = tag
-    path = write_sample(tmp_path, Sample(tuple(configs), groups))
+    path = write_sample(tmp_path, sample_of(configs, groups))
     code = main(["fit", path, "--degree", "2", "--baseline", "1,6",
                  "--outdir", str(tmp_path / "out")])
     assert code == 3
@@ -358,7 +359,7 @@ def test_fit_saturated_cubic(tmp_path, capsys):
         "a": LandmarkConfiguration("a", labels, base),
         "b": LandmarkConfiguration("b", labels, base + rng.normal(scale=0.05, size=(10, 2))),
     }
-    sample = Sample(tuple(configs.values()), {"a": "a", "b": "b"})
+    sample = sample_of(configs.values(), {"a": "a", "b": "b"})
     path = write_sample(tmp_path, sample)
     assert main(["fit", path, "--degree", "3", "--baseline", "1,2",
                  "--outdir", str(tmp_path / "out")]) == 0

@@ -5,6 +5,8 @@ from gridmorph import (HomologyError, InputError, LandmarkConfiguration,
                        NumericalError, Sample, Segment, affine_fit, centroid,
                        centroid_size, default_labels, enumerate_segments,
                        procrustes_align, tps_fit, trend_fit)
+from gridmorph.core import require_homologous
+from helpers import sample_of
 
 square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
@@ -73,8 +75,22 @@ def test_sample_homology_names_both_configurations():
     a = LandmarkConfiguration("alpha", default_labels(4), square)
     b = LandmarkConfiguration("beta", default_labels(3), square[:3])
     with pytest.raises(HomologyError) as err:
-        Sample((a, b))
+        require_homologous(a, b)
     assert "alpha" in str(err.value) and "beta" in str(err.value)
+    # any number of configurations: the first one and the first that differs are named
+    a = LandmarkConfiguration("a", default_labels(4), square)
+    same = LandmarkConfiguration("same", default_labels(4), square + 1.0)
+    short = LandmarkConfiguration("short", default_labels(3), square[:3])
+    relabelled = LandmarkConfiguration("relabelled", ("L1", "L2", "L4", "L3"), square)
+    require_homologous()
+    require_homologous(a)
+    require_homologous(a, same, same)
+    with pytest.raises(HomologyError, match="'a' and 'short' .*: 4 vs 3 landmarks"):
+        require_homologous(a, same, short, relabelled)
+    with pytest.raises(HomologyError, match="'a' and 'relabelled' .*: label sequences differ"):
+        require_homologous(a, same, relabelled, short)
+    with pytest.raises(HomologyError, match="'short' and 'a' .*: 3 vs 4 landmarks"):
+        require_homologous(short, short, a, relabelled)
 
 
 @pytest.mark.parametrize("fit", [tps_fit, lambda a, b: trend_fit(a, b, 1),
@@ -93,19 +109,19 @@ def test_fits_reject_relabelled_configurations(fit):
 def test_sample_groups():
     a = LandmarkConfiguration("a1", default_labels(4), square)
     b = LandmarkConfiguration("b1", default_labels(4), square + 2.0)
-    s = Sample((a, b), groups={"a1": "young", "b1": "old"})
+    s = sample_of((a, b), groups={"a1": "young", "b1": "old"})
     assert s.group_tags == ["young", "old"]
     assert s.group_of("a1") == "young"
     assert s.in_group("old").names == ("b1",)
     with pytest.raises(InputError):
-        Sample((a, b), groups={"nobody": "young"})
+        sample_of((a, b), groups={"nobody": "young"})
 
 
 def test_sample_duplicate_names_rejected():
     a = LandmarkConfiguration("same", default_labels(4), square)
     b = LandmarkConfiguration("same", default_labels(4), square + 1.0)
-    with pytest.raises(InputError):
-        Sample((a, b))
+    with pytest.raises(InputError, match="duplicate configuration name 'same'"):
+        Sample([a.name, b.name], a.labels, [a.coords, b.coords])
 
 
 def test_enumerate_segments_counts():
@@ -129,7 +145,7 @@ def test_default_labels():
 
 def test_sample_from_stack_stores_one_read_only_stack():
     stack = np.stack([square, square + 1.0, square * 2.0])
-    s = Sample.from_stack(["a", "b", "c"], default_labels(4), stack, groups={"b": "g"})
+    s = Sample(["a", "b", "c"], default_labels(4), stack, groups={"b": "g"})
     assert s.names == ("a", "b", "c") and s.units == ("raw",) * 3 and len(s) == 3
     assert s.coords is s.coords and not s.coords.flags.writeable
     assert np.array_equal(s.coords, stack) and not np.shares_memory(s.coords, stack)
@@ -138,7 +154,7 @@ def test_sample_from_stack_stores_one_read_only_stack():
     assert s.configurations is s.configurations
     assert first.name == "a" and first.labels == s.labels and first.unit == "raw"
     assert np.shares_memory(first.coords, s.coords) and not first.coords.flags.writeable
-    assert s == Sample(s.configurations, {"b": "g"})
+    assert s == sample_of(s.configurations, {"b": "g"})
     group = s.in_group("g")
     assert group.names == ("b",) and np.array_equal(group.coords, stack[1:2])
     assert group.groups == {"b": "g"} and s.in_group("").names == ("a", "c")
@@ -149,8 +165,9 @@ def test_sample_from_stack_stores_one_read_only_stack():
 def test_sample_keeps_the_configurations_it_was_given():
     a = LandmarkConfiguration("a", default_labels(4), square)
     b = LandmarkConfiguration("b", default_labels(4), square + 1.0, unit="two-point")
-    s = Sample((a, b))
-    assert s.configurations[0] is a and s.units == ("raw", "two-point")
+    s = Sample(["a", "b"], default_labels(4), [a.coords, b.coords], ["raw", "two-point"])
+    assert s.units == ("raw", "two-point") and s.configurations == (a, b)
+    assert Sample(["a"], default_labels(4), [square], "procrustes").units == ("procrustes",)
 
 
 @pytest.mark.parametrize("names, labels, coords, units, groups, message", [
@@ -173,7 +190,7 @@ def test_sample_keeps_the_configurations_it_was_given():
 ])
 def test_sample_from_stack_rejects(names, labels, coords, units, groups, message):
     with pytest.raises(InputError, match=message):
-        Sample.from_stack(names, labels, coords, units, groups)
+        Sample(names, labels, coords, units, groups)
 
 
 def test_sample_errors_come_in_configuration_order():
@@ -181,11 +198,6 @@ def test_sample_errors_come_in_configuration_order():
     bad = np.stack([square, square, square])
     bad[1, 0, 0] = np.nan
     with pytest.raises(InputError, match="'b': coordinates must be finite"):
-        Sample.from_stack(["a", "b", "c"], default_labels(4), bad, ["raw", "raw", "feet"])
+        Sample(["a", "b", "c"], default_labels(4), bad, ["raw", "raw", "feet"])
     with pytest.raises(InputError, match="'a': unknown unit"):
-        Sample.from_stack(["a", "b", "c"], default_labels(4), bad, ["feet", "raw", "raw"])
-    # duplicate names are reported before homology, as before
-    a = LandmarkConfiguration("same", default_labels(4), square)
-    b = LandmarkConfiguration("same", default_labels(3), square[:3])
-    with pytest.raises(InputError, match="duplicate"):
-        Sample((a, b))
+        Sample(["a", "b", "c"], default_labels(4), bad, ["feet", "raw", "raw"])

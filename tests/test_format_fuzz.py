@@ -1,8 +1,10 @@
 """Differential fuzz of the landmark parsers against per-line reference parsers.
 
 The reference functions below are the line-at-a-time parsers that the
-whole-sample parsers replaced, kept as they were apart from names (and an
-errstate that silences the overflow warning of a SCALE product). On any text
+whole-sample parsers replaced, kept as they were apart from names, an
+errstate that silences the overflow warning of a SCALE product, and the final
+stacking of their configurations, which goes through helpers.sample_of (it
+checks names, then homology, then the stack, as the parsers do). On any text
 both must either return equal samples (names, labels, groups and
 coordinates bit for bit) or raise the same InputError subclass with the
 same message and line number. Inputs are valid files, optionally with a few
@@ -27,6 +29,7 @@ from hypothesis import strategies as st
 
 from gridmorph import InputError, ParseError, SchemaError, formats
 from gridmorph.core import LandmarkConfiguration, Sample, default_labels
+from helpers import sample_of
 
 FUZZ = settings(max_examples=200, derandomize=True, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow,
@@ -111,7 +114,7 @@ def reference_tps(text: str) -> Sample:
     finish(len(text.splitlines()))
     if not configs:
         raise ParseError("no LM= records found", line=1)
-    return Sample(tuple(configs))
+    return sample_of(configs)
 
 
 def _reference_float(token, line):
@@ -147,7 +150,7 @@ def _reference_csv_long(rows, with_group):
         labels = tuple(label for label, _, _ in entries)
         coords = np.asarray([(x, y) for _, x, y in entries], dtype=float)
         configs.append(LandmarkConfiguration(cid, labels, coords))
-    return Sample(tuple(configs), groups)
+    return sample_of(configs, groups)
 
 
 def _reference_csv_wide(rows, k, with_group):
@@ -168,7 +171,7 @@ def _reference_csv_wide(rows, k, with_group):
         configs.append(LandmarkConfiguration(cid, labels, coords))
         if with_group and row[1].strip():
             groups[cid] = row[1].strip()
-    return Sample(tuple(configs), groups)
+    return sample_of(configs, groups)
 
 
 def reference_csv(text: str) -> Sample:
@@ -249,7 +252,7 @@ def reference_dataset(text: str) -> formats.Dataset:
     sources = prov.get("sources", []) if isinstance(prov, dict) else []
     if type(sources) is not list or not all(isinstance(s, str) for s in sources):
         raise SchemaError("\"provenance.sources\" must be a list of strings")
-    return formats.Dataset(Sample(tuple(configs), groups), schema, sources)
+    return formats.Dataset(sample_of(configs, groups), sources)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +268,7 @@ def _outcome(parse, text):
 
 def _same_sample(a: Sample, b: Sample) -> bool:
     return (a.names == b.names and a.labels == b.labels and a.units == b.units
-            and a.groups == b.groups and a.metadata == b.metadata
+            and a.groups == b.groups
             and a.coords.shape == b.coords.shape
             and a.coords.tobytes() == b.coords.tobytes())
 
@@ -280,7 +283,7 @@ def assert_same_outcome(parse, reference, text, want_valid=False):
         assert getattr(error, "line", None) == getattr(want_error, "line", None)
         return
     if isinstance(got, formats.Dataset):
-        assert got.provenance == want.provenance and got.schema == want.schema
+        assert got.provenance == want.provenance
         got, want = got.sample, want.sample
     assert _same_sample(got, want)
 
@@ -519,8 +522,8 @@ def test_read_dataset_like_the_reference(text):
 
 
 def test_read_dataset_valid_text_is_a_sample():
-    sample = Sample((LandmarkConfiguration.build("a", [(0, 0), (1, 0), (0, 1)]),
-                     LandmarkConfiguration.build("b", [(0, 0), (2, 0), (0, 2.5)])), {"b": "g"})
+    sample = Sample(["a", "b"], default_labels(3), [[(0, 0), (1, 0), (0, 1)],
+                                                    [(0, 0), (2, 0), (0, 2.5)]], groups={"b": "g"})
     text = formats.write_dataset(formats.Dataset(sample, provenance=("x.tps",)))
     assert_same_outcome(formats.read_dataset, reference_dataset, text, want_valid=True)
 

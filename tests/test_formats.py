@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from gridmorph import (Dataset, HomologyError, InputError, ParseError, Sample,
                        SchemaError, parse_csv, parse_tps_file, read_dataset,
                        read_landmarks, synthetic_vilmann, write_dataset)
-from gridmorph.core import LandmarkConfiguration
+from gridmorph.core import default_labels
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +66,15 @@ def test_tps_bad_coordinate_reports_line():
 def test_tps_inconsistent_counts_rejected():
     text = "LM=3\n0 0\n1 0\n0 1\nLM=4\n0 0\n1 0\n1 1\n0 1\n"
     with pytest.raises(HomologyError):
+        parse_tps_file(text)
+    # a duplicate ID= is reported before the first record that differs
+    three = "LM=3\n0 0\n1 0\n0 1\nID={}\n"
+    four = "LM=4\n0 0\n1 0\n1 1\n0 1\nID={}\n"
+    text = three.format("a") + three.format("b") + four.format("c") + four.format("a")
+    with pytest.raises(InputError, match="duplicate configuration name 'a'"):
+        parse_tps_file(text)
+    text = three.format("a") + three.format("b") + four.format("c") + three.format("d")
+    with pytest.raises(HomologyError, match="'a' and 'c' are not homologous: 3 vs 4"):
         parse_tps_file(text)
 
 
@@ -154,6 +163,15 @@ def test_csv_inconsistent_labels_rejected():
             "b,Bas,0,0\nb,XXX,1,0\nb,Brg,0,1\n")
     with pytest.raises(HomologyError):
         parse_csv(text)
+    # the first id that differs from the first is named, whatever follows it
+    rows = ["id,label,x,y", "a,P,0,0", "a,Q,1,0", "a,R,0,1", "b,P,0,0", "b,Q,2,0", "b,R,0,2"]
+    with pytest.raises(HomologyError, match="'a' and 'c' .*label sequences differ"):
+        parse_csv("\n".join(rows + ["c,P,0,0", "c,R,1,0", "c,Q,0,1",
+                                    "d,P,0,0", "d,Q,1,0", "d,R,0,1", "d,S,1,1"]) + "\n")
+    with pytest.raises(HomologyError, match="'a' and 'c' .*: 3 vs 4 landmarks"):
+        parse_csv("\n".join(rows + ["c,P,0,0", "c,Q,1,0", "c,R,0,1", "c,S,1,1"]) + "\n")
+    with pytest.raises(InputError, match="sample must contain at least one configuration"):
+        parse_csv("id,label,x,y\n")
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +189,7 @@ def test_dataset_round_trip_bitwise():
 
 def test_dataset_serializes_awkward_floats():
     coords = np.array([(0.1, 1e-300), (np.pi, -0.0), (1e300, 2.0 / 3.0)])
-    cfg = LandmarkConfiguration.build("weird", coords)
-    dataset = Dataset(Sample((cfg,)))
+    dataset = Dataset(Sample(["weird"], default_labels(3), coords[None]))
     again = read_dataset(write_dataset(dataset))
     assert np.array_equal(again.sample.configurations[0].coords, coords)
 
@@ -183,8 +200,9 @@ def test_dataset_serializes_awkward_floats():
                                                                allow_infinity=False)))))
 @example(np.array([[[-0.0, 5e-324], [1e308, -1e308], [-2.2250738585072014e-308, 0.1]]]))
 def test_dataset_round_trip_is_exact(stack):
-    configs = tuple(LandmarkConfiguration.build(f"c{i}", coords) for i, coords in enumerate(stack))
-    text = write_dataset(Dataset(Sample(configs, {"c0": "first"})))
+    names = [f"c{i}" for i in range(len(stack))]
+    text = write_dataset(Dataset(Sample(names, default_labels(stack.shape[1]), stack,
+                                        groups={"c0": "first"})))
     again = read_dataset(text).sample
     assert again.groups == {"c0": "first"}
     back = again.coords

@@ -261,6 +261,21 @@ def test_homography_vanishing_line():
     assert np.isnan(h(np.array([1.0, 0.5]))).all()
 
 
+def test_homography_vanishing_line_test_scales_with_the_data():
+    # (x, y) -> (y / x, 1 / x): w = x, so (s, s) goes to (1, 1/s) at every scale s,
+    # and the vanishing line is x = 0 however small the other coordinate
+    h = Homography(np.array([(0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)]))
+    for s in 10.0 ** np.arange(-14, 11):
+        out = h(np.array([(s, s), (-s, s)]))
+        np.testing.assert_allclose(out, [(1.0, 1.0 / s), (-1.0, -1.0 / s)], rtol=1e-12, atol=0)
+        assert np.isnan(h(np.array([(0.0, s), (0.0, -s)]))).all()
+    assert np.isnan(h(np.zeros((1, 2)))).all()
+    # a matrix too small to be normalized maps as its multiples do
+    m = np.array([(1.0, 0.2, 0.1), (0.1, 1.0, 0.3), (0.05, 0.02, 1.0)])
+    pts = np.array([(0.5, 0.5), (1.0, 2.0)])
+    np.testing.assert_allclose(Homography(m * 1e-13)(pts), Homography(m)(pts), rtol=1e-12)
+
+
 def test_homography_collinear_quad_rejected():
     flat = np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
     with pytest.raises(NumericalError):

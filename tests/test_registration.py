@@ -13,6 +13,7 @@ from gridmorph import (AffineMap2, Baseline, ConvergenceError,
                        two_point_register_sample)
 from gridmorph.core import centered
 from gridmorph.registration import GPA_MAX_ITER, GPA_TOL, _normalized, _rotation_angles
+from helpers import sample_of
 
 
 def config(coords, name="cfg", unit="raw"):
@@ -177,7 +178,7 @@ def test_procrustes_no_reflection():
 def test_gpa_identical_configs():
     rng = np.random.default_rng(41)
     coords = rng.normal(size=(6, 2))
-    sample = Sample(tuple(config(coords, name=f"c{i}") for i in range(4)))
+    sample = sample_of(config(coords, name=f"c{i}") for i in range(4))
     mean = gpa_mean(sample)
     expected = coords - coords.mean(axis=0)
     expected /= centroid_size(expected)
@@ -204,7 +205,7 @@ def test_gpa_similarity_invariance():
     rng = np.random.default_rng(42)
     base = rng.normal(size=(7, 2))
     configs = tuple(config(random_similarity(rng)(base), name=f"c{i}") for i in range(6))
-    mean = gpa_mean(Sample(configs))
+    mean = gpa_mean(sample_of(configs))
     assert procrustes_distance(mean.coords, base) < 1e-8
 
 
@@ -215,7 +216,7 @@ def test_gpa_converges_on_random_samples():
         base = rng.normal(size=(k, 2))
         configs = tuple(config(base + rng.normal(scale=0.1, size=(k, 2)), name=f"c{i}")
                         for i in range(int(rng.integers(2, 7))))
-        mean = gpa_mean(Sample(configs))
+        mean = gpa_mean(sample_of(configs))
         assert np.isfinite(mean.coords).all()
         assert centroid_size(mean.coords) == pytest.approx(1.0, abs=1e-10)
 
@@ -304,7 +305,7 @@ def test_affine_fit_collinear_template_raises():
 
 def test_gpa_single_config():
     coords = np.array([(0.0, 0.0), (2.0, 0.0), (1.0, 1.0)])
-    mean = gpa_mean(Sample((config(coords),)))
+    mean = gpa_mean(sample_of([config(coords)]))
     assert centroid_size(mean.coords) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -313,7 +314,7 @@ def test_gpa_single_config():
 
 def stacked_sample(stack):
     configs = tuple(config(coords, name=f"c{i}") for i, coords in enumerate(stack))
-    return Sample(configs, {c.name: "ab"[i % 2] for i, c in enumerate(configs)})
+    return sample_of(configs, {c.name: "ab"[i % 2] for i, c in enumerate(configs)})
 
 
 def outcome(fn, *args):
@@ -420,8 +421,8 @@ def test_two_point_sample_is_similarity_invariant(case, data):
     start, end = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
     baselines = [np.hypot(*(p[:, end] - p[:, start]).T) for p in (stack, moved)]
     assume(all((b > 1e-3 * centered(p)[1]).all() for b, p in zip(baselines, (stack, moved))))
-    got = [two_point_register_sample(Sample.from_stack([f"c{i}" for i in range(len(p))],
-                                                       default_labels(k), p), Baseline(start, end))
+    got = [two_point_register_sample(Sample([f"c{i}" for i in range(len(p))],
+                                            default_labels(k), p), Baseline(start, end))
            for p in (stack, moved)]
     assert all(s.units == (UNIT_TWO_POINT,) * len(stack) for s in got)
     # rounding of p - a and of the division by the baseline vector, for both inputs
@@ -437,7 +438,7 @@ def test_gpa_mean_is_similarity_invariant(case):
     stack, moved, angle = case
     assume((centered(stack)[1] > 1.0).all())
     names = [f"c{i}" for i in range(len(stack))]
-    means = [gpa_mean(Sample.from_stack(names, default_labels(stack.shape[1]), p)).coords
+    means = [gpa_mean(Sample(names, default_labels(stack.shape[1]), p)).coords
              for p in (stack, moved)]
     # the reference starts from the first specimen, so the mean turns with it
     c, s = np.cos(angle[0]), np.sin(angle[0])

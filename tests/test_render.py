@@ -270,7 +270,7 @@ def test_outline_panel_structure():
 def test_network_scene_one_line_per_segment():
     template, target, _ = vilmann_pair()
     segments = (Segment(0, 1), Segment(2, 5), Segment(3, 4))
-    scene = network_scene(template, target, segments, viewport=(-1, -1, 2, 2))
+    scene = network_scene(template, target, segments)
     root = parse(render_scene(scene))
     names = tags(root)
     # each segment drawn once per configuration: light template, heavy target
@@ -280,7 +280,7 @@ def test_network_scene_one_line_per_segment():
 
 def test_tile_scenes_four_panel_dimensions():
     template, target, baseline = vilmann_pair()
-    panel = outline_panel(template, target, baseline, "p", size=(480, 480))
+    panel = outline_panel(template, target, baseline, "p")
     composite = tile_scenes([panel, panel, panel, panel], columns=2, panel_size=480)
     root = parse(render_scene(composite))
     assert root.get("width") == "960" and root.get("height") == "960"
