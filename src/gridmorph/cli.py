@@ -278,10 +278,10 @@ def cmd_rotations(args) -> int:
         target = remove_affine(template, target)
     report = segment_rotations(template, target)
     selected = filter_rotations(report, threshold)
-    position = {seg: idx for idx, seg in enumerate(report.segments)}
-    rows = [(seg, report.labels[seg.i], report.labels[seg.j],
-             float(report.rotations[position[seg]]), float(report.ratios[position[seg]]))
-            for seg in selected]
+    k = len(report.labels)  # report.segments are lexicographic: (k-1) + ... + (k-i) precede i
+    positions = [seg.i * (2 * k - seg.i - 1) // 2 + seg.j - seg.i - 1 for seg in selected]
+    rows = [(seg, report.labels[seg.i], report.labels[seg.j], float(report.rotations[pos]),
+             float(report.ratios[pos])) for seg, pos in zip(selected, positions)]
 
     print(f"{'i':>3} {'j':>3}  {'from':<10} {'to':<10} "
           f"{'rotation_rad':>13} {'rotation_deg':>13} {'length_ratio':>13}")
@@ -384,8 +384,8 @@ def _write_grid_panels(grids, points, path: str, extra_layers=None) -> None:
     """One 360-pixel panel per grid, with its landmarks, side by side on a shared viewport."""
     from .render import grid_scene, tile_scenes, write_svg
     viewport = _bounds_viewport([g.image[g.kept] for g in grids] + list(points))
-    panels = [grid_scene(grid, solid_points=pts, viewport=viewport, size=(360.0, 360.0),
-                         landmark_count=len(pts)) for grid, pts in zip(grids, points)]
+    panels = [grid_scene(grid, solid_points=pts, viewport=viewport, landmark_count=len(pts))
+              for grid, pts in zip(grids, points)]
     if extra_layers is not None:
         panels = [dataclasses.replace(scene, layers=scene.layers + (layer,))
                   for scene, layer in zip(panels, extra_layers)]

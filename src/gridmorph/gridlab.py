@@ -271,20 +271,20 @@ def trim_grid(grid: DeformedGrid, polygon, space: str = "template") -> DeformedG
     return replace(grid, kept=grid.kept & points_in_polygon(where, polygon))
 
 
-def kept_runs(image, kept) -> list[np.ndarray]:
-    """Maximal kept runs of at least two image points, for drawing.
+def kept_runs(kept) -> np.ndarray:
+    """(start, stop) row bounds of the maximal kept runs of at least two samples, for drawing.
 
-    image is one line (samples, 2) or a family of lines (lines, samples, 2)
-    with the matching kept mask; runs come line by line, in sample order.
+    kept is one line's mask (samples,) or a family's (lines, samples); a run is rows start to
+    stop of the matching image.reshape(-1, 2). Runs come line by line, in sample order.
     """
-    image = np.asarray(image)
-    lines = image.reshape(-1, image.shape[-2], 2)
-    mask = np.asarray(kept, dtype=bool).reshape(len(lines), -1)
+    kept = np.asarray(kept, dtype=bool)
+    mask = kept.reshape(-1, kept.shape[-1])
     edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
     rows, starts = np.nonzero(edges == 1)
     stops = np.nonzero(edges == -1)[1]
-    return [lines[row, start:stop] for row, start, stop in zip(rows, starts, stops)
-            if stop - start >= 2]
+    drawn = stops - starts >= 2
+    offsets = rows[drawn] * mask.shape[1]
+    return np.column_stack([offsets + starts[drawn], offsets + stops[drawn]])
 
 
 def landmark_cycle_polygon(config) -> np.ndarray:
@@ -382,6 +382,6 @@ def filter_rotations(report: SegmentRotationReport, threshold: float) -> list[Se
     """Segments whose |rotation| meets the threshold, largest magnitude first."""
     if threshold < 0.0:
         raise InputError(f"threshold must be non-negative, got {threshold}")
-    size = dict(zip(report.segments, np.abs(report.rotations).tolist()))
-    return sorted((seg for seg in report.segments if size[seg] >= threshold),
-                  key=lambda seg: (-size[seg], seg))
+    size = np.abs(report.rotations)
+    order = np.argsort(-size, kind="stable")  # ties keep the segments' lexicographic order
+    return [report.segments[idx] for idx in order[size[order] >= threshold].tolist()]

@@ -3,7 +3,8 @@
 The emitter is deliberately dumb: fixed attribute order, floats printed
 with 6 significant digits, no timestamps, no generated ids. Rendering the
 same scene twice yields byte-identical output, which makes figures
-diffable and lets tests freeze golden files.
+diffable and lets tests freeze golden files. write_svg streams the text
+that render_scene returns into its file, one block at a time.
 
 Scene coordinates are mathematical (y up). The viewport maps a world
 rectangle onto the pixel canvas with a single isotropic scale and a y
@@ -12,6 +13,7 @@ flip, so shapes are never distorted anisotropically.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +34,13 @@ class Polyline:
     heavy: bool = False
     dashed: bool = False
     closed: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class GridLines:  # light polylines through points[start:stop] for each (start, stop) in runs
+    points: np.ndarray  # (n, 2) world coordinates
+    runs: np.ndarray    # (m, 2) row bounds, as gridlab.kept_runs returns them
+    heavy = dashed = closed = False  # drawn in Polyline's default style
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +73,9 @@ class Panel:
 class Scene:
     """Layers plus the world->pixel mapping they are drawn through.
 
-    viewport is (x0, y0, x1, y1) in world coordinates; None means "bounds of
-    the content, padded 5 percent". landmark_count is optional bookkeeping
-    used to check that composite figures agree on their landmark set.
+    viewport is (x0, y0, x1, y1) in world coordinates; None means "bounds of the content,
+    padded 5 percent". A Panel's scene is drawn into the Panel's rect, its size unread.
+    landmark_count is optional bookkeeping that composite figures use to agree on landmarks.
     """
 
     size: tuple[float, float] = (480.0, 480.0)
@@ -76,10 +85,7 @@ class Scene:
 
 
 def _fmt(value: float) -> str:
-    v = float(value)
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return "%.6g" % v
+    return "%.6g" % (float(value) + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
 PRINT_BLOCK = 2 ** 14  # polyline coordinates per _fmt_coords call: its arrays take ~130 B each
@@ -158,132 +164,127 @@ def padded_bounds(chunks) -> tuple[float, float, float, float] | None:
     return (float(lo[0]) - pad, float(lo[1]) - pad, float(hi[0]) + pad, float(hi[1]) + pad)
 
 
-class _Transform:
-    """Isotropic world->pixel mapping with a y flip, centered in its pixel rect."""
-
-    def __init__(self, viewport, rect):
-        x0, y0, x1, y1 = viewport
-        if not (x1 > x0 and y1 > y0):
-            raise InputError(f"degenerate viewport {viewport}")
-        px, py, pw, ph = rect
-        self.scale = min(pw / (x1 - x0), ph / (y1 - y0))
-        self.ox = px + (pw - (x1 - x0) * self.scale) / 2.0
-        self.oy = py + (ph - (y1 - y0) * self.scale) / 2.0
-        self.x0, self.y1 = x0, y1
-
-    def apply(self, pts: np.ndarray, out=None) -> np.ndarray:
-        """Pixel coordinates of (n, 2) world points, into out if given (it may be pts)."""
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        out = np.empty_like(pts) if out is None else out
-        out[:, 0] = self.ox + (pts[:, 0] - self.x0) * self.scale
-        out[:, 1] = self.oy + (self.y1 - pts[:, 1]) * self.scale
-        return out
+def _transform(viewport, rect):
+    """The world->pixel map of (n, 2) points: one isotropic scale and a y flip, centred in rect."""
+    x0, y0, x1, y1 = viewport
+    if not (x1 > x0 and y1 > y0):
+        raise InputError(f"degenerate viewport {viewport}")
+    px, py, pw, ph = rect
+    scale = min(pw / (x1 - x0), ph / (y1 - y0))
+    ox, oy = px + (pw - (x1 - x0) * scale) / 2.0, py + (ph - (y1 - y0) * scale) / 2.0
+    origin, gain, offset = np.array([x0, y1]), np.array([scale, -scale]), np.array([ox, oy])
+    return lambda pts: (np.asarray(pts, dtype=float).reshape(-1, 2) - origin) * gain + offset
 
 
-def _emit_layers(scene: Scene, rect, out: list[str], polylines: list):
-    """Append the scene's SVG lines to out. A polyline's line is left open, and its
-    (slot in out, transform, points) goes to polylines for _print_polylines."""
+def _layers(scene: Scene, rect):
+    """(layer, where) of each layer of a scene in file order, a Panel's scene right after the
+    Panel: where is a Panel's pixel rect, or the world->pixel map of the scene's own layers."""
     viewport = scene.viewport if scene.viewport is not None else padded_bounds(
-        getattr(layer, name) for layer in scene.layers  # a Panel has none of them
-        for name in ("points", "center", "anchor") if hasattr(layer, name))
-    tf = _Transform(viewport, rect) if viewport is not None else None
+        chunk for layer in scene.layers for chunk in (  # what each layer draws; a Panel has none
+            [getattr(layer, key) for key in ("points", "center", "anchor") if hasattr(layer, key)]
+            if not isinstance(layer, GridLines) else
+            [layer.points[start:stop] for start, stop in layer.runs.tolist()]))
+    tf = _transform(viewport, rect) if viewport is not None else None
+    if tf is None and not all(isinstance(layer, Panel) for layer in scene.layers):
+        raise InputError("scene has drawable layers but no viewport could be derived")
     for layer in scene.layers:
         if isinstance(layer, Panel):
-            px, py, pw, ph = layer.rect
-            px, py = px + rect[0], py + rect[1]
-            out.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" width="{_fmt(pw)}" '
-                       f'height="{_fmt(ph)}" fill="none" stroke="black" '
-                       f'stroke-width="{_fmt(LIGHT_WIDTH)}"/>')
-            _emit_layers(layer.scene, (px, py, pw, ph), out, polylines)
-            continue
-        if tf is None:
-            raise InputError("scene has drawable layers but no viewport could be derived")
-        if isinstance(layer, Polyline):
-            pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)
-            if len(pts) < 2:
-                continue
-            tag = "polygon" if layer.closed else "polyline"
-            width = HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH
-            dash = ' stroke-dasharray="4 3"' if layer.dashed else ""
-            polylines.append((len(out), tf, pts))
-            out.append(f'<{tag} fill="none" stroke="black" stroke-width="{_fmt(width)}"'
-                       f'{dash} points="')
-        elif isinstance(layer, Marker):
-            (cx, cy), = tf.apply(layer.center)
-            stroke = f'stroke="black" stroke-width="{_fmt(LIGHT_WIDTH)}"'
-            circles = [(MARKER_RADIUS, 'fill="black" stroke="none"' if layer.filled
-                        else f'fill="white" {stroke}')]
-            if layer.baseline:
-                circles.append((MARKER_RADIUS * BASELINE_RING_RATIO, f'fill="none" {stroke}'))
-            out += [f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {paint}/>'
-                    for r, paint in circles]
-        elif isinstance(layer, Label):
-            (x, y), = tf.apply(layer.anchor)
-            out.append(f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
-                       f'font-size="{_fmt(FONT_SIZE)}">{_escape(layer.text)}</text>')
-        elif isinstance(layer, SegmentNetwork):
-            pts = tf.apply(layer.points)
-            width = HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH
-            for seg in layer.segments:
-                a, b = pts[seg.i], pts[seg.j]
-                out.append(f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" x2="{_fmt(b[0])}" '
-                           f'y2="{_fmt(b[1])}" stroke="black" '
-                           f'stroke-width="{_fmt(width)}"/>')
+            x, y, w, h = layer.rect
+            yield layer, (x + rect[0], y + rect[1], w, h)
+            yield from _layers(layer.scene, (x + rect[0], y + rect[1], w, h))
         else:
-            raise InputError(f"unknown scene layer type {type(layer).__name__}")
+            yield layer, tf
 
 
-def _print_polylines(polylines: list, out: list[str]) -> None:
-    """Close each polyline's line in out with its points as _fmt prints them, "x,y x,y ...",
-    transformed and printed in order PRINT_BLOCK coordinates at a time (a polyline may span
-    blocks), so that no array holds the whole figure. Each run of a block's pieces that
-    share a transform goes through it in one call."""
-    pieces, runs, closed, size, head = [], [], [], 0, ""
-    for index, (slot, tf, pts) in enumerate(polylines):
-        start = 0
-        while start < len(pts):
-            piece = pts[start:start + PRINT_BLOCK // 2 - size]
-            pieces.append(piece)
-            if not runs or runs[-1][0] is not tf:
-                runs.append((tf, size))
-            size, start = size + len(piece), start + len(piece)
-            if start == len(pts):
-                closed.append((slot, size))
-            if size < PRINT_BLOCK // 2 and index < len(polylines) - 1:
-                continue
-            block = np.concatenate(pieces)
-            for (run_tf, begin), (_, end) in zip(runs, runs[1:] + [(None, size)]):
-                run_tf.apply(block[begin:end], out=block[begin:end])
-            seps = np.tile(np.frombuffer(b", ", dtype=np.uint8), size)
-            seps[[2 * end - 1 for _, end in closed]] = ord("\n")
-            *texts, rest = _fmt_coords(block.ravel(), seps).split("\n")
-            for (done, _), text in zip(closed, texts):
-                out[done] = "".join((out[done], head, text, '"/>'))
-                head = ""
-            head += rest
-            pieces, runs, closed, size = [], [], [], 0
+def _text(layer, where) -> str:
+    """The SVG lines of a layer that is not a polyline, where as _layers gives it."""
+    if isinstance(layer, Panel):
+        return ('<rect x="%s" y="%s" width="%s" height="%s" fill="none" stroke="black" '
+                'stroke-width="%s"/>\n' % (*map(_fmt, where), _fmt(LIGHT_WIDTH)))
+    if isinstance(layer, Marker):
+        (cx, cy), = where(layer.center)
+        stroke = f'stroke="black" stroke-width="{_fmt(LIGHT_WIDTH)}"'
+        circles = [(MARKER_RADIUS, 'fill="black" stroke="none"' if layer.filled
+                    else f'fill="white" {stroke}')]
+        if layer.baseline:
+            circles.append((MARKER_RADIUS * BASELINE_RING_RATIO, f'fill="none" {stroke}'))
+        return "".join(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {paint}/>\n'
+                       for r, paint in circles)
+    if isinstance(layer, Label):
+        (x, y), = where(layer.anchor)
+        return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
+                f'font-size="{_fmt(FONT_SIZE)}">{_escape(layer.text)}</text>\n')
+    if isinstance(layer, SegmentNetwork):  # every end coordinate in one _fmt_coords call
+        ends = where(layer.points)[np.array(layer.segments, dtype=np.intp).reshape(-1)]
+        numbers = _fmt_coords(ends.ravel(), np.full(ends.size, ord("\n"), dtype=np.uint8))
+        line = ('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" '
+                f'stroke-width="{_fmt(HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH)}"/>\n')
+        return line * len(layer.segments) % tuple(numbers.split("\n")[:-1])
+    raise InputError(f"unknown scene layer type {type(layer).__name__}")
+
+
+def _svg(scene: Scene):
+    """The SVG 1.1 text of a scene in file order, a piece per PRINT_BLOCK polyline coordinates."""
+    def printed() -> str:  # the points as _fmt prints them, "x,y x,y ...", in one _fmt_coords call
+        xy = np.concatenate(pieces) if pieces else np.empty((0, 2))
+        for (tf, begin), (_, end) in zip(maps, maps[1:] + [(None, len(xy))]):
+            xy[begin:end] = tf(xy[begin:end])
+        seps = np.tile(np.frombuffer(b", ", dtype=np.uint8), len(xy))
+        seps[2 * np.array(ends, dtype=np.intp) - 1] = ord("\n")
+        texts = _fmt_coords(xy.ravel(), seps).split("\n")
+        return "".join([part for join, text in zip(joins, texts) for part in (*join, text)])
+
+    w, h = scene.size
+    # pieces, line ends (in points), joins[r] before stretch r, (map, first point) of each map
+    pieces, ends, maps, size = [], [], [], 0
+    joins = [[f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(w)}" '
+              f'height="{_fmt(h)}" viewBox="0 0 {_fmt(w)} {_fmt(h)}">\n']]
+    for layer, where in _layers(scene, (0.0, 0.0, float(w), float(h))):
+        if not isinstance(layer, (Polyline, GridLines)):
+            joins[-1].append(_text(layer, where))
+            continue
+        pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)
+        width = _fmt(HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH)
+        dash = ' stroke-dasharray="4 3"' if layer.dashed else ""
+        head = (f'<{"polygon" if layer.closed else "polyline"} fill="none" stroke="black" '
+                f'stroke-width="{width}"{dash} points="')
+        for start, stop in (layer.runs.tolist() if isinstance(layer, GridLines)
+                            else [(0, len(pts))] * (len(pts) >= 2)):
+            joins[-1].append(head)
+            while start < stop:
+                if not maps or maps[-1][0] is not where:
+                    maps.append((where, size))
+                pieces.append(pts[start:min(stop, start + PRINT_BLOCK // 2 - size)])
+                size, start = size + len(pieces[-1]), start + len(pieces[-1])
+                if start == stop:
+                    ends.append(size)
+                    joins.append(['"/>\n'])
+                if size == PRINT_BLOCK // 2:
+                    yield printed()
+                    pieces, ends, joins, maps, size = [], [], [[]], [], 0
+    joins[-1].append("</svg>\n")
+    yield printed()
 
 
 def render_scene(scene: Scene) -> str:
     """Serialize a scene to SVG 1.1 text. Same scene in, same bytes out."""
-    w, h = scene.size
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-           f'width="{_fmt(w)}" height="{_fmt(h)}" viewBox="0 0 {_fmt(w)} {_fmt(h)}">']
-    polylines = []
-    _emit_layers(scene, (0.0, 0.0, float(w), float(h)), out, polylines)
-    _print_polylines(polylines, out)
-    out.append("</svg>\n")  # joined once: the SVG is never copied to add its last newline
-    return "\n".join(out)
+    return "".join(_svg(scene))
 
 
 def write_svg(scene: Scene, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_scene(scene))
+    """Stream render_scene(scene)'s text into path; on any error, remove the partial file."""
+    handle = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.writelines(_svg(scene))
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):  # never a device, pipe or link
+            os.remove(path)
+        raise
 
 
 def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
                baseline: tuple[int, int] | None = None, viewport=None,
-               size: tuple[float, float] = (480.0, 480.0),
                landmark_count: int | None = None) -> Scene:
     """Scene showing a deformed grid with optional landmark markers.
 
@@ -291,14 +292,13 @@ def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
     open circles (predictions). baseline names two landmark ordinals whose
     markers get the enclosing ring, on whichever point sets are present.
     """
-    layers: list = [Polyline(run)
-                    for image, kept in grid.families() for run in kept_runs(image, kept)]
+    layers: list = [GridLines(image.reshape(-1, 2), kept_runs(kept))
+                    for image, kept in grid.families()]
     ring = set(baseline) if baseline is not None else set()
     layers += [Marker(row, filled=filled, baseline=idx in ring)
                for pts, filled in ((solid_points, True), (open_points, False)) if pts is not None
                for idx, row in enumerate(np.asarray(pts, dtype=float).reshape(-1, 2))]
-    return Scene(size=size, viewport=viewport, layers=tuple(layers),
-                 landmark_count=landmark_count)
+    return Scene(viewport=viewport, layers=tuple(layers), landmark_count=landmark_count)
 
 
 def network_scene(template, target, segments: tuple[Segment, ...]) -> Scene:
@@ -307,8 +307,9 @@ def network_scene(template, target, segments: tuple[Segment, ...]) -> Scene:
     The template network is light with open markers, the target heavy with
     filled markers, so the eye can track each segment's rotation.
     """
-    layers = [SegmentNetwork(template.coords, tuple(segments), heavy=False),
-              SegmentNetwork(target.coords, tuple(segments), heavy=True),
+    segments = tuple(segments)
+    layers = [SegmentNetwork(template.coords, segments, heavy=False),
+              SegmentNetwork(target.coords, segments, heavy=True),
               *(Marker(row, filled=False) for row in template.coords),
               *(Marker(row, filled=True) for row in target.coords)]
     return Scene(layers=tuple(layers), landmark_count=len(template))
@@ -343,9 +344,7 @@ def tile_scenes(panels: list[Scene], columns: int | None = None,
     cols = columns if columns is not None else int(np.ceil(np.sqrt(n)))
     rows = int(np.ceil(n / cols))
     p = float(panel_size)
-    layers = tuple(
-        Panel(scene, ((idx % cols) * p, (idx // cols) * p, p, p))
-        for idx, scene in enumerate(panels)
-    )
+    layers = tuple(Panel(scene, ((idx % cols) * p, (idx // cols) * p, p, p))
+                   for idx, scene in enumerate(panels))
     return Scene(size=(cols * p, rows * p), layers=layers,
                  landmark_count=next(iter(counts)) if counts else None)

@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from gridmorph import (MAX_GRID_SAMPLES, AffineMap2, Baseline, BilinearMap, GridSpec,
                        InputError, LandmarkConfiguration, NumericalError, Quad, Segment,
-                       affine_fit, convex_hull_polygon, deform_grid,
-                       default_labels, design_matrix, extend_grid,
+                       SegmentRotationReport, affine_fit, convex_hull_polygon, deform_grid,
+                       default_labels, design_matrix, enumerate_segments, extend_grid,
                        filter_rotations, homography_from_quads, kept_runs,
                        landmark_cycle_polygon, make_grid, points_in_polygon, prototype_pair, segment_rotations,
                        tps_eval, tps_fit, trend_eval, trend_fit, trim_grid,
@@ -254,7 +254,8 @@ def reference_kept_runs(image, kept):
 def assert_same_runs(kept):
     kept = np.asarray(kept, dtype=bool)
     image = np.arange(kept.size * 2, dtype=float).reshape(kept.shape + (2,))
-    got = kept_runs(image, kept)
+    rows = image.reshape(-1, 2)
+    got = [rows[start:stop] for start, stop in kept_runs(kept).tolist()]
     want = reference_kept_runs(image, kept)
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -284,7 +285,7 @@ def test_kept_runs_split():
     _, (image, kept) = grid.families()
     kept = kept[0].copy()
     kept[2] = False
-    runs = kept_runs(image[0], kept)
+    runs = [image[0][start:stop] for start, stop in kept_runs(kept).tolist()]
     assert len(runs) == 2
     assert len(runs[0]) == 2 and len(runs[1]) == 4  # runs of >= 2 points only
     assert np.array_equal(runs[1], image[0, 3:])
@@ -639,6 +640,21 @@ def test_filter_threshold_zero_and_pi():
     assert filter_rotations(report, np.pi + 1e-9) == []
     with pytest.raises(InputError):
         filter_rotations(report, -0.1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_filter_rotations_equals_sorted_reference_with_ties(seed):
+    rng = np.random.default_rng(seed)
+    segments = tuple(enumerate_segments(12))
+    # few distinct magnitudes, each with both signs: most segments tie with others
+    rotations = rng.choice([-np.pi, -0.3, -0.2, 0.0, 0.2, 0.3, np.pi], size=len(segments))
+    report = SegmentRotationReport(segments, default_labels(12), rotations,
+                                   np.ones(len(segments)), np.zeros(len(segments)))
+    size = dict(zip(segments, np.abs(rotations).tolist()))
+    for threshold in (0.0, 0.2, 0.25, np.pi, 4.0):
+        want = sorted((seg for seg in segments if size[seg] >= threshold),
+                      key=lambda seg: (-size[seg], seg))
+        assert filter_rotations(report, threshold) == want
 
 
 def test_filter_sorted_by_magnitude():

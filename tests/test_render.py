@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from gridmorph import (Baseline, InputError, Segment, deform_grid, default_label
                        write_svg)
 from gridmorph import render
 from gridmorph.core import LandmarkConfiguration
-from gridmorph.render import Label, Marker, Panel, Polyline, Scene, _fmt, _fmt_coords
+from gridmorph.gridlab import kept_runs
+from gridmorph.render import GridLines, Label, Marker, Panel, Polyline, Scene, _fmt, _fmt_coords
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -158,20 +161,39 @@ def test_fmt_coords_digits_do_not_depend_on_log10_rounding(monkeypatch, shift):
     assert _fmt_coords(values, seps) == want
 
 
-def percent_print_polylines(polylines, out):
-    """The per-polyline % path that _print_polylines replaced, kept as the oracle."""
-    for slot, tf, pts in polylines:
-        xy = tf.apply(pts) + 0.0
-        out[slot] += " ".join(["%.6g,%.6g"] * len(xy)) % tuple(xy.ravel().tolist()) + '"/>'
+def percent_render_scene(scene):
+    """The oracle for render_scene: each polyline transformed and printed with % on its own, in
+    the order render._layers gives, and every other layer as render._text prints it."""
+    w, h = scene.size
+    out = ['<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="%.6g" height="%.6g" '
+           'viewBox="0 0 %.6g %.6g">\n' % (w, h, w, h)]
+    for layer, where in render._layers(scene, (0.0, 0.0, float(w), float(h))):
+        if not isinstance(layer, (Polyline, GridLines)):
+            out.append(render._text(layer, where))
+            continue
+        pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)
+        tag = "polygon" if layer.closed else "polyline"
+        width = "%.6g" % (render.HEAVY_WIDTH if layer.heavy else render.LIGHT_WIDTH)
+        dash = ' stroke-dasharray="4 3"' if layer.dashed else ""
+        for start, stop in layer.runs.tolist() if isinstance(layer, GridLines) else [(0, len(pts))]:
+            if stop - start >= 2:
+                xy = where(pts[start:stop]) + 0.0
+                out.append(f'<{tag} fill="none" stroke="black" stroke-width="{width}"{dash} points="'
+                           + " ".join(["%.6g,%.6g"] * len(xy)) % tuple(xy.ravel().tolist())
+                           + '"/>\n')
+    return "".join(out) + "</svg>\n"
 
 
 def random_scene(rng, lengths, depth=0):
-    """Polylines of the given lengths among markers, some inside nested panels."""
+    """Polylines and grid lines of the given lengths among markers, some inside nested panels."""
     layers = []
     for n in lengths:
         pts = rng.normal(size=(n, 2)) * 10 ** rng.uniform(-3, 4)
         pts[rng.random(n) < 0.01] = np.nan
         layers.append(Polyline(pts, heavy=bool(rng.integers(2)), closed=bool(rng.integers(2))))
+        if n and rng.random() < 0.5:  # lines of n samples, with runs of every length
+            kept = rng.random((int(rng.integers(1, 4)), n)) < rng.choice([0.5, 0.9, 1.0])
+            layers.append(GridLines(pts[rng.integers(n, size=kept.size)], kept_runs(kept)))
         if rng.random() < 0.3:
             layers.append(Marker(rng.normal(size=2)))
         if depth < 2 and rng.random() < 0.3:
@@ -188,9 +210,51 @@ def test_render_scene_equals_per_polyline_percent_oracle(monkeypatch, block):
     lengths = [0, 1, 2, 3, half - 1, half, half + 1, 2 * half + 1, 5, 2, 40]
     scenes = [random_scene(rng, rng.permutation(lengths)) for _ in range(3)]
     monkeypatch.setattr(render, "PRINT_BLOCK", block)
-    got = [render_scene(scene) for scene in scenes]
-    monkeypatch.setattr(render, "_print_polylines", percent_print_polylines)
-    assert got == [render_scene(scene) for scene in scenes]
+    assert [render_scene(scene) for scene in scenes] == [percent_render_scene(scene)
+                                                        for scene in scenes]
+
+
+@pytest.mark.parametrize("block", [2, 6, 64, render.PRINT_BLOCK])
+def test_write_svg_writes_render_scene_bytes(monkeypatch, tmp_path, block):
+    rng = np.random.default_rng(block + 1)
+    scene = random_scene(rng, [0, 2, block // 2 + 1, block + 3, 40])
+    monkeypatch.setattr(render, "PRINT_BLOCK", block)
+    write_svg(scene, tmp_path / "scene.svg")
+    assert (tmp_path / "scene.svg").read_bytes() == render_scene(scene).encode()
+
+
+def test_failed_write_svg_leaves_no_file(tmp_path):
+    good = Scene(size=(10, 10), viewport=(0, 0, 1, 1), layers=(Marker(np.zeros(2)),))
+    bad = Scene(size=(10, 10), viewport=(0, 0, 0, 1), layers=(Marker(np.zeros(2)),))
+    path = tmp_path / "figure.svg"
+    write_svg(good, path)  # a figure from an earlier run
+    with pytest.raises(InputError, match="degenerate viewport"):
+        write_svg(tile_scenes([good, bad]), path)  # the second panel fails after the first
+    assert not path.exists()
+    link = tmp_path / "link.svg"  # what a link points at is not the output's own file
+    link.symlink_to(tmp_path / "target.svg")
+    with pytest.raises(InputError):
+        write_svg(bad, link)
+    assert link.is_symlink()
+
+
+def test_write_svg_peak_memory_is_below_half_the_file(tmp_path):
+    from gridmorph import prototype_pair, tps_fit
+
+    src, dst = prototype_pair("kite")
+    grid = deform_grid(make_grid(src, margin=0.25, cells=96), tps_fit(src, dst))
+    figure = tile_scenes([grid_scene(grid, solid_points=dst.coords)] * 4, columns=2,
+                         panel_size=480.0)
+    path = tmp_path / "figure.svg"
+    tracemalloc.start()
+    try:
+        write_svg(figure, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 8_000_000  # the figure is as large as the dense benchmark's
+    assert peak < size / 2, f"write_svg peak {peak} B for a {size} B file"
 
 
 def row_mask_padded_bounds(chunks):
@@ -321,8 +385,8 @@ def kite_grid_scene():
     warp = tps_fit(src, dst)
     spec = make_grid(src, margin=0.25, cells=6, samples_per_edge=6)
     grid = deform_grid(spec, warp)
-    return grid_scene(grid, solid_points=dst.coords, baseline=(0, 2),
-                      size=(360, 360))
+    return dataclasses.replace(grid_scene(grid, solid_points=dst.coords, baseline=(0, 2)),
+                               size=(360, 360))
 
 
 def test_grid_scene_well_formed():
