@@ -278,10 +278,9 @@ def cmd_rotations(args) -> int:
         target = remove_affine(template, target)
     report = segment_rotations(template, target)
     selected = filter_rotations(report, threshold)
-    k = len(report.labels)  # report.segments are lexicographic: (k-1) + ... + (k-i) precede i
-    positions = [seg.i * (2 * k - seg.i - 1) // 2 + seg.j - seg.i - 1 for seg in selected]
-    rows = [(seg, report.labels[seg.i], report.labels[seg.j], float(report.rotations[pos]),
-             float(report.ratios[pos])) for seg, pos in zip(selected, positions)]
+    at = report.positions(selected)
+    rows = [(seg, report.labels[seg.i], report.labels[seg.j], rot, ratio) for seg, rot, ratio
+            in zip(selected, report.rotations[at].tolist(), report.ratios[at].tolist())]
 
     print(f"{'i':>3} {'j':>3}  {'from':<10} {'to':<10} "
           f"{'rotation_rad':>13} {'rotation_deg':>13} {'length_ratio':>13}")

@@ -15,13 +15,13 @@ carry that convention explicitly.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MAX_MARGIN,
-                   LandmarkConfiguration, Segment, as_coords, enumerate_segments,
-                   freeze_arrays, require_homologous)
+                   LandmarkConfiguration, Segment, as_coords, freeze_arrays, require_homologous)
 from .errors import (
     DegenerateConfigurationError,
     DegeneratePolygonError,
@@ -193,10 +193,10 @@ def deform_grid(spec: GridSpec, mapping) -> DeformedGrid:
     """
     (x0, x1), (y0, y1) = spec.x_range, spec.y_range
     (nv, per_v), (nh, per_h) = spec.line_shapes
-    vx, vy = np.meshgrid(np.linspace(x0, x1, nv), np.linspace(y0, y1, per_v), indexing="ij")
-    hy, hx = np.meshgrid(np.linspace(y0, y1, nh), np.linspace(x0, x1, per_h), indexing="ij")
-    preimage = np.column_stack([np.concatenate([vx.ravel(), hx.ravel()]),
-                                np.concatenate([vy.ravel(), hy.ravel()])])
+    preimage = np.empty((nv * per_v + nh * per_h, 2))  # filled in place through two views
+    v, h = preimage[:nv * per_v].reshape(nv, -1, 2), preimage[nv * per_v:].reshape(nh, -1, 2)
+    v[..., 0], v[..., 1] = np.linspace(x0, x1, nv)[:, None], np.linspace(y0, y1, per_v)
+    h[..., 0], h[..., 1] = np.linspace(x0, x1, per_h), np.linspace(y0, y1, nh)[:, None]
     image = np.asarray(mapping(preimage), dtype=float)
     if image.shape != preimage.shape:
         raise InputError("point map returned a wrong-shaped array")
@@ -314,30 +314,45 @@ def convex_hull_polygon(config) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class _SegmentRows(Sequence):
+    """The rows of an (m, 2) pair array as Segments, each made as it is read."""
+
+    pairs: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, row: int) -> Segment:
+        return Segment(*map(int, self.pairs[row]))  # int() refuses the rows of a slice
+
+
+@dataclass(frozen=True, eq=False)
 class SegmentRotationReport:
     """Signed rotation and length ratio of every interlandmark segment.
 
-    rotations are in radians, wrapped to (-pi, pi], with counterclockwise
-    positive (see convention). template_directions hold each segment's
-    direction angle in the template, for orientation-dependent summaries.
+    pairs holds the landmark ordinals (i, j) of one segment a row, in enumerate_segments
+    order; segments reads those rows as Segments, each made as it is read. rotations are in
+    radians, wrapped to (-pi, pi], with counterclockwise positive (see convention).
     """
 
-    segments: tuple[Segment, ...]
+    pairs: np.ndarray      # (m, 2)
     labels: tuple[str, ...]
-    rotations: np.ndarray            # (m,)
-    ratios: np.ndarray               # (m,)
-    template_directions: np.ndarray  # (m,)
+    rotations: np.ndarray  # (m,)
+    ratios: np.ndarray     # (m,)
     convention: str = ROTATION_CONVENTION
 
     def __post_init__(self):
-        freeze_arrays(self, "rotations", "ratios", "template_directions")
+        freeze_arrays(self, "pairs", dtype=np.intp)
+        freeze_arrays(self, "rotations", "ratios")
 
-    def rows(self):
-        """Yield (segment, label pair, rotation, ratio, template direction)."""
-        for seg, rot, ratio, direction in zip(self.segments, self.rotations.tolist(),
-                                              self.ratios.tolist(),
-                                              self.template_directions.tolist()):
-            yield seg, (self.labels[seg.i], self.labels[seg.j]), rot, ratio, direction
+    @property
+    def segments(self) -> Sequence[Segment]:
+        return _SegmentRows(self.pairs)
+
+    def positions(self, segments) -> np.ndarray:
+        """The row of each (i, j) pair: (k-1) + ... + (k-i) rows precede the first of i."""
+        i, j = np.asarray(segments, dtype=np.intp).reshape(-1, 2).T
+        return i * (2 * len(self.labels) - i - 1) // 2 + j - i - 1
 
 
 def segment_rotations(template: LandmarkConfiguration,
@@ -353,9 +368,7 @@ def segment_rotations(template: LandmarkConfiguration,
         raise InputError(
             f"configurations must share a registration: unit tags are "
             f"{template.unit!r} vs {target.unit!r}")
-    segs = enumerate_segments(len(template))
-    ii = np.array([s.i for s in segs])
-    jj = np.array([s.j for s in segs])
+    ii, jj = np.triu_indices(len(template), 1)  # the order of enumerate_segments
     u = template.coords[jj] - template.coords[ii]
     v = target.coords[jj] - target.coords[ii]
     nu = np.hypot(u[:, 0], u[:, 1])
@@ -364,24 +377,20 @@ def segment_rotations(template: LandmarkConfiguration,
         if np.any(norms == 0.0):
             idx = int(np.argmin(norms))
             raise ZeroLengthSegmentError(
-                f"segment ({template.labels[segs[idx].i]}, {template.labels[segs[idx].j]}) "
+                f"segment ({template.labels[ii[idx]]}, {template.labels[jj[idx]]}) "
                 f"has zero length in {config.name!r}")
     rot = np.arctan2(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0],
                      u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1])
     rot = np.where(rot <= -np.pi, np.pi, rot)  # wrap to (-pi, pi]
-    return SegmentRotationReport(
-        segments=tuple(segs),
-        labels=template.labels,
-        rotations=rot,
-        ratios=nv / nu,
-        template_directions=np.arctan2(u[:, 1], u[:, 0]),
-    )
+    return SegmentRotationReport(np.column_stack([ii, jj]), template.labels, rot, nv / nu)
 
 
 def filter_rotations(report: SegmentRotationReport, threshold: float) -> list[Segment]:
-    """Segments whose |rotation| meets the threshold, largest magnitude first."""
+    """Segments whose |rotation| meets the threshold, in (-|rotation|, i, j) order; only the
+    rows that pass are ranked and made Segments."""
     if threshold < 0.0:
         raise InputError(f"threshold must be non-negative, got {threshold}")
     size = np.abs(report.rotations)
-    order = np.argsort(-size, kind="stable")  # ties keep the segments' lexicographic order
-    return [report.segments[idx] for idx in order[size[order] >= threshold].tolist()]
+    rows = np.flatnonzero(size >= threshold)
+    rows = rows[np.argsort(-size[rows], kind="stable")]  # ties keep the lexicographic order
+    return list(map(Segment._make, report.pairs[rows].tolist()))

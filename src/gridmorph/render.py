@@ -4,7 +4,9 @@ The emitter is deliberately dumb: fixed attribute order, floats printed
 with 6 significant digits, no timestamps, no generated ids. Rendering the
 same scene twice yields byte-identical output, which makes figures
 diffable and lets tests freeze golden files. write_svg streams the text
-that render_scene returns into its file, one block at a time.
+that render_scene returns into its file, one block at a time. Numbers are
+printed in whole-array passes: a block of polyline coordinates, a segment
+network's ends, or a run of consecutive markers at a time.
 
 Scene coordinates are mathematical (y up). The viewport maps a world
 rectangle onto the pixel canvas with a single isotropic scale and a y
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -178,38 +181,32 @@ def _transform(viewport, rect):
 
 def _layers(scene: Scene, rect):
     """(layer, where) of each layer of a scene in file order, a Panel's scene right after the
-    Panel: where is a Panel's pixel rect, or the world->pixel map of the scene's own layers."""
-    viewport = scene.viewport if scene.viewport is not None else padded_bounds(
-        chunk for layer in scene.layers for chunk in (  # what each layer draws; a Panel has none
-            [getattr(layer, key) for key in ("points", "center", "anchor") if hasattr(layer, key)]
-            if not isinstance(layer, GridLines) else
-            [layer.points[start:stop] for start, stop in layer.runs.tolist()]))
+    Panel and each run of consecutive Markers as one tuple: where is a Panel's pixel rect, or
+    the world->pixel map of the scene's own layers."""
+    viewport = scene.viewport if scene.viewport is not None else padded_bounds([
+        *(layer.points for layer in scene.layers if isinstance(layer, (Polyline, SegmentNetwork))),
+        *(layer.points[start:stop] for layer in scene.layers if isinstance(layer, GridLines)
+          for start, stop in layer.runs.tolist()),
+        np.array([layer.center if isinstance(layer, Marker) else layer.anchor  # one chunk
+                  for layer in scene.layers if isinstance(layer, (Marker, Label))], dtype=float)])
     tf = _transform(viewport, rect) if viewport is not None else None
     if tf is None and not all(isinstance(layer, Panel) for layer in scene.layers):
         raise InputError("scene has drawable layers but no viewport could be derived")
-    for layer in scene.layers:
-        if isinstance(layer, Panel):
-            x, y, w, h = layer.rect
-            yield layer, (x + rect[0], y + rect[1], w, h)
-            yield from _layers(layer.scene, (x + rect[0], y + rect[1], w, h))
-        else:
-            yield layer, tf
+    for markers, run in groupby(scene.layers, lambda layer: isinstance(layer, Marker)):
+        for layer in [tuple(run)] if markers else run:
+            if isinstance(layer, Panel):
+                x, y, w, h = layer.rect
+                yield layer, (x + rect[0], y + rect[1], w, h)
+                yield from _layers(layer.scene, (x + rect[0], y + rect[1], w, h))
+            else:
+                yield layer, tf
 
 
 def _text(layer, where) -> str:
-    """The SVG lines of a layer that is not a polyline, where as _layers gives it."""
+    """The SVG lines of a layer that is not a polyline or a marker, where as _layers gives it."""
     if isinstance(layer, Panel):
         return ('<rect x="%s" y="%s" width="%s" height="%s" fill="none" stroke="black" '
                 'stroke-width="%s"/>\n' % (*map(_fmt, where), _fmt(LIGHT_WIDTH)))
-    if isinstance(layer, Marker):
-        (cx, cy), = where(layer.center)
-        stroke = f'stroke="black" stroke-width="{_fmt(LIGHT_WIDTH)}"'
-        circles = [(MARKER_RADIUS, 'fill="black" stroke="none"' if layer.filled
-                    else f'fill="white" {stroke}')]
-        if layer.baseline:
-            circles.append((MARKER_RADIUS * BASELINE_RING_RATIO, f'fill="none" {stroke}'))
-        return "".join(f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" {paint}/>\n'
-                       for r, paint in circles)
     if isinstance(layer, Label):
         (x, y), = where(layer.anchor)
         return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
@@ -221,6 +218,22 @@ def _text(layer, where) -> str:
                 f'stroke-width="{_fmt(HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH)}"/>\n')
         return line * len(layer.segments) % tuple(numbers.split("\n")[:-1])
     raise InputError(f"unknown scene layer type {type(layer).__name__}")
+
+
+_STROKE = f'stroke="black" stroke-width="{_fmt(LIGHT_WIDTH)}"'
+_CIRCLES = [f'<circle cx="%s" cy="%s" r="{_fmt(radius)}" {paint}/>\n' for radius, paint in (
+    (MARKER_RADIUS, f'fill="white" {_STROKE}'), (MARKER_RADIUS, 'fill="black" stroke="none"'),
+    (MARKER_RADIUS * BASELINE_RING_RATIO, f'fill="none" {_STROKE}'))]  # open, filled, ring
+
+
+def _markers(run, where) -> str:
+    """The circles of a run of Markers, in one transform and one _fmt_coords call."""
+    centres = np.array([marker.center for marker in run], dtype=float).reshape(len(run), 2)
+    rings = np.array([marker.baseline for marker in run], dtype=bool)
+    xy = np.repeat(where(centres), 1 + rings, axis=0)  # a ring prints its centre again
+    numbers = _fmt_coords(xy.ravel(), np.full(xy.size, ord("\n"), dtype=np.uint8)).split("\n")
+    return "".join([_CIRCLES[bool(marker.filled)] + _CIRCLES[2] * bool(marker.baseline)
+                    for marker in run]) % tuple(numbers[:-1])
 
 
 def _svg(scene: Scene):
@@ -240,8 +253,8 @@ def _svg(scene: Scene):
     joins = [[f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(w)}" '
               f'height="{_fmt(h)}" viewBox="0 0 {_fmt(w)} {_fmt(h)}">\n']]
     for layer, where in _layers(scene, (0.0, 0.0, float(w), float(h))):
-        if not isinstance(layer, (Polyline, GridLines)):
-            joins[-1].append(_text(layer, where))
+        if not isinstance(layer, (Polyline, GridLines)):  # a tuple is a run of Markers
+            joins[-1].append((_markers if isinstance(layer, tuple) else _text)(layer, where))
             continue
         pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)
         width = _fmt(HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH)

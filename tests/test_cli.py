@@ -367,6 +367,71 @@ def test_fit_saturated_cubic(tmp_path, capsys):
     assert "saturated" in out
 
 
+def short_baseline_outline(gap):
+    """Three 12-landmark outlines per group as wide CSV text, landmark 2 placed gap times the
+    outline's size (20) from landmark 1. Plain float arithmetic written with six decimals, so
+    the bytes are the same everywhere."""
+    outline = [(10, 0), (9, 5), (5, 9), (0, 10), (-5, 9), (-9, 5), (-10, 0), (-9, -5), (-5, -9),
+               (0, -10), (5, -9), (9, -5)]
+    rows = ["id,group," + ",".join(f"x{i},y{i}" for i in range(1, 13))]
+    for n in range(6):
+        group, cells = ("young", "old")[n // 3], []
+        for j, (x, y) in enumerate(outline):
+            if j == 1:
+                x, y = 10 + 12 * gap, 16 * gap
+            if group == "old":
+                x, y = x + 0.01 * x * y, y + 0.005 * x * x
+            if j > 1:
+                x, y = x + 0.01 * ((3 * n + j) % 5 - 2), y + 0.01 * ((n + 2 * j) % 3 - 1)
+            cells += [f"{x + 0.5 * n:.6f}", f"{y - 0.25 * n:.6f}"]
+        rows.append(f"spec_{n + 1},{group}," + ",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+# What fit --degree 3 --baseline 1,2 prints and writes today for a 1e-3 gap (x86-64 Linux,
+# numpy 2.4, OpenBLAS): the design condition measures the baseline's length, not the
+# configuration, and the coefficients carry the ill-conditioned solve into their last digits.
+SHORT_BASELINE_STDOUT = """\
+fit: degree 3 trend, baseline 1,2, template young, target old, 12 landmarks
+rss: x 0.0334444, y 0.034546; df 2 per coordinate; design condition 9.79379e+08
+largest residual: L11 (0.116419)
+"""
+SHORT_BASELINE_COEFFICIENTS = """\
+term,x_coefficient,y_coefficient
+1,-0.010867602226061659,0.0072304089609577784
+x,0.97630466522202752,0.031598758506460371
+y,-0.017541520625334126,0.78480851049123368
+x^2,4.1947176878233106e-05,3.1825252609588207e-06
+y^2,-0.00012750834734379023,0.00026305730886671879
+xy,-3.0270851133955087e-05,-0.00010781538370515779
+x^3,-5.3594788292254756e-10,1.4591260265960941e-09
+y^3,1.0230975521413368e-07,-1.3588890144202869e-07
+x^2y,1.0728786476238582e-07,-1.4275722236153229e-07
+xy^2,-6.2374389610799859e-09,8.7504603769291156e-09
+"""
+
+
+def fit_short_baseline(tmp_path, gap):
+    path = tmp_path / "outline.csv"
+    path.write_text(short_baseline_outline(gap), encoding="utf-8")
+    return main(["fit", str(path), "--degree", "3", "--baseline", "1,2",
+                 "--outdir", str(tmp_path / "out")])
+
+
+def test_short_baseline_cubic_fit_keeps_its_bytes(tmp_path, capsys):
+    assert fit_short_baseline(tmp_path, 1e-3) == 0
+    assert capsys.readouterr().out == SHORT_BASELINE_STDOUT
+    coefficients = tmp_path / "out" / "fit_1-2_coefficients.csv"
+    assert coefficients.read_text(encoding="utf-8") == SHORT_BASELINE_COEFFICIENTS
+
+
+@pytest.mark.xfail(strict=True, reason="trend_fit takes the rank of the raw monomial design, "
+                   "so a 1e-5 baseline's two-point scale makes a well-posed cubic fit look "
+                   "rank-deficient (exit 3)")
+def test_shorter_baseline_cubic_fit_succeeds(tmp_path, capsys):
+    assert fit_short_baseline(tmp_path, 1e-5) == 0
+
+
 # ---------------------------------------------------------------------------
 # demo
 

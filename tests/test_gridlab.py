@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -556,7 +557,7 @@ def two_block_pair():
 def test_rotations_two_block_matches_direct_arithmetic():
     template, target = two_block_pair()
     report = segment_rotations(config(template, "a"), config(target, "b"))
-    for seg, _, rotation, ratio, _ in report.rows():
+    for seg, rotation, ratio in zip(report.segments, report.rotations, report.ratios):
         u = template[seg.j] - template[seg.i]
         v = target[seg.j] - target[seg.i]
         want = np.arctan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
@@ -564,16 +565,41 @@ def test_rotations_two_block_matches_direct_arithmetic():
         assert ratio == pytest.approx(np.linalg.norm(v) / np.linalg.norm(u), rel=1e-12)
 
 
-def test_rotation_rows_equal_the_arrays():
-    template, target = two_block_pair()
-    report = segment_rotations(config(template, "a"), config(target, "b"))
-    segments, pairs, rotations, ratios, directions = zip(*report.rows())
-    assert segments == report.segments
-    assert pairs == tuple((report.labels[s.i], report.labels[s.j]) for s in report.segments)
-    assert list(rotations) == report.rotations.tolist()
-    assert list(ratios) == report.ratios.tolist()
-    assert list(directions) == report.template_directions.tolist()
-    assert {type(v) for v in rotations + ratios + directions} == {float}
+def filter_reference(report, threshold):
+    """filter_rotations as a sort of Segments by (-|rotation|, i, j)."""
+    size = dict(zip(report.segments, np.abs(report.rotations).tolist()))
+    return sorted((seg for seg in size if size[seg] >= threshold),
+                  key=lambda seg: (-size[seg], seg))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.integers(2, 60), st.integers(0, 2 ** 32 - 1))
+def test_rotation_report_rows_equal_per_segment_reference(k, seed):
+    rng = np.random.default_rng(seed)
+    segments = enumerate_segments(k)
+    # few distinct magnitudes with both signs: ties everywhere, thresholds on them
+    tied = SegmentRotationReport(segments, default_labels(k),
+                                 rng.choice([-0.3, -0.2, 0.0, 0.2, 0.3, np.pi], len(segments)),
+                                 np.ones(len(segments)))
+    assert tied.positions(segments).tolist() == list(range(len(segments)))
+    reports = [(tied, [0.0, 0.2, 0.25, 0.3, np.pi, 4.0])]
+    if k >= 3:  # a configuration has at least 3 landmarks
+        a, b = rng.normal(size=(2, k, 2)) * 10 ** rng.uniform(-3, 3)
+        report = segment_rotations(config(a, "a"), config(b, "b"))
+        assert report.pairs.tolist() == [list(seg) for seg in segments]
+        assert len(report.segments) == len(segments) and list(report.segments) == segments
+        assert {type(seg) for seg in report.segments} == {Segment}
+        for seg, rotation, ratio in zip(segments, report.rotations.tolist(),
+                                        report.ratios.tolist()):
+            u, v = a[seg.j] - a[seg.i], b[seg.j] - b[seg.i]
+            want = math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
+            assert rotation == pytest.approx(want if want > -math.pi else math.pi, abs=1e-12)
+            assert ratio == pytest.approx(math.hypot(*v) / math.hypot(*u), rel=1e-12)
+        sizes = np.abs(report.rotations)
+        reports.append((report, [0.0, *rng.choice(sizes, 3).tolist(), sizes.max() + 1.0]))
+    for report, thresholds in reports:
+        for threshold in thresholds:
+            assert filter_rotations(report, threshold) == filter_reference(report, threshold)
 
 
 def test_rotations_two_block_filter_selects_within_block():
@@ -649,12 +675,9 @@ def test_filter_rotations_equals_sorted_reference_with_ties(seed):
     # few distinct magnitudes, each with both signs: most segments tie with others
     rotations = rng.choice([-np.pi, -0.3, -0.2, 0.0, 0.2, 0.3, np.pi], size=len(segments))
     report = SegmentRotationReport(segments, default_labels(12), rotations,
-                                   np.ones(len(segments)), np.zeros(len(segments)))
-    size = dict(zip(segments, np.abs(rotations).tolist()))
+                                   np.ones(len(segments)))
     for threshold in (0.0, 0.2, 0.25, np.pi, 4.0):
-        want = sorted((seg for seg in segments if size[seg] >= threshold),
-                      key=lambda seg: (-size[seg], seg))
-        assert filter_rotations(report, threshold) == want
+        assert filter_rotations(report, threshold) == filter_reference(report, threshold)
 
 
 def test_filter_sorted_by_magnitude():

@@ -161,13 +161,41 @@ def test_fmt_coords_digits_do_not_depend_on_log10_rounding(monkeypatch, shift):
     assert _fmt_coords(values, seps) == want
 
 
+def reference_viewports(scene):
+    """The scene with each missing viewport derived from one chunk of points per layer (a row
+    per marker and label), bounded by row_mask_padded_bounds."""
+    chunks = [chunk for layer in scene.layers for chunk in (
+        [layer.points[start:stop] for start, stop in layer.runs.tolist()]
+        if isinstance(layer, GridLines) else
+        [getattr(layer, key) for key in ("points", "center", "anchor") if hasattr(layer, key)])]
+    layers = tuple(dataclasses.replace(layer, scene=reference_viewports(layer.scene))
+                   if isinstance(layer, Panel) else layer for layer in scene.layers)
+    viewport = scene.viewport
+    if viewport is None and chunks:
+        viewport = row_mask_padded_bounds(chunks)
+    return dataclasses.replace(scene, viewport=viewport, layers=layers)
+
+
 def percent_render_scene(scene):
-    """The oracle for render_scene: each polyline transformed and printed with % on its own, in
-    the order render._layers gives, and every other layer as render._text prints it."""
+    """The oracle for render_scene: viewports derived by reference_viewports, then each
+    polyline and each marker transformed and printed with % on its own, in the order
+    render._layers gives, and every other layer as render._text prints it."""
     w, h = scene.size
+    stroke = 'stroke="black" stroke-width="%.6g"' % render.LIGHT_WIDTH
     out = ['<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="%.6g" height="%.6g" '
            'viewBox="0 0 %.6g %.6g">\n' % (w, h, w, h)]
-    for layer, where in render._layers(scene, (0.0, 0.0, float(w), float(h))):
+    for layer, where in render._layers(reference_viewports(scene), (0.0, 0.0, float(w), float(h))):
+        if isinstance(layer, tuple):  # a run of Markers
+            for marker in layer:
+                (x, y), = where(marker.center) + 0.0
+                circles = [(render.MARKER_RADIUS, 'fill="black" stroke="none"' if marker.filled
+                            else 'fill="white" ' + stroke)]
+                if marker.baseline:
+                    circles.append((render.MARKER_RADIUS * render.BASELINE_RING_RATIO,
+                                    'fill="none" ' + stroke))
+                out += ['<circle cx="%.6g" cy="%.6g" r="%.6g" %s/>\n' % (x, y, r, paint)
+                        for r, paint in circles]
+            continue
         if not isinstance(layer, (Polyline, GridLines)):
             out.append(render._text(layer, where))
             continue
@@ -184,8 +212,22 @@ def percent_render_scene(scene):
     return "".join(out) + "</svg>\n"
 
 
+def random_centre(rng):
+    """A marker centre: mostly ordinary, some NaN, -0.0 or far enough out to print >= 1e6 px."""
+    kind = rng.integers(6)
+    centre = rng.normal(size=2)
+    if kind == 0:
+        centre[rng.integers(2)] = np.nan
+    elif kind == 1:
+        centre[rng.integers(2)] = -0.0
+    elif kind == 2:
+        centre *= 1e5
+    return centre
+
+
 def random_scene(rng, lengths, depth=0):
-    """Polylines and grid lines of the given lengths among markers, some inside nested panels."""
+    """Polylines and grid lines of the given lengths among runs of markers (filled, open and
+    ringed), labels and nested panels; half the scenes derive their viewport."""
     layers = []
     for n in lengths:
         pts = rng.normal(size=(n, 2)) * 10 ** rng.uniform(-3, 4)
@@ -194,12 +236,17 @@ def random_scene(rng, lengths, depth=0):
         if n and rng.random() < 0.5:  # lines of n samples, with runs of every length
             kept = rng.random((int(rng.integers(1, 4)), n)) < rng.choice([0.5, 0.9, 1.0])
             layers.append(GridLines(pts[rng.integers(n, size=kept.size)], kept_runs(kept)))
-        if rng.random() < 0.3:
-            layers.append(Marker(rng.normal(size=2)))
+        for _ in range(int(rng.choice([0, 1, 2, 5]))):  # a run of markers, maybe cut by a label
+            layers.append(Marker(random_centre(rng), filled=bool(rng.integers(2)),
+                                 baseline=bool(rng.integers(2))))
+            if rng.random() < 0.15:
+                layers.append(Label(rng.normal(size=2), "a<b&c"))
         if depth < 2 and rng.random() < 0.3:
             inner = random_scene(rng, rng.choice([0, 1, 2, 3, 17], size=3), depth + 1)
             layers.append(Panel(inner, tuple(rng.uniform(0, 100, 4) + [0, 0, 10, 10])))
     x0, y0 = rng.normal(size=2)
+    if rng.random() < 0.5:  # derived from the layers; a finite marker makes sure there is one
+        return Scene(size=(300, 200), layers=(*layers, Marker(rng.normal(size=2))))
     return Scene(size=(300, 200), viewport=(x0, y0, x0 + 2, y0 + 1), layers=tuple(layers))
 
 
