@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import Segment
 from .errors import InputError
+from .formats import _INT, _LEAD, _POW10, _TRAIL, _digit_words
 from .gridlab import DeformedGrid, finite_rows, kept_runs
 
 
@@ -92,14 +93,6 @@ def _fmt(value: float) -> str:
 
 
 PRINT_BLOCK = 2 ** 14  # polyline coordinates per _fmt_coords call: its arrays take ~130 B each
-_POW10 = 10.0 ** np.arange(11)  # exact in binary
-# 0-999 as ASCII in the low bytes of little-endian words, 1000 words a form: all three
-# digits (from 0); no leading zeros from byte 1 on, byte 0 left for a sign, 0 as nothing
-# (_LEAD); no leading zeros (_INT); no trailing zeros, 0 as nothing (_TRAIL)
-_LEAD, _INT, _TRAIL = 1000, 2000, 3000
-_DIGITS = np.frombuffer(b"".join(text.encode().ljust(4, b"\0") for text in [
-    *("%03d" % n for n in range(1000)), "", *("\0%d" % n for n in range(1, 1000)),
-    *("%d" % n for n in range(1000)), *(("%03d" % n).rstrip("0") for n in range(1000))]), "<u4")
 
 
 def _fmt_coords(values: np.ndarray, seps: np.ndarray) -> str:
@@ -131,12 +124,13 @@ def _fmt_coords(values: np.ndarray, seps: np.ndarray) -> str:
     ilo, f23 = i - ihi * 1000, f - f1 * 1000000
     f2 = f23 // 1000
     f3 = f23 - f2 * 1000
+    table = _digit_words()
     canvas = np.empty((len(x), 5), dtype="<u4")
-    canvas[:, 0] = _DIGITS[ihi + _LEAD]
-    canvas[:, 1] = _DIGITS[ilo + (ihi == 0) * _INT]
-    canvas[:, 2] = _DIGITS[f1 + (f23 == 0) * _TRAIL]
-    canvas[:, 3] = _DIGITS[f2 + (f3 == 0) * _TRAIL]
-    canvas[:, 4] = _DIGITS[f3 + _TRAIL]
+    canvas[:, 0] = table[ihi + _LEAD]
+    canvas[:, 1] = table[ilo + (ihi == 0) * _INT]
+    canvas[:, 2] = table[f1 + (f23 == 0) * _TRAIL]
+    canvas[:, 3] = table[f2 + (f3 == 0) * _TRAIL]
+    canvas[:, 4] = table[f3 + _TRAIL]
     text = canvas.view(np.uint8)  # free bytes 0, 7 and 19 take sign, point and separator
     text[:, 0], text[:, 7], text[:, 19] = (x < 0) * ord("-"), (f > 0) * ord("."), seps
     slow = np.flatnonzero(~fast)

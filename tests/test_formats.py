@@ -9,7 +9,9 @@ from hypothesis.extra.numpy import arrays
 from gridmorph import (Dataset, HomologyError, InputError, ParseError, Sample,
                        SchemaError, parse_csv, parse_tps_file, read_dataset,
                        read_landmarks, synthetic_vilmann, write_dataset)
+from gridmorph import formats
 from gridmorph.core import default_labels
+from gridmorph.formats import SCHEMA_VERSION, _fmt17, _quote
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +211,132 @@ def test_dataset_round_trip_is_exact(stack):
     assert np.array_equal(back, stack)  # bit for bit, and -0.0 comes back as 0.0
     assert not np.signbit(back[stack == 0.0]).any()
     assert write_dataset(Dataset(again)) == text
+
+
+def percent_write_dataset(dataset):
+    """The oracle for write_dataset: a "%.17g" template per row and json.dumps per string."""
+    sample = dataset.sample
+    coords = "[" + ", ".join(["[%.17g, %.17g]"] * sample.landmark_count) + "]"
+    rows = (row.tolist() for row in (sample.coords + 0.0).reshape(len(sample), -1))
+    lines = ["{", f'  "schema": {SCHEMA_VERSION},',
+             f'  "landmarks": [{", ".join(json.dumps(l) for l in sample.labels)}],',
+             '  "configurations": [']
+    lines += [f'    {{"id": {json.dumps(name)}, "group": {json.dumps(sample.group_of(name))}, '
+              f'"coords": {coords % tuple(row)}}},' for name, row in zip(sample.names, rows)]
+    lines[-1] = lines[-1][:-1]
+    sources = ", ".join(json.dumps(s) for s in dataset.provenance)
+    lines += ["  ],", f'  "provenance": {{"sources": [{sources}]}}', "}", ""]
+    return "\n".join(lines)
+
+
+AWKWARD = ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "caf\xe9 \u4e2d \U0001f600",
+           "lone \ud800 \udfff"]
+
+
+def random_dataset(rng, n, k):
+    """n configurations of k landmarks: coordinates across scales with zeros, -0.0, negatives,
+    integers and exact ties; awkward ids, groups and sources; the last configuration has no
+    group."""
+    coords = rng.choice([-1.0, 1.0], (n, k, 2)) * 10 ** rng.uniform(-6, 19, (n, k, 2))
+    kind = rng.integers(8, size=(n, k, 2))
+    coords[kind == 0] = 0.0
+    coords[kind == 1] = -0.0
+    coords[kind == 2] = np.round(coords[kind == 2] % 2000 - 1000, 2)
+    coords[kind == 3] = rng.integers(-10 ** 6, 10 ** 6, (kind == 3).sum())
+    coords[kind == 4] = (2 * rng.integers(1 << 33, 1 << 36, (kind == 4).sum()) + 1) / 1024
+    names = [f"{AWKWARD[i % len(AWKWARD)]} {i}" for i in range(n)]
+    groups = {name: AWKWARD[i % 3] for i, name in enumerate(names[:-1])}
+    return Dataset(Sample(names, [f"L{j} {AWKWARD[j % 5]}" for j in range(k)], coords,
+                          groups=groups), provenance=AWKWARD)
+
+
+@pytest.mark.parametrize("block", [1, 6, 64, formats.WRITE_BLOCK])
+def test_write_dataset_equals_per_row_percent_oracle(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    datasets = [random_dataset(rng, n, k) for n, k in ((1, 3), (2, 3), (9, 3), (40, 5), (310, 20),
+                                                        (701, 7))]
+    for dataset in datasets[-2:]:  # three blocks or more, the last one short
+        n, rows = len(dataset.sample), max(1, block // (2 * dataset.sample.landmark_count))
+        assert n > 2 * rows and (n % rows or rows == 1)
+    monkeypatch.setattr(formats, "WRITE_BLOCK", block)
+    assert [write_dataset(d) for d in datasets] == [percent_write_dataset(d) for d in datasets]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.text(st.characters(exclude_categories=())))
+@example("".join(AWKWARD))
+@example("\\\"\x00\x08\x0c\u2028\ud83d\ude00\udbff")
+def test_quote_equals_json_dumps(text):
+    assert _quote(text) == json.dumps(text)
+
+
+def fmt17(values):
+    """_fmt17 of some values, each followed by ", "."""
+    values = np.asarray(values, dtype=float).ravel()
+    return _fmt17(values, np.full(len(values), np.frombuffer(b", \0\0", "<u4")[0]))
+
+
+def percent_fmt17(values):
+    return "".join("%.17g, " % (v + 0.0) for v in np.asarray(values, dtype=float).ravel().tolist())
+
+
+def exact_ties():
+    """Doubles whose decimal expansion has 18 significant digits, the last a 5: %.17g rounds
+    them half to even. odd * 2^-m has the digits of odd * 5^m: k / 1024 from 1e7 to 1e8, and
+    from each m a few in the fixed notation range, and 2^-25, and their negatives."""
+    values = [2.0 ** -25, 3 * 2.0 ** -25]
+    for m in range(2, 22):
+        first, last = -(-10 ** 17 // 5 ** m) | 1, min((10 ** 18 - 1) // 5 ** m, 2 ** 53 - 1)
+        middle, end = first + 2 * ((last - first) // 7), last - 1 + last % 2
+        values += [first / 2 ** m, middle / 2 ** m, end / 2 ** m]
+    values += [(10 ** 10 * j + 1) / 1024 for j in range(2, 10)]
+    return np.array(values + [-v for v in values])
+
+
+def decade_neighbours():
+    """Powers of ten from 1e-5 to 1e18 with their neighbouring doubles, two more around 1e-4,
+    1e16 and 1e17, and values whose rounding carries into the next power of ten."""
+    powers = 10.0 ** np.arange(-5, 19)
+    around = [np.nextafter(np.nextafter(p, to), to) for p in (1e-4, 1e16, 1e17)
+              for to in (0, np.inf)]
+    return np.concatenate([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf), around,
+                           [9999.99999999999999, 0.99999999999999999, 99999999999999999.0,
+                            9.9999999999999998e16, 0.000099999999999999999]])
+
+
+EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.5, 0.1, 1 / 3])
+BITS = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(arrays(np.float64, st.integers(0, 40), elements=st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e17, 1e17),
+    BITS.filter(np.isfinite))))
+@example(exact_ties())
+@example(decade_neighbours())
+@example(EDGES)
+@example(np.round(np.random.default_rng(2).uniform(-1000, 1000, 200), 2))
+def test_fmt17_equals_percent(values):
+    assert fmt17(values) == percent_fmt17(values)
+
+
+def test_fmt17_equals_percent_across_scales():
+    rng = np.random.default_rng(5)
+    values = np.concatenate([rng.choice([-1.0, 1.0], 100_000) * 10 ** rng.uniform(-6, 19, 100_000),
+                             rng.normal(size=50_000)])
+    assert fmt17(values) == percent_fmt17(values)
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_fmt17_digits_do_not_depend_on_log10_rounding(monkeypatch, shift):
+    # an exponent that log10 puts one off is corrected against the exact powers of ten
+    values = np.concatenate([exact_ties(), decade_neighbours(), EDGES,
+                             np.random.default_rng(4).normal(size=200) * 1e3])
+    want = percent_fmt17(values)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
+    assert fmt17(values) == want
 
 
 def test_dataset_text_is_valid_json_with_schema():
