@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -76,6 +77,18 @@ class GridSpec:
         """(lines, samples per line) of the vertical, then the horizontal family."""
         step = self.samples_per_edge - 1
         return ((self.nx + 1, self.ny * step + 1), (self.ny + 1, self.nx * step + 1))
+
+    @cached_property
+    def preimage(self) -> np.ndarray:
+        """Every sample, (n, 2), in DeformedGrid's row order: built once, read-only, shared."""
+        (x0, x1), (y0, y1) = self.x_range, self.y_range
+        (nv, per_v), (nh, per_h) = self.line_shapes
+        lattice = np.empty((nv * per_v + nh * per_h, 2))  # filled in place through two views
+        v, h = lattice[:nv * per_v].reshape(nv, -1, 2), lattice[nv * per_v:].reshape(nh, -1, 2)
+        v[..., 0], v[..., 1] = np.linspace(x0, x1, nv)[:, None], np.linspace(y0, y1, per_v)
+        h[..., 0], h[..., 1] = np.linspace(x0, x1, per_h), np.linspace(y0, y1, nh)[:, None]
+        lattice.flags.writeable = False
+        return lattice
 
 
 def make_grid(template, margin: float = 0.0, cells: int = DEFAULT_CELLS,
@@ -143,7 +156,7 @@ def extend_grid(spec: GridSpec, direction: str, multiples: float) -> GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class DeformedGrid:
-    """Every grid sample as flat arrays: template preimage, image, kept flag.
+    """Every grid sample as flat arrays: template preimage (spec.preimage), image, kept flag.
 
     Rows hold the vertical lines (constant x, left to right), then the
     horizontal lines (constant y, bottom to top), each sampled in order of
@@ -184,23 +197,18 @@ def finite_rows(points: np.ndarray) -> np.ndarray:
 
 
 def deform_grid(spec: GridSpec, mapping) -> DeformedGrid:
-    """Sample every grid line and push the samples through the map.
+    """Push the spec's sample lattice, spec.preimage, through the map.
 
     mapping is any callable on (n, 2) arrays returning (n, 2), with NaN rows
-    where it has no value; every fitted map in gridmorph qualifies. Samples
-    whose image is undefined are marked not kept; their preimages stay, so
-    trimming and rendering can still see the lattice.
+    where it has no value; every fitted map in gridmorph qualifies, and one
+    that writes into its input raises ValueError. Samples whose image is
+    undefined are marked not kept; their preimages stay, so trimming and
+    rendering can still see the lattice.
     """
-    (x0, x1), (y0, y1) = spec.x_range, spec.y_range
-    (nv, per_v), (nh, per_h) = spec.line_shapes
-    preimage = np.empty((nv * per_v + nh * per_h, 2))  # filled in place through two views
-    v, h = preimage[:nv * per_v].reshape(nv, -1, 2), preimage[nv * per_v:].reshape(nh, -1, 2)
-    v[..., 0], v[..., 1] = np.linspace(x0, x1, nv)[:, None], np.linspace(y0, y1, per_v)
-    h[..., 0], h[..., 1] = np.linspace(x0, x1, per_h), np.linspace(y0, y1, nh)[:, None]
-    image = np.asarray(mapping(preimage), dtype=float)
-    if image.shape != preimage.shape:
+    image = np.asarray(mapping(spec.preimage), dtype=float)
+    if image.shape != spec.preimage.shape:
         raise InputError("point map returned a wrong-shaped array")
-    return DeformedGrid(spec, preimage, image, finite_rows(image))
+    return DeformedGrid(spec, spec.preimage, image, finite_rows(image))
 
 
 def _polygon_array(polygon) -> np.ndarray:

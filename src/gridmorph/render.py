@@ -126,11 +126,9 @@ def _fmt_coords(values: np.ndarray, seps: np.ndarray) -> str:
     f3 = f23 - f2 * 1000
     table = _digit_words()
     canvas = np.empty((len(x), 5), dtype="<u4")
-    canvas[:, 0] = table[ihi + _LEAD]
-    canvas[:, 1] = table[ilo + (ihi == 0) * _INT]
-    canvas[:, 2] = table[f1 + (f23 == 0) * _TRAIL]
-    canvas[:, 3] = table[f2 + (f3 == 0) * _TRAIL]
-    canvas[:, 4] = table[f3 + _TRAIL]
+    for col, index in enumerate((ihi + _LEAD, ilo + (ihi == 0) * _INT, f1 + (f23 == 0) * _TRAIL,
+                                 f2 + (f3 == 0) * _TRAIL, f3 + _TRAIL)):
+        np.take(table, index, out=canvas[:, col], mode="clip")  # no buffer; indices are in range
     text = canvas.view(np.uint8)  # free bytes 0, 7 and 19 take sign, point and separator
     text[:, 0], text[:, 7], text[:, 19] = (x < 0) * ord("-"), (f > 0) * ord("."), seps
     slow = np.flatnonzero(~fast)
@@ -157,20 +155,28 @@ def padded_bounds(chunks) -> tuple[float, float, float, float] | None:
             lo, hi = np.minimum(lo, (x.min(), y.min())), np.maximum(hi, (x.max(), y.max()))
     if lo[0] == np.inf:
         return None
-    pad = 0.05 * max(float((hi - lo).max()), 1e-9)
+    # the side is at least 1e-9 of the largest |coordinate| (1 if all are 0): it scales with them
+    pad = 0.05 * (max(float((hi - lo).max()), 1e-9 * float(np.abs([lo, hi]).max())) or 1.0)
     return (float(lo[0]) - pad, float(lo[1]) - pad, float(hi[0]) + pad, float(hi[1]) + pad)
 
 
 def _transform(viewport, rect):
-    """The world->pixel map of (n, 2) points: one isotropic scale and a y flip, centred in rect."""
+    """The world->pixel map of (n, 2) points, into out (a new array by default): one isotropic
+    scale and a y flip, centred in rect, taken a column at a time."""
     x0, y0, x1, y1 = viewport
     if not (x1 > x0 and y1 > y0):
         raise InputError(f"degenerate viewport {viewport}")
     px, py, pw, ph = rect
     scale = min(pw / (x1 - x0), ph / (y1 - y0))
     ox, oy = px + (pw - (x1 - x0) * scale) / 2.0, py + (ph - (y1 - y0) * scale) / 2.0
-    origin, gain, offset = np.array([x0, y1]), np.array([scale, -scale]), np.array([ox, oy])
-    return lambda pts: (np.asarray(pts, dtype=float).reshape(-1, 2) - origin) * gain + offset
+    def apply(pts, out=None):  # (pts - (x0, y1)) * (scale, -scale) + (ox, oy)
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        out = np.empty_like(pts) if out is None else out
+        for j, origin, gain, offset in ((0, x0, scale, ox), (1, y1, -scale, oy)):
+            col = np.subtract(pts[:, j], origin, out=out[:, j])
+            np.add(np.multiply(col, gain, out=col), offset, out=col)
+        return out
+    return apply
 
 
 def _layers(scene: Scene, rect):
@@ -235,7 +241,7 @@ def _svg(scene: Scene):
     def printed() -> str:  # the points as _fmt prints them, "x,y x,y ...", in one _fmt_coords call
         xy = np.concatenate(pieces) if pieces else np.empty((0, 2))
         for (tf, begin), (_, end) in zip(maps, maps[1:] + [(None, len(xy))]):
-            xy[begin:end] = tf(xy[begin:end])
+            tf(xy[begin:end], xy[begin:end])
         seps = np.tile(np.frombuffer(b", ", dtype=np.uint8), len(xy))
         seps[2 * np.array(ends, dtype=np.intp) - 1] = ord("\n")
         texts = _fmt_coords(xy.ravel(), seps).split("\n")

@@ -28,7 +28,7 @@ from .errors import (
 
 SIDE_CONDITION_TOL = 1e-9  # largest side-condition moment, relative to its terms' magnitude
 MIN_SEPARATION = 1e-10  # nearest landmark pair, relative to the template's diameter
-EVAL_BLOCK = 2 ** 16  # kernel entries (points x centres) per tps_eval block: 2 buffers, 1 MB
+EVAL_BLOCK = 2 ** 16  # entries per block: tps_eval's kernel (2 buffers, 1 MB), trend_eval's design
 
 
 def _kernel(points: np.ndarray, centres: np.ndarray, u=None, t=None) -> np.ndarray:
@@ -112,20 +112,25 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration) -> T
     return TpsModel(p, weights, affine, energy)
 
 
-def tps_eval(model: TpsModel, points) -> np.ndarray:
-    """Evaluate the spline at one point (2,) or many (..., 2)."""
+def _eval_blocks(points, width: int, buffers: int, evaluate) -> np.ndarray:
+    """evaluate(block, *scratch) of (..., 2) points, by blocks of EVAL_BLOCK // width rows; every
+    block is handed the same (rows, width) float buffers, of which a short last block needs
+    only the first rows."""
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
-    centres = model.template_points
-    rows = max(1, EVAL_BLOCK // len(centres))
+    rows = max(1, EVAL_BLOCK // width)
     out = np.empty_like(flat)
-    u, t = (np.empty((min(rows, len(flat)), len(centres))) for _ in range(2))
+    scratch = [np.empty((min(rows, len(flat)), width)) for _ in range(buffers)]
     for start in range(0, len(flat), rows):
-        block = flat[start:start + rows]
-        kernel = _kernel(block, centres, u[:len(block)], t[:len(block)])
-        out[start:start + rows] = (model.affine[0] + block @ model.affine[1:]
-                                   + kernel @ model.weights)
+        out[start:start + rows] = evaluate(flat[start:start + rows], *scratch)
     return out.reshape(pts.shape)
+
+
+def tps_eval(model: TpsModel, points) -> np.ndarray:
+    """Evaluate the spline at one point (2,) or many (..., 2)."""
+    c, a, w = model.template_points, model.affine, model.weights
+    return _eval_blocks(points, len(c), 2, lambda xy, u, t: (
+        a[0] + xy @ a[1:] + _kernel(xy, c, u[:len(xy)], t[:len(xy)]) @ w))
 
 
 def tps_jacobian(model: TpsModel, point) -> np.ndarray:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import LandmarkConfiguration, freeze_arrays, require_homologous
 from .errors import InputError, InsufficientLandmarksError, RankDeficiencyError
+from .tps import _eval_blocks
 
 # each degree's basis extends the one below it
 _POWERS = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (3, 0), (0, 3), (2, 1), (1, 2))
@@ -37,11 +38,20 @@ def basis_size(degree: int) -> int:
     return len(BASIS_POWERS[degree])
 
 
-def design_matrix(coords, degree: int) -> np.ndarray:
-    """Monomial design matrix over (..., 2) coordinates, in the fixed basis order."""
+def design_matrix(coords, degree: int, out=None) -> np.ndarray:
+    """Monomial design matrix over (..., 2) coordinates, in the fixed basis order, filled a
+    column at a time into out (a new (n, m) array by default) with the bits of x ** px * y ** py."""
     pts = np.asarray(coords, dtype=float).reshape(-1, 2)
-    x, y = pts[:, 0], pts[:, 1]
-    return np.column_stack([x ** px * y ** py for px, py in BASIS_POWERS[degree]])
+    powers = BASIS_POWERS[degree]
+    out = np.empty((len(pts), len(powers))) if out is None else out
+    out[:, 0], out[:, 1:3] = 1.0, pts  # x ** 0 is 1 and x ** 1 is x, for every x
+    for col, (px, py) in zip(out.T[3:], powers[3:]):
+        if px and py:  # the product of its pure powers' columns, which come before it
+            np.multiply(out[:, powers.index((px, 0))], out[:, powers.index((0, py))], out=col)
+        else:  # numpy's x ** 2 is a square, x ** 3 a pow
+            v, p = pts[:, 0 if px else 1], px or py
+            np.square(v, out=col) if p == 2 else np.power(v, p, out=col)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +127,11 @@ def trend_eval(trend: PolynomialTrend, points) -> np.ndarray:
 
     The trend is an entire polynomial map, defined everywhere in the plane,
     including far outside the hull of the landmarks; extrapolation is up to
-    the caller's judgement.
+    the caller's judgement. Evaluated in blocks of points, as tps_eval is.
     """
-    pts = np.asarray(points, dtype=float)
-    return (design_matrix(pts, trend.degree) @ trend.coefficients).reshape(pts.shape)
+    degree, coef = trend.degree, trend.coefficients
+
+    def evaluate(block, design):  # the product takes the whole buffer, since BLAS sums a
+        design_matrix(block, degree, design[:len(block)])  # 1-row product in another order
+        return (design @ coef)[:len(block)]  # than the rows of a larger one
+    return _eval_blocks(points, len(coef), 1, evaluate)

@@ -227,6 +227,35 @@ def test_every_map_is_a_point_map():
     assert np.isnan(bilinear(np.array([(5.0, 5.0)]))).all()
 
 
+def test_grids_of_one_spec_share_one_read_only_preimage():
+    template, target = prototype_pair("kite")
+    spec = make_grid(template, margin=0.25, cells=6, samples_per_edge=4)
+    grids = [deform_grid(spec, m) for m in (tps_fit(template, target), lambda pts: pts,
+                                            trend_fit(template, target, 1))]
+    assert all(grid.preimage is spec.preimage for grid in grids)
+    assert trim_grid(grids[2], template).preimage is spec.preimage
+    assert not spec.preimage.flags.writeable
+    with pytest.raises(ValueError):
+        spec.preimage[0, 0] = 1.0
+    # a new spec of the same window builds its own lattice, equal to the shared one
+    again = GridSpec(spec.x_range, spec.y_range, spec.nx, spec.ny, spec.samples_per_edge)
+    assert again.preimage is not spec.preimage
+    assert np.array_equal(again.preimage, spec.preimage)
+
+
+def test_map_that_writes_into_its_input_raises():
+    spec = make_grid(unit_square, margin=0.5, cells=3)
+    lattice = spec.preimage.copy()
+
+    def shift_in_place(pts):
+        pts += 1.0
+        return pts
+
+    with pytest.raises(ValueError):
+        deform_grid(spec, shift_in_place)
+    assert np.array_equal(spec.preimage, lattice)  # the other grids of the spec are intact
+
+
 def test_deform_spline_equals_tps_eval_on_preimage():
     template, target = prototype_pair("kite")
     spline = tps_fit(template, target)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -305,13 +305,14 @@ def test_write_svg_peak_memory_is_below_half_the_file(tmp_path):
 
 
 def row_mask_padded_bounds(chunks):
-    """padded_bounds as it was: the finite rows by a row-wise mask, stacked."""
+    """padded_bounds as it was, with its floor now relative: the finite rows by a row-wise
+    mask, stacked, and an extent of at least 1e-9 of their largest magnitude (1 if that is 0)."""
     pts = np.concatenate([np.asarray(c, dtype=float).reshape(-1, 2) for c in chunks])
     pts = pts[np.isfinite(pts).all(axis=1)]
     if not len(pts):
         return None
     lo, hi = pts.min(axis=0), pts.max(axis=0)
-    pad = 0.05 * max(float((hi - lo).max()), 1e-9)
+    pad = 0.05 * (max(float((hi - lo).max()), 1e-9 * float(np.abs(pts).max())) or 1.0)
     return (float(lo[0]) - pad, float(lo[1]) - pad, float(hi[0]) + pad, float(hi[1]) + pad)
 
 
@@ -338,6 +339,64 @@ def test_padded_bounds_of_nothing_finite_is_none():
     assert render.padded_bounds([np.zeros((0, 2))]) is None
     assert render.padded_bounds([half, np.zeros((0, 2)), half[1]]) is None
     assert render.padded_bounds([half, [3.0, 4.0]]) == row_mask_padded_bounds([[3.0, 4.0]])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(pts=st.integers(0, 30).flatmap(lambda n: arrays(np.float64, (n, 2), elements=st.floats(
+           -1e12, 1e12))),
+       corner=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+       extent=st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)),
+       rect=st.tuples(st.floats(0.0, 500.0), st.floats(0.0, 500.0), st.floats(1.0, 1000.0),
+                      st.floats(1.0, 1000.0)))
+@example(pts=np.array([[0.0, -0.0], [np.nan, 1.0], [np.inf, -np.inf], [5e-324, 1e-310]]),
+         corner=(-1.0, -2.0), extent=(3.0, 0.5), rect=(0.0, 0.0, 480.0, 480.0))
+def test_transform_columns_equal_broadcast_formula(pts, corner, extent, rect):
+    viewport = (corner[0], corner[1], corner[0] + extent[0], corner[1] + extent[1])
+    assume(viewport[2] > viewport[0] and viewport[3] > viewport[1])
+    x0, y0, x1, y1 = viewport
+    px, py, pw, ph = rect
+    scale = min(pw / (x1 - x0), ph / (y1 - y0))
+    offset = np.array([px + (pw - (x1 - x0) * scale) / 2.0, py + (ph - (y1 - y0) * scale) / 2.0])
+    with np.errstate(invalid="ignore"):  # inf - inf is part of the comparison
+        want = (pts - np.array([x0, y1])) * np.array([scale, -scale]) + offset
+        tf = render._transform(viewport, rect)
+        got = tf(pts)
+        inplace = pts.copy()
+        tf(inplace, inplace)
+    bits = [np.ascontiguousarray(a).view(np.uint64) for a in (want, got, inplace)]
+    assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[0], bits[2])
+
+
+def marker_scene(centre, spread):
+    """Markers, a label and a polyline within spread of centre: a one-point scene if spread is 0."""
+    rng = np.random.default_rng(3)
+    pts = np.asarray(centre, dtype=float) + spread * rng.normal(size=(5, 2))
+    return Scene(layers=(Polyline(pts), *(Marker(p) for p in pts), Label(pts[0], "a")))
+
+
+def scaled(scene, factor):
+    return dataclasses.replace(scene, layers=tuple(
+        Polyline(layer.points * factor) if isinstance(layer, Polyline) else
+        Marker(layer.center * factor) if isinstance(layer, Marker) else
+        Label(layer.anchor * factor, layer.text) for layer in scene.layers))
+
+
+@pytest.mark.parametrize("centre", [(0.0, 0.0), (3.0, -4.0), (1e3, 1e3), (1e6, 1e6), (1e9, 1e9),
+                                    (-1e-12, 2e-12), (1e200, 1e200)])
+@pytest.mark.parametrize("spread", [0.0, 1e-12, 1e-3, 1.0])
+def test_viewport_scales_with_the_data(centre, spread):
+    scene = marker_scene(centre, spread * max(1.0, abs(centre[0])))
+    text = render_scene(scene)  # a one-point scene far from the origin is no degenerate viewport
+    assert text.count("<circle") == 5
+    for exponent in (-40, 40):
+        assert render_scene(scaled(scene, 2.0 ** exponent)) == text
+
+
+def test_tiny_data_is_framed_by_its_own_size():
+    x0, y0, x1, y1 = render.padded_bounds([np.array([[0.0, 0.0], [2e-12, 1e-12]])])
+    assert (x0, y0, x1, y1) == pytest.approx((-1e-13, -1e-13, 2.1e-12, 1.1e-12), rel=1e-9)
+    x0, y0, x1, y1 = render.padded_bounds([np.array([1e6, 1e6])])
+    assert x0 < 1e6 < x1 and x1 - x0 == pytest.approx(1e-4, rel=1e-3)
 
 
 def test_render_is_deterministic(tmp_path):

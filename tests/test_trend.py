@@ -1,11 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridmorph import (InsufficientLandmarksError, LandmarkConfiguration,
                        NumericalError, basis_size, default_labels,
-                       design_matrix, trend_eval, trend_fit)
+                       design_matrix, make_grid, trend_eval, trend_fit)
+from gridmorph.tps import EVAL_BLOCK
+from gridmorph.trend import BASIS_POWERS
 
 
 def config(coords, name="cfg"):
@@ -33,6 +38,66 @@ def test_design_matrix_degree2_terms():
     assert np.allclose(row, [1.0, 2.0, 3.0, 4.0, 9.0, 6.0])
     row3 = design_matrix(pts, 3)[0]
     assert np.allclose(row3, [1.0, 2.0, 3.0, 4.0, 9.0, 6.0, 8.0, 27.0, 12.0, 18.0])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+                    -1e-310, 1e154, -1e103, 1.5, -3.0])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pts=st.integers(0, 40).flatmap(lambda n: arrays(np.float64, (n, 2))),
+       degree=st.sampled_from([1, 2, 3]))
+@example(pts=np.array(np.meshgrid(SPECIAL, SPECIAL)).reshape(2, -1).T, degree=1)
+@example(pts=np.array(np.meshgrid(SPECIAL, SPECIAL)).reshape(2, -1).T, degree=2)
+@example(pts=np.array(np.meshgrid(SPECIAL, SPECIAL)).reshape(2, -1).T, degree=3)
+def test_design_matrix_equals_column_stack_of_powers(pts, degree):
+    x, y = pts[:, 0], pts[:, 1]
+    with np.errstate(all="ignore"):  # inf, nan and overflow are part of the comparison
+        want = np.column_stack([x ** px * y ** py for px, py in BASIS_POWERS[degree]])
+        got = design_matrix(pts, degree)
+        into = design_matrix(np.asfortranarray(pts), degree, out=np.empty_like(want))
+    assert np.array_equal(bits(got), bits(want))  # bit for bit: NaN payloads and -0.0 too
+    assert np.array_equal(bits(into), bits(want))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1, None])
+def test_trend_eval_equals_whole_design_at_block_boundaries(degree, extra):
+    rng = np.random.default_rng(degree)
+    template = octagon(rng, k=12)
+    fit = trend_fit(config(template), config(template + rng.normal(scale=0.2, size=(12, 2))),
+                    degree)
+    rows = EVAL_BLOCK // basis_size(degree)
+    n = 3 * rows + 7 if extra is None else rows + extra
+    pts = rng.uniform(-3.0, 3.0, size=(n, 2))
+    want = design_matrix(pts, degree) @ fit.coefficients
+    # the blocks' products equal the whole product row for row: BLAS gives a row of a
+    # product of two or more rows the same sum, in C or Fortran order, and trend_eval
+    # never multiplies a lone last row (block + 1) on its own
+    assert np.array_equal(trend_eval(fit, pts), want)
+    assert np.array_equal(trend_eval(fit, np.asfortranarray(pts)), want)
+    assert np.array_equal(trend_eval(fit, pts.reshape(-1, 1, 2)), want.reshape(-1, 1, 2))
+
+
+def test_trend_eval_peak_memory_is_output_plus_one_block():
+    rng = np.random.default_rng(4)
+    template = octagon(rng)
+    fit = trend_fit(config(template), config(template * 1.1 + 0.05 * template ** 2), 2)
+    pts = make_grid(config(template), margin=0.25, cells=96).preimage  # about 157k samples
+    tracemalloc.start()
+    try:
+        out = trend_eval(fit, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = EVAL_BLOCK // 6
+    block = rows * 6 * 8 + rows * 2 * 8  # one block's design and its product
+    assert len(pts) > 150_000
+    assert peak <= out.nbytes + block + 16_384, f"trend_eval peak {peak} B"
 
 
 def test_df_counts():
