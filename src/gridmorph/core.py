@@ -234,9 +234,12 @@ def centroid(config) -> np.ndarray:
 
 
 def centered(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Center (..., k, 2) coordinates per configuration, with their centroid sizes (maybe 0)."""
+    """Center (..., k, 2) coordinates per configuration, with their centroid sizes (maybe 0),
+    squaring deviations scaled exactly by a power of two: no size overflows or underflows."""
     dev = coords - coords.mean(axis=-2, keepdims=True)
-    return dev, np.sqrt((dev * dev).sum(axis=(-2, -1)))
+    e = np.frexp(np.abs(dev).max(axis=(-2, -1), keepdims=True))[1]
+    unit = np.ldexp(dev, -e)
+    return dev, np.ldexp(np.sqrt((unit * unit).sum(axis=(-2, -1))), e[..., 0, 0])
 
 
 def centroid_size(config) -> float:

@@ -5,8 +5,8 @@ ID= and SCALE= lines), CSV in long form (id,label,x,y) or wide form
 (id,x1,y1,...,xk,yk), and the canonical JSON produced here. The JSON
 serializer is hand-rolled so that output is byte-deterministic and
 coordinates carry 17 significant digits, enough to round-trip float64
-exactly, as "%.17g" prints them: in whole-array passes, from Dekker's exact
-product of each value and a power of ten (Numer. Math. 18, 1971).
+exactly, as "%.17g" prints them. fmt_g prints floats as "%.{digits}g" does,
+in whole-array passes: the JSON writer at 17 digits, the SVG renderer at 6.
 """
 
 from __future__ import annotations
@@ -50,65 +50,84 @@ class Dataset:
     __hash__ = None
 
 
-WRITE_BLOCK = 4096  # coordinates per _fmt17 call (or one configuration, if it has more)
+WRITE_BLOCK = 4096  # coordinates per fmt_g call (or one configuration, if it has more)
 # 0-999 as ASCII in the low bytes of little-endian words, built on first use, 1000 words a
-# form: all 3 digits (from 0); no leading zeros from byte 1 on, byte 0 left for a sign, 0 as
-# nothing (_LEAD); no leading zeros (_INT); no trailing zeros, 0 as nothing (_TRAIL); the first
-# and third with a point in byte 3 (_POINT, _INT_POINT)
-_LEAD, _INT, _TRAIL, _POINT, _INT_POINT = 1000, 2000, 3000, 4000, 5000
+# form: all 3 digits (from 0); no leading zeros (_INT); no trailing zeros, 0 as nothing
+# (_TRAIL); the first and second with a point in byte 3 (_POINT, _INT_POINT)
+_INT, _TRAIL, _POINT, _INT_POINT = 1000, 2000, 3000, 4000
 _digit_words = functools.cache(lambda: np.frombuffer(b"".join(
-    text.encode().ljust(4, b"\0") for text in [*("%03d" % n for n in range(1000)), "",
-    *("\0%d" % n for n in range(1, 1000)), *("%d" % n for n in range(1000)),
-    *(("%03d" % n).rstrip("0") for n in range(1000)), *("%03d." % n for n in range(1000)),
-    *(("%d" % n).ljust(3, "\0") + "." for n in range(1000))]), "<u4"))
+    text.encode().ljust(4, b"\0") for text in [*("%03d" % n for n in range(1000)),
+    *("%d" % n for n in range(1000)), *(("%03d" % n).rstrip("0") for n in range(1000)),
+    *("%03d." % n for n in range(1000)), *(("%d" % n).ljust(3, "\0") + "." for n in range(1000))]),
+    "<u4"))
 _POW10 = 10.0 ** np.arange(21)  # exact in binary
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)  # Veltkamp split (2^27 + 1)
 _POW10_LO = _POW10 - _POW10_HI
-# [g, 2k + z]: the form of group g (0 the lowest) of the 17 digits times 10^(-k % 3) of a value
-# with k fraction digits, z: every lower group is 0. The lowest (k + 2) // 3 groups are the
-# fraction, group (19 + -k % 3) // 3 - 1 leads, and a point ends the whole part of |x| >= 1
-_FORMS = np.array([[z * _TRAIL if g < (k + 2) // 3 else _LEAD if g >= (19 + -k % 3) // 3 else
-                    [[0, _POINT], [_INT, _INT_POINT]][g == (19 + -k % 3) // 3 - 1][
-                        g == (k + 2) // 3 and k < 17 and not z]
-                    for k in range(21) for z in (0, 1)] for g in range(7)], dtype=np.uint64)
 
 
-def _fmt17(x: np.ndarray, seps: np.ndarray) -> str:
-    """Each float as "%.17g" % (x + 0.0) prints it, then its separator word.
+@functools.cache
+def _forms(digits: int) -> np.ndarray:
+    """[g, 2k + z]: the form of group g (0 the lowest) of the digits times 10^(-k % 3) of a
+    value with k fraction digits, z: every lower group is 0. The lowest (k + 2) // 3 groups are
+    the fraction, group (digits + 2 + -k % 3) // 3 - 1 leads, and a point ends the whole part
+    of |x| >= 1. Groups above the leading one are 0, printed as nothing."""
+    return np.array([[z * _TRAIL if g < (k + 2) // 3 else _TRAIL if g > lead else
+                      [[0, _POINT], [_INT, _INT_POINT]][g == lead][
+                          g == (k + 2) // 3 and k < digits and not z]
+                      for k in range(digits + 4) for lead in [(digits + 2 + -k % 3) // 3 - 1]
+                      for z in (0, 1)] for g in range((digits + 5) // 3)], dtype=np.uint64)
 
-    In fixed notation (|x| in [1e-4, 1e17)) the 17 digits are the integer
-    nearest |x| 10^k, k = 16 - e for the decimal exponent e, which Dekker's
-    product gives exactly as hi + lo. Where it has 17 digits, hi > 2^53 is
-    an even integer, so rint(lo), rounding half to even, rounds as %.17g
-    does. Carries into an 18th digit and exponential notation go to %; zero
-    prints as 0. A value owns 9 words of a canvas, zero bytes being padding:
-    sign and "0." below 1, the digits times 10^(-k % 3) in 3-digit groups
-    (the point in the pad byte of the lowest whole-number group), separator.
+
+def fmt_g(values: np.ndarray, seps: np.ndarray, digits: int) -> str:
+    """Each float as "%.{digits}g" % (x + 0.0) prints it, then its separator word (one "<u4"
+    word per value, zero bytes dropped), in whole-array passes, at 6 or 17 digits.
+
+    In fixed notation (|x| in [1e-4, 10^digits)) the digits are the integer nearest
+    |x| 10^k, k = digits - 1 - e for the decimal exponent e: rint of the product hi, unless
+    hi is within its own error of a half (every value at 17 digits, almost none at 6). There
+    Dekker's exact product (Numer. Math. 18, 1971) gives hi + lo == |x| 10^k: lo rounds an
+    integer hi > 2^53, and its sign decides a hi that is a half (to even if lo == 0).
+    Exponential notation, non-finite values and carries into a (digits + 1)-th digit go to %
+    (Steele & White, PLDI 1990). A value owns a row of a canvas of words: sign and "0."
+    below 1, the digits times 10^(-k % 3) in 3-digit groups (the point in the pad byte of the
+    lowest whole-number group), separator.
     """
-    a, zero = np.abs(x), x == 0
-    fast = (a >= 1e-4) & (a < 1e17)  # false for nan and inf
-    a = np.where(fast, a, 1.0)  # printed with k = 16: 0 as "0"
-    e = np.clip(np.floor(np.log10(a)).astype(np.intp), -4, 16)
-    s = a * _POW10[16 - e]
+    x = np.asarray(values, dtype=float)
+    a, zero, top = np.abs(x), x == 0, 10.0 ** digits
+    fast = (a >= 1e-4) & (a < top)  # false for nan and inf
+    a = np.where(fast, a, 1.0)  # printed with k = digits - 1: 0 as "0"
+    k = (digits - 1 - np.floor(np.log10(a))).astype(np.intp)
+    s = a * _POW10.take(k, mode="clip")  # a guess that log10 put one out of range is clipped
     # log10 can be one off: k is corrected against the exact powers of ten
-    k = np.clip(16 - e - (s >= 1e17).view(np.int8) + (s < 1e16).view(np.int8), 0, 20)
-    ah = a * 134217729.0 - (a * 134217729.0 - a)  # Veltkamp's split: a == ah + al, 26 bits each
-    al, hi, ph, pl = a - ah, a * _POW10[k], _POW10_HI[k], _POW10_LO[k]
-    lo = ((ah * ph - hi) + ah * pl + al * ph) + al * pl  # hi + lo == |x| 10^k exactly
-    d = (hi.astype(np.int64) + np.rint(lo).astype(np.int64)) * ~zero
-    fast &= (d >= 10 ** 16) & (d < 10 ** 17)
-    rest = d.view(np.uint64) * (10 ** (-k % 3)).astype(np.uint64)  # < 10^19
-    table, k2 = _digit_words(), 2 * k
-    canvas, lower_zero = np.empty((len(x), 9), dtype="<u4"), np.ones(len(x), dtype=bool)
-    for g in range(7):  # into words 7 (group 0) to 1
-        rest, group = np.divmod(rest, np.uint64(1000))
-        canvas[:, 7 - g] = table[group + _FORMS[g][k2 + lower_zero]]
+    k = np.clip(k - (s >= top).view(np.int8) + (s < top / 10).view(np.int8), 0, digits + 3)
+    hi = a * _POW10[k]
+    d = np.rint(hi).astype(np.int64)
+    near = np.abs(hi - np.floor(hi) - 0.5) <= top * 2.0 ** -52
+    if near.any():
+        near = slice(None) if near.all() else np.flatnonzero(near)  # all of them at 17 digits
+        an, hn, kn = a[near], hi[near], k[near]
+        ah = an * 134217729.0 - (an * 134217729.0 - an)  # Veltkamp's split, 26 bits each
+        al, ph, pl = an - ah, _POW10_HI[kn], _POW10_LO[kn]
+        lo = ((ah * ph - hn) + ah * pl + al * ph) + al * pl  # hn + lo == |x| 10^k exactly
+        sign = np.sign(lo)  # 2 (hn - rint(hn)) is +-1 where hn is a half that rint made even
+        d[near] += (np.rint(lo) + (2 * (hn - np.rint(hn)) == sign) * sign).astype(np.int64)
+    d *= ~zero
+    fast &= (d >= 10 ** (digits - 1)) & (d < 10 ** digits)
+    rest = d.view(np.uint64) * (10 ** (-np.arange(digits + 4) % 3)).astype(np.uint64)[k]
+    table, forms, k2, size = _digit_words(), _forms(digits), 2 * k, (digits + 5) // 3 + 2
+    canvas, lower_zero = np.empty((len(x), size), dtype="<u4"), np.ones(len(x), dtype=bool)
+    for g in range(size - 2):  # into words size - 2 (group 0) to 1
+        q = rest // np.uint64(1000)
+        group = rest - q * np.uint64(1000)
+        np.take(table, group + forms[g][k2 + lower_zero], out=canvas[:, size - 2 - g], mode="clip")
         lower_zero &= group == 0
-    canvas[:, 0] = (x < 0) * ord("-") + (k > 16) * (ord("0") << 8 | ord(".") << 16)
-    canvas[:, 8] = seps
+        rest = q
+    canvas[:, 0] = (x < 0) * ord("-") + (k >= digits) * (ord("0") << 8 | ord(".") << 16)
+    canvas[:, -1] = seps
     slow = np.flatnonzero(~(fast | zero))
-    exact = b"".join(("%.17g" % v).encode().ljust(32, b"\0") for v in x[slow].tolist())
-    canvas.view(np.uint8)[slow, :32] = np.frombuffer(exact, dtype=np.uint8).reshape(-1, 32)
+    exact = b"".join(("%.*g" % (digits, v)).encode().ljust(4 * size - 4, b"\0")
+                     for v in x[slow].tolist())
+    canvas[slow, :-1] = np.frombuffer(exact, "<u4").reshape(len(slow), size - 1)
     return canvas.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -116,11 +135,10 @@ def write_dataset(dataset: Dataset) -> str:
     """Serialize to canonical JSON text. Deterministic: same dataset, same bytes.
 
     Every coordinate is a JSON number with 17 significant digits (exact
-    float64 round trip), as "%.17g" prints it: _fmt17 rounds Dekker's exact
-    product of the value and a power of ten (Numer. Math. 18, 1971) to 17
-    digits, WRITE_BLOCK coordinates at a time. -0.0 is written as 0: JSON
-    readers may hand "-0" back as the integer zero, so the sign bit would
-    not survive a round trip anyway. Strings are quoted as json.dumps does.
+    float64 round trip), as "%.17g" prints it: fmt_g at 17 digits, WRITE_BLOCK
+    coordinates at a time. -0.0 is written as 0: JSON readers may hand "-0"
+    back as the integer zero, so the sign bit would not survive a round trip
+    anyway. Strings are quoted as json.dumps does.
     """
     sample = dataset.sample
     n, k = len(sample), sample.landmark_count
@@ -132,7 +150,7 @@ def write_dataset(dataset: Dataset) -> str:
     seps[2 * k - 1::2 * k] = ord("\n")  # after a configuration
     for start in range(0, n, rows):
         block, names = values[start:start + rows].ravel(), sample.names[start:start + rows]
-        texts = _fmt17(block, seps[:len(block)]).split("\n")
+        texts = fmt_g(block, seps[:len(block)], 17).split("\n")
         lines += [f'    {{"id": {_quote(name)}, "group": {_quote(sample.groups.get(name, ""))}, '
                   f'"coords": [[{text}]]}},' for name, text in zip(names, texts)]
     lines[-1] = lines[-1][:-1]  # no comma after the last configuration

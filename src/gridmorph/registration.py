@@ -96,9 +96,8 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
     p = sample.coords
     a = p[:, baseline.start]
     d = p[:, baseline.end] - a
-    nsq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
     size = centered(p)[1]
-    bad = (size <= 0.0) | (np.sqrt(nsq) <= 1e-12 * size)
+    bad = (size <= 0.0) | (np.hypot(d[:, 0], d[:, 1]) <= 1e-12 * size)
     if bad.any():
         first = int(np.argmax(bad))
         name = sample.names[first]
@@ -106,8 +105,10 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
             raise DegenerateConfigurationError(f"configuration {name!r}: all landmarks coincide")
         raise DegenerateBaselineError(f"configuration {name!r}: baseline landmarks "
                                       f"{baseline.start} and {baseline.end} nearly coincide")
-    rel = p - a[:, None]
-    dx, dy, nsq = d[:, 0, None], d[:, 1, None], nsq[:, None]
+    # p - a scaled exactly by a power of two near |d|, so that |d|^2 is in range
+    rel = np.ldexp(p - a[:, None], -np.frexp(np.abs(d).max(axis=1))[1][:, None, None])
+    dx, dy = rel[:, baseline.end, 0, None], rel[:, baseline.end, 1, None]
+    nsq = dx * dx + dy * dy
     # Similarity as division by the baseline vector in complex form.
     out = np.stack([(rel[..., 0] * dx + rel[..., 1] * dy) / nsq,
                     (rel[..., 1] * dx - rel[..., 0] * dy) / nsq], axis=-1)

@@ -5,8 +5,8 @@ with 6 significant digits, no timestamps, no generated ids. Rendering the
 same scene twice yields byte-identical output, which makes figures
 diffable and lets tests freeze golden files. write_svg streams the text
 that render_scene returns into its file, one block at a time. Numbers are
-printed in whole-array passes: a block of polyline coordinates, a segment
-network's ends, or a run of consecutive markers at a time.
+printed by formats.fmt_g at 6 digits: a block of polyline coordinates, a
+segment network's ends, or a run of consecutive markers at a time.
 
 Scene coordinates are mathematical (y up). The viewport maps a world
 rectangle onto the pixel canvas with a single isotropic scale and a y
@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import Segment
 from .errors import InputError
-from .formats import _INT, _LEAD, _POW10, _TRAIL, _digit_words
+from .formats import fmt_g
 from .gridlab import DeformedGrid, finite_rows, kept_runs
 
 
@@ -92,50 +92,7 @@ def _fmt(value: float) -> str:
     return "%.6g" % (float(value) + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
-PRINT_BLOCK = 2 ** 14  # polyline coordinates per _fmt_coords call: its arrays take ~130 B each
-
-
-def _fmt_coords(values: np.ndarray, seps: np.ndarray) -> str:
-    """Each value as _fmt prints it, then its separator byte (0 for none), in whole-array passes.
-
-    Where %.6g prints fixed notation, its six digits are the value scaled by
-    the exact 10^(5-e) and rounded. The product is within 1.2e-10 of the
-    exact one, so its rounding is exact unless the fraction is within 1e-6
-    of a half. Those near-ties, zero, non-finite values and exponential
-    notation go to _fmt: exact digits or an exact fallback (Steele & White,
-    PLDI 1990). Each value owns 20 bytes of a canvas, zero bytes being
-    padding: sign, integer part and fraction in 3-digit groups, separator.
-    """
-    x = np.asarray(values, dtype=float)
-    a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e6)  # false for nan and inf
-    a = np.where(fast, a, 1.0)
-    e = np.clip(np.floor(np.log10(a)).astype(np.int32), -4, 5)
-    s = a * _POW10[5 - e]
-    e += (s >= 1e6).view(np.int8) - (s < 1e5).view(np.int8)  # log10 can be one off
-    p = _POW10[5 - e]
-    s = a * p
-    m = np.rint(s)  # 10^6 where the rounding carries into the next power of ten
-    fast &= (np.abs(s - np.floor(s) - 0.5) >= 1e-6) & ((e < 5) | (m < 1e6))
-    i = np.floor(m / p)
-    f = ((m - i * p) * (1e9 / p)).astype(np.int32)  # the fraction's digits times 10^9
-    i = np.minimum(i.astype(np.int32), 999999)  # 10^6 only where fast is false
-    ihi, f1 = i // 1000, f // 1000000  # int32 division by a constant is far faster than %
-    ilo, f23 = i - ihi * 1000, f - f1 * 1000000
-    f2 = f23 // 1000
-    f3 = f23 - f2 * 1000
-    table = _digit_words()
-    canvas = np.empty((len(x), 5), dtype="<u4")
-    for col, index in enumerate((ihi + _LEAD, ilo + (ihi == 0) * _INT, f1 + (f23 == 0) * _TRAIL,
-                                 f2 + (f3 == 0) * _TRAIL, f3 + _TRAIL)):
-        np.take(table, index, out=canvas[:, col], mode="clip")  # no buffer; indices are in range
-    text = canvas.view(np.uint8)  # free bytes 0, 7 and 19 take sign, point and separator
-    text[:, 0], text[:, 7], text[:, 19] = (x < 0) * ord("-"), (f > 0) * ord("."), seps
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        exact = b"".join(_fmt(v).encode().ljust(19, b"\0") for v in x[slow].tolist())
-        text[slow, :19] = np.frombuffer(exact, dtype=np.uint8).reshape(-1, 19)
-    return canvas.tobytes().translate(None, b"\0").decode("ascii")
+PRINT_BLOCK = 2 ** 14  # polyline coordinates per fmt_g call: its arrays take ~130 B each
 
 
 def _escape(text: str) -> str:
@@ -211,9 +168,9 @@ def _text(layer, where) -> str:
         (x, y), = where(layer.anchor)
         return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
                 f'font-size="{_fmt(FONT_SIZE)}">{_escape(layer.text)}</text>\n')
-    if isinstance(layer, SegmentNetwork):  # every end coordinate in one _fmt_coords call
+    if isinstance(layer, SegmentNetwork):  # every end coordinate in one fmt_g call
         ends = where(layer.points)[np.array(layer.segments, dtype=np.intp).reshape(-1)]
-        numbers = _fmt_coords(ends.ravel(), np.full(ends.size, ord("\n"), dtype=np.uint8))
+        numbers = fmt_g(ends.ravel(), np.full(ends.size, ord("\n"), dtype="<u4"), 6)
         line = ('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" '
                 f'stroke-width="{_fmt(HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH)}"/>\n')
         return line * len(layer.segments) % tuple(numbers.split("\n")[:-1])
@@ -227,24 +184,24 @@ _CIRCLES = [f'<circle cx="%s" cy="%s" r="{_fmt(radius)}" {paint}/>\n' for radius
 
 
 def _markers(run, where) -> str:
-    """The circles of a run of Markers, in one transform and one _fmt_coords call."""
+    """The circles of a run of Markers, in one transform and one fmt_g call."""
     centres = np.array([marker.center for marker in run], dtype=float).reshape(len(run), 2)
     rings = np.array([marker.baseline for marker in run], dtype=bool)
     xy = np.repeat(where(centres), 1 + rings, axis=0)  # a ring prints its centre again
-    numbers = _fmt_coords(xy.ravel(), np.full(xy.size, ord("\n"), dtype=np.uint8)).split("\n")
+    numbers = fmt_g(xy.ravel(), np.full(xy.size, ord("\n"), dtype="<u4"), 6).split("\n")
     return "".join([_CIRCLES[bool(marker.filled)] + _CIRCLES[2] * bool(marker.baseline)
                     for marker in run]) % tuple(numbers[:-1])
 
 
 def _svg(scene: Scene):
     """The SVG 1.1 text of a scene in file order, a piece per PRINT_BLOCK polyline coordinates."""
-    def printed() -> str:  # the points as _fmt prints them, "x,y x,y ...", in one _fmt_coords call
+    def printed() -> str:  # the points as _fmt prints them, "x,y x,y ...", in one fmt_g call
         xy = np.concatenate(pieces) if pieces else np.empty((0, 2))
         for (tf, begin), (_, end) in zip(maps, maps[1:] + [(None, len(xy))]):
             tf(xy[begin:end], xy[begin:end])
-        seps = np.tile(np.frombuffer(b", ", dtype=np.uint8), len(xy))
+        seps = np.tile(np.frombuffer(b",\0\0\0 \0\0\0", "<u4"), len(xy))
         seps[2 * np.array(ends, dtype=np.intp) - 1] = ord("\n")
-        texts = _fmt_coords(xy.ravel(), seps).split("\n")
+        texts = fmt_g(xy.ravel(), seps, 6).split("\n")
         return "".join([part for join, text in zip(joins, texts) for part in (*join, text)])
 
     w, h = scene.size

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gridmorph import (MAX_GRID_SAMPLES, Dataset, InputError, SchemaError,
+from gridmorph import (MAX_GRID_SAMPLES, Dataset, InputError, Sample, SchemaError,
                        default_labels, gpa_mean, read_dataset, read_landmarks,
                        synthetic_vilmann, two_point_register, write_dataset)
 from gridmorph.cli import main
@@ -254,6 +254,40 @@ def test_sample_commands_keep_their_bytes(tmp_path, capsys, monkeypatch):
                for name in BYTE_GUARD}
     assert digests == BYTE_GUARD
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("exponent", [600, -600, 20])
+def test_commands_are_invariant_to_a_power_of_two_scale(tmp_path, capsys, monkeypatch, exponent):
+    # scaling every coordinate by 2^exponent is exact; near 2^+-600 squared lengths leave the
+    # float range, so sizes and baselines must be computed without squaring raw coordinates
+    base = synthetic_vilmann()
+    noise = np.random.default_rng(0).normal(scale=0.01, size=(2, 3, 8, 2))
+    coords = (base.coords[:, None] + noise).reshape(6, 8, 2)
+    names = [f"{tag}_{i}" for tag in ("age7", "age150") for i in range(3)]
+    groups = {name: name.split("_")[0] for name in names}
+    targets = ["--targets", "age7,age150"]
+    runs = []
+    for scale in (0, exponent):
+        run = tmp_path / str(scale)
+        run.mkdir()
+        monkeypatch.chdir(run)
+        write_sample(run, Sample(names, base.labels, np.ldexp(coords, scale), groups=groups))
+        stdout = []
+        for argv in (["twopoint", "data.json", "--baseline", "3,8", "-o", "twopoint.json"],
+                     ["average", "data.json", "-o", "means.json"],
+                     ["survey", "data.json", *targets, "-o", "survey.svg"],
+                     ["rotations", "data.json", *targets, "--threshold", "0", "-o", "raw.csv",
+                      "--svg", "raw.svg"],
+                     ["rotations", "data.json", *targets, "--threshold", "0", "--nonaffine",
+                      "-o", "nonaffine.csv", "--svg", "nonaffine.svg"],
+                     ["fit", "data.json", *targets, "--baseline", "3,8", "--degree", "2",
+                      "--outdir", "fit"]):
+            assert main(argv) == 0, capsys.readouterr().err
+            stdout.append(capsys.readouterr().out)
+        runs.append((stdout, {str(path.relative_to(run)): path.read_bytes()
+                              for path in sorted(run.rglob("*.*")) if path.name != "data.json"}))
+    assert len(runs[0][1]) == 10  # 7 outputs, and the fit's SVG and two CSV files
+    assert runs[1] == runs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,8 @@ def test_centroid_size_translation_invariant_scale_equivariant():
         scale = rng.uniform(0.1, 10.0)
         assert centroid_size(pts + shift) == pytest.approx(centroid_size(pts), rel=1e-12)
         assert centroid_size(pts * scale) == pytest.approx(scale * centroid_size(pts), rel=1e-12)
+        for exponent in (-700, -600, -1, 500, 600):  # exact, though the squares leave the range
+            assert centroid_size(np.ldexp(pts, exponent)) == np.ldexp(centroid_size(pts), exponent)
 
 
 def test_centroid_size_coincident_points_raises():

@@ -11,7 +11,7 @@ from gridmorph import (Dataset, HomologyError, InputError, ParseError, Sample,
                        read_landmarks, synthetic_vilmann, write_dataset)
 from gridmorph import formats
 from gridmorph.core import default_labels
-from gridmorph.formats import SCHEMA_VERSION, _fmt17, _quote
+from gridmorph.formats import SCHEMA_VERSION, _quote, fmt_g
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +270,45 @@ def test_quote_equals_json_dumps(text):
     assert _quote(text) == json.dumps(text)
 
 
-def fmt17(values):
-    """_fmt17 of some values, each followed by ", "."""
+# ---------------------------------------------------------------------------
+# fmt_g against %, at the SVG's 6 digits and the dataset JSON's 17
+
+DIGITS = pytest.mark.parametrize("digits", [6, 17])
+
+
+def fmt_g_text(values, digits):
+    """fmt_g of some values, each followed by ", "."""
     values = np.asarray(values, dtype=float).ravel()
-    return _fmt17(values, np.full(len(values), np.frombuffer(b", \0\0", "<u4")[0]))
+    return fmt_g(values, np.full(len(values), np.frombuffer(b", \0\0", "<u4")[0]), digits)
 
 
-def percent_fmt17(values):
-    return "".join("%.17g, " % (v + 0.0) for v in np.asarray(values, dtype=float).ravel().tolist())
+def percent_g(values, digits):
+    return "".join("%.*g, " % (digits, v + 0.0)
+                   for v in np.asarray(values, dtype=float).ravel().tolist())
+
+
+def fixed_notation_ties():
+    """(k + 0.5) 10^(e-5) at every exponent e that %.6g prints in fixed notation, and negated.
+
+    Per exponent: three nearest doubles of ties, one of which carries into the
+    next power of ten, and one tie that a double holds exactly.
+    """
+    values = []
+    for e in range(-4, 6):
+        step = 5 ** (5 - e)  # (2k + 1) / 2^(6-e) / 5^(5-e) is a double when step divides 2k + 1
+        exact = step * (-(-200001 // step) | 1)
+        values += [odd / (2 * 10 ** (5 - e)) for odd in (200001, 271829, 1999999, exact)]
+    return np.array(values + [-v for v in values])
+
+
+def ulp_neighbours():
+    """1e-4, 1e5, 1e6, 1 and 10, each with its neighbouring doubles, and two carries."""
+    values = [np.nextafter(v, to) for v in (1e-4, 1e5, 1e6, 1.0, 10.0) for to in (0.0, v, np.inf)]
+    return np.array(values + [99999.95, 999999.5, -99999.95])
+
+
+def pre_rounded(decimals):
+    return np.round(np.random.default_rng(decimals).uniform(-1000, 1000, 200), decimals)
 
 
 def exact_ties():
@@ -293,6 +324,17 @@ def exact_ties():
     return np.array(values + [-v for v in values])
 
 
+def six_digit_ties_and_carries():
+    """Doubles with 7 significant digits, the last a 5, that %.6g rounds half to even (up and
+    down), and values whose 6 or 17 digits carry into the next power of ten, and negated."""
+    ties = [123456.5, 123455.5, 100000.5, 999998.5, 12345.25, 12345.75, 1234.125, 1234.375,
+            123.0625, 2.5, 0.5, 1.5, 0.0001234565, 2.5 * 2.0 ** -14]
+    carries = [np.nextafter(v, to) for v in (999999.5, 99999.95, 9.999995, 0.0009999995,
+                                             0.99999999999999999, 9999999999999999.5)
+               for to in (0.0, np.inf)] + [999999.5, 9.9999999999999995, 99999999999999999.0]
+    return np.array(ties + carries + [-v for v in ties + carries])
+
+
 def decade_neighbours():
     """Powers of ten from 1e-5 to 1e18 with their neighbouring doubles, two more around 1e-4,
     1e16 and 1e17, and values whose rounding carries into the next power of ten."""
@@ -305,38 +347,48 @@ def decade_neighbours():
 
 
 EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072014e-308,
-                  1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.5, 0.1, 1 / 3])
+                  1.7976931348623157e308, -1.7976931348623157e308, 1.0, -1.0, 0.5, 0.1, 1 / 3,
+                  -2.5e-320, 1e300, -1e-07, -9.9999996e-08, np.nan, -np.nan, np.inf, -np.inf])
 BITS = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
 
 
+@DIGITS
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(arrays(np.float64, st.integers(0, 40), elements=st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False), st.floats(-1e17, 1e17),
-    BITS.filter(np.isfinite))))
+    st.floats(), st.floats(-1e6, 1e6), st.floats(-1e17, 1e17), BITS)))
+@example(fixed_notation_ties())
+@example(ulp_neighbours())
+@example(pre_rounded(2))
+@example(pre_rounded(6))
 @example(exact_ties())
+@example(six_digit_ties_and_carries())
 @example(decade_neighbours())
 @example(EDGES)
 @example(np.round(np.random.default_rng(2).uniform(-1000, 1000, 200), 2))
-def test_fmt17_equals_percent(values):
-    assert fmt17(values) == percent_fmt17(values)
+def test_fmt_g_equals_percent(digits, values):
+    assert fmt_g_text(values, digits) == percent_g(values, digits)
 
 
-def test_fmt17_equals_percent_across_scales():
-    rng = np.random.default_rng(5)
+@DIGITS
+def test_fmt_g_equals_percent_across_scales(digits):
+    rng = np.random.default_rng(digits)
     values = np.concatenate([rng.choice([-1.0, 1.0], 100_000) * 10 ** rng.uniform(-6, 19, 100_000),
-                             rng.normal(size=50_000)])
-    assert fmt17(values) == percent_fmt17(values)
+                             rng.normal(size=50_000), rng.uniform(0, 960, 50_000)])
+    assert fmt_g_text(values, digits) == percent_g(values, digits)
 
 
+@DIGITS
 @pytest.mark.parametrize("shift", [-1.0, 1.0])
-def test_fmt17_digits_do_not_depend_on_log10_rounding(monkeypatch, shift):
+def test_fmt_g_digits_do_not_depend_on_log10_rounding(monkeypatch, digits, shift):
     # an exponent that log10 puts one off is corrected against the exact powers of ten
-    values = np.concatenate([exact_ties(), decade_neighbours(), EDGES,
-                             np.random.default_rng(4).normal(size=200) * 1e3])
-    want = percent_fmt17(values)
+    values = np.concatenate([fixed_notation_ties(), ulp_neighbours(), pre_rounded(2),
+                             exact_ties(), six_digit_ties_and_carries(), decade_neighbours(),
+                             EDGES, np.random.default_rng(4).normal(size=200) * 1e3,
+                             [0.5, 1.5, 7.25, 42.0, 314.159, 5e5]])
+    want = percent_g(values, digits)
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
-    assert fmt17(values) == want
+    assert fmt_g_text(values, digits) == want
 
 
 def test_dataset_text_is_valid_json_with_schema():

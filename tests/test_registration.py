@@ -432,6 +432,15 @@ def test_two_point_sample_is_similarity_invariant(case, data):
     assert (np.abs(got[0].coords - got[1].coords).max(axis=(1, 2)) <= tol).all()
 
 
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_two_point_sample_is_exact_under_a_power_of_two_scale(exponent):
+    # at 2^+-600 the squared baseline length leaves the float range; the registration must not
+    p = np.random.default_rng(2).normal(size=(4, 6, 2))
+    got = [two_point_register_sample(Sample([f"c{i}" for i in range(4)], default_labels(6), c),
+                                     Baseline(0, 3)).coords for c in (p, np.ldexp(p, exponent))]
+    assert np.array_equal(got[1], got[0])
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(specimens_and_similarities())
 def test_gpa_mean_is_similarity_invariant(case):

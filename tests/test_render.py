@@ -16,7 +16,7 @@ from gridmorph import (Baseline, InputError, Segment, deform_grid, default_label
 from gridmorph import render
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.gridlab import kept_runs
-from gridmorph.render import GridLines, Label, Marker, Panel, Polyline, Scene, _fmt, _fmt_coords
+from gridmorph.render import GridLines, Label, Marker, Panel, Polyline, Scene, _fmt
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -102,63 +102,16 @@ def test_float_formatting():
     assert _fmt(1200000.0) == "1.2e+06"
 
 
-def fixed_notation_ties():
-    """(k + 0.5) 10^(e-5) at every exponent e that %.6g prints in fixed notation, and negated.
-
-    Per exponent: three nearest doubles of ties, one of which carries into the
-    next power of ten, and one tie that a double holds exactly.
-    """
-    values = []
-    for e in range(-4, 6):
-        step = 5 ** (5 - e)  # (2k + 1) / 2^(6-e) / 5^(5-e) is a double when step divides 2k + 1
-        exact = step * (-(-200001 // step) | 1)
-        values += [odd / (2 * 10 ** (5 - e)) for odd in (200001, 271829, 1999999, exact)]
-    return np.array(values + [-v for v in values]).reshape(-1, 2)
-
-
-def ulp_neighbours():
-    """1e-4, 1e5, 1e6, 1 and 10, each with its neighbouring doubles, and two carries."""
-    values = [np.nextafter(v, to) for v in (1e-4, 1e5, 1e6, 1.0, 10.0) for to in (0.0, v, np.inf)]
-    return np.array(values + [99999.95, 999999.5, -99999.95]).reshape(-1, 2)
-
-
-def pre_rounded(decimals):
-    return np.round(np.random.default_rng(decimals).uniform(-1000, 1000, (100, 2)), decimals)
-
-
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(0, 12), st.just(2)), elements=st.floats()))
 @example(np.array([[0.0, -0.0], [5e-324, -2.5e-320], [1e300, -1e300], [-1e-07, -9.9999996e-08],
                    [np.nan, -np.nan], [np.inf, -np.inf]]))
-@example(fixed_notation_ties())
-@example(ulp_neighbours())
-@example(pre_rounded(2))
-@example(pre_rounded(6))
+@example(np.array([[123456.5, 2.5], [0.5, -1234.125], [999999.5, 99999.95], [-9.999995, 1e-4]]))
 def test_polyline_points_equal_per_coordinate_fmt(pts):
-    want = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in pts)
-    seps = np.tile(np.frombuffer(b", ", dtype=np.uint8), len(pts))
-    seps[-1:] = 0
-    assert _fmt_coords(pts.ravel(), seps) == want
-
-
-def test_fmt_coords_equals_fmt_across_scales():
-    rng = np.random.default_rng(3)
-    values = np.concatenate([rng.choice([-1.0, 1.0], 200_000) * 10 ** rng.uniform(-6, 7, 200_000),
-                             rng.uniform(0, 960, 50_000)])
-    seps = np.full(len(values), ord(" "), dtype=np.uint8)
-    assert _fmt_coords(values, seps) == "".join(_fmt(v) + " " for v in values.tolist())
-
-
-@pytest.mark.parametrize("shift", [-1.0, 1.0])
-def test_fmt_coords_digits_do_not_depend_on_log10_rounding(monkeypatch, shift):
-    # an exponent that log10 puts one off is corrected against the exact powers of ten
-    values = np.concatenate([fixed_notation_ties().ravel(), ulp_neighbours().ravel(),
-                             pre_rounded(2).ravel(), [0.5, 1.5, 7.25, 42.0, 314.159, 5e5]])
-    seps = np.full(len(values), ord(" "), dtype=np.uint8)
-    want = "".join(_fmt(v) + " " for v in values.tolist())
-    log10 = np.log10
-    monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
-    assert _fmt_coords(values, seps) == want
+    # the viewport maps (x, y) to the pixel (x, -y) exactly, so every value reaches fmt_g as drawn
+    scene = Scene(size=(480.0, 480.0), viewport=(0.0, -480.0, 480.0, 0.0), layers=(Polyline(pts),))
+    want = " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in pts.tolist())
+    assert [line.get("points") for line in parse(render_scene(scene))] == [want] * (len(pts) >= 2)
 
 
 def reference_viewports(scene):
