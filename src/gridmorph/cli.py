@@ -307,7 +307,7 @@ def cmd_fit(args) -> int:
     from .gridlab import (convex_hull_polygon, deform_grid, extend_grid, landmark_cycle_polygon,
                           make_grid, trim_grid)
     from .render import grid_scene, tile_scenes, write_svg
-    from .tps import tps_fit
+    from .tps import tps_eval, tps_fit
     from .trend import trend_fit
     dataset = read_landmarks(args.input)
     sample = dataset.sample
@@ -331,8 +331,10 @@ def cmd_fit(args) -> int:
     for side, mult in extends:
         spec = extend_grid(spec, side, mult)
 
-    grid_observed = deform_grid(spec, spline_observed)
-    grid_fitted = deform_grid(spec, spline_fitted)
+    # both splines share the template, so each kernel block is computed once for the two grids
+    observed, fitted_image = tps_eval(spline_observed, spec.preimage, spline_fitted)
+    grid_observed = deform_grid(spec, lambda preimage: observed)
+    grid_fitted = deform_grid(spec, lambda preimage: fitted_image)
     grid_trend = deform_grid(spec, trend)
     outline_config, space = (template, "template") if trim_mode == "template" else (target, "image")
     polygon = (convex_hull_polygon(outline_config.coords) if hull

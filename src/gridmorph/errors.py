@@ -51,15 +51,7 @@ class DegenerateBaselineError(NumericalError):
     pass
 
 
-class CollinearTemplateError(NumericalError):
-    pass
-
-
 class CoincidentLandmarksError(NumericalError):
-    pass
-
-
-class RankDeficiencyError(NumericalError):
     pass
 
 
@@ -72,16 +64,4 @@ class ConvergenceError(NumericalError):
 
 
 class NonConvexSourceError(NumericalError):
-    pass
-
-
-class DegenerateQuadError(NumericalError):
-    pass
-
-
-class DegeneratePolygonError(NumericalError):
-    pass
-
-
-class ZeroLengthSegmentError(NumericalError):
     pass

@@ -80,7 +80,8 @@ def _forms(digits: int) -> np.ndarray:
 
 def fmt_g(values: np.ndarray, seps: np.ndarray, digits: int) -> str:
     """Each float as "%.{digits}g" % (x + 0.0) prints it, then its separator word (one "<u4"
-    word per value, zero bytes dropped), in whole-array passes, at 6 or 17 digits.
+    word per value, zero bytes dropped), in whole-array passes, at any digits from 1 to 17
+    (tested against % at each; the figures use 6 and the dataset JSON 17).
 
     In fixed notation (|x| in [1e-4, 10^digits)) the digits are the integer nearest
     |x| 10^k, k = digits - 1 - e for the decimal exponent e: rint of the product hi, unless

@@ -1,12 +1,11 @@
 """Transformation grids and segment-rotation surveys.
 
-A grid is specified in template coordinates, pushed through any point map
-(spline, trend, affine, bilinear pair, homography), and then optionally
-trimmed to a polygon or extended beyond the data. Trimming tests the
-template preimage of each sample by default, so the same region of the
-template is shown no matter how wild the map is; trimming on the image
-side is available where the target region is what matters. Image
-coordinates are never altered by trimming, only kept flags.
+A grid is specified in template coordinates, pushed through any point map (spline,
+trend, affine, bilinear pair, homography), and then optionally trimmed to a polygon or
+extended beyond the data. Trimming tests the template preimage of each sample by default,
+so the same region of the template is shown no matter how wild the map is, and tests a
+spec's own lattice line by line; trimming on the image side is available where the target
+region is what matters. Image coordinates are never altered by trimming, only kept flags.
 
 Angles are signed with the counterclockwise direction positive; reports
 carry that convention explicitly.
@@ -23,12 +22,7 @@ import numpy as np
 
 from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MAX_MARGIN,
                    LandmarkConfiguration, Segment, as_coords, freeze_arrays, require_homologous)
-from .errors import (
-    DegenerateConfigurationError,
-    DegeneratePolygonError,
-    InputError,
-    ZeroLengthSegmentError,
-)
+from .errors import DegenerateConfigurationError, InputError, NumericalError
 
 BOUNDARY_TOL = 1e-12  # boundary proximity, relative to the polygon's extent (longer box side)
 ROTATION_CONVENTION = "counterclockwise-positive"
@@ -214,13 +208,19 @@ def deform_grid(spec: GridSpec, mapping) -> DeformedGrid:
 def _polygon_array(polygon) -> np.ndarray:
     poly = as_coords(polygon)
     if poly.shape[0] < 3:
-        raise DegeneratePolygonError(f"polygon needs at least 3 vertices, got {poly.shape[0]}")
+        raise NumericalError(f"polygon needs at least 3 vertices, got {poly.shape[0]}")
     if not np.all(np.isfinite(poly)):
-        raise DegeneratePolygonError("polygon vertices must be finite")
+        raise NumericalError("polygon vertices must be finite")
     sv = np.linalg.svd(poly - poly.mean(axis=0), compute_uv=False)
     if sv[1] <= 1e-12 * max(sv[0], 1e-300):
-        raise DegeneratePolygonError("polygon is degenerate (all vertices collinear)")
+        raise NumericalError("polygon is degenerate (all vertices collinear)")
     return poly
+
+
+def _slice_pad(poly: np.ndarray) -> tuple[float, float]:
+    """The boundary tolerance, and the padding that covers its test's rounding."""
+    tol = BOUNDARY_TOL * float((poly.max(axis=0) - poly.min(axis=0)).max())
+    return tol, 2.0 * tol + 8.0 * np.finfo(float).eps * np.abs(poly).max()
 
 
 def points_in_polygon(points, polygon) -> np.ndarray:
@@ -240,8 +240,7 @@ def points_in_polygon(points, polygon) -> np.ndarray:
     ends = np.roll(poly, -1, axis=0)
     # twice the tolerance plus a few ulps of the polygon covers the rounding of
     # the closest-point expression below, so the slices never cut a true hit
-    tol = BOUNDARY_TOL * float((poly.max(axis=0) - poly.min(axis=0)).max())
-    pad = 2.0 * tol + 8.0 * np.finfo(float).eps * np.abs(poly).max()
+    tol, pad = _slice_pad(poly)
     lo = np.searchsorted(ys, np.minimum(poly[:, 1], ends[:, 1]) - pad, side="left")
     hi = np.searchsorted(ys, np.maximum(poly[:, 1], ends[:, 1]) + pad, side="right")
     for (ax, ay), (bx, by), i0, i1 in zip(poly, ends, lo, hi):
@@ -266,17 +265,61 @@ def points_in_polygon(points, polygon) -> np.ndarray:
     return result
 
 
+def _lattice_in_polygon(spec: GridSpec, polygon) -> np.ndarray:
+    """points_in_polygon(spec.preimage, polygon), line by line (de Berg et al., Computational
+    Geometry, ch. 2): an edge crosses a line at most once, so a sample's parity counts the
+    crossings beyond it on its line. A horizontal line's crossings are points_in_polygon's
+    own expression, so its bits; a vertical line swaps x and y, which can differ only within
+    rounding of an edge. The samples within four slice pads of an edge (the band) go through
+    points_in_polygon, which also applies the boundary tolerance."""
+    poly = _polygon_array(polygon)
+    ends, band_pad = np.roll(poly, -1, axis=0), 4.0 * _slice_pad(poly)[1]
+    inside, band = np.empty(len(spec.preimage), dtype=bool), np.zeros(len(spec.preimage), bool)
+    start = 0
+    for (lines, per_line), along in zip(spec.line_shapes, (1, 0)):
+        rows, start = slice(start, start + lines * per_line), start + lines * per_line
+        family = spec.preimage[rows].reshape(lines, per_line, 2)
+        # np.linspace's samples never decrease, so searchsorted can count along each line
+        s, c = family[0, :, along], family[:, :1, 1 - along]  # (samples,), (lines, 1)
+        (au, av), (bu, bv) = poly[:, [along, 1 - along]].T, ends[:, [along, 1 - along]].T
+        with np.errstate(all="ignore"):  # a line far from an edge can overflow its crossing
+            hit = au + (c - av) * (bu - au) / (bv - av)  # (lines, edges)
+            t = (c + np.array([-band_pad, band_pad])[:, None, None] - av) / (bv - av)
+        crossed = ((av > c) != (bv > c)) & ~np.isnan(hit)
+
+        def upto(values, where, side="left", dtype=None):  # per line and sample, how many
+            line, edge = np.nonzero(where)  # values are at most it (below it, if side="right")
+            index = line * (per_line + 1) + np.searchsorted(s, values[line, edge], side)
+            counts = np.bincount(index, minlength=lines * (per_line + 1))
+            return counts.reshape(lines, -1)[:, :per_line].cumsum(axis=1, dtype=dtype)
+        # the parity of the crossings beyond a sample: all of the line's, less those up to it
+        inside[rows] = ((crossed.sum(axis=1, dtype=np.uint8)[:, None]
+                         + upto(hit, crossed, dtype=np.uint8)) & 1).ravel()
+        level = bv == av  # edges parallel to the lines
+        near = np.where(level, np.abs(av - c) <= band_pad, (t.min(0) <= 1.0) & (t.max(0) >= 0.0))
+        if near.any():  # each near edge's part within band_pad of the line, widened by band_pad
+            u = au + np.where(level, [[[0.0]], [[1.0]]], np.clip(t, 0.0, 1.0)) * (bu - au)
+            band[rows] = (upto(u.min(0) - band_pad, near)
+                          > upto(u.max(0) + band_pad, near, "right")).ravel()
+    if band.any():
+        inside[band] = points_in_polygon(spec.preimage[band], poly)
+    return inside
+
+
 def trim_grid(grid: DeformedGrid, polygon, space: str = "template") -> DeformedGrid:
     """Clear kept flags for samples outside the polygon.
 
-    space="template" tests each sample's preimage (the default), so the
-    polygon is drawn in template coordinates; space="image" tests the
-    deformed positions instead. Coordinates are never altered.
+    space="template" tests each sample's preimage (the default), so the polygon is drawn in
+    template coordinates; space="image" tests the deformed positions instead. Coordinates are
+    never altered. A spec's own lattice is tested line by line, with points_in_polygon's result.
     """
     if space not in ("template", "image"):
         raise InputError(f"space must be 'template' or 'image', got {space!r}")
-    where = grid.preimage if space == "template" else grid.image
-    return replace(grid, kept=grid.kept & points_in_polygon(where, polygon))
+    if space == "template" and grid.preimage is grid.spec.preimage:
+        inside = _lattice_in_polygon(grid.spec, polygon)
+    else:
+        inside = points_in_polygon(grid.preimage if space == "template" else grid.image, polygon)
+    return replace(grid, kept=grid.kept & inside)
 
 
 def kept_runs(kept) -> np.ndarray:
@@ -317,7 +360,7 @@ def convex_hull_polygon(config) -> np.ndarray:
     upper = half(list(reversed(pts)))
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
-        raise DegeneratePolygonError("landmarks are collinear; hull is degenerate")
+        raise NumericalError("landmarks are collinear; hull is degenerate")
     return np.asarray(hull, dtype=float)
 
 
@@ -384,7 +427,7 @@ def segment_rotations(template: LandmarkConfiguration,
     for norms, config in ((nu, template), (nv, target)):
         if np.any(norms == 0.0):
             idx = int(np.argmin(norms))
-            raise ZeroLengthSegmentError(
+            raise NumericalError(
                 f"segment ({template.labels[ii[idx]]}, {template.labels[jj[idx]]}) "
                 f"has zero length in {config.name!r}")
     rot = np.arctan2(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0],

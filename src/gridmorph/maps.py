@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PROTOTYPE_KINDS, LandmarkConfiguration, default_labels
-from .errors import (
-    DegenerateQuadError,
-    InputError,
-    NonConvexSourceError,
-    SingularSystemError,
-)
+from .errors import InputError, NonConvexSourceError, NumericalError, SingularSystemError
 
 PROTOTYPE_PARAMETER = 0.25
 
@@ -54,10 +49,10 @@ class Quad:
         for i in range(4):
             for j in range(i + 1, 4):
                 if np.hypot(*(corners[i] - corners[j])) <= 1e-12 * scale:
-                    raise DegenerateQuadError(f"quad corners {i} and {j} coincide")
+                    raise NumericalError(f"quad corners {i} and {j} coincide")
         if _segments_cross(corners[0], corners[1], corners[2], corners[3]) or \
            _segments_cross(corners[1], corners[2], corners[3], corners[0]):
-            raise DegenerateQuadError("quad edges cross; corners are not in cyclic order")
+            raise NumericalError("quad edges cross; corners are not in cyclic order")
         corners.flags.writeable = False
         object.__setattr__(self, "corners", corners)
 
@@ -233,7 +228,7 @@ def homography_from_quads(src: Quad, dst: Quad) -> Homography:
             tri = np.delete(c, drop, axis=0)
             area2 = _cross(tri[1] - tri[0], tri[2] - tri[0])
             if abs(area2) <= 1e-12 * scale2:
-                raise DegenerateQuadError(
+                raise NumericalError(
                     f"{name} quad has three collinear corners (omit corner {drop})")
     a = np.zeros((8, 8))
     for i, ((x, y), (xp, yp)) in enumerate(zip(src.corners, dst.corners)):

@@ -21,14 +21,8 @@ from .core import (
     centered,
     require_homologous,
 )
-from .errors import (
-    CollinearTemplateError,
-    ConvergenceError,
-    DegenerateBaselineError,
-    DegenerateConfigurationError,
-    InputError,
-    NumericalError,
-)
+from .errors import (ConvergenceError, DegenerateBaselineError, DegenerateConfigurationError,
+                     InputError, NumericalError)
 
 GPA_TOL = 1e-10
 GPA_MAX_ITER = 100
@@ -212,7 +206,7 @@ def affine_fit(template: LandmarkConfiguration,
     design = np.column_stack([np.ones(len(template)), p])
     coef, _, rank, _ = np.linalg.lstsq(design, target.coords, rcond=None)
     if rank < 3:
-        raise CollinearTemplateError(
+        raise NumericalError(
             f"template {template.name!r} landmarks are collinear; affine fit is rank-deficient")
     return AffineMap2(coef[1:3].T, coef[0])
 

@@ -6,11 +6,11 @@ Fitting solves the dense (k+3) x (k+3) bordered system
     [ K   P ] [ w ]   [ q ]
     [ P^T 0 ] [ a ] = [ 0 ]
 
-once per output coordinate, where K_ij = U(|p_i - p_j|) and the rows of P
-are (1, x_i, y_i). The side conditions sum w = sum w x = sum w y = 0 make
-the warp term decay far from the landmarks, so the map relaxes to its own
-affine part at great distances. The bending energy of each coordinate is
-the quadratic form w^T K w.
+once per output coordinate, where K_ij = U(|p_i - p_j|) and the rows of P are (1, x_i, y_i).
+The side conditions sum w = sum w x = sum w y = 0 make the warp term decay far from the
+landmarks, so the map relaxes to its own affine part at great distances. The bending energy
+of each coordinate is the quadratic form w^T K w. Evaluation goes by blocks of points, and
+splines of one template share each block's kernel U(|x - p_i|).
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LandmarkConfiguration, freeze_arrays, require_homologous
-from .errors import (
-    CoincidentLandmarksError,
-    CollinearTemplateError,
-    SingularSystemError,
-)
+from .errors import CoincidentLandmarksError, InputError, NumericalError, SingularSystemError
 
 SIDE_CONDITION_TOL = 1e-9  # largest side-condition moment, relative to its terms' magnitude
 MIN_SEPARATION = 1e-10  # nearest landmark pair, relative to the template's diameter
@@ -83,7 +79,7 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration) -> T
             f"are closer than {MIN_SEPARATION} times the template's diameter")
     sv = np.linalg.svd(p - p.mean(axis=0), compute_uv=False)
     if sv[1] <= 1e-12 * sv[0]:
-        raise CollinearTemplateError(
+        raise NumericalError(
             f"template {template.name!r} landmarks are collinear; spline system is singular")
 
     kernel = _kernel(p, p)
@@ -112,25 +108,38 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration) -> T
     return TpsModel(p, weights, affine, energy)
 
 
-def _eval_blocks(points, width: int, buffers: int, evaluate) -> np.ndarray:
-    """evaluate(block, *scratch) of (..., 2) points, by blocks of EVAL_BLOCK // width rows; every
-    block is handed the same (rows, width) float buffers, of which a short last block needs
-    only the first rows."""
+def _eval_blocks(points, width: int, buffers: int, evaluate, outputs: int = 1) -> np.ndarray:
+    """Values at (..., 2) points, stacked (outputs, ..., 2): evaluate(block, values, *scratch)
+    fills values[i] for each output i, by blocks of EVAL_BLOCK // width rows; every block is
+    handed the same (rows, width) float buffers; a short last block uses their first rows."""
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
     rows = max(1, EVAL_BLOCK // width)
-    out = np.empty_like(flat)
+    out = np.empty((outputs, len(flat), 2))
     scratch = [np.empty((min(rows, len(flat)), width)) for _ in range(buffers)]
     for start in range(0, len(flat), rows):
-        out[start:start + rows] = evaluate(flat[start:start + rows], *scratch)
-    return out.reshape(pts.shape)
+        evaluate(flat[start:start + rows], out[:, start:start + rows], *scratch)
+    return out.reshape(outputs, *pts.shape)
 
 
-def tps_eval(model: TpsModel, points) -> np.ndarray:
-    """Evaluate the spline at one point (2,) or many (..., 2)."""
-    c, a, w = model.template_points, model.affine, model.weights
-    return _eval_blocks(points, len(c), 2, lambda xy, u, t: (
-        a[0] + xy @ a[1:] + _kernel(xy, c, u[:len(xy)], t[:len(xy)]) @ w))
+def tps_eval(model: TpsModel, points, *more: TpsModel) -> np.ndarray:
+    """Evaluate the spline at one point (2,) or many (..., 2).
+
+    Splines in more, of the same template points, share each kernel block; their values come
+    stacked (1 + len(more), ..., 2), each bit for bit its own tps_eval's, as each spline has
+    its own product with its weights (BLAS may round a product of stacked weights otherwise)
+    and the block partition, which also fixes the bits, depends on the template's size only.
+    """
+    models, c = (model, *more), model.template_points
+    if not all(np.array_equal(m.template_points, c) for m in more):
+        raise InputError("splines evaluated together must share their template points")
+
+    def evaluate(xy, values, u, t):
+        kernel = _kernel(xy, c, u[:len(xy)], t[:len(xy)])
+        for m, v in zip(models, values):
+            v[:] = m.affine[0] + xy @ m.affine[1:] + kernel @ m.weights
+    values = _eval_blocks(points, len(c), 2, evaluate, len(models))
+    return values if more else values[0]
 
 
 def tps_jacobian(model: TpsModel, point) -> np.ndarray:

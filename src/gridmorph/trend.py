@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LandmarkConfiguration, freeze_arrays, require_homologous
-from .errors import InputError, InsufficientLandmarksError, RankDeficiencyError
+from .errors import InputError, InsufficientLandmarksError, NumericalError
 from .tps import _eval_blocks
 
 # each degree's basis extends the one below it
@@ -113,7 +113,7 @@ def trend_fit(template: LandmarkConfiguration, target: LandmarkConfiguration,
     design = design_matrix(template.coords, degree)
     coef, _, rank, singular_values = np.linalg.lstsq(design, target.coords, rcond=None)
     if rank < m:
-        raise RankDeficiencyError(
+        raise NumericalError(
             f"trend design matrix is rank-deficient (rank {rank} < {m}); "
             f"template landmarks lie on a degree-{degree} algebraic curve")
     condition = float(singular_values[0] / singular_values[-1])
@@ -131,7 +131,7 @@ def trend_eval(trend: PolynomialTrend, points) -> np.ndarray:
     """
     degree, coef = trend.degree, trend.coefficients
 
-    def evaluate(block, design):  # the product takes the whole buffer, since BLAS sums a
-        design_matrix(block, degree, design[:len(block)])  # 1-row product in another order
-        return (design @ coef)[:len(block)]  # than the rows of a larger one
-    return _eval_blocks(points, len(coef), 1, evaluate)
+    def evaluate(block, values, design):  # the product takes the whole buffer, since BLAS
+        design_matrix(block, degree, design[:len(block)])  # sums a 1-row product in another
+        values[0] = (design @ coef)[:len(block)]  # order than the rows of a larger one
+    return _eval_blocks(points, len(coef), 1, evaluate)[0]

@@ -391,6 +391,22 @@ def test_fmt_g_digits_do_not_depend_on_log10_rounding(monkeypatch, digits, shift
     assert fmt_g_text(values, digits) == want
 
 
+def power_of_ten_neighbours():
+    """10^e and its two neighbouring doubles for e from -4 to 16, nextafter(0.1, 0), negated."""
+    powers = 10.0 ** np.arange(-4, 17)
+    values = np.concatenate([np.nextafter(powers, -np.inf), powers, np.nextafter(powers, np.inf),
+                             [np.nextafter(0.1, 0.0)]])
+    return np.concatenate([values, -values])
+
+
+@pytest.mark.parametrize("digits", range(1, 18))
+def test_fmt_g_equals_percent_at_every_precision(digits):
+    # the exponent correction holds at every precision, not only the 6 and 17 digits in use
+    values = np.concatenate([power_of_ten_neighbours(), EDGES,
+                             np.random.default_rng(digits).normal(size=200) * 1e3])
+    assert fmt_g_text(values, digits) == percent_g(values, digits)
+
+
 def test_dataset_text_is_valid_json_with_schema():
     text = write_dataset(Dataset(synthetic_vilmann()))
     doc = json.loads(text)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -527,6 +528,73 @@ def test_trim_by_image_space():
     by_image = trim_grid(grid, around_image, space="image")
     assert not by_template.kept.any()
     assert by_image.kept.all()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 30),
+       cells=st.tuples(st.integers(1, 12), st.integers(1, 12)), samples=st.integers(2, 9),
+       scale=st.integers(-30, 30), offset=st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e8]),
+       snapped=st.floats(0.0, 1.0), angular=st.booleans())
+def test_lattice_trim_equals_points_in_polygon(seed, k, cells, samples, scale, offset, snapped,
+                                               angular):
+    # trim_grid decides a spec's own lattice line by line: the kept flags must be
+    # points_in_polygon's, for the landmark cycle and its hull, with vertices on the lattice,
+    # edges along its lines, and windows up to 1e8 of their sizes from the origin
+    rng = np.random.default_rng(seed)
+    size = np.array([1.0, rng.uniform(0.5, 2.0)]) * 2.0 ** scale
+    corner = offset * size * rng.choice([-1.0, 1.0], 2) * rng.uniform(1.0, 2.0, 2)
+    spec = GridSpec((corner[0], corner[0] + size[0]), (corner[1], corner[1] + size[1]),
+                    *cells, samples)
+    free = corner + rng.uniform(-0.25, 1.25, (k, 2)) * size
+    on_lattice = spec.preimage[rng.integers(0, len(spec.preimage), k)]
+    poly = np.where(rng.random((k, 1)) < snapped, on_lattice, free)
+    if angular:  # star-shaped and non-convex; otherwise in random order, with crossing edges
+        d = poly - poly.mean(axis=0)
+        poly = poly[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
+    grid = deform_grid(spec, lambda pts: pts)
+    for j in np.flatnonzero(rng.random(k) < snapped / 3):  # an edge along a lattice line
+        image, _ = grid.families()[rng.integers(2)]
+        line = image[rng.integers(len(image))]
+        poly[[j, (j + 1) % k]] = line[rng.integers(0, len(line), 2)]
+    polygons = [landmark_cycle_polygon(poly)]
+    try:
+        polygons.append(convex_hull_polygon(poly))
+    except NumericalError:
+        pass  # collinear vertices; the cycle below is refused by both tests alike
+    for polygon in polygons:
+        try:
+            want = points_in_polygon(spec.preimage, polygon)
+        except NumericalError as exc:
+            with pytest.raises(NumericalError, match=re.escape(str(exc))):
+                trim_grid(grid, polygon)
+            continue
+        assert np.array_equal(trim_grid(grid, polygon).kept, want)
+
+
+def test_lattice_trim_tests_only_the_band_with_points_in_polygon(monkeypatch):
+    import gridmorph.gridlab as gridlab
+    seen = []
+    original = gridlab.points_in_polygon
+    monkeypatch.setattr(gridlab, "points_in_polygon",
+                        lambda pts, poly: seen.append(len(pts)) or original(pts, poly))
+    template = vilmann_template()
+    spec = make_grid(template, margin=0.25, cells=60)
+    polygon = landmark_cycle_polygon(template)
+    assert np.array_equal(trim_grid(deform_grid(spec, lambda pts: pts), polygon).kept,
+                          original(spec.preimage, polygon))
+    assert sum(seen) < len(spec.preimage) / 100
+    # samples on the square's edges are in the band, and inside by the boundary tolerance
+    seen.clear()
+    spec = make_grid(unit_square, margin=0.5, cells=4)
+    kept = trim_grid(deform_grid(spec, lambda pts: pts), square_poly).kept
+    assert np.array_equal(kept, original(spec.preimage, square_poly))
+    on_edges = (np.abs(spec.preimage - 0.5).max(axis=1) == 0.5)
+    assert 0 < on_edges.sum() <= sum(seen) < len(spec.preimage) and kept[on_edges].all()
+    # an edge one subnormal high overflows its crossing with distant lines, with no warning
+    sliver = np.array([(0.0, 0.0), (1.0, 5e-324), (0.5, 1.0)])
+    spec = make_grid(sliver, margin=0.5, cells=8)
+    assert np.array_equal(trim_grid(deform_grid(spec, lambda pts: pts), sliver).kept,
+                          original(spec.preimage, sliver))
 
 
 def test_landmark_cycle_and_hull_polygons():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmorph import (CoincidentLandmarksError, LandmarkConfiguration, NumericalError,
-                       SingularSystemError, TpsModel,
+from gridmorph import (CoincidentLandmarksError, InputError, LandmarkConfiguration,
+                       NumericalError, SingularSystemError, TpsModel,
                        bending_energy, default_labels, tps_eval, tps_fit,
                        tps_jacobian)
 from gridmorph import tps
@@ -247,6 +247,31 @@ def test_eval_equals_masked_whole_array_formulation(seed, k, n_in_blocks, scale)
         assert np.array_equal(grid, tps_eval(model, pts[:half]).reshape(2, -1, 2))
         for q in (pts[0], pts[-1]):
             assert np.array_equal(tps_jacobian(model, q), reference_jacobian(model, q))
+    # two more splines of the same template share each kernel block with the first, and each
+    # spline's values are its own tps_eval's, bit for bit
+    others = [tps_fit(config(template), config(template + rng.normal(scale=0.2, size=(k, 2))
+                                               * 10.0 ** scale)) for _ in range(2)]
+    together = tps_eval(model, pts, *others)
+    assert together.shape == (3, n, 2)
+    for values, spline in zip(together, (model, *others)):
+        assert np.array_equal(values, tps_eval(spline, pts))
+    if n:  # a point (2,) and a grid (2, m, 2) too, each in its own blocks
+        for shaped in (pts[0], pts[:half].reshape(2, -1, 2)):
+            together = tps_eval(model, shaped, *others)
+            assert together.shape == (3, *shaped.shape)
+            for values, spline in zip(together, (model, *others)):
+                assert np.array_equal(values, tps_eval(spline, shaped))
+
+
+def test_eval_of_splines_of_different_templates_is_input_error():
+    rng = np.random.default_rng(41)
+    template = rng.normal(size=(6, 2))
+    model = tps_fit(config(template), config(template * 1.1))
+    moved = tps_fit(config(template + 1e-9), config(template * 1.1))
+    with pytest.raises(InputError, match="share their template points"):
+        tps_eval(model, template, moved)
+    copy = tps_fit(config(template.copy()), config(template ** 2))  # equal points, another array
+    assert tps_eval(model, template, copy).shape == (2, 6, 2)
 
 
 # ---------------------------------------------------------------------------
