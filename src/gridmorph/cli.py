@@ -324,8 +324,7 @@ def cmd_fit(args) -> int:
     target = two_point_register(_group_mean(sample, target_tag, procrustes=False), baseline)
     trend = trend_fit(template, target, degree)
     fitted = template.with_coords(trend.fitted, name=f"{target_tag}_fitted")
-    spline_observed = tps_fit(template, target)
-    spline_fitted = tps_fit(template, fitted)
+    spline_observed, spline_fitted = tps_fit(template, target, fitted)
 
     spec = make_grid(template, margin=margin, cells=cells, samples_per_edge=samples)
     for side, mult in extends:
@@ -435,7 +434,10 @@ def _demo_kite_maps(outdir: str) -> None:
     steps = np.linspace(0.0, 1.0, 101)[:, None]
     chord = (1.0 - steps) * template.coords[1] + steps * template.coords[3]
 
-    grids = [trim_grid(deform_grid(spec, m), polygon, space="template") for m in mappers]
+    # one spec and one polygon: the identity grid's trim is the template mask of all three
+    inside = trim_grid(deform_grid(spec, lambda pts: pts), polygon, space="template").kept
+    grids = [deform_grid(spec, m) for m in mappers]
+    grids = [dataclasses.replace(grid, kept=grid.kept & inside) for grid in grids]
     midlines = [Polyline(mid[finite_rows(mid)], heavy=True, dashed=True)
                 for mid in (m(chord) for m in mappers)]
     svg_path = os.path.join(outdir, "demo_kite_maps.svg")

@@ -243,7 +243,8 @@ def points_in_polygon(points, polygon) -> np.ndarray:
     tol, pad = _slice_pad(poly)
     lo = np.searchsorted(ys, np.minimum(poly[:, 1], ends[:, 1]) - pad, side="left")
     hi = np.searchsorted(ys, np.maximum(poly[:, 1], ends[:, 1]) + pad, side="right")
-    for (ax, ay), (bx, by), i0, i1 in zip(poly, ends, lo, hi):
+    for e in np.flatnonzero(hi > lo):  # only the edges whose y span holds a point
+        (ax, ay), (bx, by), i0, i1 = poly[e], ends[e], lo[e], hi[e]
         x, y = xs[i0:i1], ys[i0:i1]
         # crossing test, half-open in y so shared vertices count once
         cond = (ay > y) != (by > y)

@@ -6,11 +6,11 @@ Fitting solves the dense (k+3) x (k+3) bordered system
     [ K   P ] [ w ]   [ q ]
     [ P^T 0 ] [ a ] = [ 0 ]
 
-once per output coordinate, where K_ij = U(|p_i - p_j|) and the rows of P are (1, x_i, y_i).
-The side conditions sum w = sum w x = sum w y = 0 make the warp term decay far from the
-landmarks, so the map relaxes to its own affine part at great distances. The bending energy
-of each coordinate is the quadratic form w^T K w. Evaluation goes by blocks of points, and
-splines of one template share each block's kernel U(|x - p_i|).
+for each output coordinate, where K_ij = U(|p_i - p_j|) and the rows of P are (1, x_i, y_i);
+one LU factorization fits all the splines of a template. The side conditions sum w = sum w x =
+sum w y = 0 make the warp term decay far from the landmarks, so the map relaxes to its own
+affine part at great distances. The bending energy of each coordinate is the quadratic form
+w^T K w. Evaluation goes by blocks of points; splines of one template share each block's kernel.
 """
 
 from __future__ import annotations
@@ -30,16 +30,19 @@ EVAL_BLOCK = 2 ** 16  # entries per block: tps_eval's kernel (2 buffers, 1 MB), 
 def _kernel(points: np.ndarray, centres: np.ndarray, u=None, t=None) -> np.ndarray:
     """U = 0.5 r2 log r2 = r^2 log r for every point and centre, (n, k), built in place in u.
 
-    u and t are optional (n, k) float buffers. The log is taken of r2 + (r2 == 0): that adds
-    0.0 where r2 > 0 and makes an exact 0 into 1, so U(0) = 0 needs no mask.
+    u and t are optional (n, k) float buffers. The log is taken of r2 raised to the least
+    subnormal, which leaves r2 > 0 as it is and gives U(0) = -0.0, made +0.0 by the last + 0.0.
     """
-    u = np.subtract(points[:, :1], centres[:, 0], out=u)
-    t = np.subtract(points[:, 1:], centres[:, 1], out=t)
+    u, t = (np.empty((len(points), len(centres))) if b is None else b for b in (u, t))
+    u[:], t[:] = points[:, :1], points[:, 1:]  # broadcast copies, then contiguous subtracts
+    u -= centres[:, 0]
+    t -= centres[:, 1]
     np.square(u, out=u)
     u += np.square(t, out=t)  # r2 = dx * dx + dy * dy
-    np.log(np.add(u, u == 0.0, out=t), out=t)
+    np.log(np.maximum(u, np.nextafter(0.0, 1.0), out=t), out=t)
     u *= 0.5
     u *= t
+    u += 0.0
     return u
 
 
@@ -63,14 +66,15 @@ class TpsModel:
         return tps_eval(self, points)
 
 
-def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration) -> TpsModel:
-    """Interpolating spline sending every template landmark to its target position."""
-    require_homologous(template, target)
-    p = template.coords
-    k = len(template)
+def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration, *more):
+    """Interpolating spline sending every template landmark to its target position; targets in
+    more share the template's checks, kernel and LU factorization (one solve of all columns),
+    and their models come as a tuple, each bit for bit its own tps_fit's (contiguous weights)."""
+    targets = (target, *more)
+    require_homologous(template, *targets)
+    p, k = template.coords, len(template)
 
-    diff = p[:, None] - p
-    d2 = (diff * diff).sum(axis=2)
+    d2 = np.square(p[:, :1] - p[:, 0]) + np.square(p[:, 1:] - p[:, 1])
     nearest = d2 + np.diag(np.full(k, np.inf))
     if nearest.min() <= MIN_SEPARATION ** 2 * d2.max():
         a, b = divmod(int(np.argmin(nearest)), k)
@@ -85,27 +89,30 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration) -> T
     kernel = _kernel(p, p)
     pmat = np.column_stack([np.ones(k), p])
     lmat = np.block([[kernel, pmat], [pmat.T, np.zeros((3, 3))]])
+    rhs = np.vstack([np.hstack([t.coords for t in targets]), np.zeros((3, 2 * len(targets)))])
     try:
-        solution = np.linalg.solve(lmat, np.vstack([target.coords, np.zeros((3, 2))]))
+        solution = np.linalg.solve(lmat, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"spline system is singular: {exc}") from exc
 
-    weights = solution[:k]
-    affine = solution[k:]
-    # Each test is relative to the magnitude of the terms it sums. Rounding leaves weights
-    # of about eps |target| / diameter^2 even where the exact ones vanish (an affine target),
-    # so every |w| is counted at least at |target| / diameter^2, which scales as w does.
-    size = np.abs(weights) + np.abs(target.coords).max() / d2.max()
-    moments = pmat.T @ weights  # side conditions, one column per coordinate
-    if (np.abs(moments) > SIDE_CONDITION_TOL * (np.abs(pmat).T @ size)).any():
-        raise SingularSystemError(
-            "spline side conditions violated; system is too ill-conditioned "
-            f"(max moment {np.abs(moments).max():.3e})")
-    energy = tuple(float(weights[:, c] @ kernel @ weights[:, c]) for c in range(2))
-    if (np.array(energy) < -1e-12 * (size * (np.abs(kernel) @ size)).sum(axis=0)).any():
-        raise SingularSystemError(
-            f"bending energy came out negative ({min(energy):.3e}); system is ill-conditioned")
-    return TpsModel(p, weights, affine, energy)
+    models = []
+    for t, columns in zip(targets, np.hsplit(solution, len(targets))):
+        weights, affine = np.ascontiguousarray(columns[:k]), np.ascontiguousarray(columns[k:])
+        # Each test is relative to the magnitude of the terms it sums. Rounding leaves weights
+        # of about eps |target| / diameter^2 even where the exact ones vanish (an affine target),
+        # so every |w| is counted at least at |target| / diameter^2, which scales as w does.
+        size = np.abs(weights) + np.abs(t.coords).max() / d2.max()
+        moments = pmat.T @ weights  # side conditions, one column per coordinate
+        if (np.abs(moments) > SIDE_CONDITION_TOL * (np.abs(pmat).T @ size)).any():
+            raise SingularSystemError(
+                "spline side conditions violated; system is too ill-conditioned "
+                f"(max moment {np.abs(moments).max():.3e})")
+        energy = tuple(float(weights[:, c] @ kernel @ weights[:, c]) for c in range(2))
+        if (np.array(energy) < -1e-12 * (size * (np.abs(kernel) @ size)).sum(axis=0)).any():
+            raise SingularSystemError(f"bending energy came out negative ({min(energy):.3e}); "
+                                      "system is ill-conditioned")
+        models.append(TpsModel(p, weights, affine, energy))
+    return tuple(models) if more else models[0]
 
 
 def _eval_blocks(points, width: int, buffers: int, evaluate, outputs: int = 1) -> np.ndarray:

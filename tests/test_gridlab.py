@@ -415,6 +415,21 @@ def test_points_in_polygon_equals_per_edge_loop(seed, m, scale, offset, snapped)
         assert np.array_equal(got, reference_points_in_polygon(pts, poly))
 
 
+def test_points_in_polygon_of_a_narrow_band_and_of_no_points():
+    # most edges of a 200-edge polygon span no point of a narrow y band, and none spans a point
+    # of an empty set: the edges left out change no flag
+    rng = np.random.default_rng(87)
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 200))
+    radii = rng.uniform(0.2, 1.0, 200)
+    poly = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+    for y0 in (-0.5, 0.0, 0.31):
+        pts = np.column_stack([rng.uniform(-1.2, 1.2, 2000), rng.uniform(y0, y0 + 0.01, 2000)])
+        pts[::7, 1] = poly[rng.integers(0, 200, len(pts[::7])), 1]  # on vertex heights too
+        assert np.array_equal(points_in_polygon(pts, poly), reference_points_in_polygon(pts, poly))
+    empty = points_in_polygon(np.zeros((0, 2)), poly)
+    assert empty.shape == (0,) and empty.dtype == bool
+
+
 def test_points_in_polygon_nonfinite_points_do_not_warn():
     square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
     pts = np.array([(np.inf, 0.5), (0.5, 0.5), (-np.inf, 0.5), (np.nan, 0.5), (0.5, np.inf),

@@ -263,6 +263,62 @@ def test_eval_equals_masked_whole_array_formulation(seed, k, n_in_blocks, scale)
                 assert np.array_equal(values, tps_eval(spline, shaped))
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 300), scale=st.floats(-3.0, 3.0),
+       offset=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_fit_of_several_targets_is_each_targets_own_fit(seed, k, scale, offset):
+    # one factorization and one solve of every target's columns: each model is bit for bit the
+    # fit of its target alone, with C-contiguous arrays like a single fit's
+    rng = np.random.default_rng(seed)
+    template = (rng.normal(size=(k, 2)) + offset) * 10.0 ** scale
+    targets = [template + rng.normal(scale=0.2, size=(k, 2)) * 10.0 ** scale for _ in range(2)]
+    targets.append(template @ np.array([(1.3, -0.2), (0.4, 0.8)]).T)  # an affine target too
+    for more in (targets[1:2], targets[1:]):
+        models = tps_fit(config(template), config(targets[0]), *map(config, more))
+        assert isinstance(models, tuple) and len(models) == 1 + len(more)
+        for model, target in zip(models, targets):
+            alone = tps_fit(config(template), config(target))
+            for name in ("weights", "affine"):
+                got = getattr(model, name)
+                assert got.flags.c_contiguous and np.array_equal(got, getattr(alone, name))
+            assert model.energy == alone.energy
+            assert np.array_equal(model.template_points, alone.template_points)
+
+
+def test_fit_of_a_non_homologous_more_target_is_the_single_fits_input_error():
+    rng = np.random.default_rng(42)
+    template = rng.normal(size=(6, 2))
+    good = config(template * 1.1, "good")
+    for bad in (config(rng.normal(size=(7, 2)), "bad"),
+                LandmarkConfiguration("bad", tuple("abcdef"), template)):
+        with pytest.raises(InputError) as single:
+            tps_fit(config(template), bad)
+        with pytest.raises(InputError) as shared:
+            tps_fit(config(template), good, bad)
+        assert type(shared.value) is type(single.value)
+        assert str(shared.value) == str(single.value)
+
+
+@pytest.mark.parametrize("exponent", [-3, 0, 3])
+def test_kernel_equals_masked_kernel_with_its_signs(exponent):
+    # U(0) = +0.0 exactly on a centre, U = +0.0 at r = 1 exactly, and every other entry's bits
+    rng = np.random.default_rng(43 + exponent)
+    centres = np.round(rng.normal(size=(30, 2)) * 4.0) * 10.0 ** exponent
+    unit = 10.0 ** exponent * np.array([(1.0, 0.0), (0.0, -1.0)])
+    points = np.vstack([centres, centres + unit[0], (centres[:5, None] + unit).reshape(-1, 2),
+                        rng.uniform(-8.0, 8.0, size=(200, 2)) * 10.0 ** exponent])
+    diff = points[:, None, :] - centres[None, :, :]
+    want = masked_kernel((diff * diff).sum(axis=2))
+    for got in (tps._kernel(points, centres),
+                tps._kernel(points, centres, np.full(want.shape, np.nan), np.empty(want.shape))):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        # the first rows are the centres (r = 0); at unit scale the next are at r = 1 exactly
+        zeros = [got.diagonal()] + ([got[len(centres):].diagonal()] if exponent == 0 else [])
+        for u in zeros:
+            assert (u == 0.0).all() and not np.signbit(u).any()
+
+
 def test_eval_of_splines_of_different_templates_is_input_error():
     rng = np.random.default_rng(41)
     template = rng.normal(size=(6, 2))
