@@ -15,10 +15,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "core": "LandmarkConfiguration Sample Segment UNIT_PROCRUSTES UNIT_RAW UNIT_TWO_POINT "
             "centroid centroid_size default_labels enumerate_segments",
-    "errors": "CoincidentLandmarksError ConvergenceError DegenerateBaselineError "
-              "DegenerateConfigurationError GridmorphError HomologyError InputError "
-              "InsufficientLandmarksError NonConvexSourceError NumericalError ParseError "
-              "SchemaError SingularSystemError",
+    "errors": "GridmorphError InputError NumericalError ParseError",
     "formats": "Dataset parse_csv parse_tps_file read_dataset read_landmarks write_dataset",
     "gridlab": "DEFAULT_CELLS DEFAULT_SAMPLES_PER_EDGE DeformedGrid GridSpec MAX_GRID_SAMPLES "
                "ROTATION_CONVENTION SegmentRotationReport convex_hull_polygon deform_grid "

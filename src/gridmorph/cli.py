@@ -392,7 +392,8 @@ def _write_grid_panels(grids, points, path: str, extra_layers=None) -> None:
     write_svg(tile_scenes(panels, columns=len(panels), panel_size=360.0), path)
 
 
-def _demo_prototype(kind: str, outdir: str) -> None:
+def _demo_prototype(kind: str, outdir: str):
+    """Write the prototype pair's dataset and grid panels; return the pair and its spline."""
     from .gridlab import deform_grid, make_grid
     from .maps import prototype_pair
     from .tps import tps_fit
@@ -405,30 +406,26 @@ def _demo_prototype(kind: str, outdir: str) -> None:
     _write_text(json_path, write_dataset(dataset))
 
     spec = make_grid(template, margin=0.25, cells=8, samples_per_edge=10)
-    grids = [deform_grid(spec, lambda pts: pts), deform_grid(spec, tps_fit(template, target))]
+    spline = tps_fit(template, target)
+    grids = [deform_grid(spec, lambda pts: pts), deform_grid(spec, spline)]
     svg_path = os.path.join(outdir, f"demo_{kind}.svg")
     _write_grid_panels(grids, [template.coords, target.coords], svg_path)
     print(f"prototype {kind} -> {json_path}, {svg_path}", file=sys.stderr)
+    return template, target, spline
 
 
-def _demo_kite_maps(outdir: str) -> None:
+def _demo_kite_maps(outdir: str, template, target, spline) -> None:
     """Three warps of the same square-to-kite pair, with the midline dashed.
 
     The spline bends the horizontal midline, the projective map keeps it
     straight, and the bilinear map bends it into a parabolic arc.
     """
     from .gridlab import deform_grid, finite_rows, landmark_cycle_polygon, make_grid, trim_grid
-    from .maps import BilinearMap, Quad, homography_from_quads, prototype_pair
+    from .maps import BilinearMap, Quad, homography_from_quads
     from .render import Polyline
-    from .tps import tps_fit
-    template, target = prototype_pair("kite")
     source = Quad(template.coords)
     destination = Quad(target.coords)
-    mappers = (
-        tps_fit(template, target),
-        homography_from_quads(source, destination),
-        BilinearMap(source, destination),
-    )
+    mappers = (spline, homography_from_quads(source, destination), BilinearMap(source, destination))
     spec = make_grid(template, margin=0.0, cells=8, samples_per_edge=10)
     polygon = landmark_cycle_polygon(template)
     steps = np.linspace(0.0, 1.0, 101)[:, None]
@@ -455,9 +452,9 @@ def cmd_demo(args) -> int:
         _write_text(path, write_dataset(dataset))
         print(f"synthetic two-age octagon dataset -> {path}", file=sys.stderr)
         return EXIT_OK
-    _demo_prototype(args.kind, args.outdir)
+    prototype = _demo_prototype(args.kind, args.outdir)
     if args.kind == "kite":
-        _demo_kite_maps(args.outdir)
+        _demo_kite_maps(args.outdir, *prototype)
     return EXIT_OK
 
 

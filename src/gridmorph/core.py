@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateConfigurationError, HomologyError, InputError
+from .errors import InputError, NumericalError
 
 UNIT_RAW = "raw"
 UNIT_TWO_POINT = "two-point"
@@ -114,16 +114,16 @@ class LandmarkConfiguration:
 
 
 def require_homologous(*configs: LandmarkConfiguration) -> None:
-    """Raise HomologyError unless every configuration shares the first one's landmark
+    """Raise InputError unless every configuration shares the first one's landmark
     count and labels; the error names the first one and the first that differs."""
     for b in configs[1:]:
         a = configs[0]
         if len(a) != len(b):
-            raise HomologyError(f"configurations {a.name!r} and {b.name!r} are not homologous: "
-                                f"{len(a)} vs {len(b)} landmarks")
+            raise InputError(f"configurations {a.name!r} and {b.name!r} are not homologous: "
+                             f"{len(a)} vs {len(b)} landmarks")
         if a.labels != b.labels:
-            raise HomologyError(f"configurations {a.name!r} and {b.name!r} are not homologous: "
-                                "label sequences differ")
+            raise InputError(f"configurations {a.name!r} and {b.name!r} are not homologous: "
+                             "label sequences differ")
 
 
 def _require_unique_names(names: tuple[str, ...]) -> None:
@@ -246,7 +246,7 @@ def centroid_size(config) -> float:
     """Square root of the summed squared distances of landmarks from their centroid."""
     size = float(centered(as_coords(config))[1])
     if size <= 0.0:
-        raise DegenerateConfigurationError("all landmarks coincide; centroid size is zero")
+        raise NumericalError("all landmarks coincide; centroid size is zero")
     return size
 
 

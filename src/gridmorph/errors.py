@@ -1,9 +1,9 @@
 """Exception hierarchy.
 
-Two branches matter to callers: InputError for defects in what the user
+The library raises two branches: InputError for defects in what the user
 handed us (files, flags, indices), NumericalError for computations that
-are impossible or unstable on otherwise well-formed data. The CLI maps
-them to exit codes 2 and 3 respectively.
+are impossible or unstable on otherwise well-formed data; the message
+tells the cases apart. The CLI maps them to exit codes 2 and 3 respectively.
 """
 
 from __future__ import annotations
@@ -30,38 +30,3 @@ class ParseError(InputError):
             message = f"line {line}: {message}"
         super().__init__(message)
 
-
-class SchemaError(InputError):
-    pass
-
-
-class HomologyError(InputError):
-    pass
-
-
-class InsufficientLandmarksError(InputError):
-    pass
-
-
-class DegenerateConfigurationError(NumericalError):
-    pass
-
-
-class DegenerateBaselineError(NumericalError):
-    pass
-
-
-class CoincidentLandmarksError(NumericalError):
-    pass
-
-
-class SingularSystemError(NumericalError):
-    pass
-
-
-class ConvergenceError(NumericalError):
-    pass
-
-
-class NonConvexSourceError(NumericalError):
-    pass

@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (LandmarkConfiguration, Sample, _require_unique_names, default_labels,
                    require_homologous)
-from .errors import InputError, ParseError, SchemaError
+from .errors import InputError, ParseError
 
 SCHEMA_VERSION = 1
 
@@ -162,7 +162,7 @@ def write_dataset(dataset: Dataset) -> str:
 
 
 def _reject_constant(token: str):
-    raise SchemaError(f"non-finite number {token!r} in dataset JSON")
+    raise InputError(f"non-finite number {token!r} in dataset JSON")
 
 
 def _coords_stack(values: list, k: int) -> np.ndarray | None:
@@ -189,17 +189,17 @@ def _raise_entry_error(labels: tuple[str, ...], entries: list) -> None:
     """Check the entries one at a time and raise the first error found."""
     for entry in entries:
         if not isinstance(entry, dict) or "id" not in entry or "coords" not in entry:
-            raise SchemaError("each configuration needs \"id\" and \"coords\"")
+            raise InputError("each configuration needs \"id\" and \"coords\"")
         cid, coords = entry["id"], entry["coords"]
         if not isinstance(cid, str):
-            raise SchemaError("configuration \"id\" must be a string")
+            raise InputError("configuration \"id\" must be a string")
         stack = _coords_stack([coords], len(coords)) if type(coords) is list else None
         if stack is None:
-            raise SchemaError(
+            raise InputError(
                 f"configuration {cid!r}: \"coords\" must be [[x, y], ...] with finite numbers")
         LandmarkConfiguration(cid, labels, stack[0])
         if not isinstance(entry.get("group", ""), str):
-            raise SchemaError(f"configuration {cid!r}: \"group\" must be a string")
+            raise InputError(f"configuration {cid!r}: \"group\" must be a string")
 
 
 def read_dataset(text: str) -> Dataset:
@@ -209,16 +209,16 @@ def read_dataset(text: str) -> Dataset:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(doc, dict):
-        raise SchemaError("dataset JSON must be an object")
+        raise InputError("dataset JSON must be an object")
     schema = doc.get("schema")
     if type(schema) is not int or schema != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema version {schema!r}; this build reads {SCHEMA_VERSION}")
+        raise InputError(f"unsupported schema version {schema!r}; this build reads {SCHEMA_VERSION}")
     labels = doc.get("landmarks")
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-        raise SchemaError("\"landmarks\" must be a list of strings")
+        raise InputError("\"landmarks\" must be a list of strings")
     entries = doc.get("configurations")
     if not isinstance(entries, list) or not entries:
-        raise SchemaError("\"configurations\" must be a non-empty list")
+        raise InputError("\"configurations\" must be a non-empty list")
     labels = tuple(labels)
     k = len(labels)
     stack = None
@@ -231,7 +231,7 @@ def read_dataset(text: str) -> Dataset:
     prov = doc.get("provenance", {})
     sources = prov.get("sources", []) if isinstance(prov, dict) else []
     if type(sources) is not list or not all(isinstance(s, str) for s in sources):
-        raise SchemaError("\"provenance.sources\" must be a list of strings")
+        raise InputError("\"provenance.sources\" must be a list of strings")
     groups = {e["id"]: e["group"] for e in entries if e.get("group")}
     return Dataset(Sample([e["id"] for e in entries], labels, stack, groups=groups), sources)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MAX_MARGIN,
                    LandmarkConfiguration, Segment, as_coords, freeze_arrays, require_homologous)
-from .errors import DegenerateConfigurationError, InputError, NumericalError
+from .errors import InputError, NumericalError
 
 BOUNDARY_TOL = 1e-12  # boundary proximity, relative to the polygon's extent (longer box side)
 ROTATION_CONVENTION = "counterclockwise-positive"
@@ -97,7 +97,7 @@ def make_grid(template, margin: float = 0.0, cells: int = DEFAULT_CELLS,
     lo, hi = coords.min(axis=0), coords.max(axis=0)
     w = hi - lo
     if w[0] <= 0.0 or w[1] <= 0.0:
-        raise DegenerateConfigurationError("bounding box has zero area; cannot build a grid")
+        raise NumericalError("bounding box has zero area; cannot build a grid")
     if cells < 1:
         raise InputError("cells must be at least 1")
     if not (math.isfinite(margin) and margin <= MAX_MARGIN):

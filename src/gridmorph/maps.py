@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PROTOTYPE_KINDS, LandmarkConfiguration, default_labels
-from .errors import InputError, NonConvexSourceError, NumericalError, SingularSystemError
+from .errors import InputError, NumericalError
 
 PROTOTYPE_PARAMETER = 0.25
 
@@ -83,7 +83,7 @@ def invert_bilinear(src: Quad, points) -> tuple[np.ndarray, np.ndarray]:
     of the quadratic were admissible (the smaller u is kept).
     """
     if not src.is_convex:
-        raise NonConvexSourceError("bilinear source quad must be convex")
+        raise NumericalError("bilinear source quad must be convex")
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
     a_c, b_c, c_c, d_c = src.corners
@@ -156,7 +156,7 @@ class BilinearMap:
 
     def __post_init__(self):
         if not self.src.is_convex:
-            raise NonConvexSourceError("bilinear source quad must be convex")
+            raise NumericalError("bilinear source quad must be convex")
 
     def __call__(self, points) -> np.ndarray:
         return self.map_points(points)
@@ -188,7 +188,7 @@ class Homography:
             raise InputError("homography entries must be finite")
         # relative to the product of the column norms (Hadamard's bound), so units do not matter
         if abs(np.linalg.det(m)) <= 1e-12 * np.prod(np.linalg.norm(m, axis=0)):
-            raise SingularSystemError("homography matrix is singular (|det| <= 1e-12 x Hadamard bound)")
+            raise NumericalError("homography matrix is singular (|det| <= 1e-12 x Hadamard bound)")
         if abs(m[2, 2]) > 1e-12:
             m = m / m[2, 2]
         m.flags.writeable = False
@@ -237,7 +237,7 @@ def homography_from_quads(src: Quad, dst: Quad) -> Homography:
     try:
         h = np.linalg.solve(a, dst.corners.ravel())  # right-hand side x'0, y'0, x'1, ...
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"homography system is singular: {exc}") from exc
+        raise NumericalError(f"homography system is singular: {exc}") from exc
     return Homography(np.append(h, 1.0).reshape(3, 3))
 
 

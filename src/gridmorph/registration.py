@@ -21,8 +21,7 @@ from .core import (
     centered,
     require_homologous,
 )
-from .errors import (ConvergenceError, DegenerateBaselineError, DegenerateConfigurationError,
-                     InputError, NumericalError)
+from .errors import InputError, NumericalError
 
 GPA_TOL = 1e-10
 GPA_MAX_ITER = 100
@@ -72,7 +71,8 @@ class AffineMap2:
 def _check_baseline(k: int, baseline: Baseline) -> Baseline:
     start, end = int(baseline[0]), int(baseline[1])
     if not (0 <= start < k and 0 <= end < k):
-        raise InputError(f"baseline ({start}, {end}) out of range for {k} landmarks")
+        raise InputError(f"baseline ({start + 1}, {end + 1}) out of range for {k} landmarks "
+                         "(counted from 1)")
     if start == end:
         raise InputError("baseline endpoints must be two distinct landmarks")
     return Baseline(start, end)
@@ -96,9 +96,10 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
         first = int(np.argmax(bad))
         name = sample.names[first]
         if size[first] <= 0.0:
-            raise DegenerateConfigurationError(f"configuration {name!r}: all landmarks coincide")
-        raise DegenerateBaselineError(f"configuration {name!r}: baseline landmarks "
-                                      f"{baseline.start} and {baseline.end} nearly coincide")
+            raise NumericalError(f"configuration {name!r}: all landmarks coincide")
+        start, end = (sample.labels[i] for i in baseline)
+        raise NumericalError(f"configuration {name!r}: baseline landmarks {start!r} and {end!r} "
+                             "nearly coincide")
     # p - a scaled exactly by a power of two near |d|, so that |d|^2 is in range
     rel = np.ldexp(p - a[:, None], -np.frexp(np.abs(d).max(axis=1))[1][:, None, None])
     dx, dy = rel[:, baseline.end, 0, None], rel[:, baseline.end, 1, None]
@@ -123,7 +124,7 @@ def _normalized(coords: np.ndarray) -> np.ndarray:
     """Center each (k, 2) configuration of (..., k, 2), scaled to unit centroid size."""
     dev, size = centered(coords)
     if np.any(size <= 0.0):
-        raise DegenerateConfigurationError("all landmarks coincide; centroid size is zero")
+        raise NumericalError("all landmarks coincide; centroid size is zero")
     return dev / size[..., None, None]
 
 
@@ -152,8 +153,7 @@ def _rotated_onto(shapes: np.ndarray, reference: np.ndarray) -> np.ndarray:
 def _centered_reference(coords: np.ndarray, name: str) -> np.ndarray:
     q, size = centered(coords)
     if size <= 0.0:
-        raise DegenerateConfigurationError(
-            f"reference {name!r} is degenerate (all landmarks coincide)")
+        raise NumericalError(f"reference {name!r} is degenerate (all landmarks coincide)")
     return q
 
 
@@ -189,7 +189,7 @@ def gpa_mean(sample: Sample, name: str = "mean") -> LandmarkConfiguration:
         ref = avg
         if rms < GPA_TOL:
             return LandmarkConfiguration(name, sample.labels, ref, UNIT_PROCRUSTES)
-    raise ConvergenceError(
+    raise NumericalError(
         f"generalized Procrustes averaging did not converge in {GPA_MAX_ITER} iterations "
         f"(last RMS movement {rms:.3e})")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LandmarkConfiguration, freeze_arrays, require_homologous
-from .errors import CoincidentLandmarksError, InputError, NumericalError, SingularSystemError
+from .errors import InputError, NumericalError
 
 SIDE_CONDITION_TOL = 1e-9  # largest side-condition moment, relative to its terms' magnitude
 MIN_SEPARATION = 1e-10  # nearest landmark pair, relative to the template's diameter
@@ -78,7 +78,7 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration, *mor
     nearest = d2 + np.diag(np.full(k, np.inf))
     if nearest.min() <= MIN_SEPARATION ** 2 * d2.max():
         a, b = divmod(int(np.argmin(nearest)), k)
-        raise CoincidentLandmarksError(
+        raise NumericalError(
             f"template landmarks {template.labels[a]!r} and {template.labels[b]!r} "
             f"are closer than {MIN_SEPARATION} times the template's diameter")
     sv = np.linalg.svd(p - p.mean(axis=0), compute_uv=False)
@@ -93,7 +93,7 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration, *mor
     try:
         solution = np.linalg.solve(lmat, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"spline system is singular: {exc}") from exc
+        raise NumericalError(f"spline system is singular: {exc}") from exc
 
     models = []
     for t, columns in zip(targets, np.hsplit(solution, len(targets))):
@@ -104,13 +104,13 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration, *mor
         size = np.abs(weights) + np.abs(t.coords).max() / d2.max()
         moments = pmat.T @ weights  # side conditions, one column per coordinate
         if (np.abs(moments) > SIDE_CONDITION_TOL * (np.abs(pmat).T @ size)).any():
-            raise SingularSystemError(
+            raise NumericalError(
                 "spline side conditions violated; system is too ill-conditioned "
                 f"(max moment {np.abs(moments).max():.3e})")
         energy = tuple(float(weights[:, c] @ kernel @ weights[:, c]) for c in range(2))
         if (np.array(energy) < -1e-12 * (size * (np.abs(kernel) @ size)).sum(axis=0)).any():
-            raise SingularSystemError(f"bending energy came out negative ({min(energy):.3e}); "
-                                      "system is ill-conditioned")
+            raise NumericalError(f"bending energy came out negative ({min(energy):.3e}); "
+                                 "system is ill-conditioned")
         models.append(TpsModel(p, weights, affine, energy))
     return tuple(models) if more else models[0]
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LandmarkConfiguration, freeze_arrays, require_homologous
-from .errors import InputError, InsufficientLandmarksError, NumericalError
+from .errors import InputError, NumericalError
 from .tps import _eval_blocks
 
 # each degree's basis extends the one below it
@@ -108,8 +108,7 @@ def trend_fit(template: LandmarkConfiguration, target: LandmarkConfiguration,
     require_homologous(template, target)
     k = len(template)
     if k < m:
-        raise InsufficientLandmarksError(
-            f"a degree-{degree} trend requires at least {m} landmarks, got {k}")
+        raise InputError(f"a degree-{degree} trend requires at least {m} landmarks, got {k}")
     design = design_matrix(template.coords, degree)
     coef, _, rank, singular_values = np.linalg.lstsq(design, target.coords, rcond=None)
     if rank < m:

@@ -8,9 +8,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gridmorph import (MAX_GRID_SAMPLES, Dataset, InputError, Sample, SchemaError,
+from gridmorph import (MAX_GRID_SAMPLES, Dataset, InputError, Sample,
                        default_labels, gpa_mean, read_dataset, read_landmarks,
                        synthetic_vilmann, two_point_register, write_dataset)
+import gridmorph.tps
 from gridmorph.cli import main
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.registration import Baseline
@@ -156,26 +157,45 @@ def test_twopoint_pins_anchors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("points, baseline, code, message", [
+    ("0 0\n1 0\n0 1", "1,9", 2, "baseline (1, 9) out of range for 3 landmarks (counted from 1)"),
+    ("0 0\n0 0\n1 1", "1,2", 3,
+     "configuration 'specimen_1': baseline landmarks 'L1' and 'L2' nearly coincide"),
+], ids=["out-of-range", "coincident"])
+def test_twopoint_baseline_errors_count_landmarks_as_the_cli_does(tmp_path, capsys, points,
+                                                                  baseline, code, message):
+    path = tmp_path / "f.tps"
+    path.write_text(f"LM=3\n{points}\n", encoding="utf-8")
+    assert main(["twopoint", str(path), "--baseline", baseline, "-o", str(tmp_path / "o.json")]) \
+        == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 GOOD_JSON = ('{"schema": 1, "landmarks": ["L1", "L2", "L3"], "configurations": '
              '[{"id": "a", "group": "", "coords": [[0, 0], [1, 0], [0, 1]]}], '
              '"provenance": {"sources": []}}')
 
 
-@pytest.mark.parametrize("old, new", [
-    ('"sources": []', '"sources": 9'),              # was a TypeError traceback
-    ('[1, 0]', '[1' + "0" * 400 + ', 0]'),           # was an OverflowError traceback
-    ('[1, 0]', '[true, 0]'),                        # was read as 1.0
-    ('[1, 0]', '["1", 0]'),
-    ('[1, 0]', '[1e400, 0]'),
-    ('"schema": 1', '"schema": true'),              # was read as schema 1
-    ('"sources": []', '"sources": "in.csv"'),       # was read as six sources
+SOURCES_NOT_STRINGS = '"provenance.sources" must be a list of strings'
+COORDS_NOT_NUMBERS = 'configuration \'a\': "coords" must be [[x, y], ...] with finite numbers'
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"sources": []', '"sources": 9', SOURCES_NOT_STRINGS),      # was a TypeError traceback
+    ('[1, 0]', '[1' + "0" * 400 + ', 0]', COORDS_NOT_NUMBERS),   # was an OverflowError traceback
+    ('[1, 0]', '[true, 0]', COORDS_NOT_NUMBERS),                # was read as 1.0
+    ('[1, 0]', '["1", 0]', COORDS_NOT_NUMBERS),
+    ('[1, 0]', '[1e400, 0]', COORDS_NOT_NUMBERS),
+    ('"schema": 1', '"schema": true',                           # was read as schema 1
+     "unsupported schema version True; this build reads 1"),
+    ('"sources": []', '"sources": "in.csv"', SOURCES_NOT_STRINGS),  # was read as six sources
 ], ids=["sources-number", "huge-integer", "true", "string", "1e400", "schema-true",
         "sources-string"])
-def test_ingest_rejects_malformed_dataset_json(tmp_path, capsys, old, new):
+def test_ingest_rejects_malformed_dataset_json(tmp_path, capsys, old, new, message):
     assert read_dataset(GOOD_JSON).sample.names == ("a",)
     text = GOOD_JSON.replace(old, new)
     assert text != GOOD_JSON
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError, match=re.escape(message)):
         read_dataset(text)
     path = tmp_path / "x.json"
     path.write_text(text, encoding="utf-8")
@@ -259,7 +279,8 @@ def test_sample_commands_keep_their_bytes(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("exponent", [600, -600, 20])
 def test_commands_are_invariant_to_a_power_of_two_scale(tmp_path, capsys, monkeypatch, exponent):
     # scaling every coordinate by 2^exponent is exact; near 2^+-600 squared lengths leave the
-    # float range, so sizes and baselines must be computed without squaring raw coordinates
+    # float range, so sizes and baselines must be computed without squaring raw coordinates.
+    # The quarter turn (x, y) -> (-y, x) of the scaled data is exact too.
     base = synthetic_vilmann()
     noise = np.random.default_rng(0).normal(scale=0.01, size=(2, 3, 8, 2))
     coords = (base.coords[:, None] + noise).reshape(6, 8, 2)
@@ -267,11 +288,14 @@ def test_commands_are_invariant_to_a_power_of_two_scale(tmp_path, capsys, monkey
     groups = {name: name.split("_")[0] for name in names}
     targets = ["--targets", "age7,age150"]
     runs = []
-    for scale in (0, exponent):
-        run = tmp_path / str(scale)
+    for scale, turned in ((0, False), (exponent, False), (exponent, True)):
+        run = tmp_path / f"{scale}{'_turned' * turned}"
         run.mkdir()
         monkeypatch.chdir(run)
-        write_sample(run, Sample(names, base.labels, np.ldexp(coords, scale), groups=groups))
+        scaled = np.ldexp(coords, scale)
+        if turned:
+            scaled = np.stack([-scaled[..., 1], scaled[..., 0]], axis=-1)
+        write_sample(run, Sample(names, base.labels, scaled, groups=groups))
         stdout = []
         for argv in (["twopoint", "data.json", "--baseline", "3,8", "-o", "twopoint.json"],
                      ["average", "data.json", "-o", "means.json"],
@@ -288,6 +312,24 @@ def test_commands_are_invariant_to_a_power_of_two_scale(tmp_path, capsys, monkey
                               for path in sorted(run.rglob("*.*")) if path.name != "data.json"}))
     assert len(runs[0][1]) == 10  # 7 outputs, and the fit's SVG and two CSV files
     assert runs[1] == runs[0]
+
+    # two-point registration undoes the turn bit for bit; the GPA frame turns with the data
+    (stdout, files), (turned_stdout, turned_files) = runs[1:]
+    assert turned_stdout == stdout and turned_files.keys() == files.keys()
+    for name in ("twopoint.json", "survey.svg", "fit/fit_3-8.svg", "fit/fit_3-8_coefficients.csv",
+                 "fit/fit_3-8_residuals.csv"):
+        assert turned_files[name] == files[name], name
+    means, turned_means = (read_dataset(f["means.json"].decode()).sample.coords
+                           for f in (files, turned_files))
+    quarter_turn = np.stack([-means[..., 1], means[..., 0]], axis=-1)
+    assert np.abs(turned_means - quarter_turn).max() <= 1e-12 * np.abs(means).max()
+    for name in ("raw.csv", "nonaffine.csv"):  # same rows in the same order, values to rounding
+        table, turned_table = (np.array([row.split(",") for row in f[name].decode().splitlines()])
+                               for f in (files, turned_files))
+        assert table.shape == turned_table.shape
+        assert np.array_equal(table[:, :4], turned_table[:, :4])
+        values, turned_values = table[1:, 4:].astype(float), turned_table[1:, 4:].astype(float)
+        assert (np.abs(turned_values - values) <= 1e-10 * np.abs(values).max(axis=0)).all(), name
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +532,15 @@ def test_demo_kite_writes_map_comparison(tmp_path, capsys):
     assert (tmp_path / "demo_kite.json").is_file()
     ET.fromstring((tmp_path / "demo_kite.svg").read_bytes())
     ET.fromstring((tmp_path / "demo_kite_maps.svg").read_bytes())
+    capsys.readouterr()
+
+
+def test_demo_kite_fits_its_spline_once(tmp_path, capsys, monkeypatch):
+    # the prototype panels and the map comparison draw the same square-to-kite spline
+    fit, fits = gridmorph.tps.tps_fit, []
+    monkeypatch.setattr(gridmorph.tps, "tps_fit", lambda *args: fits.append(args) or fit(*args))
+    assert main(["demo", "kite", "--outdir", str(tmp_path)]) == 0
+    assert len(fits) == 1
     capsys.readouterr()
 
 

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gridmorph import InputError, ParseError, SchemaError, formats
+from gridmorph import InputError, ParseError, formats
 from gridmorph.core import LandmarkConfiguration, Sample, default_labels
 from helpers import sample_of
 
@@ -212,7 +212,7 @@ def _reference_coords_array(cid, coords):
                 array = np.array(values, dtype=float).reshape(-1, 2)
                 if np.isfinite(array).all():
                     return array
-    raise SchemaError(
+    raise InputError(
         f"configuration {cid!r}: \"coords\" must be [[x, y], ...] with finite numbers")
 
 
@@ -222,36 +222,36 @@ def reference_dataset(text: str) -> formats.Dataset:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(doc, dict):
-        raise SchemaError("dataset JSON must be an object")
+        raise InputError("dataset JSON must be an object")
     schema = doc.get("schema")
     if type(schema) is not int or schema != formats.SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema version {schema!r}; "
-                          f"this build reads {formats.SCHEMA_VERSION}")
+        raise InputError(f"unsupported schema version {schema!r}; "
+                         f"this build reads {formats.SCHEMA_VERSION}")
     labels = doc.get("landmarks")
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-        raise SchemaError("\"landmarks\" must be a list of strings")
+        raise InputError("\"landmarks\" must be a list of strings")
     entries = doc.get("configurations")
     if not isinstance(entries, list) or not entries:
-        raise SchemaError("\"configurations\" must be a non-empty list")
+        raise InputError("\"configurations\" must be a non-empty list")
     labels = tuple(labels)
     configs, groups = [], {}
     for entry in entries:
         if not isinstance(entry, dict) or "id" not in entry or "coords" not in entry:
-            raise SchemaError("each configuration needs \"id\" and \"coords\"")
+            raise InputError("each configuration needs \"id\" and \"coords\"")
         cid = entry["id"]
         if not isinstance(cid, str):
-            raise SchemaError("configuration \"id\" must be a string")
+            raise InputError("configuration \"id\" must be a string")
         configs.append(LandmarkConfiguration(cid, labels,
                                              _reference_coords_array(cid, entry["coords"])))
         group = entry.get("group", "")
         if not isinstance(group, str):
-            raise SchemaError(f"configuration {cid!r}: \"group\" must be a string")
+            raise InputError(f"configuration {cid!r}: \"group\" must be a string")
         if group:
             groups[cid] = group
     prov = doc.get("provenance", {})
     sources = prov.get("sources", []) if isinstance(prov, dict) else []
     if type(sources) is not list or not all(isinstance(s, str) for s in sources):
-        raise SchemaError("\"provenance.sources\" must be a list of strings")
+        raise InputError("\"provenance.sources\" must be a list of strings")
     return formats.Dataset(sample_of(configs, groups), sources)
 
 

@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gridmorph import (Dataset, HomologyError, InputError, ParseError, Sample,
-                       SchemaError, parse_csv, parse_tps_file, read_dataset,
-                       read_landmarks, synthetic_vilmann, write_dataset)
+from gridmorph import (Dataset, InputError, ParseError, Sample, parse_csv, parse_tps_file,
+                       read_dataset, read_landmarks, synthetic_vilmann, write_dataset)
 from gridmorph import formats
 from gridmorph.core import default_labels
 from gridmorph.formats import SCHEMA_VERSION, _quote, fmt_g
@@ -67,7 +66,8 @@ def test_tps_bad_coordinate_reports_line():
 
 def test_tps_inconsistent_counts_rejected():
     text = "LM=3\n0 0\n1 0\n0 1\nLM=4\n0 0\n1 0\n1 1\n0 1\n"
-    with pytest.raises(HomologyError):
+    with pytest.raises(InputError, match="'specimen_1' and 'specimen_2' are not homologous: "
+                                         "3 vs 4 landmarks"):
         parse_tps_file(text)
     # a duplicate ID= is reported before the first record that differs
     three = "LM=3\n0 0\n1 0\n0 1\nID={}\n"
@@ -76,7 +76,7 @@ def test_tps_inconsistent_counts_rejected():
     with pytest.raises(InputError, match="duplicate configuration name 'a'"):
         parse_tps_file(text)
     text = three.format("a") + three.format("b") + four.format("c") + three.format("d")
-    with pytest.raises(HomologyError, match="'a' and 'c' are not homologous: 3 vs 4"):
+    with pytest.raises(InputError, match="'a' and 'c' are not homologous: 3 vs 4"):
         parse_tps_file(text)
 
 
@@ -163,14 +163,14 @@ def test_csv_inconsistent_labels_rejected():
     text = ("id,label,x,y\n"
             "a,Bas,0,0\na,Opi,1,0\na,Brg,0,1\n"
             "b,Bas,0,0\nb,XXX,1,0\nb,Brg,0,1\n")
-    with pytest.raises(HomologyError):
+    with pytest.raises(InputError, match="'a' and 'b' are not homologous: label sequences differ"):
         parse_csv(text)
     # the first id that differs from the first is named, whatever follows it
     rows = ["id,label,x,y", "a,P,0,0", "a,Q,1,0", "a,R,0,1", "b,P,0,0", "b,Q,2,0", "b,R,0,2"]
-    with pytest.raises(HomologyError, match="'a' and 'c' .*label sequences differ"):
+    with pytest.raises(InputError, match="'a' and 'c' .*label sequences differ"):
         parse_csv("\n".join(rows + ["c,P,0,0", "c,R,1,0", "c,Q,0,1",
                                     "d,P,0,0", "d,Q,1,0", "d,R,0,1", "d,S,1,1"]) + "\n")
-    with pytest.raises(HomologyError, match="'a' and 'c' .*: 3 vs 4 landmarks"):
+    with pytest.raises(InputError, match="'a' and 'c' .*: 3 vs 4 landmarks"):
         parse_csv("\n".join(rows + ["c,P,0,0", "c,Q,1,0", "c,R,0,1", "c,S,1,1"]) + "\n")
     with pytest.raises(InputError, match="sample must contain at least one configuration"):
         parse_csv("id,label,x,y\n")
@@ -418,7 +418,7 @@ def test_dataset_text_is_valid_json_with_schema():
 
 def test_dataset_wrong_schema_rejected():
     text = write_dataset(Dataset(synthetic_vilmann()))
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError, match="unsupported schema version 99; this build reads 1"):
         read_dataset(text.replace('"schema": 1', '"schema": 99', 1))
 
 
@@ -426,9 +426,9 @@ def test_dataset_rejects_nonfinite_tokens():
     broken = ('{"schema": 1, "landmarks": ["L1", "L2", "L3"], "configurations": '
               '[{"id": "a", "group": "", "coords": [[0, 0], [1, NaN], [0, 1]]}], '
               '"provenance": {"sources": []}}')
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError, match="non-finite number 'NaN' in dataset JSON"):
         read_dataset(broken)
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError, match="non-finite number 'Infinity' in dataset JSON"):
         read_dataset(broken.replace("NaN", "Infinity"))
 
 
@@ -441,7 +441,7 @@ def test_dataset_missing_field():
     text = write_dataset(Dataset(synthetic_vilmann()))
     doc = json.loads(text)
     del doc["landmarks"]
-    with pytest.raises(SchemaError):
+    with pytest.raises(InputError, match='"landmarks" must be a list of strings'):
         read_dataset(json.dumps(doc))
 
 

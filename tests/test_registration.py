@@ -4,13 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gridmorph import (AffineMap2, Baseline, ConvergenceError,
-                       DegenerateBaselineError, DegenerateConfigurationError,
-                       InputError, NumericalError,
-                       LandmarkConfiguration, Sample, UNIT_PROCRUSTES,
-                       UNIT_TWO_POINT, affine_fit, centroid_size,
-                       default_labels, gpa_mean, procrustes_align, remove_affine, two_point_register,
-                       two_point_register_sample)
+from gridmorph import (AffineMap2, Baseline, InputError, NumericalError, LandmarkConfiguration,
+                       Sample, UNIT_PROCRUSTES, UNIT_TWO_POINT, affine_fit, centroid_size,
+                       default_labels, gpa_mean, procrustes_align, remove_affine,
+                       two_point_register, two_point_register_sample)
 from gridmorph.core import centered
 from gridmorph.registration import GPA_MAX_ITER, GPA_TOL, _normalized, _rotation_angles
 from helpers import sample_of
@@ -97,10 +94,11 @@ def test_two_point_idempotent():
 
 def test_two_point_degenerate_baseline():
     coords = np.array([(0.0, 0.0), (0.0, 0.0), (1.0, 2.0)])
-    with pytest.raises(DegenerateBaselineError):
+    with pytest.raises(NumericalError, match="baseline landmarks 'L1' and 'L2' nearly coincide"):
         two_point_register(config(coords), Baseline(0, 1))
-    with pytest.raises(InputError):
-        two_point_register(config(np.eye(3, 2)), Baseline(0, 3))  # out of range
+    with pytest.raises(InputError, match=r"baseline \(1, 4\) out of range for 3 landmarks "
+                                         r"\(counted from 1\)"):
+        two_point_register(config(np.eye(3, 2)), Baseline(0, 3))
     with pytest.raises(InputError):
         two_point_register(config(np.eye(3, 2)), Baseline(1, 1))
 
@@ -318,16 +316,18 @@ def stacked_sample(stack):
 
 
 def outcome(fn, *args):
-    """fn's result, or the type of the GridmorphError it raised."""
+    """fn's result, or the type and message of the GridmorphError it raised."""
     try:
         return fn(*args)
     except (InputError, NumericalError) as exc:
-        return type(exc)
+        return type(exc), str(exc)
 
 
 def per_specimen_gpa(sample):
     """Reference: align each configuration onto the reference, average, renormalize."""
-    ref = _normalized(sample.configurations[0].coords)
+    # like gpa_mean, scale every configuration before the first pass, so that the first
+    # degenerate one is reported with gpa_mean's message
+    ref = [_normalized(c.coords) for c in sample.configurations][0]
     for _ in range(GPA_MAX_ITER):
         ref_config = LandmarkConfiguration("mean", sample.labels, ref, UNIT_PROCRUSTES)
         aligned = np.stack([procrustes_align(c, ref_config).coords
@@ -337,7 +337,8 @@ def per_specimen_gpa(sample):
         ref = avg
         if rms < GPA_TOL:
             return ref
-    return ConvergenceError
+    return NumericalError, (f"generalized Procrustes averaging did not converge in {GPA_MAX_ITER} "
+                            f"iterations (last RMS movement {rms:.3e})")
 
 
 @st.composite
@@ -359,8 +360,8 @@ def test_gpa_mean_equals_per_specimen_loop(stack):
     sample = stacked_sample(stack)
     expected = outcome(per_specimen_gpa, sample)
     got = outcome(gpa_mean, sample)
-    if isinstance(expected, type):
-        assert got is expected
+    if isinstance(expected, tuple):
+        assert got == expected
     else:
         assert got.unit == UNIT_PROCRUSTES and got.labels == sample.labels
         assert np.array_equal(got.coords, expected)  # bit for bit, not allclose
@@ -380,17 +381,18 @@ def test_two_point_sample_equals_per_configuration(data):
     for coords in (stack, broken):
         sample = stacked_sample(coords)
         expected = [outcome(two_point_register, c, baseline) for c in sample.configurations]
-        failures = [e for e in expected if isinstance(e, type)]
+        failures = [e for e in expected if isinstance(e, tuple)]
         got = outcome(two_point_register_sample, sample, baseline)
         if failures:  # the first failing specimen names the error
-            assert got is failures[0]
+            assert got == failures[0]
             continue
         assert got.names == sample.names and got.groups == sample.groups
         for a, b in zip(got.configurations, expected):
             assert a.unit == UNIT_TWO_POINT
             assert np.array_equal(a.coords, b.coords)
-    assert expected[j] is (DegenerateBaselineError if centered(broken[j])[1] > 0.0
-                           else DegenerateConfigurationError)
+    assert expected[j] == (NumericalError, f"configuration 'c{j}': " + (
+        f"baseline landmarks 'L{start + 1}' and 'L{end + 1}' nearly coincide"
+        if centered(broken[j])[1] > 0.0 else "all landmarks coincide"))
 
 
 # ---------------------------------------------------------------------------

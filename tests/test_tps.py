@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmorph import (CoincidentLandmarksError, InputError, LandmarkConfiguration,
-                       NumericalError, SingularSystemError, TpsModel,
-                       bending_energy, default_labels, tps_eval, tps_fit,
-                       tps_jacobian)
+from gridmorph import (InputError, LandmarkConfiguration, NumericalError, TpsModel,
+                       bending_energy, default_labels, tps_eval, tps_fit, tps_jacobian)
 from gridmorph import tps
 from gridmorph.tps import EVAL_BLOCK
 
@@ -358,9 +356,9 @@ def test_coincident_landmarks_rejected_at_every_scale(exponent):
     template = np.array([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.2)])
     for gap in (0.0, 1e-11):  # relative to the template's diameter
         template[1, 0] = gap
-        with pytest.raises(CoincidentLandmarksError) as err:
+        with pytest.raises(NumericalError, match="template landmarks 'L1' and 'L2' are closer "
+                                                 "than 1e-10 times the template's diameter"):
             tps_fit(config(template * 10.0 ** exponent), config(np.eye(5, 2)))
-        assert "'L1' and 'L2'" in str(err.value)
 
 
 @pytest.mark.parametrize("exponent", [-12, -6, 0, 6, 8])
@@ -381,7 +379,7 @@ def test_side_condition_check_fires_at_every_scale(monkeypatch, exponent):
         if relative < 1e-9:
             tps_fit(config(template), config(target))
         else:
-            with pytest.raises(SingularSystemError, match="side conditions violated"):
+            with pytest.raises(NumericalError, match="side conditions violated"):
                 tps_fit(config(template), config(target))
 
 
@@ -393,7 +391,7 @@ def test_negative_energy_check_fires_at_every_scale(monkeypatch, exponent):
     target = template + rng.normal(scale=0.2, size=(8, 2)) * 10.0 ** exponent
     kernel = tps._kernel
     monkeypatch.setattr(tps, "_kernel", lambda points, centres: -kernel(points, centres))
-    with pytest.raises(SingularSystemError, match="bending energy came out negative"):
+    with pytest.raises(NumericalError, match="bending energy came out negative"):
         tps_fit(config(template), config(target))
 
 

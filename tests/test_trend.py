@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gridmorph import (InsufficientLandmarksError, LandmarkConfiguration,
-                       NumericalError, basis_size, default_labels,
-                       design_matrix, make_grid, trend_eval, trend_fit)
+from gridmorph import (InputError, LandmarkConfiguration, NumericalError, basis_size,
+                       default_labels, design_matrix, make_grid, trend_eval, trend_fit)
 from gridmorph.tps import EVAL_BLOCK
 from gridmorph.trend import BASIS_POWERS
 
@@ -190,13 +189,11 @@ def test_saturated_fit():
 def test_insufficient_landmarks_messages():
     rng = np.random.default_rng(9)
     five = config(rng.normal(size=(5, 2)))
-    with pytest.raises(InsufficientLandmarksError) as err:
+    with pytest.raises(InputError, match="a degree-2 trend requires at least 6 landmarks, got 5"):
         trend_fit(five, five, 2)
-    assert "6" in str(err.value) and "5" in str(err.value)
     nine = config(rng.normal(size=(9, 2)))
-    with pytest.raises(InsufficientLandmarksError) as err:
+    with pytest.raises(InputError, match="a degree-3 trend requires at least 10 landmarks, got 9"):
         trend_fit(nine, nine, 3)
-    assert "10" in str(err.value) and "9" in str(err.value)
 
 
 def test_rank_deficient_design_rejected():
