@@ -13,7 +13,7 @@ Subcommands chain the library into complete analyses:
 Every command is a pure function of its input files and flags: repeated
 runs produce byte-identical outputs. Exit codes: 0 success, 2 input error,
 3 numerical failure. Diagnostics go to standard error; files are written
-only to paths named by -o/--outdir.
+only to paths named by -o/--outdir. Under glibc, `main` keeps freed memory for reuse.
 """
 
 from __future__ import annotations
@@ -509,7 +509,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Reuse freed blocks instead of unmapping them and faulting them in again (glibc only)."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no mallopt (macOS); no CDLL(None) (Windows)
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD; setting it stops both thresholds adapting,
+    mallopt(-1, 64 << 20)  # so M_TRIM_THRESHOLD is set too (2x, as glibc's own rule keeps it)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

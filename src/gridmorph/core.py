@@ -237,6 +237,8 @@ def centered(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Center (..., k, 2) coordinates per configuration, with their centroid sizes (maybe 0),
     squaring deviations scaled exactly by a power of two: no size overflows or underflows."""
     dev = coords - coords.mean(axis=-2, keepdims=True)
+    # landmarks that all coincide have size 0 even where their mean does not round back
+    dev[(coords == coords[..., :1, :]).all(axis=(-2, -1))] = 0.0
     e = np.frexp(np.abs(dev).max(axis=(-2, -1), keepdims=True))[1]
     unit = np.ldexp(dev, -e)
     return dev, np.ldexp(np.sqrt((unit * unit).sum(axis=(-2, -1))), e[..., 0, 0])

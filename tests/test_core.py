@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmorph import (InputError, LandmarkConfiguration,
                        NumericalError, Sample, Segment, affine_fit, centroid,
-                       centroid_size, default_labels, enumerate_segments,
+                       centroid_size, default_labels, enumerate_segments, gpa_mean,
                        procrustes_align, tps_fit, trend_fit)
-from gridmorph.core import require_homologous
+from gridmorph.core import centered, require_homologous
 from helpers import sample_of
 
 square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
@@ -41,6 +43,38 @@ def test_centroid_size_translation_invariant_scale_equivariant():
 def test_centroid_size_coincident_points_raises():
     with pytest.raises(NumericalError):
         centroid_size(np.zeros((4, 2)))
+
+
+def test_coincident_points_whose_mean_does_not_round_back_raise():
+    # six copies of 0.00878125 average to a neighbouring float, not to 0.00878125
+    same = np.full((6, 2), 0.00878125)
+    assert same.mean(axis=0)[0] != same[0, 0]
+    with pytest.raises(NumericalError, match="all landmarks coincide; centroid size is zero"):
+        centroid_size(same)
+    rng = np.random.default_rng(5)
+    sample = Sample(["same", "a", "b"], default_labels(6),
+                    np.concatenate([same[None], rng.normal(size=(2, 6, 2))]))
+    with pytest.raises(NumericalError, match="all landmarks coincide; centroid size is zero"):
+        gpa_mean(sample)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+# bounded so that the sum of at most 50 copies stays in range (the mean overflows past it)
+@given(st.floats(-np.finfo(float).max / 64, np.finfo(float).max / 64), st.integers(3, 50),
+       st.integers(0, 4), st.data())
+def test_constant_configuration_has_size_exactly_zero(value, k, n, data):
+    if n == 0:  # one configuration alone
+        dev, size = centered(np.full((k, 2), value))
+        assert size == 0.0 and not dev.any()
+        return
+    stack = np.random.default_rng(k).normal(size=(n, k, 2))
+    same = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    stack[same] = value
+    dev, size = centered(stack)
+    assert (size[same] == 0.0).all() and not dev[same].any()
+    others = np.setdiff1d(np.arange(n), same)
+    assert np.array_equal(size[others], [centered(stack[i])[1] for i in others])
+    assert (size[others] > 0.0).all()
 
 
 def test_configuration_validation():

@@ -434,6 +434,28 @@ def test_two_point_sample_is_similarity_invariant(case, data):
     assert (np.abs(got[0].coords - got[1].coords).max(axis=(1, 2)) <= tol).all()
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(3, 9), st.just(2)),
+              elements=st.floats(-1e6, 1e6)), st.data())
+def test_two_point_registration_composes(coords, data):
+    k = len(coords)
+    first, second = (Baseline(*data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                                                   unique=True))) for _ in range(2))
+    size = centered(coords)[1]
+    length = {b: np.hypot(*(coords[b.end] - coords[b.start])) for b in (first, second)}
+    assume(all(v > 1e-9 * size for v in length.values()))  # both baselines far from degenerate
+    cfg = config(coords)
+    via = two_point_register(cfg, first)
+    got = two_point_register(via, second).coords
+    direct = two_point_register(cfg, second).coords
+    # rounding of p - a and of the division by the baseline vector, in each of the three
+    # registrations; the first one's error reaches the result through the second's baseline
+    registered = np.abs(direct).max()
+    reach = (np.abs(coords).max() + np.abs(coords - coords[first.start]).max()) / length[second]
+    tol = 16 * EPS * (reach * (1 + registered) + registered)
+    assert np.abs(got - direct).max() <= tol
+
+
 @pytest.mark.parametrize("exponent", [-600, 600])
 def test_two_point_sample_is_exact_under_a_power_of_two_scale(exponent):
     # at 2^+-600 the squared baseline length leaves the float range; the registration must not

@@ -8,13 +8,14 @@ ingest, average and twopoint never load them.
 import importlib
 import json
 import os
+import platform
 import subprocess
 import sys
 
 import pytest
 
 import gridmorph
-from gridmorph import core, gridlab, maps
+from gridmorph import cli, core, gridlab, maps
 from gridmorph.render import _escape
 
 DRAWING = ("gridmorph.gridlab", "gridmorph.maps", "gridmorph.render", "gridmorph.synthetic",
@@ -78,6 +79,29 @@ print(json.dumps({"code": code, "modules": list(sys.modules)}))
     assert loaded(result["modules"], DRAWING) == ["gridmorph.gridlab", "gridmorph.maps",
                                                   "gridmorph.render", "gridmorph.tps"]
     assert loaded(result["modules"], HEAVY) == []
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_dense_fit_touches_no_more_memory_than_it_holds(tmp_path):
+    # glibc's default thresholds hand each freed block of the grid path back to the
+    # kernel, so the next block faults it in again: 158 MB touched for a 48 MB peak
+    assert cli.main(["demo", "synthetic-vilmann", "--outdir", str(tmp_path)]) == 0
+    code = """
+import json, os, resource, sys
+import gridmorph.cli
+data, outdir = sys.argv[1:]
+sys.stdout = open(os.devnull, "w")  # the fit report; the result is the one line printed below
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = gridmorph.cli.main(["fit", data, "--degree", "2", "--baseline", "1,5", "--cells", "96",
+                           "--outdir", outdir])
+usage = resource.getrusage(resource.RUSAGE_SELF)
+sys.stdout = sys.__stdout__
+print(json.dumps({"code": code, "touched": (usage.ru_minflt - before) * os.sysconf("SC_PAGE_SIZE"),
+                  "peak": usage.ru_maxrss * 1024}))
+"""
+    result = run_python(code, str(tmp_path / "demo_synthetic_vilmann.json"), str(tmp_path / "fit"))
+    assert result["code"] == 0
+    assert result["touched"] <= result["peak"], result
 
 
 def test_lazy_root_exports():
