@@ -14,6 +14,7 @@ Every command is a pure function of its input files and flags: repeated
 runs produce byte-identical outputs. Exit codes: 0 success, 2 input error,
 3 numerical failure. Diagnostics go to standard error; files are written
 only to paths named by -o/--outdir. Under glibc, `main` keeps freed memory for reuse.
+A command builds only its own argument parser.
 """
 
 from __future__ import annotations
@@ -461,18 +462,41 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gridmorph",
-        description="Landmark registration, trend surfaces, and deformation grids.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_DATA, _OUT = ("input", "dataset file", None), (("-o", "--output"), True, "output dataset JSON")
+_OUTDIR = (("--outdir",), True, "output directory")
+# name -> (function, summary, (positional, help, choices), options, [(flags, required, help)])
+COMMANDS = {
+    "ingest": (cmd_ingest, "convert TPS/CSV/JSON landmarks to canonical JSON",
+               ("input", "landmark file (.tps, .csv or .json)", None), (), [_OUT]),
+    "average": (cmd_average, "Procrustes mean of each group", _DATA, ("group",), [_OUT]),
+    "twopoint": (cmd_twopoint, "two-point registration of every configuration", _DATA,
+                 ("baseline",), [_OUT]),
+    "survey": (cmd_survey, "outline panels for every possible baseline", _DATA, ("targets",),
+               [(("-o", "--output"), True, "output SVG")]),
+    "rotations": (cmd_rotations, "segment rotations between two group means", _DATA,
+                  ("targets", "threshold", "nonaffine"), [
+                      (("-o", "--output"), False, "write the table as CSV"),
+                      (("--svg",), False, "write the selected segment network as SVG")]),
+    "fit": (cmd_fit, "polynomial trend fit with four-panel figure", _DATA, ("degree", "baseline",
+            "targets", "trim", "hull", "extend", "cells", "margin", "samples"), [_OUTDIR]),
+    "demo": (cmd_demo, "built-in datasets and illustrative figures",
+             ("kind", None, PROTOTYPE_KINDS + ("synthetic-vilmann",)), (), [_OUTDIR]),
+}
 
-    def command(name, func, summary, *options, source="dataset file",
-                output="output dataset JSON"):
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of the named command alone, or of all seven if it names none (as for -h)."""
+    parser = argparse.ArgumentParser(prog="gridmorph", description=(
+        "Landmark registration, trend surfaces, and deformation grids."))
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # the same help and error texts either way: with one parser, the usage line would list only
+    # it, so the metavar names all seven; with seven, it would replace "command" in the errors
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{%s}" % ",".join(COMMANDS) if len(names) == 1 else None))
+    for name in names:
+        _, summary, (positional, text, choices), options, outputs = COMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
-        if source:
-            p.add_argument("input", help=source)
+        p.add_argument(positional, help=text, choices=choices)
         p.add_argument("--config", metavar="FILE",
                        help="JSON file of option values; explicit flags win")
         for option in options:
@@ -483,29 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
                 text += f" (default {default})"
             action = {_switch: "store_true", _extends: "append"}.get(check, "store")
             p.add_argument(f"--{option}", action=action, default=None, help=text)
-        if output:
-            p.add_argument("-o", "--output", required=True, help=output)
-        return p
-
-    command("ingest", cmd_ingest, "convert TPS/CSV/JSON landmarks to canonical JSON",
-            source="landmark file (.tps, .csv or .json)")
-    command("average", cmd_average, "Procrustes mean of each group", "group")
-    command("twopoint", cmd_twopoint, "two-point registration of every configuration",
-            "baseline")
-    command("survey", cmd_survey, "outline panels for every possible baseline", "targets",
-            output="output SVG")
-    p = command("rotations", cmd_rotations, "segment rotations between two group means",
-                "targets", "threshold", "nonaffine", output=None)
-    p.add_argument("-o", "--output", help="write the table as CSV")
-    p.add_argument("--svg", help="write the selected segment network as SVG")
-    p = command("fit", cmd_fit, "polynomial trend fit with four-panel figure", "degree",
-                "baseline", "targets", "trim", "hull", "extend", "cells", "margin", "samples",
-                output=None)
-    p.add_argument("--outdir", required=True, help="output directory")
-    p = command("demo", cmd_demo, "built-in datasets and illustrative figures", source=None,
-                output=None)
-    p.add_argument("kind", choices=PROTOTYPE_KINDS + ("synthetic-vilmann",))
-    p.add_argument("--outdir", required=True, help="output directory")
+        for flags, required, text in outputs:
+            p.add_argument(*flags, required=required, help=text)
     return parser
 
 
@@ -523,11 +526,11 @@ def _keep_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         args.config_values = _load_config(args.config)
-        return args.func(args)
+        return COMMANDS[args.command][0](args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

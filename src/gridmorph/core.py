@@ -87,12 +87,8 @@ class LandmarkConfiguration:
 
     def with_coords(self, coords, unit: str | None = None, name: str | None = None) -> "LandmarkConfiguration":
         """Copy of this configuration with new positions (and optionally a new unit tag)."""
-        return LandmarkConfiguration(
-            name if name is not None else self.name,
-            self.labels,
-            coords,
-            unit if unit is not None else self.unit,
-        )
+        return LandmarkConfiguration(self.name if name is None else name, self.labels, coords,
+                                     self.unit if unit is None else unit)
 
     @classmethod
     def _trusted(cls, name: str, labels: tuple[str, ...], coords: np.ndarray, unit: str):
@@ -235,8 +231,9 @@ def centroid(config) -> np.ndarray:
 
 def centered(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Center (..., k, 2) coordinates per configuration, with their centroid sizes (maybe 0),
-    squaring deviations scaled exactly by a power of two: no size overflows or underflows."""
-    dev = coords - coords.mean(axis=-2, keepdims=True)
+    averaging and squaring exactly scaled values: no sum overflows and no square underflows."""
+    e = np.frexp(np.abs(coords).max(axis=(-2, -1), keepdims=True))[1]
+    dev = coords - np.ldexp(np.ldexp(coords, -e).mean(axis=-2, keepdims=True), e)
     # landmarks that all coincide have size 0 even where their mean does not round back
     dev[(coords == coords[..., :1, :]).all(axis=(-2, -1))] = 0.0
     e = np.frexp(np.abs(dev).max(axis=(-2, -1), keepdims=True))[1]

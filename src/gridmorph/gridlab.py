@@ -329,14 +329,12 @@ def kept_runs(kept) -> np.ndarray:
     kept is one line's mask (samples,) or a family's (lines, samples); a run is rows start to
     stop of the matching image.reshape(-1, 2). Runs come line by line, in sample order.
     """
-    kept = np.asarray(kept, dtype=bool)
-    mask = kept.reshape(-1, kept.shape[-1])
-    edges = np.diff(np.pad(mask, ((0, 0), (1, 1))).astype(np.int8), axis=1)
-    rows, starts = np.nonzero(edges == 1)
-    stops = np.nonzero(edges == -1)[1]
-    drawn = stops - starts >= 2
-    offsets = rows[drawn] * mask.shape[1]
-    return np.column_stack([offsets + starts[drawn], offsets + stops[drawn]])
+    n = np.shape(kept)[-1]
+    padded = np.zeros((np.size(kept) // n, n + 2), dtype=bool)  # each line between two False
+    padded[:, 1:-1] = np.reshape(kept, (-1, n))
+    flips = np.flatnonzero(padded[:, 1:] != padded[:, :-1])  # run starts and stops, in pairs
+    bounds = (flips - flips // (n + 1)).reshape(-1, 2)  # line l's flip at l * (n + 1) + sample
+    return bounds[bounds[:, 1] - bounds[:, 0] >= 2]
 
 
 def landmark_cycle_polygon(config) -> np.ndarray:

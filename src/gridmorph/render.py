@@ -4,9 +4,9 @@ The emitter is deliberately dumb: fixed attribute order, floats printed
 with 6 significant digits, no timestamps, no generated ids. Rendering the
 same scene twice yields byte-identical output, which makes figures
 diffable and lets tests freeze golden files. write_svg streams the text
-that render_scene returns into its file, one block at a time. Numbers are
-printed by formats.fmt_g at 6 digits: a block of polyline coordinates, a
-segment network's ends, or a run of consecutive markers at a time.
+that render_scene returns into its file, one block at a time. Every number
+of a polyline, a marker or a segment network is printed by formats.fmt_g at
+6 digits, in one call per block of PRINT_BLOCK numbers.
 
 Scene coordinates are mathematical (y up). The viewport maps a world
 rectangle onto the pixel canvas with a single isotropic scale and a y
@@ -92,7 +92,7 @@ def _fmt(value: float) -> str:
     return "%.6g" % (float(value) + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
-PRINT_BLOCK = 2 ** 14  # polyline coordinates per fmt_g call: its arrays take ~130 B each
+PRINT_BLOCK = 2 ** 14  # coordinates per fmt_g call: its arrays take ~130 B each
 
 
 def _escape(text: str) -> str:
@@ -160,7 +160,7 @@ def _layers(scene: Scene, rect):
 
 
 def _text(layer, where) -> str:
-    """The SVG lines of a layer that is not a polyline or a marker, where as _layers gives it."""
+    """The SVG lines of a Panel or a Label, where as _layers gives it."""
     if isinstance(layer, Panel):
         return ('<rect x="%s" y="%s" width="%s" height="%s" fill="none" stroke="black" '
                 'stroke-width="%s"/>\n' % (*map(_fmt, where), _fmt(LIGHT_WIDTH)))
@@ -168,12 +168,6 @@ def _text(layer, where) -> str:
         (x, y), = where(layer.anchor)
         return (f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="sans-serif" '
                 f'font-size="{_fmt(FONT_SIZE)}">{_escape(layer.text)}</text>\n')
-    if isinstance(layer, SegmentNetwork):  # every end coordinate in one fmt_g call
-        ends = where(layer.points)[np.array(layer.segments, dtype=np.intp).reshape(-1)]
-        numbers = fmt_g(ends.ravel(), np.full(ends.size, ord("\n"), dtype="<u4"), 6)
-        line = ('<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" '
-                f'stroke-width="{_fmt(HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH)}"/>\n')
-        return line * len(layer.segments) % tuple(numbers.split("\n")[:-1])
     raise InputError(f"unknown scene layer type {type(layer).__name__}")
 
 
@@ -181,58 +175,66 @@ _STROKE = f'stroke="black" stroke-width="{_fmt(LIGHT_WIDTH)}"'
 _CIRCLES = [f'<circle cx="%s" cy="%s" r="{_fmt(radius)}" {paint}/>\n' for radius, paint in (
     (MARKER_RADIUS, f'fill="white" {_STROKE}'), (MARKER_RADIUS, 'fill="black" stroke="none"'),
     (MARKER_RADIUS * BASELINE_RING_RATIO, f'fill="none" {_STROKE}'))]  # open, filled, ring
-
-
-def _markers(run, where) -> str:
-    """The circles of a run of Markers, in one transform and one fmt_g call."""
-    centres = np.array([marker.center for marker in run], dtype=float).reshape(len(run), 2)
-    rings = np.array([marker.baseline for marker in run], dtype=bool)
-    xy = np.repeat(where(centres), 1 + rings, axis=0)  # a ring prints its centre again
-    numbers = fmt_g(xy.ravel(), np.full(xy.size, ord("\n"), dtype="<u4"), 6).split("\n")
-    return "".join([_CIRCLES[bool(marker.filled)] + _CIRCLES[2] * bool(marker.baseline)
-                    for marker in run]) % tuple(numbers[:-1])
+_LINES = [f'<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" stroke-width="{_fmt(width)}"/>\n'
+          for width in (LIGHT_WIDTH, HEAVY_WIDTH)]  # light, heavy
 
 
 def _svg(scene: Scene):
-    """The SVG 1.1 text of a scene in file order, a piece per PRINT_BLOCK polyline coordinates."""
+    """The SVG 1.1 text of a scene in file order, a piece per PRINT_BLOCK coordinates."""
     def printed() -> str:  # the points as _fmt prints them, "x,y x,y ...", in one fmt_g call
         xy = np.concatenate(pieces) if pieces else np.empty((0, 2))
         for (tf, begin), (_, end) in zip(maps, maps[1:] + [(None, len(xy))]):
             tf(xy[begin:end], xy[begin:end])
         seps = np.tile(np.frombuffer(b",\0\0\0 \0\0\0", "<u4"), len(xy))
-        seps[2 * np.array(ends, dtype=np.intp) - 1] = ord("\n")
+        seps[np.array(ends, dtype=np.intp)] = ord("\n")
         texts = fmt_g(xy.ravel(), seps, 6).split("\n")
-        return "".join([part for join, text in zip(joins, texts) for part in (*join, text)])
+        return "".join([part for pair in zip(joins, texts) for part in pair])
 
     w, h = scene.size
-    # pieces, line ends (in points), joins[r] before stretch r, (map, first point) of each map
+    # pieces, the numbers that end a text, joins[r] before text r, (map, first point) of each map
     pieces, ends, maps, size = [], [], [], 0
-    joins = [[f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(w)}" '
-              f'height="{_fmt(h)}" viewBox="0 0 {_fmt(w)} {_fmt(h)}">\n']]
+    joins = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_fmt(w)}" '
+             f'height="{_fmt(h)}" viewBox="0 0 {_fmt(w)} {_fmt(h)}">\n']
     for layer, where in _layers(scene, (0.0, 0.0, float(w), float(h))):
-        if not isinstance(layer, (Polyline, GridLines)):  # a tuple is a run of Markers
-            joins[-1].append((_markers if isinstance(layer, tuple) else _text)(layer, where))
+        # a marker's or a segment's numbers are each a text of their own: cuts[i] is the text
+        # before number i of pts' x, y, x, y, ..., and cuts[-1] the text after the last
+        if isinstance(layer, SegmentNetwork):
+            pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)[
+                np.array(layer.segments, dtype=np.intp).reshape(-1)]
+            cuts = (_LINES[bool(layer.heavy)] * len(layer.segments)).split("%s")
+        elif isinstance(layer, tuple):  # a run of Markers, where a ring prints its centre again
+            pts = np.repeat(np.array([marker.center for marker in layer], dtype=float).reshape(
+                -1, 2), [1 + bool(marker.baseline) for marker in layer], axis=0)
+            cuts = "".join([_CIRCLES[bool(marker.filled)] + _CIRCLES[2] * bool(marker.baseline)
+                            for marker in layer]).split("%s")
+        elif isinstance(layer, (Polyline, GridLines)):
+            pts, cuts = np.asarray(layer.points, dtype=float).reshape(-1, 2), None
+            width = _fmt(HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH)
+            dash = ' stroke-dasharray="4 3"' if layer.dashed else ""
+            head = (f'<{"polygon" if layer.closed else "polyline"} fill="none" stroke="black" '
+                    f'stroke-width="{width}"{dash} points="')
+        else:
+            joins[-1] += _text(layer, where)
             continue
-        pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)
-        width = _fmt(HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH)
-        dash = ' stroke-dasharray="4 3"' if layer.dashed else ""
-        head = (f'<{"polygon" if layer.closed else "polyline"} fill="none" stroke="black" '
-                f'stroke-width="{width}"{dash} points="')
         for start, stop in (layer.runs.tolist() if isinstance(layer, GridLines)
-                            else [(0, len(pts))] * (len(pts) >= 2)):
-            joins[-1].append(head)
+                            else [(0, len(pts))] * (len(pts) >= 2 or cuts is not None)):
+            joins[-1] += head if cuts is None else cuts[0]
             while start < stop:
                 if not maps or maps[-1][0] is not where:
                     maps.append((where, size))
-                pieces.append(pts[start:min(stop, start + PRINT_BLOCK // 2 - size)])
-                size, start = size + len(pieces[-1]), start + len(pieces[-1])
-                if start == stop:
-                    ends.append(size)
-                    joins.append(['"/>\n'])
+                take = min(stop - start, PRINT_BLOCK // 2 - size)
+                pieces.append(pts[start:start + take])
+                if cuts is not None:  # the text after a block's last number ends that block
+                    ends.extend(range(2 * size, 2 * (size + take)))
+                    joins += cuts[2 * start + 1:2 * (start + take) + 1]
+                elif start + take == stop:
+                    ends.append(2 * (size + take) - 1)
+                    joins.append('"/>\n')
+                size, start = size + take, start + take
                 if size == PRINT_BLOCK // 2:
                     yield printed()
-                    pieces, ends, joins, maps, size = [], [], [[]], [], 0
-    joins[-1].append("</svg>\n")
+                    pieces, ends, joins, maps, size = [], [], [""], [], 0
+    joins[-1] += "</svg>\n"
     yield printed()
 
 

@@ -1,9 +1,11 @@
+import argparse
 import hashlib
 import json
 import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from gridmorph import (MAX_GRID_SAMPLES, Dataset, InputError, Sample,
                        default_labels, gpa_mean, read_dataset, read_landmarks,
                        synthetic_vilmann, two_point_register, write_dataset)
 import gridmorph.tps
-from gridmorph.cli import main
+from gridmorph import render
+from gridmorph.cli import COMMANDS, build_parser, main
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.registration import Baseline
 from helpers import sample_of
@@ -169,6 +172,23 @@ def test_twopoint_baseline_errors_count_landmarks_as_the_cli_does(tmp_path, caps
     assert main(["twopoint", str(path), "--baseline", baseline, "-o", str(tmp_path / "o.json")]) \
         == code
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_twopoint_near_the_float_limit(tmp_path, capsys):
+    """x sums past the largest float; the centroid is taken without overflow, so baseline 1,3
+    registers and 1,2 (length 1, against a size of 1.39e308) is refused as nearly coincident."""
+    path = tmp_path / "big.tps"
+    path.write_text("".join(f"LM=3\n1.7e308 0\n1.7e308 1\n0 0\nID={name}\n" for name in "ab"),
+                    encoding="utf-8")
+    out = tmp_path / "o.json"
+    assert main(["twopoint", str(path), "--baseline", "1,3", "-o", str(out)]) == 0
+    for cfg in read_dataset(out.read_text(encoding="utf-8")).sample.configurations:
+        assert cfg.coords[[0, 2]].tolist() == [[0.0, 0.0], [1.0, 0.0]]
+        assert cfg.coords[1, 0] == 0.0 and cfg.coords[1, 1] == pytest.approx(-1 / 1.7e308)
+    capsys.readouterr()
+    assert main(["twopoint", str(path), "--baseline", "1,2", "-o", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "error: configuration 'a': baseline landmarks 'L1' and 'L2' nearly coincide\n"
 
 
 GOOD_JSON = ('{"schema": 1, "landmarks": ["L1", "L2", "L3"], "configurations": '
@@ -637,6 +657,96 @@ def test_config_extend_string_and_list(tmp_path, capsys):
         svgs.append((tmp_path / name / "fit_3-8.svg").read_bytes())
     assert svgs[1:] == svgs[:1] * 3  # an explicit --extend replaces the config list
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# parser
+
+USAGE = "usage: gridmorph [-h] {ingest,average,twopoint,survey,rotations,fit,demo} ...\n"
+# the shortest command line each command accepts
+VALID_ARGV = {"ingest": ["x", "-o", "y"], "average": ["x", "-o", "y"],
+              "twopoint": ["x", "-o", "y"], "survey": ["x", "-o", "y"], "rotations": ["x"],
+              "fit": ["x", "--outdir", "o"], "demo": ["kite", "--outdir", "o"]}
+
+
+def parse_exit(parse, argv, capsys):
+    """(exit code, stdout, stderr) of an argparse exit: help, or a usage error."""
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [["-h"], [], ["fitt"], ["-h", "fit"]] + [
+    argv for name in VALID_ARGV for argv in (
+        [name, "-h"],                             # help
+        [name],                                   # a required argument missing
+        [name + "s"],                             # a command that is not one of the seven
+        [name, *VALID_ARGV[name], "--bogus"],     # unrecognized arguments
+    )] + [["demo", "kites", "--outdir", "o"]],    # a choice that is not one of the kinds
+    ids=" ".join)
+def test_help_and_usage_errors_are_those_of_the_full_parser(capsys, monkeypatch, argv):
+    assert list(VALID_ARGV) == list(COMMANDS)
+    monkeypatch.setenv("COLUMNS", "100")
+    got = parse_exit(main, argv, capsys)
+    assert got == parse_exit(build_parser().parse_args, argv, capsys)
+    assert got[0] == (0 if "-h" in argv else 2)
+
+
+def test_usage_line_names_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    assert parse_exit(main, ["-h"], capsys)[1].startswith(USAGE)
+    for argv in ([], ["fit", "x", "--outdir", "o", "--bogus"]):
+        assert parse_exit(main, argv, capsys)[2].startswith(USAGE)
+    # a command builds only its own parser; with none, all seven are built
+    for word, names in (("fit", ["fit"]), ("demo", ["demo"]), ("-h", list(COMMANDS))):
+        sub, = [action for action in build_parser(word)._actions
+                if isinstance(action, argparse._SubParsersAction)]
+        assert list(sub.choices) == names
+
+
+def numbers_printed(svg: str) -> int:
+    """The numbers of an SVG's polylines, circles and lines: those formats.fmt_g prints."""
+    points = sum(len(attr.split()) for attr in re.findall(r' points="([^"]*)"', svg))
+    return 2 * points + 2 * svg.count("<circle ") + 4 * svg.count("<line ")
+
+
+@pytest.mark.parametrize("block", [64, render.PRINT_BLOCK])
+def test_svg_numbers_are_printed_in_one_fmt_g_call_per_block(tmp_path, capsys, monkeypatch,
+                                                             block):
+    """No marker run or segment network gets an fmt_g call of its own, at any block size."""
+    path = write_vilmann(tmp_path)
+    calls = {}  # SVG path -> the count of values of each fmt_g call that wrote it
+    fmt_g, write_svg = render.fmt_g, render.write_svg
+
+    def spy_fmt_g(values, seps, digits):
+        list(calls.values())[-1].append(len(values))
+        return fmt_g(values, seps, digits)
+
+    def spy_write_svg(scene, svg):
+        calls[str(svg)] = []
+        write_svg(scene, svg)
+
+    def figures(outdir):
+        commands = (["fit", path, "--degree", "2", "--baseline", "3,8", "--outdir", outdir],
+                    ["demo", "kite", "--outdir", outdir],
+                    ["rotations", path, "--threshold", "0", "--svg", f"{outdir}/rotations.svg"])
+        for argv in commands:
+            assert main(argv) == 0
+        capsys.readouterr()
+        return {Path(svg).name: Path(svg).read_text(encoding="utf-8") for svg in calls}
+
+    monkeypatch.setattr(render, "write_svg", spy_write_svg)
+    want = figures(str(tmp_path / "default"))
+    calls.clear()
+    monkeypatch.setattr(render, "fmt_g", spy_fmt_g)
+    monkeypatch.setattr(render, "PRINT_BLOCK", block)
+    got = figures(str(tmp_path / "spied"))
+    assert sorted(got) == ["demo_kite.svg", "demo_kite_maps.svg", "fit_3-8.svg", "rotations.svg"]
+    assert got == want  # the block size never shows in the bytes
+    for svg, sizes in calls.items():
+        assert sum(sizes) == numbers_printed(Path(svg).read_text(encoding="utf-8"))
+        assert len(sizes) == sum(sizes) // block + 1 and set(sizes[:-1]) <= {block}, svg
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,15 @@ def test_centroid_size_translation_invariant_scale_equivariant():
         scale = rng.uniform(0.1, 10.0)
         assert centroid_size(pts + shift) == pytest.approx(centroid_size(pts), rel=1e-12)
         assert centroid_size(pts * scale) == pytest.approx(scale * centroid_size(pts), rel=1e-12)
-        for exponent in (-700, -600, -1, 500, 600):  # exact, though the squares leave the range
+        # exact, though the squares leave the range (and at 2 ** 1020, the sums)
+        for exponent in (-700, -600, -1, 500, 600, 1020):
             assert centroid_size(np.ldexp(pts, exponent)) == np.ldexp(centroid_size(pts), exponent)
+
+
+def test_centroid_size_near_the_float_limit():
+    # the x coordinates sum past the largest float, their mean does not
+    assert centroid_size([[1.7e308, 0.0], [1.7e308, 1.0], [0.0, 0.0]]) == \
+        pytest.approx(1.7e308 * np.sqrt(2 / 3), rel=1e-15)
 
 
 def test_centroid_size_coincident_points_raises():
@@ -59,8 +66,7 @@ def test_coincident_points_whose_mean_does_not_round_back_raise():
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-# bounded so that the sum of at most 50 copies stays in range (the mean overflows past it)
-@given(st.floats(-np.finfo(float).max / 64, np.finfo(float).max / 64), st.integers(3, 50),
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(3, 50),
        st.integers(0, 4), st.data())
 def test_constant_configuration_has_size_exactly_zero(value, k, n, data):
     if n == 0:  # one configuration alone

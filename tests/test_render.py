@@ -16,7 +16,8 @@ from gridmorph import (Baseline, InputError, Segment, deform_grid, default_label
 from gridmorph import render
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.gridlab import kept_runs
-from gridmorph.render import GridLines, Label, Marker, Panel, Polyline, Scene, _fmt
+from gridmorph.render import (GridLines, Label, Marker, Panel, Polyline, Scene, SegmentNetwork,
+                              _fmt)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,7 +132,7 @@ def reference_viewports(scene):
 
 def percent_render_scene(scene):
     """The oracle for render_scene: viewports derived by reference_viewports, then each
-    polyline and each marker transformed and printed with % on its own, in the order
+    polyline, marker and segment transformed and printed with % on its own, in the order
     render._layers gives, and every other layer as render._text prints it."""
     w, h = scene.size
     stroke = 'stroke="black" stroke-width="%.6g"' % render.LIGHT_WIDTH
@@ -148,6 +149,13 @@ def percent_render_scene(scene):
                                     'fill="none" ' + stroke))
                 out += ['<circle cx="%.6g" cy="%.6g" r="%.6g" %s/>\n' % (x, y, r, paint)
                         for r, paint in circles]
+            continue
+        if isinstance(layer, SegmentNetwork):
+            width = "%.6g" % (render.HEAVY_WIDTH if layer.heavy else render.LIGHT_WIDTH)
+            for i, j in layer.segments:
+                (x1, y1), (x2, y2) = where(layer.points[[i, j]]) + 0.0
+                out.append('<line x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g" stroke="black" '
+                           'stroke-width="%s"/>\n' % (x1, y1, x2, y2, width))
             continue
         if not isinstance(layer, (Polyline, GridLines)):
             out.append(render._text(layer, where))
@@ -180,7 +188,7 @@ def random_centre(rng):
 
 def random_scene(rng, lengths, depth=0):
     """Polylines and grid lines of the given lengths among runs of markers (filled, open and
-    ringed), labels and nested panels; half the scenes derive their viewport."""
+    ringed), segment networks, labels and nested panels; half the scenes derive their viewport."""
     layers = []
     for n in lengths:
         pts = rng.normal(size=(n, 2)) * 10 ** rng.uniform(-3, 4)
@@ -194,6 +202,11 @@ def random_scene(rng, lengths, depth=0):
                                  baseline=bool(rng.integers(2))))
             if rng.random() < 0.15:
                 layers.append(Label(rng.normal(size=2), "a<b&c"))
+        if rng.random() < 0.3:  # as many segments as the polyline has points, maybe none
+            ends = np.sort(rng.integers(n + 1, size=(n, 2)), axis=1)
+            layers.append(SegmentNetwork(np.vstack([pts, random_centre(rng)]),
+                                         tuple(Segment(int(i), int(j)) for i, j in ends),
+                                         heavy=bool(rng.integers(2))))
         if depth < 2 and rng.random() < 0.3:
             inner = random_scene(rng, rng.choice([0, 1, 2, 3, 17], size=3), depth + 1)
             layers.append(Panel(inner, tuple(rng.uniform(0, 100, 4) + [0, 0, 10, 10])))

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gridmorph import (InputError, LandmarkConfiguration, NumericalError, basis_size,
-                       default_labels, design_matrix, make_grid, trend_eval, trend_fit)
+from gridmorph import (Baseline, InputError, LandmarkConfiguration, NumericalError, basis_size,
+                       default_labels, design_matrix, make_grid, trend_eval, trend_fit,
+                       two_point_register)
 from gridmorph.tps import EVAL_BLOCK
 from gridmorph.trend import BASIS_POWERS
 
@@ -268,3 +269,44 @@ def test_fitted_values_are_similarity_equivariant(seed, degree, angle, exponent,
     reach = scale * (np.abs(np.vstack([template, target])).max() + np.abs(shift).max())
     bound = 64 * EPS * reach * (fit.condition + moved.condition)
     assert np.abs(moved.fitted - move(fit.fitted)).max() <= bound
+
+
+def as_complex(pts):
+    return pts[:, 0] + 1j * pts[:, 1]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), degree=st.sampled_from([1, 2, 3]), data=st.data())
+def test_change_of_baseline_moves_the_fit_by_the_targets_similarity(seed, degree, data):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(basis_size(degree) + 1, 16))
+    # landmarks spread around a circle and off it, so that no baseline is much shorter than
+    # the shape and the basis has full rank
+    angles = 2 * np.pi * (np.arange(k) + rng.uniform(0.0, 0.5, k)) / k
+    template = rng.uniform(0.8, 1.2, (k, 1)) * np.column_stack([np.cos(angles), np.sin(angles)])
+    target = template + rng.normal(scale=0.3, size=template.shape)  # residuals of order 1
+    turn, scale = rng.uniform(-np.pi, np.pi), 10.0 ** rng.uniform(-2.0, 2.0)
+    target = scale * as_complex(target) * np.exp(1j * turn) + 10.0 * complex(*rng.normal(size=2))
+    target = np.column_stack([target.real, target.imag])  # in a frame of its own
+    pair = st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)
+    b1, b2 = Baseline(*data.draw(pair)), Baseline(*data.draw(pair))
+
+    def fit(baseline):
+        return trend_fit(two_point_register(config(template), baseline),
+                         two_point_register(config(target), baseline), degree)
+
+    first, second = fit(b1), fit(b2)
+    # The plane as complex numbers: z -> (z - a) / (b - a) takes the target's b1 frame to its
+    # b2 frame. The template's frames differ by a similarity too, and the basis is closed under
+    # affine maps of input and output, so the b2 fit is the b1 fit moved by the target's map.
+    registered = as_complex(two_point_register(config(target), b1).coords)
+    a, b = registered[b2.start], registered[b2.end]
+    # Registration rounds at eps of the data's reach over its baseline (as in
+    # test_two_point_registration_composes), and each least-squares solve loses its condition.
+    reach = max((np.abs(pts).max() + np.abs(pts - pts[i]).max()) / np.hypot(*(pts[j] - pts[i]))
+                for pts in (template, target) for i, j in (b1, b2))
+    bound = 64 * EPS * reach * (first.condition + second.condition)
+    assert np.abs((as_complex(first.fitted) - a) / (b - a) - as_complex(second.fitted)).max() \
+        <= bound
+    assert np.abs(as_complex(first.residuals) / (b - a) - as_complex(second.residuals)).max() \
+        <= bound
