@@ -14,7 +14,7 @@ from importlib import import_module as _import_module
 # module -> the names the package root exports from it, each imported on first use (PEP 562)
 _EXPORTS = {
     "core": "LandmarkConfiguration Sample Segment UNIT_PROCRUSTES UNIT_RAW UNIT_TWO_POINT "
-            "centroid centroid_size default_labels enumerate_segments",
+            "centroid_size default_labels enumerate_segments",
     "errors": "GridmorphError InputError NumericalError ParseError",
     "formats": "Dataset parse_csv parse_tps_file read_dataset read_landmarks write_dataset",
     "gridlab": "DEFAULT_CELLS DEFAULT_SAMPLES_PER_EDGE DeformedGrid GridSpec MAX_GRID_SAMPLES "
@@ -29,7 +29,7 @@ _EXPORTS = {
               "outline_panel render_scene tile_scenes write_svg",
     "synthetic": "PERTURBATION PERTURBED_LANDMARK PLANTED_COEFFICIENTS VILMANN_BASELINE "
                  "VILMANN_LABELS synthetic_vilmann vilmann_target vilmann_template",
-    "tps": "TpsModel bending_energy tps_eval tps_fit tps_jacobian",
+    "tps": "TpsModel bending_energy tps_eval tps_fit",
     "trend": "PolynomialTrend basis_size design_matrix trend_eval trend_fit",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

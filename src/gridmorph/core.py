@@ -40,17 +40,12 @@ def default_labels(k: int) -> tuple[str, ...]:
 
 
 def freeze_arrays(obj, *names: str, dtype=float) -> None:
-    """Set each named field of a frozen dataclass instance to a read-only array of it."""
+    """Set each named field of a frozen dataclass instance to a read-only view of it as an
+    array: no copy, and an array the caller holds stays writeable."""
     for name in names:
-        arr = np.asarray(getattr(obj, name), dtype=dtype)
+        arr = np.asarray(getattr(obj, name), dtype=dtype).view()
         arr.flags.writeable = False
         object.__setattr__(obj, name, arr)
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +62,7 @@ class LandmarkConfiguration:
     unit: str = UNIT_RAW
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
+        coords = np.array(self.coords, dtype=float)  # its own copy, frozen below
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise InputError(f"configuration {self.name!r}: coords must be (k, 2), got {coords.shape}")
         k = coords.shape[0]
@@ -82,8 +77,9 @@ class LandmarkConfiguration:
             raise InputError(f"configuration {self.name!r}: landmark labels must be unique")
         if self.unit not in _UNITS:
             raise InputError(f"configuration {self.name!r}: unknown unit tag {self.unit!r}")
+        coords.flags.writeable = False
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "coords", _freeze(coords))
+        object.__setattr__(self, "coords", coords)
 
     def with_coords(self, coords, unit: str | None = None, name: str | None = None) -> "LandmarkConfiguration":
         """Copy of this configuration with new positions (and optionally a new unit tag)."""
@@ -133,45 +129,45 @@ class Sample:
     """Homologous configurations, stored as one stack checked as a whole.
 
     coords is a read-only (n, k, 2) float64 array; names hold one entry per
-    configuration and labels one per landmark. units is one unit tag for all
-    configurations or one per configuration, and is stored as n tags. groups
-    maps configuration name to a group tag; names absent from the mapping
-    belong to the anonymous group "".
+    configuration and labels one per landmark. unit is the one unit tag of
+    every configuration. groups maps configuration name to a group tag; names
+    absent from the mapping belong to the anonymous group "".
     """
 
     names: tuple[str, ...]
     labels: tuple[str, ...]
     coords: np.ndarray
-    units: str | tuple[str, ...] = UNIT_RAW
+    unit: str = UNIT_RAW
     groups: dict[str, str] | None = None
 
     def __post_init__(self):
-        names, coords, groups = tuple(self.names), _freeze(self.coords), dict(self.groups or {})
-        units = (self.units,) * len(names) if isinstance(self.units, str) else tuple(self.units)
+        names, groups = tuple(self.names), dict(self.groups or {})
+        coords = np.array(self.coords, dtype=float)  # its own copy, frozen below
         if not names:
             raise InputError("sample must contain at least one configuration")
-        if coords.ndim != 3 or coords.shape[::2] != (len(names), 2) or len(units) != len(names):
-            raise InputError(f"{len(names)} configurations need (n, k, 2) coords and as many "
-                             f"unit tags, got {coords.shape} and {len(units)}")
+        if coords.ndim != 3 or coords.shape[::2] != (len(names), 2):
+            raise InputError(f"{len(names)} configurations need (n, k, 2) coords, "
+                             f"got {coords.shape}")
         labels = tuple(str(s) for s in self.labels)
-        bad = ~np.isfinite(coords).all(axis=(1, 2)) | [u not in _UNITS for u in units]
-        bad[0] |= not 3 <= coords.shape[1] == len(labels) == len(set(labels))
+        bad = ~np.isfinite(coords).all(axis=(1, 2))
+        bad[0] |= (self.unit not in _UNITS
+                   or not 3 <= coords.shape[1] == len(labels) == len(set(labels)))
         if bad.any():  # the first faulty configuration's own checks raise its error
             first = int(np.argmax(bad))
-            LandmarkConfiguration(names[first], labels, coords[first], units[first])
+            LandmarkConfiguration(names[first], labels, coords[first], self.unit)
         _require_unique_names(names)
         known = set(names)
         for name in groups:
             if name not in known:
                 raise InputError(f"group tag given for unknown configuration {name!r}")
-        self.__dict__.update(names=names, labels=labels, coords=coords, units=units,
-                             groups=groups)
+        coords.flags.writeable = False
+        self.__dict__.update(names=names, labels=labels, coords=coords, groups=groups)
 
     @cached_property
     def configurations(self) -> tuple[LandmarkConfiguration, ...]:
         """One configuration per stack row (read-only views), built on first access."""
-        return tuple(LandmarkConfiguration._trusted(name, self.labels, coords, unit)
-                     for name, coords, unit in zip(self.names, self.coords, self.units))
+        return tuple(LandmarkConfiguration._trusted(name, self.labels, coords, self.unit)
+                     for name, coords in zip(self.names, self.coords))
 
     @property
     def landmark_count(self) -> int:
@@ -194,14 +190,14 @@ class Sample:
         if not rows:
             raise InputError(f"group {tag!r} has no configurations")
         names = [self.names[i] for i in rows]
-        return Sample(names, self.labels, self.coords[rows], [self.units[i] for i in rows],
+        return Sample(names, self.labels, self.coords[rows], self.unit,
                       {n: tag for n in names if tag})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sample):
             return NotImplemented
         return (self.names == other.names and self.labels == other.labels
-                and self.units == other.units and np.array_equal(self.coords, other.coords)
+                and self.unit == other.unit and np.array_equal(self.coords, other.coords)
                 and self.groups == other.groups)
 
     __hash__ = None
@@ -224,16 +220,18 @@ def as_coords(obj) -> np.ndarray:
     return coords
 
 
-def centroid(config) -> np.ndarray:
-    """Arithmetic mean of the landmark positions, as a (2,) array."""
-    return as_coords(config).mean(axis=0)
+def scaled_mean(coords: np.ndarray, axis: int) -> np.ndarray:
+    """Mean along axis (kept as length 1) of the values scaled exactly by the power of two of
+    their largest magnitude along it, scaled back: no sum overflows, and wherever the scaling
+    leaves no value subnormal the bits are those of coords.mean(axis, keepdims=True)."""
+    e = np.frexp(np.abs(coords).max(axis=axis, keepdims=True))[1]
+    return np.ldexp(np.ldexp(coords, -e).mean(axis=axis, keepdims=True), e)
 
 
 def centered(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Center (..., k, 2) coordinates per configuration, with their centroid sizes (maybe 0),
     averaging and squaring exactly scaled values: no sum overflows and no square underflows."""
-    e = np.frexp(np.abs(coords).max(axis=(-2, -1), keepdims=True))[1]
-    dev = coords - np.ldexp(np.ldexp(coords, -e).mean(axis=-2, keepdims=True), e)
+    dev = coords - scaled_mean(coords, -2)
     # landmarks that all coincide have size 0 even where their mean does not round back
     dev[(coords == coords[..., :1, :]).all(axis=(-2, -1))] = 0.0
     e = np.frexp(np.abs(dev).max(axis=(-2, -1), keepdims=True))[1]

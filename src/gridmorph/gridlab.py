@@ -150,7 +150,7 @@ def extend_grid(spec: GridSpec, direction: str, multiples: float) -> GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class DeformedGrid:
-    """Every grid sample as flat arrays: template preimage (spec.preimage), image, kept flag.
+    """Every grid sample as flat arrays: template preimage (its spec's), image, kept flag.
 
     Rows hold the vertical lines (constant x, left to right), then the
     horizontal lines (constant y, bottom to top), each sampled in order of
@@ -158,12 +158,16 @@ class DeformedGrid:
     """
 
     spec: GridSpec
-    preimage: np.ndarray  # (n, 2)
     image: np.ndarray     # (n, 2)
     kept: np.ndarray      # (n,) bool
 
     def __post_init__(self):
-        freeze_arrays(self, "preimage", "image", "kept", dtype=None)
+        freeze_arrays(self, "image", "kept", dtype=None)
+
+    @property
+    def preimage(self) -> np.ndarray:
+        """(n, 2) template position of every sample: the spec's shared lattice."""
+        return self.spec.preimage
 
     def families(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(lines, samples, 2) image and (lines, samples) kept views, vertical then horizontal."""
@@ -202,7 +206,7 @@ def deform_grid(spec: GridSpec, mapping) -> DeformedGrid:
     image = np.asarray(mapping(spec.preimage), dtype=float)
     if image.shape != spec.preimage.shape:
         raise InputError("point map returned a wrong-shaped array")
-    return DeformedGrid(spec, spec.preimage, image, finite_rows(image))
+    return DeformedGrid(spec, image, finite_rows(image))
 
 
 def _polygon_array(polygon) -> np.ndarray:
@@ -312,14 +316,14 @@ def trim_grid(grid: DeformedGrid, polygon, space: str = "template") -> DeformedG
 
     space="template" tests each sample's preimage (the default), so the polygon is drawn in
     template coordinates; space="image" tests the deformed positions instead. Coordinates are
-    never altered. A spec's own lattice is tested line by line, with points_in_polygon's result.
+    never altered. The template lattice is tested line by line, with points_in_polygon's result.
     """
     if space not in ("template", "image"):
         raise InputError(f"space must be 'template' or 'image', got {space!r}")
-    if space == "template" and grid.preimage is grid.spec.preimage:
+    if space == "template":
         inside = _lattice_in_polygon(grid.spec, polygon)
     else:
-        inside = points_in_polygon(grid.preimage if space == "template" else grid.image, polygon)
+        inside = points_in_polygon(grid.image, polygon)
     return replace(grid, kept=grid.kept & inside)
 
 
@@ -389,7 +393,7 @@ class SegmentRotationReport:
     labels: tuple[str, ...]
     rotations: np.ndarray  # (m,)
     ratios: np.ndarray     # (m,)
-    convention: str = ROTATION_CONVENTION
+    convention = ROTATION_CONVENTION  # not a field: every report has it
 
     def __post_init__(self):
         freeze_arrays(self, "pairs", dtype=np.intp)

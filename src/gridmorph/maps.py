@@ -194,10 +194,6 @@ class Homography:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
-    def compose(self, other: "Homography") -> "Homography":
-        """self after other: (self.compose(other))(p) == self(other(p))."""
-        return Homography(self.matrix @ other.matrix)
-
     def __call__(self, points) -> np.ndarray:
         return self.map_points(points)
 

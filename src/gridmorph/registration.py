@@ -56,17 +56,6 @@ class AffineMap2:
         pts = np.asarray(points, dtype=float)
         return pts @ self.linear.T + self.translation
 
-    @property
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.linear))
-
-    def inverse(self) -> "AffineMap2":
-        # relative to the product of the column norms (Hadamard's bound), so units do not matter
-        if abs(self.determinant) <= 1e-12 * np.prod(np.linalg.norm(self.linear, axis=0)):
-            raise NumericalError("affine map is not invertible (|det| <= 1e-12 x Hadamard bound)")
-        inv = np.linalg.inv(self.linear)
-        return AffineMap2(inv, -inv @ self.translation)
-
 
 def _check_baseline(k: int, baseline: Baseline) -> Baseline:
     start, end = int(baseline[0]), int(baseline[1])
@@ -87,7 +76,10 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
     whose landmarks, or baseline landmarks, (nearly) coincide.
     """
     baseline = _check_baseline(sample.landmark_count, baseline)
-    p = sample.coords
+    # each configuration scaled exactly by the power of two of its largest magnitude, so that no
+    # difference overflows; the results do not depend on the scale, so wherever it leaves no
+    # value subnormal they keep the bits of the same arithmetic on the raw coordinates
+    p = np.ldexp(sample.coords, -np.frexp(np.abs(sample.coords).max(axis=(1, 2), keepdims=True))[1])
     a = p[:, baseline.start]
     d = p[:, baseline.end] - a
     size = centered(p)[1]
@@ -100,7 +92,7 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
         start, end = (sample.labels[i] for i in baseline)
         raise NumericalError(f"configuration {name!r}: baseline landmarks {start!r} and {end!r} "
                              "nearly coincide")
-    # p - a scaled exactly by a power of two near |d|, so that |d|^2 is in range
+    # p - a scaled exactly by a power of two near |d| as well, so that |d|^2 is in range
     rel = np.ldexp(p - a[:, None], -np.frexp(np.abs(d).max(axis=1))[1][:, None, None])
     dx, dy = rel[:, baseline.end, 0, None], rel[:, baseline.end, 1, None]
     nsq = dx * dx + dy * dy

@@ -149,17 +149,6 @@ def tps_eval(model: TpsModel, points, *more: TpsModel) -> np.ndarray:
     return values if more else values[0]
 
 
-def tps_jacobian(model: TpsModel, point) -> np.ndarray:
-    """Analytic 2x2 Jacobian at a point; entry [r, c] is d f_r / d p_c.
-
-    Uses dU/dx = x (2 log r + 1) with the limit 0 at r = 0.
-    """
-    diff = np.asarray(point, dtype=float).reshape(2) - model.template_points  # (k, 2)
-    r2 = (diff * diff).sum(axis=1)
-    factor = np.log(r2 + (r2 == 0.0)) + (r2 > 0.0)  # 2 log r + 1, or 0 at r = 0
-    return model.affine[1:].T + model.weights.T @ (diff * factor[:, None])
-
-
 def bending_energy(model: TpsModel) -> float:
     """Total bending energy: the sum of the two per-coordinate quadratic forms."""
     return float(model.energy[0] + model.energy[1])

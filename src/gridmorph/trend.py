@@ -64,7 +64,6 @@ class PolynomialTrend:
     """
 
     degree: int
-    template: LandmarkConfiguration
     coefficients: np.ndarray  # (m, 2)
     fitted: np.ndarray        # (k, 2)
     residuals: np.ndarray     # (k, 2)
@@ -118,7 +117,7 @@ def trend_fit(template: LandmarkConfiguration, target: LandmarkConfiguration,
     condition = float(singular_values[0] / singular_values[-1])
     fitted = design @ coef
     residuals = target.coords - fitted
-    return PolynomialTrend(degree, template, coef, fitted, residuals, k - m, condition)
+    return PolynomialTrend(degree, coef, fitted, residuals, k - m, condition)
 
 
 def trend_eval(trend: PolynomialTrend, points) -> np.ndarray:

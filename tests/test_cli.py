@@ -191,6 +191,41 @@ def test_twopoint_near_the_float_limit(tmp_path, capsys):
         "error: configuration 'a': baseline landmarks 'L1' and 'L2' nearly coincide\n"
 
 
+def test_twopoint_of_a_baseline_longer_than_the_largest_float(tmp_path, capsys):
+    """The baseline vector (-3.4e308, 0) is out of range; in each configuration's exactly
+    scaled frame it is not, and (0, 1) lands at (0.5, -1 / 3.4e308)."""
+    path = tmp_path / "wide.tps"
+    path.write_text("LM=3\n1.7e308 0\n-1.7e308 0\n0 1\n", encoding="utf-8")
+    out = tmp_path / "o.json"
+    assert main(["twopoint", str(path), "--baseline", "1,2", "-o", str(out)]) == 0
+    coords = read_dataset(out.read_text(encoding="utf-8")).sample.coords[0]
+    assert coords[:, 0].tolist() == [0.0, 1.0, 0.5] and coords[:2, 1].tolist() == [0.0, 0.0]
+    assert coords[2, 1] == pytest.approx(-1 / 3.4e308)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["survey", "-o", "s.svg"],
+     "configuration 'young_mean': baseline landmarks 'L2' and 'L3' nearly coincide"),
+    (["fit", "--degree", "2", "--baseline", "1,2", "--outdir", "fit"],
+     "trend design matrix is rank-deficient (rank 2 < 6); template landmarks lie on a degree-2 "
+     "algebraic curve"),
+], ids=["survey", "fit"])
+def test_group_means_near_the_float_limit(tmp_path, capsys, monkeypatch, argv, message):
+    """Landmark 1 of each young configuration is at (1.7e308, 0) and of each old one at
+    (-1.7e308, 1): the group sums leave the float range, the means do not. Against that span
+    the other seven landmarks nearly coincide, which is the error of either command."""
+    base = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 1.5), (-0.5, 0.5), (0.3, 0.2)])
+    coords = [np.vstack([far, base + (0.01 * i, -0.02 * i)])
+              for far in ((1.7e308, 0.0), (-1.7e308, 1.0)) for i in range(2)]
+    names = ["young_0", "young_1", "old_0", "old_1"]
+    path = write_sample(tmp_path, Sample(names, default_labels(8), coords,
+                                         groups={name: name.split("_")[0] for name in names}))
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], path, *argv[1:]]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 GOOD_JSON = ('{"schema": 1, "landmarks": ["L1", "L2", "L3"], "configurations": '
              '[{"id": "a", "group": "", "coords": [[0, 0], [1, 0], [0, 1]]}], '
              '"provenance": {"sources": []}}')
@@ -296,10 +331,11 @@ def test_sample_commands_keep_their_bytes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("exponent", [600, -600, 20])
+@pytest.mark.parametrize("exponent", [600, -600, 20, 1023])
 def test_commands_are_invariant_to_a_power_of_two_scale(tmp_path, capsys, monkeypatch, exponent):
     # scaling every coordinate by 2^exponent is exact; near 2^+-600 squared lengths leave the
-    # float range, so sizes and baselines must be computed without squaring raw coordinates.
+    # float range, so sizes and baselines must be computed without squaring raw coordinates;
+    # near 2^1023 so do the sums of a group's coordinates and the differences of landmarks.
     # The quarter turn (x, y) -> (-y, x) of the scaled data is exact too.
     base = synthetic_vilmann()
     noise = np.random.default_rng(0).normal(scale=0.01, size=(2, 3, 8, 2))

@@ -4,17 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmorph import (InputError, LandmarkConfiguration,
-                       NumericalError, Sample, Segment, affine_fit, centroid,
+                       NumericalError, Sample, Segment, affine_fit,
                        centroid_size, default_labels, enumerate_segments, gpa_mean,
                        procrustes_align, tps_fit, trend_fit)
-from gridmorph.core import centered, require_homologous
+from gridmorph.core import centered, require_homologous, scaled_mean
 from helpers import sample_of
 
 square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 
 def test_centroid_unit_square():
-    assert np.allclose(centroid(square), (0.5, 0.5))
+    assert scaled_mean(square, 0).tolist() == [[0.5, 0.5]]
+    # the sum 3.4e308 is past the largest float; the scaled values' is not
+    assert scaled_mean(np.array([(1.7e308, 0.0), (1.7e308, 1.0)]), 0).tolist() == [[1.7e308, 0.5]]
 
 
 def test_centroid_size_unit_square():
@@ -188,7 +190,7 @@ def test_default_labels():
 def test_sample_from_stack_stores_one_read_only_stack():
     stack = np.stack([square, square + 1.0, square * 2.0])
     s = Sample(["a", "b", "c"], default_labels(4), stack, groups={"b": "g"})
-    assert s.names == ("a", "b", "c") and s.units == ("raw",) * 3 and len(s) == 3
+    assert s.names == ("a", "b", "c") and s.unit == "raw" and len(s) == 3
     assert s.coords is s.coords and not s.coords.flags.writeable
     assert np.array_equal(s.coords, stack) and not np.shares_memory(s.coords, stack)
     assert "configurations" not in vars(s)  # built on first access only
@@ -205,18 +207,18 @@ def test_sample_from_stack_stores_one_read_only_stack():
 
 
 def test_sample_keeps_the_configurations_it_was_given():
-    a = LandmarkConfiguration("a", default_labels(4), square)
+    a = LandmarkConfiguration("a", default_labels(4), square, unit="two-point")
     b = LandmarkConfiguration("b", default_labels(4), square + 1.0, unit="two-point")
-    s = Sample(["a", "b"], default_labels(4), [a.coords, b.coords], ["raw", "two-point"])
-    assert s.units == ("raw", "two-point") and s.configurations == (a, b)
-    assert Sample(["a"], default_labels(4), [square], "procrustes").units == ("procrustes",)
+    s = Sample(["a", "b"], default_labels(4), [a.coords, b.coords], "two-point")
+    assert s.unit == "two-point" and s.configurations == (a, b)
+    assert Sample(["a"], default_labels(4), [square]).unit == "raw"
 
 
 @pytest.mark.parametrize("names, labels, coords, units, groups, message", [
     ([], default_labels(4), np.zeros((0, 4, 2)), "raw", {}, "at least one configuration"),
     (["a"], default_labels(4), square, "raw", {}, r"need \(n, k, 2\) coords"),
     (["a", "b"], default_labels(4), np.stack([square] * 3), "raw", {}, r"need \(n, k, 2\)"),
-    (["a"], default_labels(4), square[None], ["raw", "raw"], {}, "as many unit tags"),
+    (["a"], default_labels(4), square[None], ["raw"], {}, r"'a': unknown unit tag \['raw'\]"),
     (["a", "b"], default_labels(2), np.stack([square[:2]] * 2), "raw", {},
      "'a': at least 3 landmarks required, got 2"),
     (["a", "b", "c"], default_labels(4), np.stack([square, square + np.inf, square + np.nan]),
@@ -224,8 +226,8 @@ def test_sample_keeps_the_configurations_it_was_given():
     (["a", "b"], ("L1", "L2", "L3"), np.stack([square] * 2), "raw", {}, "'a': 3 labels for 4"),
     (["a", "b"], ("L1", "L2", "L1", "L4"), np.stack([square] * 2), "raw", {},
      "'a': landmark labels must be unique"),
-    (["a", "b"], default_labels(4), np.stack([square] * 2), ["raw", "feet"], {},
-     "'b': unknown unit tag 'feet'"),
+    (["b", "c"], default_labels(4), np.stack([square] * 2), ("raw", "raw"), {},
+     r"'b': unknown unit tag \('raw', 'raw'\)"),  # one tag for all, never one each
     (["a", "a"], default_labels(4), np.stack([square] * 2), "raw", {}, "duplicate .* 'a'"),
     (["a", "b"], default_labels(4), np.stack([square] * 2), "raw", {"c": "g"},
      "unknown configuration 'c'"),
@@ -240,6 +242,6 @@ def test_sample_errors_come_in_configuration_order():
     bad = np.stack([square, square, square])
     bad[1, 0, 0] = np.nan
     with pytest.raises(InputError, match="'b': coordinates must be finite"):
-        Sample(["a", "b", "c"], default_labels(4), bad, ["raw", "raw", "feet"])
-    with pytest.raises(InputError, match="'a': unknown unit"):
-        Sample(["a", "b", "c"], default_labels(4), bad, ["feet", "raw", "raw"])
+        Sample(["a", "b", "c"], default_labels(4), bad)
+    with pytest.raises(InputError, match="'a': unknown unit"):  # the tag of every configuration
+        Sample(["a", "b", "c"], default_labels(4), bad, "feet")

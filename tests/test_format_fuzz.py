@@ -267,7 +267,7 @@ def _outcome(parse, text):
 
 
 def _same_sample(a: Sample, b: Sample) -> bool:
-    return (a.names == b.names and a.labels == b.labels and a.units == b.units
+    return (a.names == b.names and a.labels == b.labels and a.unit == b.unit
             and a.groups == b.groups
             and a.coords.shape == b.coords.shape
             and a.coords.tobytes() == b.coords.tobytes())

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import warnings
@@ -255,6 +256,14 @@ def test_map_that_writes_into_its_input_raises():
     with pytest.raises(ValueError):
         deform_grid(spec, shift_in_place)
     assert np.array_equal(spec.preimage, lattice)  # the other grids of the spec are intact
+
+
+def test_deform_grid_leaves_the_maps_array_writeable():
+    spec = make_grid(unit_square, margin=0.5, cells=3)
+    mine = spec.preimage * 2.0
+    grid = trim_grid(deform_grid(spec, lambda pts: mine), square_poly)
+    assert mine.flags.writeable and not grid.image.flags.writeable
+    assert np.shares_memory(grid.image, mine)  # a read-only view, not a copy
 
 
 def test_deform_spline_equals_tps_eval_on_preimage():
@@ -635,6 +644,9 @@ def test_rotations_identity():
     coords = rng.normal(size=(8, 2))
     report = segment_rotations(config(coords, "a"), config(coords, "b"))
     assert len(report.segments) == 28
+    # the sign convention is every report's, not a value a report can be given
+    assert report.convention == "counterclockwise-positive"
+    assert "convention" not in {field.name for field in dataclasses.fields(report)}
     assert np.abs(report.rotations).max() == 0.0
     assert np.allclose(report.ratios, 1.0)
 

@@ -225,7 +225,7 @@ def test_homography_composition():
     q2 = Quad(axis_square * 0.8 + rng.normal(scale=0.1, size=(4, 2)))
     h1 = homography_from_quads(sq, q1)
     h2 = homography_from_quads(q1, q2)
-    both = h2.compose(h1)
+    both = Homography(h2.matrix @ h1.matrix)  # h2 after h1
     direct = homography_from_quads(sq, q2)
     # equal up to scale: compare after normalizing by the bottom-right entry
     a = both.matrix / both.matrix[2, 2]

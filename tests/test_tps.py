@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridmorph import (InputError, LandmarkConfiguration, NumericalError, TpsModel,
-                       bending_energy, default_labels, tps_eval, tps_fit, tps_jacobian)
+                       bending_energy, default_labels, tps_eval, tps_fit)
 from gridmorph import tps
 from gridmorph.tps import EVAL_BLOCK
 
@@ -123,37 +123,23 @@ def test_identity_map_zero_energy():
 
 
 def test_far_field_approaches_affine():
-    # side conditions kill the monopole and dipole of the kernel expansion,
-    # so far from the landmarks the Jacobian converges to the affine part
+    # side conditions kill the monopole and dipole of the kernel expansion, so far from the
+    # landmarks the map's derivative, taken here by central differences of tps_eval, converges
+    # to the affine part: its gap shrinks about as 1 / distance
     rng = np.random.default_rng(21)
     template = rng.normal(size=(8, 2))
     target = template + rng.normal(scale=0.2, size=(8, 2))
     model = tps_fit(config(template), config(target))
     diameter = np.max([np.linalg.norm(a - b) for a in template for b in template])
-    affine_linear = model.affine[1:].T
+    h = np.eye(2) * diameter  # differences of the affine part are exact to rounding
     for direction in np.array([(1.0, 0.0), (0.0, 1.0), (0.7, -0.7)]):
-        q = template.mean(axis=0) + direction * 150.0 * diameter
-        jac = tps_jacobian(model, q)
-        assert np.abs(jac - affine_linear).max() < 1e-3
-
-
-def test_jacobian_matches_finite_differences():
-    rng = np.random.default_rng(22)
-    template = rng.normal(size=(7, 2))
-    target = template + rng.normal(scale=0.3, size=(7, 2))
-    model = tps_fit(config(template), config(target))
-    h = 1e-6
-    for _ in range(100):
-        q = rng.uniform(-3.0, 3.0, size=2)
-        if np.min(np.linalg.norm(template - q, axis=1)) < 1e-3:
-            continue
-        jac = tps_jacobian(model, q)
-        fd = np.zeros((2, 2))
-        for c in range(2):
-            e = np.zeros(2)
-            e[c] = h
-            fd[:, c] = (tps_eval(model, q + e) - tps_eval(model, q - e)) / (2 * h)
-        assert np.abs(jac - fd).max() < 1e-6
+        gaps = []
+        for distance in (150.0, 1500.0):
+            q = template.mean(axis=0) + direction * distance * diameter
+            values = tps_eval(model, np.stack([q + h, q - h]))  # (2, 2 directions, 2)
+            slope = (values[0] - values[1]).T / (2.0 * diameter)  # [r, c] is d f_r / d p_c
+            gaps.append(np.abs(slope - model.affine[1:].T).max())
+        assert gaps[0] < 1e-3 and gaps[1] < 0.2 * gaps[0]
 
 
 def test_coincident_landmarks_rejected():
@@ -198,15 +184,6 @@ def reference_whole_eval(model, points):
     return model.affine[0] + flat @ model.affine[1:] + g @ model.weights
 
 
-def reference_jacobian(model, point):
-    diff = np.asarray(point, dtype=float).reshape(2) - model.template_points
-    r2 = (diff * diff).sum(axis=1)
-    factor = np.zeros_like(r2)
-    pos = r2 > 0.0
-    factor[pos] = np.log(r2[pos]) + 1.0
-    return model.affine[1:].T + model.weights.T @ (diff * factor[:, None])
-
-
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 300),
        n_in_blocks=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 5)]),
@@ -243,8 +220,6 @@ def test_eval_equals_masked_whole_array_formulation(seed, k, n_in_blocks, scale)
         half = n // 2 * 2
         grid = tps_eval(model, pts[:half].reshape(2, -1, 2))
         assert np.array_equal(grid, tps_eval(model, pts[:half]).reshape(2, -1, 2))
-        for q in (pts[0], pts[-1]):
-            assert np.array_equal(tps_jacobian(model, q), reference_jacobian(model, q))
     # two more splines of the same template share each kernel block with the first, and each
     # spline's values are its own tps_eval's, bit for bit
     others = [tps_fit(config(template), config(template + rng.normal(scale=0.2, size=(k, 2))
