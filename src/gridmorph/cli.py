@@ -32,7 +32,7 @@ import numpy as np
 # draw import gridlab, maps, render, tps, trend and synthetic when they run.
 from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MAX_MARGIN,
                    PROTOTYPE_KINDS, UNIT_PROCRUSTES, LandmarkConfiguration, Sample,
-                   enumerate_segments, scaled_mean)
+                   enumerate_segments, frame)
 from .errors import InputError, NumericalError
 from .formats import Dataset, read_landmarks, write_dataset
 from .registration import (Baseline, gpa_mean, procrustes_align, remove_affine,
@@ -196,7 +196,8 @@ def _group_mean(sample: Sample, tag: str, procrustes: bool) -> LandmarkConfigura
     group = sample.in_group(tag)
     if procrustes:
         return gpa_mean(group, name=f"{tag}_mean")
-    return LandmarkConfiguration(f"{tag}_mean", group.labels, scaled_mean(group.coords, 0)[0],
+    scaled, e = frame(group.coords, 0)
+    return LandmarkConfiguration(f"{tag}_mean", group.labels, np.ldexp(scaled.mean(axis=0), e[0]),
                                  group.unit)
 
 

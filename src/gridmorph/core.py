@@ -220,31 +220,34 @@ def as_coords(obj) -> np.ndarray:
     return coords
 
 
-def scaled_mean(coords: np.ndarray, axis: int) -> np.ndarray:
-    """Mean along axis (kept as length 1) of the values scaled exactly by the power of two of
-    their largest magnitude along it, scaled back: no sum overflows, and wherever the scaling
-    leaves no value subnormal the bits are those of coords.mean(axis, keepdims=True)."""
-    e = np.frexp(np.abs(coords).max(axis=axis, keepdims=True))[1]
-    return np.ldexp(np.ldexp(coords, -e).mean(axis=axis, keepdims=True), e)
+def frame(values: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    """(scaled, e): the values scaled exactly by 2^-e, e the exponent of their largest magnitude
+    along axis (kept as length 1), so no scaled magnitude reaches 1 and no sum of two overflows."""
+    e = np.frexp(np.abs(values).max(axis=axis, keepdims=True))[1]
+    return np.ldexp(values, -e), e
 
 
-def centered(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Center (..., k, 2) coordinates per configuration, with their centroid sizes (maybe 0),
-    averaging and squaring exactly scaled values: no sum overflows and no square underflows."""
-    dev = coords - scaled_mean(coords, -2)
+def centered(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dev, size, e) of (..., k, 2) coordinates: each configuration's deviations from its centroid
+    and centroid size (maybe 0), both taken in its frame and so scaled exactly by 2^-e. No sum or
+    difference overflows, no square underflows, and wherever no scaled value is subnormal the
+    bits are those of the raw arithmetic scaled by 2^-e; np.ldexp(size, e) is the raw size."""
+    p, e = frame(coords, (-2, -1))
+    dev = p - p.mean(axis=-2, keepdims=True)
     # landmarks that all coincide have size 0 even where their mean does not round back
-    dev[(coords == coords[..., :1, :]).all(axis=(-2, -1))] = 0.0
-    e = np.frexp(np.abs(dev).max(axis=(-2, -1), keepdims=True))[1]
-    unit = np.ldexp(dev, -e)
-    return dev, np.ldexp(np.sqrt((unit * unit).sum(axis=(-2, -1))), e[..., 0, 0])
+    dev[(p == p[..., :1, :]).all(axis=(-2, -1))] = 0.0
+    unit, f = frame(dev, (-2, -1))
+    return dev, np.ldexp(np.sqrt((unit * unit).sum(axis=(-2, -1))), f[..., 0, 0]), e[..., 0, 0]
 
 
 def centroid_size(config) -> float:
     """Square root of the summed squared distances of landmarks from their centroid."""
-    size = float(centered(as_coords(config))[1])
+    _, size, e = centered(as_coords(config))
     if size <= 0.0:
         raise NumericalError("all landmarks coincide; centroid size is zero")
-    return size
+    if np.frexp(size)[1] + e > 1024:  # 2^1024 is past the largest float
+        raise NumericalError("centroid size is past the largest float")
+    return float(np.ldexp(size, e))
 
 
 def enumerate_segments(k: int) -> list[Segment]:

@@ -21,7 +21,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MAX_MARGIN,
-                   LandmarkConfiguration, Segment, as_coords, freeze_arrays, require_homologous)
+                   LandmarkConfiguration, Segment, as_coords, centered, freeze_arrays,
+                   require_homologous)
 from .errors import InputError, NumericalError
 
 BOUNDARY_TOL = 1e-12  # boundary proximity, relative to the polygon's extent (longer box side)
@@ -215,8 +216,8 @@ def _polygon_array(polygon) -> np.ndarray:
         raise NumericalError(f"polygon needs at least 3 vertices, got {poly.shape[0]}")
     if not np.all(np.isfinite(poly)):
         raise NumericalError("polygon vertices must be finite")
-    sv = np.linalg.svd(poly - poly.mean(axis=0), compute_uv=False)
-    if sv[1] <= 1e-12 * max(sv[0], 1e-300):
+    sv = np.linalg.svd(centered(poly)[0], compute_uv=False)
+    if sv[1] <= 1e-12 * sv[0]:
         raise NumericalError("polygon is degenerate (all vertices collinear)")
     return poly
 

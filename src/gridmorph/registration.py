@@ -13,14 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (
-    UNIT_PROCRUSTES,
-    UNIT_TWO_POINT,
-    LandmarkConfiguration,
-    Sample,
-    centered,
-    require_homologous,
-)
+from .core import (UNIT_PROCRUSTES, UNIT_TWO_POINT, LandmarkConfiguration, Sample, centered, frame,
+                   require_homologous)
 from .errors import InputError, NumericalError
 
 GPA_TOL = 1e-10
@@ -76,10 +70,7 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
     whose landmarks, or baseline landmarks, (nearly) coincide.
     """
     baseline = _check_baseline(sample.landmark_count, baseline)
-    # each configuration scaled exactly by the power of two of its largest magnitude, so that no
-    # difference overflows; the results do not depend on the scale, so wherever it leaves no
-    # value subnormal they keep the bits of the same arithmetic on the raw coordinates
-    p = np.ldexp(sample.coords, -np.frexp(np.abs(sample.coords).max(axis=(1, 2), keepdims=True))[1])
+    p = frame(sample.coords, (1, 2))[0]
     a = p[:, baseline.start]
     d = p[:, baseline.end] - a
     size = centered(p)[1]
@@ -92,8 +83,7 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
         start, end = (sample.labels[i] for i in baseline)
         raise NumericalError(f"configuration {name!r}: baseline landmarks {start!r} and {end!r} "
                              "nearly coincide")
-    # p - a scaled exactly by a power of two near |d| as well, so that |d|^2 is in range
-    rel = np.ldexp(p - a[:, None], -np.frexp(np.abs(d).max(axis=1))[1][:, None, None])
+    rel = frame(p - a[:, None], (1, 2))[0]
     dx, dy = rel[:, baseline.end, 0, None], rel[:, baseline.end, 1, None]
     nsq = dx * dx + dy * dy
     # Similarity as division by the baseline vector in complex form.
@@ -114,7 +104,7 @@ def two_point_register(config: LandmarkConfiguration, baseline: Baseline) -> Lan
 
 def _normalized(coords: np.ndarray) -> np.ndarray:
     """Center each (k, 2) configuration of (..., k, 2), scaled to unit centroid size."""
-    dev, size = centered(coords)
+    dev, size, _ = centered(coords)
     if np.any(size <= 0.0):
         raise NumericalError("all landmarks coincide; centroid size is zero")
     return dev / size[..., None, None]
@@ -143,7 +133,7 @@ def _rotated_onto(shapes: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 
 def _centered_reference(coords: np.ndarray, name: str) -> np.ndarray:
-    q, size = centered(coords)
+    q, size, _ = centered(coords)
     if size <= 0.0:
         raise NumericalError(f"reference {name!r} is degenerate (all landmarks coincide)")
     return q

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LandmarkConfiguration, freeze_arrays, require_homologous
+from .core import LandmarkConfiguration, centered, freeze_arrays, require_homologous
 from .errors import InputError, NumericalError
 
 SIDE_CONDITION_TOL = 1e-9  # largest side-condition moment, relative to its terms' magnitude
@@ -81,7 +81,7 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration, *mor
         raise NumericalError(
             f"template landmarks {template.labels[a]!r} and {template.labels[b]!r} "
             f"are closer than {MIN_SEPARATION} times the template's diameter")
-    sv = np.linalg.svd(p - p.mean(axis=0), compute_uv=False)
+    sv = np.linalg.svd(centered(p)[0], compute_uv=False)
     if sv[1] <= 1e-12 * sv[0]:
         raise NumericalError(
             f"template {template.name!r} landmarks are collinear; spline system is singular")

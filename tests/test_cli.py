@@ -204,6 +204,46 @@ def test_twopoint_of_a_baseline_longer_than_the_largest_float(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("points", ["1.7e308 0\n-1.7e308 0\n-1.7e308 1\n-1.7e308 2",
+                                    "1.7e308 0\n-1.7e308 0\n0 1"], ids=["four", "three"])
+def test_average_of_a_configuration_wider_than_the_largest_float(tmp_path, capsys, points):
+    """Deviations from the centroid near 3.4e308 are out of range; in the configuration's exactly
+    scaled frame they are not, so its Procrustes mean is that of the same points times 2^-1000
+    (the four-landmark file was "did not converge", the three-landmark one "degenerate")."""
+    path = tmp_path / "wide.tps"
+    path.write_text(f"LM={points.count(chr(10)) + 1}\n{points}\n", encoding="utf-8")
+    out = tmp_path / "o.json"
+    assert main(["average", str(path), "-o", str(out)]) == 0, capsys.readouterr().err
+    coords = np.array([line.split() for line in points.splitlines()], dtype=float)
+    small = Sample(["c"], default_labels(len(coords)), np.ldexp(coords, -1000)[None])
+    mean = read_dataset(out.read_text(encoding="utf-8")).sample.coords[0]
+    assert np.array_equal(mean, gpa_mean(small).coords)
+
+
+@pytest.mark.parametrize("nonaffine", [[], ["--nonaffine"]], ids=["raw", "nonaffine"])
+def test_rotations_of_configurations_wider_than_the_largest_float(tmp_path, capsys, nonaffine):
+    """Two groups whose coordinates reach +-1.7e308, so that landmark differences leave the
+    float range, rotate segments as the same data times 2^-1000 does."""
+    base = synthetic_vilmann()
+    noise = np.random.default_rng(1).normal(scale=0.01, size=(2, 3, 8, 2))
+    coords = (base.coords[:, None] + noise).reshape(6, 8, 2)
+    coords -= (coords.max(axis=(0, 1)) + coords.min(axis=(0, 1))) / 2
+    wide = coords / np.abs(coords).max() * 1.7e308
+    assert wide.max() > 1.6e308 > -1.6e308 > wide.min()
+    names = [f"{tag}_{i}" for tag in base.names for i in range(3)]
+    groups = {name: name.rsplit("_", 1)[0] for name in names}
+    tables = []
+    for scale in (0, -1000):
+        path = write_sample(tmp_path, Sample(names, base.labels, np.ldexp(wide, scale),
+                                             groups=groups))
+        out = tmp_path / f"{scale}.csv"
+        assert main(["rotations", path, "--threshold", "0", *nonaffine, "-o", str(out)]) == 0, \
+            capsys.readouterr().err
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["survey", "-o", "s.svg"],
      "configuration 'young_mean': baseline landmarks 'L2' and 'L3' nearly coincide"),

@@ -2,21 +2,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gridmorph import (InputError, LandmarkConfiguration,
                        NumericalError, Sample, Segment, affine_fit,
                        centroid_size, default_labels, enumerate_segments, gpa_mean,
                        procrustes_align, tps_fit, trend_fit)
-from gridmorph.core import centered, require_homologous, scaled_mean
+from gridmorph.cli import _group_mean
+from gridmorph.core import centered, frame, require_homologous
 from helpers import sample_of
 
 square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 
 def test_centroid_unit_square():
-    assert scaled_mean(square, 0).tolist() == [[0.5, 0.5]]
-    # the sum 3.4e308 is past the largest float; the scaled values' is not
-    assert scaled_mean(np.array([(1.7e308, 0.0), (1.7e308, 1.0)]), 0).tolist() == [[1.7e308, 0.5]]
+    scaled, e = frame(square, 0)
+    assert e.tolist() == [[1, 1]] and np.ldexp(scaled.mean(axis=0), e[0]).tolist() == [0.5, 0.5]
+    # the group's x sum 3.4e308 is past the largest float; the scaled values' is not
+    wide = Sample(["a", "b"], default_labels(3), [[(0, 0), (1.7e308, 0), (0, 1)],
+                                                  [(1, 1), (1.7e308, 1), (0, 1)]],
+                  groups={"a": "g", "b": "g"})
+    assert _group_mean(wide, "g", False).coords.tolist() == [[0.5, 0.5], [1.7e308, 0.5], [0, 1]]
 
 
 def test_centroid_size_unit_square():
@@ -49,6 +55,12 @@ def test_centroid_size_near_the_float_limit():
         pytest.approx(1.7e308 * np.sqrt(2 / 3), rel=1e-15)
 
 
+def test_centroid_size_past_the_largest_float_raises():
+    # every deviation is in range, the size 1.7e308 * sqrt(2) is not
+    with pytest.raises(NumericalError, match="centroid size is past the largest float"):
+        centroid_size([[1.7e308, 0.0], [-1.7e308, 0.0], [0.0, 1.0]])
+
+
 def test_centroid_size_coincident_points_raises():
     with pytest.raises(NumericalError):
         centroid_size(np.zeros((4, 2)))
@@ -72,17 +84,51 @@ def test_coincident_points_whose_mean_does_not_round_back_raise():
        st.integers(0, 4), st.data())
 def test_constant_configuration_has_size_exactly_zero(value, k, n, data):
     if n == 0:  # one configuration alone
-        dev, size = centered(np.full((k, 2), value))
+        dev, size, _ = centered(np.full((k, 2), value))
         assert size == 0.0 and not dev.any()
         return
     stack = np.random.default_rng(k).normal(size=(n, k, 2))
     same = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
     stack[same] = value
-    dev, size = centered(stack)
+    dev, size, _ = centered(stack)
     assert (size[same] == 0.0).all() and not dev[same].any()
     others = np.setdiff1d(np.arange(n), same)
     assert np.array_equal(size[others], [centered(stack[i])[1] for i in others])
     assert (size[others] > 0.0).all()
+
+
+@st.composite
+def stacks_and_exponents(draw):
+    """(n, k, 2) configurations, each with largest magnitude in [1, 2), and an exponent j up to
+    1023 that keeps each nonzero coordinate times 2^j finite and normal."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(3, 8))
+    stack = draw(arrays(np.float64, (n, k, 2), elements=st.floats(-2, 2, exclude_min=True,
+                                                                      exclude_max=True)))
+    for c in stack:
+        c.flat[draw(st.integers(0, 2 * k - 1))] = draw(st.sampled_from((-1, 1))) * \
+            draw(st.floats(1, 2, exclude_max=True))
+    lowest = -1021 - int(np.frexp(np.abs(stack[stack != 0]).min())[1])
+    return stack, draw(st.sampled_from((lowest, 1023)) | st.integers(lowest, 1023))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(stacks_and_exponents())
+def test_frame_makes_centering_and_gpa_exact_under_a_power_of_two_scale(case):
+    stack, j = case
+    scaled = np.ldexp(stack, j)
+    assert np.isfinite(scaled).all() and (np.abs(scaled[scaled != 0]) >= 2.0 ** -1022).all()
+    (dev, size, e), (dev_j, size_j, e_j) = centered(stack), centered(scaled)
+    assert np.array_equal(dev_j, dev) and np.array_equal(size_j, size)
+    assert (e == 1).all() and (e_j == e + j).all()
+    means = []
+    for coords in (stack, scaled):
+        try:
+            means.append(gpa_mean(Sample([f"c{i}" for i in range(len(stack))],
+                                         default_labels(stack.shape[1]), coords)).coords)
+        except NumericalError as exc:
+            means.append(str(exc))
+    assert type(means[1]) is type(means[0])
+    assert np.array_equal(*means) if isinstance(means[0], np.ndarray) else means[1] == means[0]
 
 
 def test_configuration_validation():

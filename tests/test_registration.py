@@ -370,7 +370,7 @@ def test_two_point_sample_equals_per_configuration(data):
             assert np.array_equal(a.coords, b.coords)
     assert expected[j] == (NumericalError, f"configuration 'c{j}': " + (
         f"baseline landmarks 'L{start + 1}' and 'L{end + 1}' nearly coincide"
-        if centered(broken[j])[1] > 0.0 else "all landmarks coincide"))
+        if np.ldexp(*centered(broken[j])[1:]) > 0.0 else "all landmarks coincide"))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +400,8 @@ def test_two_point_sample_is_similarity_invariant(case, data):
     k = stack.shape[1]
     start, end = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
     baselines = [np.hypot(*(p[:, end] - p[:, start]).T) for p in (stack, moved)]
-    assume(all((b > 1e-3 * centered(p)[1]).all() for b, p in zip(baselines, (stack, moved))))
+    assume(all((b > 1e-3 * np.ldexp(*centered(p)[1:])).all()
+               for b, p in zip(baselines, (stack, moved))))
     got = [two_point_register_sample(Sample([f"c{i}" for i in range(len(p))],
                                             default_labels(k), p), Baseline(start, end))
            for p in (stack, moved)]
@@ -419,7 +420,7 @@ def test_two_point_registration_composes(coords, data):
     k = len(coords)
     first, second = (Baseline(*data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
                                                    unique=True))) for _ in range(2))
-    size = centered(coords)[1]
+    size = np.ldexp(*centered(coords)[1:])
     length = {b: np.hypot(*(coords[b.end] - coords[b.start])) for b in (first, second)}
     assume(all(v > 1e-9 * size for v in length.values()))  # both baselines far from degenerate
     cfg = config(coords)
@@ -447,7 +448,7 @@ def test_two_point_sample_is_exact_under_a_power_of_two_scale(exponent):
 @given(specimens_and_similarities())
 def test_gpa_mean_is_similarity_invariant(case):
     stack, moved, angle = case
-    assume((centered(stack)[1] > 1.0).all())
+    assume((np.ldexp(*centered(stack)[1:]) > 1.0).all())
     names = [f"c{i}" for i in range(len(stack))]
     means = [gpa_mean(Sample(names, default_labels(stack.shape[1]), p)).coords
              for p in (stack, moved)]
@@ -456,5 +457,6 @@ def test_gpa_mean_is_similarity_invariant(case):
     expected = means[0] @ np.array([(c, -s), (s, c)]).T
     # centering and scaling to unit size cost about eps * |p| / size per
     # coordinate; either run may stop up to GPA_TOL short of the fixed point
-    reach = max((np.abs(p).max(axis=(1, 2)) / centered(p)[1]).max() for p in (stack, moved))
+    reach = max((np.abs(p).max(axis=(1, 2)) / np.ldexp(*centered(p)[1:])).max()
+                for p in (stack, moved))
     assert np.abs(means[1] - expected).max() <= GPA_TOL + 64 * EPS * reach
