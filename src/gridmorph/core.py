@@ -240,6 +240,13 @@ def centered(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return dev, np.ldexp(np.sqrt((unit * unit).sum(axis=(-2, -1))), f[..., 0, 0]), e[..., 0, 0]
 
 
+def collinear(coords: np.ndarray) -> bool:
+    """Whether (k, 2) points lie on one line (or coincide), whatever their unit and offset: the
+    smaller singular value of their centred deviations is at most 1e-12 of the larger."""
+    sv = np.linalg.svd(centered(coords)[0], compute_uv=False)
+    return sv[1] <= 1e-12 * sv[0]
+
+
 def centroid_size(config) -> float:
     """Square root of the summed squared distances of landmarks from their centroid."""
     _, size, e = centered(as_coords(config))

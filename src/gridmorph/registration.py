@@ -13,8 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (UNIT_PROCRUSTES, UNIT_TWO_POINT, LandmarkConfiguration, Sample, centered, frame,
-                   require_homologous)
+from .core import (UNIT_PROCRUSTES, UNIT_TWO_POINT, LandmarkConfiguration, Sample, centered,
+                   collinear, frame, require_homologous)
 from .errors import InputError, NumericalError
 
 GPA_TOL = 1e-10
@@ -180,16 +180,33 @@ def affine_fit(template: LandmarkConfiguration,
                target: LandmarkConfiguration) -> AffineMap2:
     """Least-squares affine map taking template landmarks onto target landmarks.
 
-    Each target coordinate is regressed on (1, x, y) of the template. Solved
-    by orthogonal decomposition; a collinear template is rejected.
+    Each target coordinate is regressed on (1, x, y) of the template, solved
+    by orthogonal decomposition. Where that raw design's rank falls short of
+    3, a collinear template (core.collinear) is rejected; any other shortfall
+    comes from the template's unit or offset, so the regression is taken on
+    its centred deviations, each side scaled exactly by a power of two, and
+    mapped back.
     """
     require_homologous(template, target)
     p = template.coords
     design = np.column_stack([np.ones(len(template)), p])
     coef, _, rank, _ = np.linalg.lstsq(design, target.coords, rcond=None)
     if rank < 3:
-        raise NumericalError(
-            f"template {template.name!r} landmarks are collinear; affine fit is rank-deficient")
+        if collinear(p):
+            raise NumericalError(
+                f"template {template.name!r} landmarks are collinear; affine fit is rank-deficient")
+        q, e = frame(p, None)
+        mean = q.mean(axis=0)
+        dev, g = frame(q - mean, None)
+        t, f = frame(target.coords, 0)
+        coef = np.linalg.lstsq(np.column_stack([np.ones(len(p)), dev]), t, rcond=None)[0]
+        # t = c + (p 2^-e - mean) 2^-g B: the raw map is 2^(f-e-g) B, offset 2^f (c - mean 2^-g B)
+        with np.errstate(over="ignore"):
+            coef[0] = np.ldexp(coef[0] - np.ldexp(mean @ coef[1:3], -g[0]), f[0])
+            coef[1:3] = np.ldexp(coef[1:3], f - e - g)
+        if not np.isfinite(coef).all():
+            raise NumericalError(f"affine map from {template.name!r} to {target.name!r} "
+                                 "is past the largest float")
     return AffineMap2(coef[1:3].T, coef[0])
 
 

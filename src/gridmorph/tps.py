@@ -19,11 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LandmarkConfiguration, centered, freeze_arrays, require_homologous
+from .core import LandmarkConfiguration, collinear, freeze_arrays, require_homologous
 from .errors import InputError, NumericalError
 
 SIDE_CONDITION_TOL = 1e-9  # largest side-condition moment, relative to its terms' magnitude
 MIN_SEPARATION = 1e-10  # nearest landmark pair, relative to the template's diameter
+MAX_SQUARED_DIAMETER = 5e305  # from about 5.1e305 on, the kernel r2 log r2 / 2 overflows
 EVAL_BLOCK = 2 ** 16  # entries per block: tps_eval's kernel (2 buffers, 1 MB), trend_eval's design
 
 
@@ -74,15 +75,18 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration, *mor
     require_homologous(template, *targets)
     p, k = template.coords, len(template)
 
-    d2 = np.square(p[:, :1] - p[:, 0]) + np.square(p[:, 1:] - p[:, 1])
+    with np.errstate(over="ignore"):  # a span past the float range is refused just below
+        d2 = np.square(p[:, :1] - p[:, 0]) + np.square(p[:, 1:] - p[:, 1])
+    if not d2.max() < MAX_SQUARED_DIAMETER:
+        raise NumericalError(f"template {template.name!r} is too wide for a spline: its squared "
+                             f"diameter {d2.max():.3e} is past {MAX_SQUARED_DIAMETER:.0e}")
     nearest = d2 + np.diag(np.full(k, np.inf))
     if nearest.min() <= MIN_SEPARATION ** 2 * d2.max():
         a, b = divmod(int(np.argmin(nearest)), k)
         raise NumericalError(
             f"template landmarks {template.labels[a]!r} and {template.labels[b]!r} "
             f"are closer than {MIN_SEPARATION} times the template's diameter")
-    sv = np.linalg.svd(centered(p)[0], compute_uv=False)
-    if sv[1] <= 1e-12 * sv[0]:
+    if collinear(p):
         raise NumericalError(
             f"template {template.name!r} landmarks are collinear; spline system is singular")
 

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import re
@@ -14,7 +15,7 @@ from gridmorph import (MAX_GRID_SAMPLES, Dataset, InputError, Sample,
                        default_labels, gpa_mean, read_dataset, read_landmarks,
                        synthetic_vilmann, two_point_register, write_dataset)
 import gridmorph.tps
-from gridmorph import render
+from gridmorph import cli, render
 from gridmorph.cli import COMMANDS, build_parser, main
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.registration import Baseline
@@ -104,6 +105,38 @@ def test_collinear_data_is_numerical_error(tmp_path, capsys):
                  "--outdir", str(tmp_path / "out")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, argv, code", [
+    ("LM=3\n0 0\n1 0\n0 1\n", ["ingest", "{in}", "-o", "{out}"], 0),
+    ("LM=3\n0 0\n1 x\n0 1\n", ["ingest", "{in}", "-o", "{out}"], 2),
+    ("LM=3\n0 0\n0 0\n1 1\n", ["twopoint", "{in}", "--baseline", "1,2", "-o", "{out}"], 3),
+    ("", ["ingest", "{in}"], SystemExit),  # argparse: -o is missing
+], ids=["ok", "input-error", "numerical-error", "usage-error"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_main_pauses_the_collector_and_restores_the_callers_state(
+        tmp_path, capsys, monkeypatch, text, argv, code, collecting):
+    data = tmp_path / "in.tps"
+    data.write_text(text, encoding="utf-8")
+    argv = [a.format(**{"in": data, "out": tmp_path / "out.json"}) for a in argv]
+    seen = []
+
+    def spy(path):  # the collector's state while the command runs
+        seen.append(gc.isenabled())
+        return read_landmarks(path)
+    monkeypatch.setattr(cli, "read_landmarks", spy)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if code is SystemExit:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == code
+        assert gc.isenabled() == collecting
+    finally:
+        gc.enable()
+    assert seen == ([] if code is SystemExit else [False])
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------

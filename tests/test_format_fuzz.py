@@ -375,6 +375,21 @@ def test_tps_mutations_fail_like_the_reference(cast_block, data):
     assert_same_outcome(formats.parse_tps_file, reference_tps, text)
 
 
+@pytest.mark.parametrize("line", [
+    "1_0 2", "\u0661 2", "1\u00a02", "1\u20032", "1\x0b2", "1\x0c2", "+1 .5", "1. -0",
+    "1e400 2", "nan 2", "0x10 2", "1,2 3", "1 2 # comment", "# 1 2"])
+def test_tps_cast_of_a_line_is_the_references(cast_block, line):
+    # the block cast and its line-by-line rescan read each of these as float() does
+    lines = []
+    for r in range(4):
+        lines += ["LM=4", "0 0", "1 0", "0 1", f"{r} {r}.5"]
+    lines[13] = line  # the third record's third landmark: in the middle of a block of 3
+    text = "\n".join(lines) + "\n"
+    assert_same_outcome(formats.parse_tps_file, reference_tps, text)
+    if line == "1. -0":
+        assert np.signbit(formats.parse_tps_file(text).coords[2, 2, 1])
+
+
 def test_tps_valid_file_is_a_sample():
     text = "LM=3\n1 2\n3 4\n5 6\nID=a\nSCALE=2\nLM=3\n1_0 2\n١ 1e3\n-0 5\n"
     sample = formats.parse_tps_file(text)

@@ -8,7 +8,7 @@ from gridmorph import (AffineMap2, Baseline, InputError, NumericalError, Landmar
                        Sample, UNIT_PROCRUSTES, UNIT_TWO_POINT, affine_fit, centroid_size,
                        default_labels, gpa_mean, procrustes_align, remove_affine,
                        two_point_register, two_point_register_sample)
-from gridmorph.core import centered
+from gridmorph.core import centered, collinear
 from gridmorph.registration import GPA_MAX_ITER, GPA_TOL, _normalized, _rotation_angles
 from helpers import sample_of
 
@@ -277,6 +277,58 @@ def test_affine_fit_collinear_template_raises():
     target = config(np.random.default_rng(55).normal(size=(4, 2)))
     with pytest.raises(NumericalError):
         affine_fit(template, target)
+
+
+def test_affine_fit_of_a_full_rank_design_is_the_raw_least_squares_solution():
+    rng = np.random.default_rng(56)
+    for k in (3, 4, 9):
+        template, target = rng.normal(size=(k, 2)) * 50.0 + 3.0, rng.normal(size=(k, 2))
+        coef = np.linalg.lstsq(np.column_stack([np.ones(k), template]), target, rcond=None)[0]
+        amap = affine_fit(config(template), config(target))
+        assert amap.linear.tobytes() == coef[1:3].T.tobytes()
+        assert amap.translation.tobytes() == coef[0].tobytes()
+
+
+KITE = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.5)])
+
+
+@pytest.mark.parametrize("height", [1e-13, 1e-14, 3e-15])
+def test_affine_fit_of_a_nearly_collinear_full_rank_design_is_the_raw_solution(height):
+    # core.collinear calls this kite flat, but its raw design has rank 3, so lstsq's fit stands
+    template = KITE * (1.0, height)
+    assert collinear(template)
+    target = KITE @ np.array([(1.2, 0.3), (-0.4, 0.9)]).T
+    coef, _, rank, _ = np.linalg.lstsq(np.column_stack([np.ones(4), template]), target, rcond=None)
+    assert rank == 3
+    amap = affine_fit(config(template), config(target))
+    assert amap.linear.tobytes() == coef[1:3].T.tobytes()
+    assert amap.translation.tobytes() == coef[0].tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-17, 1e-14, 1e14, 1e17, 1e300])
+@pytest.mark.parametrize("offset", [0.0, 7.0])
+def test_affine_fit_of_a_kite_at_any_unit(scale, offset):
+    # the raw design [1, x, y] of the kite has rank 1 at 1e-17 and 2 at 1e17: its rank measures
+    # the unit, while the collinearity test and the fit are taken on the centred, framed kite
+    linear, shift = np.array([(1.2, 0.3), (-0.4, 0.9)]), np.array([0.5, -2.0])
+    target = KITE @ linear.T + shift
+    template = (KITE + offset) * scale
+    amap = affine_fit(config(template), config(target))
+    assert np.allclose(amap.linear * scale, linear, rtol=1e-12, atol=0.0)
+    assert np.allclose(amap(template), target, rtol=0.0, atol=1e-12)
+    line = np.column_stack([np.arange(4.0), np.arange(4.0) * 0.5]) + offset
+    with pytest.raises(NumericalError, match="collinear"):
+        affine_fit(config(line * scale), config(target))
+
+
+def test_affine_fit_at_the_ends_of_the_float_range():
+    template = np.array([(1.7e308, 0.0), (-1.7e308, 0.0), (0.0, 1.7e308), (0.0, -1e308)])
+    amap = affine_fit(config(template), config(template * 0.5))
+    assert np.allclose(amap.linear, 0.5 * np.eye(2), rtol=0.0, atol=1e-15)
+    assert np.abs(amap(template) - template * 0.5).max() <= 1e-15 * 1.7e308
+    # a map that scales by 1e400 has no float coefficients: a NumericalError, with no warning
+    with pytest.raises(NumericalError, match="past the largest float"):
+        affine_fit(config(KITE * 1e-200), config(KITE * 1e200))
 
 
 def test_gpa_single_config():

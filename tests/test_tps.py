@@ -156,6 +156,23 @@ def test_collinear_template_rejected():
         tps_fit(config(template), config(target))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_template_wider_than_the_float_range_is_refused():
+    kite4 = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.5)]
+    wide = [(1.7e308, 0.0), (-1.7e308, 0.0), (0.0, 1.7e308), (0.0, -1e308)]
+    with pytest.raises(NumericalError, match="too wide for a spline"):
+        tps_fit(config(wide, name="wide"), config(kite4))
+    # the last power of two at which the kernel is finite still fits, exactly at its landmarks
+    for exponent, fits in ((506, True), (507, False)):
+        template = np.ldexp(kite4, exponent)
+        if fits:
+            model = tps_fit(config(template), config(kite4))
+            assert np.allclose(tps_eval(model, template), kite4, rtol=0.0, atol=1e-12)
+        else:
+            with pytest.raises(NumericalError, match="too wide for a spline"):
+                tps_fit(config(template), config(kite4))
+
+
 def test_eval_shapes():
     model = tps_fit(config(square), config(kite))
     single = tps_eval(model, np.array([0.3, 0.4]))
