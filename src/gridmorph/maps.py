@@ -40,16 +40,15 @@ class Quad:
     corners: np.ndarray  # (4, 2)
 
     def __post_init__(self):
-        corners = np.asarray(self.corners, dtype=float)
+        corners = np.array(self.corners, dtype=float)  # a copy: the caller's stays writeable
         if corners.shape != (4, 2):
             raise InputError(f"quad needs (4, 2) corners, got shape {corners.shape}")
         if not np.all(np.isfinite(corners)):
             raise InputError("quad corners must be finite")
-        scale = float(np.abs(corners).max()) or 1.0
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if np.hypot(*(corners[i] - corners[j])) <= 1e-12 * scale:
-                    raise NumericalError(f"quad corners {i} and {j} coincide")
+        dist = np.hypot(*np.moveaxis(corners[:, None] - corners, -1, 0))
+        for i, j in zip(*np.triu_indices(4, 1)):
+            if dist[i, j] <= 1e-12 * dist.max():  # of the diameter, whatever the offset
+                raise NumericalError(f"quad corners {i} and {j} coincide")
         if _segments_cross(corners[0], corners[1], corners[2], corners[3]) or \
            _segments_cross(corners[1], corners[2], corners[3], corners[0]):
             raise NumericalError("quad edges cross; corners are not in cyclic order")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (UNIT_PROCRUSTES, UNIT_TWO_POINT, LandmarkConfiguration, Sample, centered,
-                   collinear, frame, require_homologous)
+                   frame, require_homologous)
 from .errors import InputError, NumericalError
 
 GPA_TOL = 1e-10
@@ -178,35 +178,10 @@ def gpa_mean(sample: Sample, name: str = "mean") -> LandmarkConfiguration:
 
 def affine_fit(template: LandmarkConfiguration,
                target: LandmarkConfiguration) -> AffineMap2:
-    """Least-squares affine map taking template landmarks onto target landmarks.
-
-    Each target coordinate is regressed on (1, x, y) of the template, solved
-    by orthogonal decomposition. Where that raw design's rank falls short of
-    3, a collinear template (core.collinear) is rejected; any other shortfall
-    comes from the template's unit or offset, so the regression is taken on
-    its centred deviations, each side scaled exactly by a power of two, and
-    mapped back.
-    """
-    require_homologous(template, target)
-    p = template.coords
-    design = np.column_stack([np.ones(len(template)), p])
-    coef, _, rank, _ = np.linalg.lstsq(design, target.coords, rcond=None)
-    if rank < 3:
-        if collinear(p):
-            raise NumericalError(
-                f"template {template.name!r} landmarks are collinear; affine fit is rank-deficient")
-        q, e = frame(p, None)
-        mean = q.mean(axis=0)
-        dev, g = frame(q - mean, None)
-        t, f = frame(target.coords, 0)
-        coef = np.linalg.lstsq(np.column_stack([np.ones(len(p)), dev]), t, rcond=None)[0]
-        # t = c + (p 2^-e - mean) 2^-g B: the raw map is 2^(f-e-g) B, offset 2^f (c - mean 2^-g B)
-        with np.errstate(over="ignore"):
-            coef[0] = np.ldexp(coef[0] - np.ldexp(mean @ coef[1:3], -g[0]), f[0])
-            coef[1:3] = np.ldexp(coef[1:3], f - e - g)
-        if not np.isfinite(coef).all():
-            raise NumericalError(f"affine map from {template.name!r} to {target.name!r} "
-                                 "is past the largest float")
+    """Least-squares affine map taking template landmarks onto target landmarks: the
+    degree-1 trend.trend_fit, whose basis (1, x, y) gives the translation and linear part."""
+    from .trend import trend_fit  # here, so the data commands never load the drawing modules
+    coef = trend_fit(template, target, 1).coefficients
     return AffineMap2(coef[1:3].T, coef[0])
 
 

@@ -9,8 +9,10 @@ contract (coefficients are comparable across fits):
     degree 3: 1, x, y, x^2, y^2, xy, x^3, y^3, x^2 y, x y^2
 
 Predictors are the template coordinates exactly as registered (typically
-two-point baseline coordinates); they are not centered or rescaled, and
-all landmarks enter with equal weight. Degrees of freedom per coordinate
+two-point baseline coordinates), and all landmarks enter with equal weight.
+A design short of full rank is taken again on the centred template scaled by
+a power of two (core.frame), whose rank is the landmarks' own at any unit or
+offset, then solved there and expanded back. Degrees of freedom per coordinate
 are k - m where m is the basis size, so the degree caps out where data of
 ordinary size stop supporting it (degree 3 already needs ten landmarks).
 """
@@ -18,10 +20,12 @@ ordinary size stop supporting it (degree 3 already needs ten landmarks).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import comb
 
 import numpy as np
 
-from .core import LandmarkConfiguration, freeze_arrays, require_homologous
+from .core import LandmarkConfiguration, frame, freeze_arrays, require_homologous
 from .errors import InputError, NumericalError
 from .tps import _eval_blocks
 
@@ -60,7 +64,8 @@ class PolynomialTrend:
 
     coefficients is (m, 2), one column per target coordinate, rows in the
     fixed basis order. df is the per-coordinate error degrees of freedom
-    k - m; a fit with df == 0 is saturated (pure interpolation).
+    k - m; a fit with df == 0 is saturated (pure interpolation). condition
+    is that of the design solved: the raw one at full rank, else the framed.
     """
 
     degree: int
@@ -101,7 +106,7 @@ def trend_fit(template: LandmarkConfiguration, target: LandmarkConfiguration,
 
     Solved per coordinate by orthogonal decomposition, never by forming
     normal equations. Requires at least as many landmarks as basis terms
-    and a design of full column rank.
+    and a design of full column rank, on the framed template if not the raw.
     """
     m = basis_size(degree)
     require_homologous(template, target)
@@ -110,12 +115,33 @@ def trend_fit(template: LandmarkConfiguration, target: LandmarkConfiguration,
         raise InputError(f"a degree-{degree} trend requires at least {m} landmarks, got {k}")
     design = design_matrix(template.coords, degree)
     coef, _, rank, singular_values = np.linalg.lstsq(design, target.coords, rcond=None)
-    if rank < m:
-        raise NumericalError(
-            f"trend design matrix is rank-deficient (rank {rank} < {m}); "
-            f"template landmarks lie on a degree-{degree} algebraic curve")
-    condition = float(singular_values[0] / singular_values[-1])
     fitted = design @ coef
+    if rank < m:
+        # template = 2^e (mean + 2^g dev) and target = 2^f t, so with w = template 2^-(e+g) and
+        # h = mean 2^-g, the fit in dev = w - h expands binomially into powers of w
+        q, e = frame(template.coords, None)
+        mean = q.mean(axis=0)
+        dev, g = frame(q - mean, None)
+        t, f = frame(target.coords, 0)
+        design = design_matrix(dev, degree)
+        framed, _, rank, singular_values = np.linalg.lstsq(design, t, rcond=None)
+        if rank < m:
+            curve = "are collinear" if degree == 1 else f"lie on a degree-{degree} algebraic curve"
+            raise NumericalError(f"trend design matrix is rank-deficient (rank {rank} < {m}); "
+                                 f"template landmarks {curve}")
+        powers = BASIS_POWERS[degree]
+        h, coef = -np.ldexp(mean, -g[0]), np.zeros_like(framed)
+        for (a, b), row in zip(powers, framed):
+            for i, j in product(range(a + 1), range(b + 1)):
+                term = comb(a, i) * comb(b, j) * h[0] ** (a - i) * h[1] ** (b - j)
+                coef[powers.index((i, j))] += term * row
+        with np.errstate(over="ignore"):  # row (i, j) of the raw basis scales by 2^(f-(i+j)(e+g))
+            coef = np.ldexp(coef, f - np.sum(powers, axis=1)[:, None] * (e + g))
+            fitted = np.ldexp(design @ framed, f)
+        if not (np.isfinite(coef).all() and np.isfinite(fitted).all()):
+            raise NumericalError(f"degree-{degree} trend from {template.name!r} to "
+                                 f"{target.name!r} is past the largest float")
+    condition = float(singular_values[0] / singular_values[-1])
     residuals = target.coords - fitted
     return PolynomialTrend(degree, coef, fitted, residuals, k - m, condition)
 

@@ -24,6 +24,17 @@ def test_quad_validation():
         Quad(bowtie)
 
 
+@pytest.mark.parametrize("side, offset", [(1.0, 1e12), (1e-13, 1.0), (1e-50, 0.0), (1e50, 0.0)])
+def test_quad_corners_coincide_only_against_the_quads_diameter(side, offset):
+    square = axis_square * 0.5 * side + offset
+    quad = Quad(square)
+    assert quad.is_convex
+    assert quad.diameter == pytest.approx(np.sqrt(2) * side, rel=1e-3)
+    square[1] = square[0] + (1e-13 * side, 0.0)
+    with pytest.raises(NumericalError, match="quad corners 0 and 1 coincide"):
+        Quad(square)
+
+
 def test_quad_convexity():
     assert Quad(axis_square).is_convex
     dart = np.array([(0.0, 0.0), (2.0, 0.0), (0.5, 0.4), (0.0, 2.0)])

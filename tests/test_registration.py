@@ -305,6 +305,19 @@ def test_affine_fit_of_a_nearly_collinear_full_rank_design_is_the_raw_solution(h
     assert amap.translation.tobytes() == coef[0].tobytes()
 
 
+@pytest.mark.parametrize("height", [1e-13, 1e-14, 3e-15])
+@pytest.mark.parametrize("scale", [1e-17, 1e17])
+def test_affine_fit_of_a_nearly_collinear_kite_at_any_unit(height, scale):
+    # the raw design falls short of rank 3 at these units, the framed one does not: the kite
+    # fits as it does at unit scale, where the raw design has full rank, to within the
+    # normwise error of a solve whose condition is about 1 / height
+    template = KITE * (1.0, height)
+    target = config(KITE @ np.array([(1.2, 0.3), (-0.4, 0.9)]).T)
+    unit, amap = affine_fit(config(template), target), affine_fit(config(template * scale), target)
+    assert np.abs(amap.linear * scale - unit.linear).max() <= 1e-12 * np.abs(unit.linear).max()
+    assert np.allclose(amap.translation, unit.translation, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-17, 1e-14, 1e14, 1e17, 1e300])
 @pytest.mark.parametrize("offset", [0.0, 7.0])
 def test_affine_fit_of_a_kite_at_any_unit(scale, offset):

@@ -205,6 +205,25 @@ def test_rank_deficient_design_rejected():
         trend_fit(config(circle), config(circle * 1.1), 2)
 
 
+@pytest.mark.parametrize("degree", [2, 3])
+@pytest.mark.parametrize("scale", [1e-17, 1e-14, 1e14, 1e17])
+@pytest.mark.parametrize("offset", [0.0, 7.0])
+def test_trend_fit_of_a_planted_polynomial_at_any_unit(degree, scale, offset):
+    # in floats the raw design of these templates is rank-deficient: the framed template decides
+    # the rank, its fit gives the fitted values, and the raw coefficients expand from it
+    rng = np.random.default_rng(14)
+    unit = octagon(rng, k=12) + offset
+    target = design_matrix(unit, degree) @ rng.normal(size=(basis_size(degree), 2))
+    fit = trend_fit(config(unit * scale), config(target), degree)
+    tol = 1e-13 * np.abs(target).max()
+    assert np.abs(fit.fitted - target).max() <= tol
+    assert np.abs(trend_eval(fit, unit * scale) - target).max() <= tol
+    ang = np.linspace(0, 2 * np.pi, 13)[:-1]
+    circle = (np.column_stack([np.cos(ang), np.sin(ang)]) + offset) * scale
+    with pytest.raises(NumericalError, match={2: "rank 5 < 6", 3: "rank 7 < 10"}[degree]):
+        trend_fit(config(circle), config(target), degree)
+
+
 def test_trend_eval_entire_plane():
     rng = np.random.default_rng(10)
     template = octagon(rng)
@@ -237,11 +256,10 @@ def test_residual_report():
 # similarity equivariance
 
 EPS = np.finfo(float).eps
-# The rank test compares the singular values of the raw monomial design, so it
-# refuses well-posed fits of degree 2 and 3 far from unit size or from the
-# origin (degree 3 from 1e5 or 1e-5 on). Each degree is drawn within the
-# (decades of scale, shift in template sizes) that it handles.
-REACH = {1: (6.0, 1e3), 2: (5.0, 1.0), 3: (3.0, 1.0)}
+# Where the raw monomial design falls short of full rank for the unit or the offset, the rank
+# and the fit are taken on the centred template in its frame, so every degree is drawn over
+# the (decades of scale, shift in template sizes) of tps's test_fit_is_similarity_equivariant.
+REACH = (6.0, 1e3)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -252,7 +270,7 @@ def test_fitted_values_are_similarity_equivariant(seed, degree, angle, exponent,
     rng = np.random.default_rng(seed)
     template = octagon(rng, k=int(rng.integers(basis_size(degree) + 1, 16)))
     target = template + rng.normal(scale=0.3, size=template.shape)
-    decades, sizes = REACH[degree]
+    decades, sizes = REACH
     scale = 10.0 ** (decades * exponent)
     c, s = scale * np.cos(angle), scale * np.sin(angle)
     shift = sizes * np.array(shift)  # in units of the template's size
@@ -280,16 +298,23 @@ def as_complex(pts):
 def test_change_of_baseline_moves_the_fit_by_the_targets_similarity(seed, degree, data):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(basis_size(degree) + 1, 16))
-    # landmarks spread around a circle and off it, so that no baseline is much shorter than
-    # the shape and the basis has full rank
+    # landmarks spread around a circle and off it, so that the basis has full rank and no
+    # baseline is much shorter than the shape, unless one is drawn that short on purpose
     angles = 2 * np.pi * (np.arange(k) + rng.uniform(0.0, 0.5, k)) / k
     template = rng.uniform(0.8, 1.2, (k, 1)) * np.column_stack([np.cos(angles), np.sin(angles)])
     target = template + rng.normal(scale=0.3, size=template.shape)  # residuals of order 1
+    pair = st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)
+    b1, b2 = Baseline(*data.draw(pair)), Baseline(*data.draw(pair))
+    gap = data.draw(st.one_of(st.none(), st.floats(-8.0, -3.0)))
+    if gap is not None:  # b1's landmarks 10^gap of the shape's size (2) apart in both
+        b1 = Baseline(*data.draw(st.permutations([0, 1])))
+        step = 2.0 * 10.0 ** gap * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        template[1] = template[0] + (step.real, step.imag)
+        near_identity = np.eye(2) + rng.normal(scale=0.2, size=(2, 2))
+        target[1] = target[0] + (template[1] - template[0]) @ near_identity
     turn, scale = rng.uniform(-np.pi, np.pi), 10.0 ** rng.uniform(-2.0, 2.0)
     target = scale * as_complex(target) * np.exp(1j * turn) + 10.0 * complex(*rng.normal(size=2))
     target = np.column_stack([target.real, target.imag])  # in a frame of its own
-    pair = st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)
-    b1, b2 = Baseline(*data.draw(pair)), Baseline(*data.draw(pair))
 
     def fit(baseline):
         return trend_fit(two_point_register(config(template), baseline),
