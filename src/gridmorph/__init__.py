@@ -25,7 +25,7 @@ _EXPORTS = {
             "homography_from_quads invert_bilinear prototype_pair",
     "registration": "AffineMap2 Baseline affine_fit gpa_mean procrustes_align remove_affine "
                     "two_point_register two_point_register_sample",
-    "render": "Label Marker Panel Polyline Scene SegmentNetwork grid_scene network_scene "
+    "render": "Label Markers Panel Polyline Scene SegmentNetwork grid_scene network_scene "
               "outline_panel render_scene tile_scenes write_svg",
     "synthetic": "PERTURBATION PERTURBED_LANDMARK PLANTED_COEFFICIENTS VILMANN_BASELINE "
                  "VILMANN_LABELS synthetic_vilmann vilmann_target vilmann_template",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PROTOTYPE_KINDS, LandmarkConfiguration, default_labels
+from .core import PROTOTYPE_KINDS, LandmarkConfiguration, default_labels, frame
 from .errors import InputError, NumericalError
 
 PROTOTYPE_PARAMETER = 0.25
@@ -49,15 +49,15 @@ class Quad:
         for i, j in zip(*np.triu_indices(4, 1)):
             if dist[i, j] <= 1e-12 * dist.max():  # of the diameter, whatever the offset
                 raise NumericalError(f"quad corners {i} and {j} coincide")
-        if _segments_cross(corners[0], corners[1], corners[2], corners[3]) or \
-           _segments_cross(corners[1], corners[2], corners[3], corners[0]):
+        unit = frame(corners, None)[0]  # exactly scaled: no cross product over- or underflows
+        if _segments_cross(*unit) or _segments_cross(*np.roll(unit, -1, axis=0)):
             raise NumericalError("quad edges cross; corners are not in cyclic order")
         corners.flags.writeable = False
         object.__setattr__(self, "corners", corners)
 
     @property
     def is_convex(self) -> bool:
-        e = np.roll(self.corners, -1, axis=0) - self.corners
+        e = frame(np.roll(self.corners, -1, axis=0) - self.corners, None)[0]  # exactly scaled
         turns = _cross(e, np.roll(e, -1, axis=0))
         return bool(np.all(turns > 0) or np.all(turns < 0))
 
@@ -68,10 +68,10 @@ class Quad:
 
 
 def _segments_cross(a, b, c, d) -> bool:
-    """True when open segments ab and cd properly intersect."""
+    """True when open segments ab and cd properly intersect (signs compared, never multiplied)."""
     o1, o2 = _cross(b - a, c - a), _cross(b - a, d - a)
     o3, o4 = _cross(d - c, a - c), _cross(d - c, b - c)
-    return (o1 * o2 < 0) and (o3 * o4 < 0)
+    return np.sign(o1) * np.sign(o2) < 0 and np.sign(o3) * np.sign(o4) < 0
 
 
 def invert_bilinear(src: Quad, points) -> tuple[np.ndarray, np.ndarray]:

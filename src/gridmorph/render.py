@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -48,10 +47,10 @@ class GridLines:  # light polylines through points[start:stop] for each (start, 
 
 
 @dataclass(frozen=True, eq=False)
-class Marker:
-    center: np.ndarray  # (2,)
+class Markers:  # a circle at each point, in order, and a ring after those of the ordinals in rings
+    points: np.ndarray  # (n, 2) world coordinates
     filled: bool = True
-    baseline: bool = False  # adds an enclosing ring BASELINE_RING_RATIO x the marker radius
+    rings: tuple[int, ...] = ()  # each ring is BASELINE_RING_RATIO x the marker radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,25 +137,23 @@ def _transform(viewport, rect):
 
 def _layers(scene: Scene, rect):
     """(layer, where) of each layer of a scene in file order, a Panel's scene right after the
-    Panel and each run of consecutive Markers as one tuple: where is a Panel's pixel rect, or
-    the world->pixel map of the scene's own layers."""
+    Panel: where is a Panel's pixel rect, or the world->pixel map of the scene's own layers."""
     viewport = scene.viewport if scene.viewport is not None else padded_bounds([
-        *(layer.points for layer in scene.layers if isinstance(layer, (Polyline, SegmentNetwork))),
+        *(layer.points for layer in scene.layers
+          if isinstance(layer, (Polyline, SegmentNetwork, Markers))),
         *(layer.points[start:stop] for layer in scene.layers if isinstance(layer, GridLines)
           for start, stop in layer.runs.tolist()),
-        np.array([layer.center if isinstance(layer, Marker) else layer.anchor  # one chunk
-                  for layer in scene.layers if isinstance(layer, (Marker, Label))], dtype=float)])
+        *(layer.anchor for layer in scene.layers if isinstance(layer, Label))])
     tf = _transform(viewport, rect) if viewport is not None else None
     if tf is None and not all(isinstance(layer, Panel) for layer in scene.layers):
         raise InputError("scene has drawable layers but no viewport could be derived")
-    for markers, run in groupby(scene.layers, lambda layer: isinstance(layer, Marker)):
-        for layer in [tuple(run)] if markers else run:
-            if isinstance(layer, Panel):
-                x, y, w, h = layer.rect
-                yield layer, (x + rect[0], y + rect[1], w, h)
-                yield from _layers(layer.scene, (x + rect[0], y + rect[1], w, h))
-            else:
-                yield layer, tf
+    for layer in scene.layers:
+        if isinstance(layer, Panel):
+            x, y, w, h = layer.rect
+            yield layer, (x + rect[0], y + rect[1], w, h)
+            yield from _layers(layer.scene, (x + rect[0], y + rect[1], w, h))
+        else:
+            yield layer, tf
 
 
 def _text(layer, where) -> str:
@@ -202,11 +199,12 @@ def _svg(scene: Scene):
             pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)[
                 np.array(layer.segments, dtype=np.intp).reshape(-1)]
             cuts = (_LINES[bool(layer.heavy)] * len(layer.segments)).split("%s")
-        elif isinstance(layer, tuple):  # a run of Markers, where a ring prints its centre again
-            pts = np.repeat(np.array([marker.center for marker in layer], dtype=float).reshape(
-                -1, 2), [1 + bool(marker.baseline) for marker in layer], axis=0)
-            cuts = "".join([_CIRCLES[bool(marker.filled)] + _CIRCLES[2] * bool(marker.baseline)
-                            for marker in layer]).split("%s")
+        elif isinstance(layer, Markers):  # where a ring prints its centre again
+            pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)
+            texts, repeats = [_CIRCLES[bool(layer.filled)]] * len(pts), np.ones(len(pts), np.intp)
+            for ring in {ring for ring in layer.rings if ring in range(len(pts))}:
+                texts[ring], repeats[ring] = texts[ring] + _CIRCLES[2], 2
+            pts, cuts = np.repeat(pts, repeats, axis=0), "".join(texts).split("%s")
         elif isinstance(layer, (Polyline, GridLines)):
             pts, cuts = np.asarray(layer.points, dtype=float).reshape(-1, 2), None
             width = _fmt(HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH)
@@ -264,13 +262,11 @@ def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
     open circles (predictions). baseline names two landmark ordinals whose
     markers get the enclosing ring, on whichever point sets are present.
     """
-    layers: list = [GridLines(image.reshape(-1, 2), kept_runs(kept))
-                    for image, kept in grid.families()]
-    ring = set(baseline) if baseline is not None else set()
-    layers += [Marker(row, filled=filled, baseline=idx in ring)
-               for pts, filled in ((solid_points, True), (open_points, False)) if pts is not None
-               for idx, row in enumerate(np.asarray(pts, dtype=float).reshape(-1, 2))]
-    return Scene(viewport=viewport, layers=tuple(layers), landmark_count=landmark_count)
+    layers = (*(GridLines(image.reshape(-1, 2), kept_runs(kept))
+                for image, kept in grid.families()),
+              *(Markers(np.asarray(pts, dtype=float).reshape(-1, 2), filled, tuple(baseline or ()))
+                for pts, filled in ((solid_points, True), (open_points, False)) if pts is not None))
+    return Scene(viewport=viewport, layers=layers, landmark_count=landmark_count)
 
 
 def network_scene(template, target, segments: tuple[Segment, ...]) -> Scene:
@@ -282,8 +278,7 @@ def network_scene(template, target, segments: tuple[Segment, ...]) -> Scene:
     segments = tuple(segments)
     layers = [SegmentNetwork(template.coords, segments, heavy=False),
               SegmentNetwork(target.coords, segments, heavy=True),
-              *(Marker(row, filled=False) for row in template.coords),
-              *(Marker(row, filled=True) for row in target.coords)]
+              Markers(template.coords, filled=False), Markers(target.coords, filled=True)]
     return Scene(layers=tuple(layers), landmark_count=len(template))
 
 
@@ -291,10 +286,9 @@ def outline_panel(template, target, baseline: tuple[int, int], title: str) -> Sc
     """One 240-pixel survey panel: template and target outlines with the baseline ringed,
     titled in the upper left of their bounding box."""
     layers = [Polyline(template.coords, heavy=False, closed=True),
-              Polyline(target.coords, heavy=True, closed=True)]
-    for config, filled in ((template, False), (target, True)):
-        layers += [Marker(row, filled=filled, baseline=idx in baseline)
-                   for idx, row in enumerate(config.coords)]
+              Polyline(target.coords, heavy=True, closed=True),
+              Markers(template.coords, False, tuple(baseline)),
+              Markers(target.coords, True, tuple(baseline))]
     pts = np.vstack([template.coords, target.coords])
     (x0, y0), (x1, y1) = pts.min(axis=0), pts.max(axis=0)
     layers.append(Label(np.array([x0 + 0.04 * (x1 - x0), y1 - 0.08 * (y1 - y0)]), title))

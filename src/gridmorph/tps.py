@@ -11,6 +11,7 @@ one LU factorization fits all the splines of a template. The side conditions sum
 sum w y = 0 make the warp term decay far from the landmarks, so the map relaxes to its own
 affine part at great distances. The bending energy of each coordinate is the quadratic form
 w^T K w. Evaluation goes by blocks of points; splines of one template share each block's kernel.
+On a GridSpec's lattice, each r^2 = dx^2 + dy^2 adds two per-axis tables made once: same bits.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .core import LandmarkConfiguration, collinear, freeze_arrays, require_homologous
 from .errors import InputError, NumericalError
+from .gridlab import GridSpec
 
 SIDE_CONDITION_TOL = 1e-9  # largest side-condition moment, relative to its terms' magnitude
 MIN_SEPARATION = 1e-10  # nearest landmark pair, relative to the template's diameter
@@ -28,23 +30,40 @@ MAX_SQUARED_DIAMETER = 5e305  # from about 5.1e305 on, the kernel r2 log r2 / 2 
 EVAL_BLOCK = 2 ** 16  # entries per block: tps_eval's kernel (2 buffers, 1 MB), trend_eval's design
 
 
-def _kernel(points: np.ndarray, centres: np.ndarray, u=None, t=None) -> np.ndarray:
-    """U = 0.5 r2 log r2 = r^2 log r for every point and centre, (n, k), built in place in u.
-
-    u and t are optional (n, k) float buffers. The log is taken of r2 raised to the least
-    subnormal, which leaves r2 > 0 as it is and gives U(0) = -0.0, made +0.0 by the last + 0.0.
-    """
-    u, t = (np.empty((len(points), len(centres))) if b is None else b for b in (u, t))
-    u[:], t[:] = points[:, :1], points[:, 1:]  # broadcast copies, then contiguous subtracts
-    u -= centres[:, 0]
-    t -= centres[:, 1]
-    np.square(u, out=u)
-    u += np.square(t, out=t)  # r2 = dx * dx + dy * dy
+def _kernel(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """U = 0.5 r2 log r2 = r^2 log r in place of the squared distances r2 in u, (n, k), with t a
+    buffer of u's shape. The log is taken of r2 raised to the least subnormal, which leaves
+    r2 > 0 as it is and gives U(0) = -0.0, made +0.0 by the last + 0.0."""
     np.log(np.maximum(u, np.nextafter(0.0, 1.0), out=t), out=t)
     u *= 0.5
     u *= t
     u += 0.0
     return u
+
+
+def _lattice_r2(spec: GridSpec, centres: np.ndarray):
+    """fill(start, u): the r2 of spec.preimage's rows from start on into u, from tables of each
+    family's lines (lines, k) and samples (samples, k); None if the tables would pass 8 MB."""
+    if sum(map(sum, spec.line_shapes)) * len(centres) > 16 * EVAL_BLOCK:
+        return None
+    tables, first = [], 0
+    for (lines, per_line), along in zip(spec.line_shapes, (1, 0)):
+        family = spec.preimage[first:first + lines * per_line].reshape(lines, per_line, 2)
+        tables.append((first, np.square(family[:, :1, 1 - along] - centres[:, 1 - along]),
+                       np.square(family[0, :, along, None] - centres[:, along])))
+        first += lines * per_line
+    def fill(start, u):  # a broadcast add per run of whole lines, and per piece of a line
+        for first, lines, samples in tables:
+            per_line, at = len(samples), first - start
+            row, stop = max(-at, 0), min(len(u) - at, len(lines) * per_line)
+            while row < stop:
+                line, sample = divmod(row, per_line)
+                count = 1 if sample else max(1, (stop - row) // per_line)
+                width = min(per_line - sample, stop - row)
+                np.add(lines[line:line + count, None], samples[sample:sample + width],
+                       out=u[at + row:at + row + count * width].reshape(count, width, -1))
+                row += count * width
+    return fill
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +109,7 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration, *mor
         raise NumericalError(
             f"template {template.name!r} landmarks are collinear; spline system is singular")
 
-    kernel = _kernel(p, p)
+    kernel = _kernel(d2.copy(), np.empty_like(d2))
     pmat = np.column_stack([np.ones(k), p])
     lmat = np.block([[kernel, pmat], [pmat.T, np.zeros((3, 3))]])
     rhs = np.vstack([np.hstack([t.coords for t in targets]), np.zeros((3, 2 * len(targets)))])
@@ -120,21 +139,21 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration, *mor
 
 
 def _eval_blocks(points, width: int, buffers: int, evaluate, outputs: int = 1) -> np.ndarray:
-    """Values at (..., 2) points, stacked (outputs, ..., 2): evaluate(block, values, *scratch)
-    fills values[i] for each output i, by blocks of EVAL_BLOCK // width rows; every block is
-    handed the same (rows, width) float buffers; a short last block uses their first rows."""
+    """Values at (..., 2) points, stacked (outputs, ..., 2): evaluate(start, block, values,
+    *scratch) fills values[i] for each output i at the EVAL_BLOCK // width rows from start on;
+    every block gets the same (rows, width) float buffers; a short last block, their first rows."""
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
     rows = max(1, EVAL_BLOCK // width)
     out = np.empty((outputs, len(flat), 2))
     scratch = [np.empty((min(rows, len(flat)), width)) for _ in range(buffers)]
     for start in range(0, len(flat), rows):
-        evaluate(flat[start:start + rows], out[:, start:start + rows], *scratch)
+        evaluate(start, flat[start:start + rows], out[:, start:start + rows], *scratch)
     return out.reshape(outputs, *pts.shape)
 
 
 def tps_eval(model: TpsModel, points, *more: TpsModel) -> np.ndarray:
-    """Evaluate the spline at one point (2,) or many (..., 2).
+    """Evaluate the spline at one point (2,), many (..., 2), or a GridSpec's lattice (n, 2).
 
     Splines in more, of the same template points, share each kernel block; their values come
     stacked (1 + len(more), ..., 2), each bit for bit its own tps_eval's, as each spline has
@@ -144,9 +163,19 @@ def tps_eval(model: TpsModel, points, *more: TpsModel) -> np.ndarray:
     models, c = (model, *more), model.template_points
     if not all(np.array_equal(m.template_points, c) for m in more):
         raise InputError("splines evaluated together must share their template points")
-
-    def evaluate(xy, values, u, t):
-        kernel = _kernel(xy, c, u[:len(xy)], t[:len(xy)])
+    fill = _lattice_r2(points, c) if isinstance(points, GridSpec) else None
+    points = points.preimage if isinstance(points, GridSpec) else points
+    def evaluate(start, xy, values, u, t):
+        u, t = u[:len(xy)], t[:len(xy)]
+        if fill:
+            fill(start, u)
+        else:
+            u[:], t[:] = xy[:, :1], xy[:, 1:]  # broadcast copies, then contiguous subtracts
+            u -= c[:, 0]
+            t -= c[:, 1]
+            np.square(u, out=u)
+            u += np.square(t, out=t)  # r2 = dx * dx + dy * dy
+        kernel = _kernel(u, t)
         for m, v in zip(models, values):
             v[:] = m.affine[0] + xy @ m.affine[1:] + kernel @ m.weights
     values = _eval_blocks(points, len(c), 2, evaluate, len(models))

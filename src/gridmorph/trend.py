@@ -10,11 +10,11 @@ contract (coefficients are comparable across fits):
 
 Predictors are the template coordinates exactly as registered (typically
 two-point baseline coordinates), and all landmarks enter with equal weight.
-A design short of full rank is taken again on the centred template scaled by
-a power of two (core.frame), whose rank is the landmarks' own at any unit or
-offset, then solved there and expanded back. Degrees of freedom per coordinate
-are k - m where m is the basis size, so the degree caps out where data of
-ordinary size stop supporting it (degree 3 already needs ten landmarks).
+A design short of full rank, or not finite, is taken again on the centred
+template scaled by a power of two (core.frame), whose rank is the landmarks' own
+at any unit or offset, then solved there and expanded back. Degrees of freedom
+per coordinate are k - m where m is the basis size, so the degree caps out where
+data of ordinary size stop supporting it (degree 3 needs ten landmarks).
 """
 
 from __future__ import annotations
@@ -113,9 +113,11 @@ def trend_fit(template: LandmarkConfiguration, target: LandmarkConfiguration,
     k = len(template)
     if k < m:
         raise InputError(f"a degree-{degree} trend requires at least {m} landmarks, got {k}")
-    design = design_matrix(template.coords, degree)
-    coef, _, rank, singular_values = np.linalg.lstsq(design, target.coords, rcond=None)
-    fitted = design @ coef
+    with np.errstate(over="ignore"):  # powers past the float range go straight to the frame
+        design, rank = design_matrix(template.coords, degree), 0
+    if np.isfinite(design).all():
+        coef, _, rank, singular_values = np.linalg.lstsq(design, target.coords, rcond=None)
+        fitted = design @ coef
     if rank < m:
         # template = 2^e (mean + 2^g dev) and target = 2^f t, so with w = template 2^-(e+g) and
         # h = mean 2^-g, the fit in dev = w - h expands binomially into powers of w
@@ -155,7 +157,7 @@ def trend_eval(trend: PolynomialTrend, points) -> np.ndarray:
     """
     degree, coef = trend.degree, trend.coefficients
 
-    def evaluate(block, values, design):  # the product takes the whole buffer, since BLAS
+    def evaluate(start, block, values, design):  # the product takes the whole buffer, as BLAS
         design_matrix(block, degree, design[:len(block)])  # sums a 1-row product in another
         values[0] = (design @ coef)[:len(block)]  # order than the rows of a larger one
     return _eval_blocks(points, len(coef), 1, evaluate)[0]

@@ -41,6 +41,20 @@ def test_quad_convexity():
     assert Quad(dart).is_convex is False
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1e-100, 1.0, 1e100, 1e300])
+def test_quad_verdicts_are_those_at_unit_scale(scale):
+    # crossing and convexity take the corners scaled exactly by a power of two, and compare
+    # the signs of the cross products instead of multiplying them: no over- or underflow
+    dart = np.array([(0.0, 0.0), (2.0, 0.0), (0.5, 0.4), (0.0, 2.0)])
+    assert Quad(axis_square * scale).is_convex
+    assert Quad(dart * scale).is_convex is False
+    for bowtie in ([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)],
+                   [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]):
+        with pytest.raises(NumericalError, match="quad edges cross"):
+            Quad(np.array(bowtie) * scale)
+
+
 def test_bilinear_corners_and_center():
     rng = np.random.default_rng(61)
     dst = axis_square @ np.array([(1.4, 0.2), (-0.3, 0.9)]).T + rng.normal(size=2)

@@ -16,7 +16,7 @@ from gridmorph import (Baseline, InputError, Segment, deform_grid, default_label
 from gridmorph import render
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.gridlab import kept_runs
-from gridmorph.render import (GridLines, Label, Marker, Panel, Polyline, Scene, SegmentNetwork,
+from gridmorph.render import (GridLines, Label, Markers, Panel, Polyline, Scene, SegmentNetwork,
                               _fmt)
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -53,7 +53,7 @@ def test_unit_segment_spans_full_width():
 
 def test_isotropic_mapping_centers_short_axis():
     scene = Scene(size=(100, 100), viewport=(0, 0, 2, 1),
-                  layers=(Marker(np.array([0.0, 0.0])), Marker(np.array([2.0, 1.0]))))
+                  layers=(Markers(np.array([(0.0, 0.0), (2.0, 1.0)])),))
     root = parse(render_scene(scene))
     a, b = root
     assert (float(a.get("cx")), float(a.get("cy"))) == (0.0, 75.0)
@@ -63,9 +63,9 @@ def test_isotropic_mapping_centers_short_axis():
 
 def test_marker_fill_styles():
     scene = Scene(size=(50, 50), viewport=(0, 0, 1, 1),
-                  layers=(Marker(np.array([0.5, 0.5])),
-                          Marker(np.array([0.25, 0.25]), filled=False),
-                          Marker(np.array([0.75, 0.75]), baseline=True)))
+                  layers=(Markers(np.array([(0.5, 0.5)])),
+                          Markers(np.array([(0.25, 0.25)]), filled=False),
+                          Markers(np.array([(0.75, 0.75)]), rings=(0,))))
     root = parse(render_scene(scene))
     solid, hollow, base, ring = root
     assert solid.get("fill") == "black" and solid.get("stroke") == "none"
@@ -117,11 +117,11 @@ def test_polyline_points_equal_per_coordinate_fmt(pts):
 
 def reference_viewports(scene):
     """The scene with each missing viewport derived from one chunk of points per layer (a row
-    per marker and label), bounded by row_mask_padded_bounds."""
+    per label), bounded by row_mask_padded_bounds."""
     chunks = [chunk for layer in scene.layers for chunk in (
         [layer.points[start:stop] for start, stop in layer.runs.tolist()]
         if isinstance(layer, GridLines) else
-        [getattr(layer, key) for key in ("points", "center", "anchor") if hasattr(layer, key)])]
+        [getattr(layer, key) for key in ("points", "anchor") if hasattr(layer, key)])]
     layers = tuple(dataclasses.replace(layer, scene=reference_viewports(layer.scene))
                    if isinstance(layer, Panel) else layer for layer in scene.layers)
     viewport = scene.viewport
@@ -133,18 +133,19 @@ def reference_viewports(scene):
 def percent_render_scene(scene):
     """The oracle for render_scene: viewports derived by reference_viewports, then each
     polyline, marker and segment transformed and printed with % on its own, in the order
-    render._layers gives, and every other layer as render._text prints it."""
+    render._layers gives, and every other layer as render._text prints it. A marker is ringed
+    if its ordinal is among its layer's rings."""
     w, h = scene.size
     stroke = 'stroke="black" stroke-width="%.6g"' % render.LIGHT_WIDTH
     out = ['<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="%.6g" height="%.6g" '
            'viewBox="0 0 %.6g %.6g">\n' % (w, h, w, h)]
     for layer, where in render._layers(reference_viewports(scene), (0.0, 0.0, float(w), float(h))):
-        if isinstance(layer, tuple):  # a run of Markers
-            for marker in layer:
-                (x, y), = where(marker.center) + 0.0
-                circles = [(render.MARKER_RADIUS, 'fill="black" stroke="none"' if marker.filled
+        if isinstance(layer, Markers):
+            for idx, centre in enumerate(layer.points):
+                (x, y), = where(centre) + 0.0
+                circles = [(render.MARKER_RADIUS, 'fill="black" stroke="none"' if layer.filled
                             else 'fill="white" ' + stroke)]
-                if marker.baseline:
+                if idx in layer.rings:
                     circles.append((render.MARKER_RADIUS * render.BASELINE_RING_RATIO,
                                     'fill="none" ' + stroke))
                 out += ['<circle cx="%.6g" cy="%.6g" r="%.6g" %s/>\n' % (x, y, r, paint)
@@ -187,8 +188,9 @@ def random_centre(rng):
 
 
 def random_scene(rng, lengths, depth=0):
-    """Polylines and grid lines of the given lengths among runs of markers (filled, open and
-    ringed), segment networks, labels and nested panels; half the scenes derive their viewport."""
+    """Polylines and grid lines of the given lengths among marker layers (filled or open, some
+    ringed, of a few points or as many as the polyline), segment networks, labels and nested
+    panels; half the scenes derive their viewport."""
     layers = []
     for n in lengths:
         pts = rng.normal(size=(n, 2)) * 10 ** rng.uniform(-3, 4)
@@ -197,9 +199,11 @@ def random_scene(rng, lengths, depth=0):
         if n and rng.random() < 0.5:  # lines of n samples, with runs of every length
             kept = rng.random((int(rng.integers(1, 4)), n)) < rng.choice([0.5, 0.9, 1.0])
             layers.append(GridLines(pts[rng.integers(n, size=kept.size)], kept_runs(kept)))
-        for _ in range(int(rng.choice([0, 1, 2, 5]))):  # a run of markers, maybe cut by a label
-            layers.append(Marker(random_centre(rng), filled=bool(rng.integers(2)),
-                                 baseline=bool(rng.integers(2))))
+        for m in rng.choice([0, 1, 2, 5, n], size=rng.integers(3)):  # maybe between labels
+            # rings name ordinals, some twice, and some of no point: those draw no ring
+            rings = tuple(int(i) for i in rng.integers(-1, m + 2, size=rng.integers(4)))
+            layers.append(Markers(np.array([random_centre(rng) for _ in range(m)]).reshape(-1, 2),
+                                  filled=bool(rng.integers(2)), rings=rings))
             if rng.random() < 0.15:
                 layers.append(Label(rng.normal(size=2), "a<b&c"))
         if rng.random() < 0.3:  # as many segments as the polyline has points, maybe none
@@ -212,7 +216,7 @@ def random_scene(rng, lengths, depth=0):
             layers.append(Panel(inner, tuple(rng.uniform(0, 100, 4) + [0, 0, 10, 10])))
     x0, y0 = rng.normal(size=2)
     if rng.random() < 0.5:  # derived from the layers; a finite marker makes sure there is one
-        return Scene(size=(300, 200), layers=(*layers, Marker(rng.normal(size=2))))
+        return Scene(size=(300, 200), layers=(*layers, Markers(rng.normal(size=(1, 2)))))
     return Scene(size=(300, 200), viewport=(x0, y0, x0 + 2, y0 + 1), layers=tuple(layers))
 
 
@@ -237,8 +241,8 @@ def test_write_svg_writes_render_scene_bytes(monkeypatch, tmp_path, block):
 
 
 def test_failed_write_svg_leaves_no_file(tmp_path):
-    good = Scene(size=(10, 10), viewport=(0, 0, 1, 1), layers=(Marker(np.zeros(2)),))
-    bad = Scene(size=(10, 10), viewport=(0, 0, 0, 1), layers=(Marker(np.zeros(2)),))
+    good = Scene(size=(10, 10), viewport=(0, 0, 1, 1), layers=(Markers(np.zeros((1, 2))),))
+    bad = Scene(size=(10, 10), viewport=(0, 0, 0, 1), layers=(Markers(np.zeros((1, 2))),))
     path = tmp_path / "figure.svg"
     write_svg(good, path)  # a figure from an earlier run
     with pytest.raises(InputError, match="degenerate viewport"):
@@ -337,13 +341,13 @@ def marker_scene(centre, spread):
     """Markers, a label and a polyline within spread of centre: a one-point scene if spread is 0."""
     rng = np.random.default_rng(3)
     pts = np.asarray(centre, dtype=float) + spread * rng.normal(size=(5, 2))
-    return Scene(layers=(Polyline(pts), *(Marker(p) for p in pts), Label(pts[0], "a")))
+    return Scene(layers=(Polyline(pts), Markers(pts), Label(pts[0], "a")))
 
 
 def scaled(scene, factor):
     return dataclasses.replace(scene, layers=tuple(
         Polyline(layer.points * factor) if isinstance(layer, Polyline) else
-        Marker(layer.center * factor) if isinstance(layer, Marker) else
+        Markers(layer.points * factor) if isinstance(layer, Markers) else
         Label(layer.anchor * factor, layer.text) for layer in scene.layers))
 
 
@@ -367,7 +371,7 @@ def test_tiny_data_is_framed_by_its_own_size():
 
 def test_render_is_deterministic(tmp_path):
     rng = np.random.default_rng(7)
-    layers = tuple(Marker(p) for p in rng.normal(size=(40, 2)))
+    layers = (Markers(rng.normal(size=(40, 2))),)
     scene = Scene(size=(300, 300), layers=layers)
     assert render_scene(scene) == render_scene(scene)
     write_svg(scene, tmp_path / "a.svg")
@@ -377,7 +381,7 @@ def test_render_is_deterministic(tmp_path):
 
 def test_degenerate_viewport_rejected():
     scene = Scene(size=(100, 100), viewport=(0, 0, 0, 1),
-                  layers=(Marker(np.array([0.0, 0.0])),))
+                  layers=(Markers(np.array([(0.0, 0.0)])),))
     with pytest.raises(InputError):
         render_scene(scene)
 

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmorph import (InputError, LandmarkConfiguration, NumericalError, TpsModel,
-                       bending_energy, default_labels, tps_eval, tps_fit)
+from gridmorph import (GridSpec, InputError, LandmarkConfiguration, NumericalError, TpsModel,
+                       bending_energy, default_labels, extend_grid, tps_eval, tps_fit)
 from gridmorph import tps
 from gridmorph.tps import EVAL_BLOCK
 
@@ -253,6 +255,52 @@ def test_eval_equals_masked_whole_array_formulation(seed, k, n_in_blocks, scale)
                 assert np.array_equal(values, tps_eval(spline, shaped))
 
 
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 60), cells=st.tuples(
+           st.integers(1, 30), st.integers(1, 30)), samples=st.integers(2, 12),
+       corner=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), scale=st.floats(-3.0, 3.0),
+       extends=st.lists(st.tuples(st.sampled_from(["left", "right", "down", "up"]),
+                                  st.floats(0.1, 2.0)), max_size=2))
+def test_eval_on_a_lattice_equals_eval_at_its_preimage(seed, k, cells, samples, corner, scale,
+                                                       extends):
+    # the kernel's r2 from per-axis tables of the lattice has the bits of the per-point r2,
+    # U(0) too: one landmark sits on a lattice sample
+    rng = np.random.default_rng(seed)
+    size = 10.0 ** scale
+    (x0, y0), (w, h) = np.array(corner) * size, rng.uniform(0.5, 2.0, 2) * size
+    spec = GridSpec((x0, x0 + w), (y0, y0 + h), *cells, samples)
+    for side, multiples in extends:
+        spec = extend_grid(spec, side, multiples)
+    template = np.array([x0, y0]) + rng.uniform(0.0, 1.0, size=(k, 2)) * (w, h)
+    template[0] = spec.preimage[rng.integers(len(spec.preimage))]
+    models = tps_fit(config(template), *(config(template + rng.normal(scale=0.2, size=(k, 2))
+                                                * size) for _ in range(2)))
+    for more in ((), models[1:]):
+        assert np.array_equal(bits(tps_eval(models[0], spec, *more)),
+                              bits(tps_eval(models[0], spec.preimage, *more)))
+
+
+def test_eval_on_a_long_lattice_makes_no_tables():
+    # per-axis tables of 20,014 rows of 60 centres would take 9.6 MB: the lattice goes as points
+    rng = np.random.default_rng(44)
+    spec = GridSpec((0.0, 2000.0), (0.0, 1.0), 2000, 1, 10)
+    template = rng.uniform(0.0, 1.0, size=(60, 2)) * (2000.0, 1.0)
+    model = tps_fit(config(template), config(template + rng.normal(size=(60, 2))))
+    want = tps_eval(model, spec.preimage)
+    tracemalloc.start()
+    try:
+        got = tps_eval(model, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(bits(got), bits(want))
+    assert peak < 2 * got.nbytes + 2 * 8 * EVAL_BLOCK + 2 ** 16
+
+
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 300), scale=st.floats(-3.0, 3.0),
        offset=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
@@ -299,8 +347,9 @@ def test_kernel_equals_masked_kernel_with_its_signs(exponent):
                         rng.uniform(-8.0, 8.0, size=(200, 2)) * 10.0 ** exponent])
     diff = points[:, None, :] - centres[None, :, :]
     want = masked_kernel((diff * diff).sum(axis=2))
-    for got in (tps._kernel(points, centres),
-                tps._kernel(points, centres, np.full(want.shape, np.nan), np.empty(want.shape))):
+    r2 = (diff * diff).sum(axis=2)  # dx * dx + dy * dy
+    for got in (tps._kernel(r2.copy(), np.empty(want.shape)),
+                tps._kernel(r2, np.full(want.shape, np.nan))):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         # the first rows are the centres (r = 0); at unit scale the next are at r = 1 exactly
@@ -382,7 +431,7 @@ def test_negative_energy_check_fires_at_every_scale(monkeypatch, exponent):
     template = rng.normal(size=(8, 2)) * 10.0 ** exponent
     target = template + rng.normal(scale=0.2, size=(8, 2)) * 10.0 ** exponent
     kernel = tps._kernel
-    monkeypatch.setattr(tps, "_kernel", lambda points, centres: -kernel(points, centres))
+    monkeypatch.setattr(tps, "_kernel", lambda r2, t: -kernel(r2, t))
     with pytest.raises(NumericalError, match="bending energy came out negative"):
         tps_fit(config(template), config(target))
 

@@ -224,6 +224,19 @@ def test_trend_fit_of_a_planted_polynomial_at_any_unit(degree, scale, offset):
         trend_fit(config(circle), config(target), degree)
 
 
+@pytest.mark.parametrize("degree, scale", [(3, 1e120), (2, 1e160)])
+def test_trend_fit_of_a_design_past_the_float_range(capfd, degree, scale):
+    # x^3 at 1e120 and x^2 at 1e160 pass the largest float: the raw design is never solved
+    # (LAPACK would raise LinAlgError and print to stderr), the framed one is
+    rng = np.random.default_rng(14)
+    unit = octagon(rng, k=12)
+    target = design_matrix(unit, degree) @ rng.normal(size=(basis_size(degree), 2))
+    fit = trend_fit(config(unit * scale), config(target), degree)
+    assert np.abs(fit.fitted - target).max() <= 1e-13 * np.abs(target).max()
+    assert np.isfinite(fit.coefficients).all()
+    assert capfd.readouterr().err == ""
+
+
 def test_trend_eval_entire_plane():
     rng = np.random.default_rng(10)
     template = octagon(rng)
