@@ -134,19 +134,6 @@ OPTIONS = {
 }
 
 
-def _option(args, name: str):
-    """The command line's value, else the --config file's, else the default."""
-    check, default, text = OPTIONS[name]
-    value, argv = getattr(args, name), True
-    if value is None:
-        value, argv = args.config_values.get(name), False
-    if value is None:
-        if default is _REQUIRED:
-            raise InputError(f"missing --{name}: {text}")
-        return default
-    return check(value, f"--{name}", argv)
-
-
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -230,10 +217,9 @@ def cmd_ingest(args) -> int:
 def cmd_average(args) -> int:
     dataset = read_landmarks(args.input)
     sample = dataset.sample
-    group = _option(args, "group")
-    if group is not None:
-        _require_group(sample, group)
-    tags = [group] if group is not None else (sample.group_tags or [None])
+    if args.group is not None:
+        _require_group(sample, args.group)
+    tags = [args.group] if args.group is not None else (sample.group_tags or [None])
     means = [gpa_mean(sample, name="mean") if tag is None
              else _group_mean(sample, tag, procrustes=True) for tag in tags]
     groups = {mean.name: tag for mean, tag in zip(means, tags) if tag is not None}
@@ -247,11 +233,10 @@ def cmd_average(args) -> int:
 
 def cmd_twopoint(args) -> int:
     dataset = read_landmarks(args.input)
-    baseline = _option(args, "baseline")
-    registered = two_point_register_sample(dataset.sample, baseline)
+    registered = two_point_register_sample(dataset.sample, args.baseline)
     _write_text(args.output, write_dataset(Dataset(registered, provenance=dataset.provenance)))
     print(f"registered {len(registered)} configuration(s) to baseline "
-          f"{baseline.start + 1},{baseline.end + 1} -> {args.output}", file=sys.stderr)
+          f"{args.baseline.start + 1},{args.baseline.end + 1} -> {args.output}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -259,7 +244,7 @@ def cmd_survey(args) -> int:
     from .render import outline_panel, tile_scenes, write_svg
     dataset = read_landmarks(args.input)
     sample = dataset.sample
-    template_tag, target_tag = _parse_targets(_option(args, "targets"), sample)
+    template_tag, target_tag = _parse_targets(args.targets, sample)
     template = _group_mean(sample, template_tag, procrustes=False)
     target = _group_mean(sample, target_tag, procrustes=False)
     panels = [outline_panel(two_point_register(template, Baseline(*seg)),
@@ -277,15 +262,13 @@ def cmd_rotations(args) -> int:
     from .render import network_scene, write_svg
     dataset = read_landmarks(args.input)
     sample = dataset.sample
-    template_tag, target_tag = _parse_targets(_option(args, "targets"), sample)
-    threshold = _option(args, "threshold")
-    nonaffine = _option(args, "nonaffine")
+    template_tag, target_tag = _parse_targets(args.targets, sample)
     template = _group_mean(sample, template_tag, procrustes=True)
     target = procrustes_align(_group_mean(sample, target_tag, procrustes=True), template)
-    if nonaffine:
+    if args.nonaffine:
         target = remove_affine(template, target)
     report = segment_rotations(template, target)
-    selected = filter_rotations(report, threshold)
+    selected = filter_rotations(report, args.threshold)
     at = report.positions(selected)
     rows = [(seg, report.labels[seg.i], report.labels[seg.j], rot, ratio) for seg, rot, ratio
             in zip(selected, report.rotations[at].tolist(), report.ratios[at].tolist())]
@@ -295,9 +278,9 @@ def cmd_rotations(args) -> int:
     for seg, a, b, rot, ratio in rows:
         print(f"{seg.i + 1:>3} {seg.j + 1:>3}  {a:<10} {b:<10} {rot:>+13.6f} "
               f"{math.degrees(rot):>+13.6f} {ratio:>13.6f}")
-    mode = "nonaffine" if nonaffine else "raw"
+    mode = "nonaffine" if args.nonaffine else "raw"
     print(f"{len(selected)} of {len(report.segments)} segments with |rotation| >= "
-          f"{threshold:g} rad ({mode}; {report.convention})", file=sys.stderr)
+          f"{args.threshold:g} rad ({mode}; {report.convention})", file=sys.stderr)
 
     if args.output:
         _write_csv(args.output, "i,j,from,to,rotation_rad,rotation_deg,length_ratio", [
@@ -318,23 +301,18 @@ def cmd_fit(args) -> int:
     from .trend import trend_fit
     dataset = read_landmarks(args.input)
     sample = dataset.sample
-    degree = _option(args, "degree")
-    baseline = _option(args, "baseline")
-    template_tag, target_tag = _parse_targets(_option(args, "targets"), sample)
-    trim_mode = _option(args, "trim")
-    hull = _option(args, "hull")
-    cells, margin, samples = (_option(args, name) for name in ("cells", "margin", "samples"))
-    extends = _option(args, "extend")
+    baseline = args.baseline
+    template_tag, target_tag = _parse_targets(args.targets, sample)
     os.makedirs(args.outdir, exist_ok=True)
 
     template = two_point_register(_group_mean(sample, template_tag, procrustes=False), baseline)
     target = two_point_register(_group_mean(sample, target_tag, procrustes=False), baseline)
-    trend = trend_fit(template, target, degree)
+    trend = trend_fit(template, target, args.degree)
     fitted = template.with_coords(trend.fitted, name=f"{target_tag}_fitted")
     spline_observed, spline_fitted = tps_fit(template, target, fitted)
 
-    spec = make_grid(template, margin=margin, cells=cells, samples_per_edge=samples)
-    for side, mult in extends:
+    spec = make_grid(template, margin=args.margin, cells=args.cells, samples_per_edge=args.samples)
+    for side, mult in args.extend:
         spec = extend_grid(spec, side, mult)
 
     # both splines share the template, so each kernel block is computed once for the two grids
@@ -342,23 +320,22 @@ def cmd_fit(args) -> int:
     grid_observed = deform_grid(spec, lambda preimage: observed)
     grid_fitted = deform_grid(spec, lambda preimage: fitted_image)
     grid_trend = deform_grid(spec, trend)
-    outline_config, space = (template, "template") if trim_mode == "template" else (target, "image")
-    polygon = (convex_hull_polygon(outline_config.coords) if hull
+    outline_config, space = (template, "template") if args.trim == "template" else (target, "image")
+    polygon = (convex_hull_polygon(outline_config.coords) if args.hull
                else landmark_cycle_polygon(outline_config))
     grid_trimmed = trim_grid(grid_trend, polygon, space=space)
 
     # untrimmed grids keep exactly their finite rows, which is all the viewport reads
     viewport = _bounds_viewport([grid_observed.image, grid_fitted.image, grid_trend.image,
                                  target.coords, trend.fitted])
-    k = sample.landmark_count
     ring = (baseline.start, baseline.end)
     # (grid, solid points, open points) of the upper left, upper right, lower left, lower right
     panels = ((grid_observed, target.coords, None), (grid_fitted, None, trend.fitted),
               (grid_trend, target.coords, trend.fitted),
               (grid_trimmed, target.coords, trend.fitted))
     figure = tile_scenes([grid_scene(grid, solid_points=solid, open_points=hollow, baseline=ring,
-                                     viewport=viewport, landmark_count=k)
-                          for grid, solid, hollow in panels], columns=2, panel_size=480.0)
+                                     viewport=viewport) for grid, solid, hollow in panels],
+                         columns=2, panel_size=480.0)
 
     tag = f"{baseline.start + 1}-{baseline.end + 1}"
     svg_path = os.path.join(args.outdir, f"fit_{tag}.svg")
@@ -372,8 +349,8 @@ def cmd_fit(args) -> int:
     _write_csv(coefficients_path, "term,x_coefficient,y_coefficient", [(term, *row) for term, row
                in zip(trend.term_names, trend.coefficients.tolist())], "%s,%.17g,%.17g")
 
-    print(f"fit: degree {degree} trend, baseline {baseline.start + 1},{baseline.end + 1}, "
-          f"template {template_tag}, target {target_tag}, {k} landmarks")
+    print(f"fit: degree {args.degree} trend, baseline {baseline.start + 1},{baseline.end + 1}, "
+          f"template {template_tag}, target {target_tag}, {sample.landmark_count} landmarks")
     print(f"rss: x {trend.rss[0]:.6g}, y {trend.rss[1]:.6g}; df {trend.df} per coordinate; "
           f"design condition {trend.condition:.6g}")
     if trend.saturated:
@@ -390,7 +367,7 @@ def _write_grid_panels(grids, points, path: str, extra_layers=None) -> None:
     """One 360-pixel panel per grid, with its landmarks, side by side on a shared viewport."""
     from .render import grid_scene, tile_scenes, write_svg
     viewport = _bounds_viewport([g.image[g.kept] for g in grids] + list(points))
-    panels = [grid_scene(grid, solid_points=pts, viewport=viewport, landmark_count=len(pts))
+    panels = [grid_scene(grid, solid_points=pts, viewport=viewport)
               for grid, pts in zip(grids, points)]
     if extra_layers is not None:
         panels = [dataclasses.replace(scene, layers=scene.layers + (layer,))
@@ -546,13 +523,27 @@ def _run(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        args.config_values = _load_config(args.config)
+        config = _load_config(args.config)
+        # each option of the command, checked before its input is read: the command line's
+        # value, else the config file's, else the default
+        for name in COMMANDS[args.command][3]:
+            check, default, text = OPTIONS[name]
+            value, given = getattr(args, name), True
+            if value is None:
+                value, given = config.get(name), False
+            if value is None and default is _REQUIRED:
+                raise InputError(f"missing --{name}: {text}")
+            setattr(args, name, default if value is None else check(value, f"--{name}", given))
         return COMMANDS[args.command][0](args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # an allocation past what the machine gives: exit 3, no traceback
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

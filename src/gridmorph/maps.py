@@ -17,7 +17,7 @@ lattice; both are useful foils for spline and trend grids.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +38,7 @@ class Quad:
     """Four corners in cyclic order forming a simple quadrilateral."""
 
     corners: np.ndarray  # (4, 2)
+    diameter: float = field(init=False)  # the largest distance between two corners
 
     def __post_init__(self):
         corners = np.array(self.corners, dtype=float)  # a copy: the caller's stays writeable
@@ -46,25 +47,22 @@ class Quad:
         if not np.all(np.isfinite(corners)):
             raise InputError("quad corners must be finite")
         dist = np.hypot(*np.moveaxis(corners[:, None] - corners, -1, 0))
+        diameter = float(dist.max())  # hypot: no square over- or underflows
         for i, j in zip(*np.triu_indices(4, 1)):
-            if dist[i, j] <= 1e-12 * dist.max():  # of the diameter, whatever the offset
+            if dist[i, j] <= 1e-12 * diameter:  # of the diameter, whatever the offset
                 raise NumericalError(f"quad corners {i} and {j} coincide")
         unit = frame(corners, None)[0]  # exactly scaled: no cross product over- or underflows
         if _segments_cross(*unit) or _segments_cross(*np.roll(unit, -1, axis=0)):
             raise NumericalError("quad edges cross; corners are not in cyclic order")
         corners.flags.writeable = False
         object.__setattr__(self, "corners", corners)
+        object.__setattr__(self, "diameter", diameter)
 
     @property
     def is_convex(self) -> bool:
         e = frame(np.roll(self.corners, -1, axis=0) - self.corners, None)[0]  # exactly scaled
         turns = _cross(e, np.roll(e, -1, axis=0))
         return bool(np.all(turns > 0) or np.all(turns < 0))
-
-    @property
-    def diameter(self) -> float:
-        diffs = self.corners[:, None, :] - self.corners[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(axis=2).max()))
 
 
 def _segments_cross(a, b, c, d) -> bool:

@@ -31,7 +31,7 @@ class Baseline(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AffineMap2:
     """Affine map of the plane: p -> linear @ p + translation."""
 

@@ -78,13 +78,11 @@ class Scene:
 
     viewport is (x0, y0, x1, y1) in world coordinates; None means "bounds of the content,
     padded 5 percent". A Panel's scene is drawn into the Panel's rect, its size unread.
-    landmark_count is optional bookkeeping that composite figures use to agree on landmarks.
     """
 
     size: tuple[float, float] = (480.0, 480.0)
     viewport: tuple[float, float, float, float] | None = None
     layers: tuple = ()
-    landmark_count: int | None = None
 
 
 def _fmt(value: float) -> str:
@@ -254,8 +252,7 @@ def write_svg(scene: Scene, path) -> None:
 
 
 def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
-               baseline: tuple[int, int] | None = None, viewport=None,
-               landmark_count: int | None = None) -> Scene:
+               baseline: tuple[int, int] | None = None, viewport=None) -> Scene:
     """Scene showing a deformed grid with optional landmark markers.
 
     solid_points are drawn as filled circles (observed data), open_points as
@@ -266,7 +263,7 @@ def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
                 for image, kept in grid.families()),
               *(Markers(np.asarray(pts, dtype=float).reshape(-1, 2), filled, tuple(baseline or ()))
                 for pts, filled in ((solid_points, True), (open_points, False)) if pts is not None))
-    return Scene(viewport=viewport, layers=layers, landmark_count=landmark_count)
+    return Scene(viewport=viewport, layers=layers)
 
 
 def network_scene(template, target, segments: tuple[Segment, ...]) -> Scene:
@@ -279,7 +276,7 @@ def network_scene(template, target, segments: tuple[Segment, ...]) -> Scene:
     layers = [SegmentNetwork(template.coords, segments, heavy=False),
               SegmentNetwork(target.coords, segments, heavy=True),
               Markers(template.coords, filled=False), Markers(target.coords, filled=True)]
-    return Scene(layers=tuple(layers), landmark_count=len(template))
+    return Scene(layers=tuple(layers))
 
 
 def outline_panel(template, target, baseline: tuple[int, int], title: str) -> Scene:
@@ -292,25 +289,18 @@ def outline_panel(template, target, baseline: tuple[int, int], title: str) -> Sc
     pts = np.vstack([template.coords, target.coords])
     (x0, y0), (x1, y1) = pts.min(axis=0), pts.max(axis=0)
     layers.append(Label(np.array([x0 + 0.04 * (x1 - x0), y1 - 0.08 * (y1 - y0)]), title))
-    return Scene(size=(240.0, 240.0), layers=tuple(layers), landmark_count=len(template))
+    return Scene(size=(240.0, 240.0), layers=tuple(layers))
 
 
 def tile_scenes(panels: list[Scene], columns: int | None = None,
                 panel_size: float = 240.0) -> Scene:
-    """Tile any number of panel scenes into one figure, row-major.
-
-    The panels must agree on their landmark set when they declare one.
-    """
+    """Tile any number of panel scenes into one figure, row-major."""
     if not panels:
         raise InputError("no panels to tile")
-    counts = {s.landmark_count for s in panels if s.landmark_count is not None}
-    if len(counts) > 1:
-        raise InputError(f"panels disagree on landmark count: {sorted(counts)}")
     n = len(panels)
     cols = columns if columns is not None else int(np.ceil(np.sqrt(n)))
     rows = int(np.ceil(n / cols))
     p = float(panel_size)
     layers = tuple(Panel(scene, ((idx % cols) * p, (idx // cols) * p, p, p))
                    for idx, scene in enumerate(panels))
-    return Scene(size=(cols * p, rows * p), layers=layers,
-                 landmark_count=next(iter(counts)) if counts else None)
+    return Scene(size=(cols * p, rows * p), layers=layers)

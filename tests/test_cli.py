@@ -2,6 +2,7 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -91,6 +92,52 @@ def test_missing_baseline_is_input_error(tmp_path, capsys):
     code = main(["twopoint", path, "-o", str(tmp_path / "out.json")])
     assert code == 2
     assert "--baseline" in capsys.readouterr().err
+
+
+# Every option of the command is resolved and checked before its input is read, so a bad
+# flag is reported even when the input file does not exist.
+@pytest.mark.parametrize("argv, config, flag", [
+    (["fit", "{in}", "--degree", "5", "--outdir", "{out}"], None, "--degree"),
+    (["fit", "{in}", "--degree", "2", "--outdir", "{out}"], None, "missing --baseline"),
+    (["rotations", "{in}"], '{"threshold": "0.1"}', "--threshold"),
+    (["twopoint", "{in}", "-o", "{out}"], '{"baseline": [1, 2]}', "--baseline"),
+], ids=["degree-range", "baseline-missing", "threshold-config-string", "baseline-config-list"])
+def test_option_errors_come_before_the_input_is_read(tmp_path, capsys, monkeypatch, argv, config,
+                                                     flag):
+    monkeypatch.setattr(cli, "read_landmarks", lambda path: pytest.fail(f"read {path}"))
+    argv = [a.format(**{"in": tmp_path / "no" / "such.json", "out": tmp_path / "out"})
+            for a in argv]
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config, encoding="utf-8")
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err and "such.json" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_memory_is_exit_3_without_a_traceback(tmp_path):
+    # the spline of 20,000 landmarks needs a (20000, 20000) array: 3 GiB, past the child's limit
+    resource = pytest.importorskip("resource")
+    k = 20000
+    angles = 2 * np.pi * np.arange(k) / k
+    rows = ["id,group," + ",".join(f"x{i},y{i}" for i in range(1, k + 1))]
+    for n, group in enumerate(("young", "old")):
+        x, y = (1.0 + 0.1 * n) * np.cos(angles), np.sin(angles)
+        rows.append(f"s{n},{group}," + ",".join(f"{a:.6f},{b:.6f}" for a, b in zip(x, y)))
+    (tmp_path / "wide.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+    def limit():  # in the child only: 1 GiB of address space, ample for numpy and the input
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "gridmorph", "fit", "wide.csv", "--degree", "2",
+                           "--baseline", "1,5000", "--outdir", "out"], cwd=tmp_path, env=env,
+                          preexec_fn=limit, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: fit ran out of memory")
+    assert "Traceback" not in proc.stderr
 
 
 def test_collinear_data_is_numerical_error(tmp_path, capsys):

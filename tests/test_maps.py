@@ -24,7 +24,9 @@ def test_quad_validation():
         Quad(bowtie)
 
 
-@pytest.mark.parametrize("side, offset", [(1.0, 1e12), (1e-13, 1.0), (1e-50, 0.0), (1e50, 0.0)])
+# at 2e300 a squared corner difference overflows; the diameter is the corners' largest hypot
+@pytest.mark.parametrize("side, offset", [(1.0, 1e12), (1e-13, 1.0), (1e-50, 0.0), (1e50, 0.0),
+                                          (2e300, 0.0)])
 def test_quad_corners_coincide_only_against_the_quads_diameter(side, offset):
     square = axis_square * 0.5 * side + offset
     quad = Quad(square)

@@ -241,6 +241,13 @@ def test_affine_fit_exact_on_affine_pair():
     assert np.allclose(amap(template), target, atol=1e-10)
 
 
+def test_affine_maps_compare_and_hash_by_identity():
+    # like every other map of the package: array fields have no truth value to compare by
+    a, b = AffineMap2(np.eye(2), np.zeros(2)), AffineMap2(np.eye(2), np.zeros(2))
+    assert a == a and a != b
+    assert len({a, b}) == 2 and hash(a) == hash(a)
+
+
 def test_affine_fit_matches_normal_equations():
     rng = np.random.default_rng(52)
     for _ in range(20):

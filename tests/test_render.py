@@ -430,17 +430,6 @@ def test_tile_scenes_four_panel_dimensions():
     assert [layer.rect for layer in composite.layers] == [
         (0.0, 0.0, 480.0, 480.0), (480.0, 0.0, 480.0, 480.0),
         (0.0, 480.0, 480.0, 480.0), (480.0, 480.0, 480.0, 480.0)]
-    assert composite.landmark_count == len(template)
-
-
-def test_tile_scenes_rejects_mixed_landmark_counts():
-    template, target, baseline = vilmann_pair()
-    panel = outline_panel(template, target, baseline, "p")
-    other = Scene(size=(240, 240), viewport=(0, 0, 1, 1), landmark_count=len(template) + 1)
-    with pytest.raises(InputError, match="landmark count"):
-        tile_scenes([panel, other])
-    undeclared = Scene(size=(240, 240), viewport=(0, 0, 1, 1))
-    assert tile_scenes([panel, undeclared]).landmark_count == len(template)
 
 
 def test_tile_scenes_layout():
