@@ -66,7 +66,7 @@ _POW10_LO = _POW10 - _POW10_HI
 
 
 @functools.cache
-def _forms(digits: int) -> np.ndarray:
+def _forms(digits: int, index: type) -> np.ndarray:
     """[g, 2k + z]: the form of group g (0 the lowest) of the digits times 10^(-k % 3) of a
     value with k fraction digits, z: every lower group is 0. The lowest (k + 2) // 3 groups are
     the fraction, group (digits + 2 + -k % 3) // 3 - 1 leads, and a point ends the whole part
@@ -75,7 +75,7 @@ def _forms(digits: int) -> np.ndarray:
                       [[0, _POINT], [_INT, _INT_POINT]][g == lead][
                           g == (k + 2) // 3 and k < digits and not z]
                       for k in range(digits + 4) for lead in [(digits + 2 + -k % 3) // 3 - 1]
-                      for z in (0, 1)] for g in range((digits + 5) // 3)], dtype=np.uint64)
+                      for z in (0, 1)] for g in range((digits + 5) // 3)], dtype=index)
 
 
 def fmt_g(values: np.ndarray, seps: np.ndarray, digits: int) -> str:
@@ -89,9 +89,11 @@ def fmt_g(values: np.ndarray, seps: np.ndarray, digits: int) -> str:
     Dekker's exact product (Numer. Math. 18, 1971) gives hi + lo == |x| 10^k: lo rounds an
     integer hi > 2^53, and its sign decides a hi that is a half (to even if lo == 0).
     Exponential notation, non-finite values and carries into a (digits + 1)-th digit go to %
-    (Steele & White, PLDI 1990). A value owns a row of a canvas of words: sign and "0."
-    below 1, the digits times 10^(-k % 3) in 3-digit groups (the point in the pad byte of the
-    lowest whole-number group), separator.
+    (Steele & White, PLDI 1990). A value owns a row of a canvas of words, as wide as its block
+    needs: sign and "0." if a value is negative or below 1; the digits times 10^(-k % 3) in
+    3-digit groups (the point in byte 3 of the lowest whole-number group), 32-bit up to 7 digits
+    (10^(digits + 2) < 2^32); a separator, unless each is one byte: that goes in byte 3 of group
+    0, which no form fills (no lower group, so no point). A block with a row for % has them all.
     """
     x = np.asarray(values, dtype=float)
     a, zero, top = np.abs(x), x == 0, 10.0 ** digits
@@ -114,21 +116,31 @@ def fmt_g(values: np.ndarray, seps: np.ndarray, digits: int) -> str:
         d[near] += (np.rint(lo) + (2 * (hn - np.rint(hn)) == sign) * sign).astype(np.int64)
     d *= ~zero
     fast &= (d >= 10 ** (digits - 1)) & (d < 10 ** digits)
-    rest = d.view(np.uint64) * (10 ** (-np.arange(digits + 4) % 3)).astype(np.uint64)[k]
-    table, forms, k2, size = _digit_words(), _forms(digits), 2 * k, (digits + 5) // 3 + 2
-    canvas, lower_zero = np.empty((len(x), size), dtype="<u4"), np.ones(len(x), dtype=bool)
-    for g in range(size - 2):  # into words size - 2 (group 0) to 1
-        q = rest // np.uint64(1000)
-        group = rest - q * np.uint64(1000)
-        np.take(table, group + forms[g][k2 + lower_zero], out=canvas[:, size - 2 - g], mode="clip")
+    neg, below_one, slow = x < 0, k >= digits, np.flatnonzero(~(fast | zero))
+    head = int(len(slow) > 0 or neg.any() or below_one.any())
+    tail = int(len(slow) > 0 or seps.max(initial=0) > 255)
+    word, index = (np.uint32, np.int32) if digits <= 7 else (np.uint64, np.int64)
+    rest = d.astype(word) * (10 ** (-np.arange(digits + 4) % 3)).astype(word)[k]
+    table, forms, k2, groups = _digit_words(), _forms(digits, index), 2 * k, (digits + 5) // 3
+    canvas = np.empty((len(x), head + groups + tail), dtype="<u4")
+    lower_zero, last = np.ones(len(x), dtype=bool), head + groups - 1
+    for g in range(groups):  # into columns last (group 0) to head
+        q = rest // word(1000)
+        group = rest - q * word(1000)
+        np.take(table, group.view(index) + forms[g][k2 + lower_zero], out=canvas[:, last - g],
+                mode="clip")  # both addends signed: a mixed sum would widen or turn float
         lower_zero &= group == 0
         rest = q
-    canvas[:, 0] = (x < 0) * ord("-") + (k >= digits) * (ord("0") << 8 | ord(".") << 16)
-    canvas[:, -1] = seps
-    slow = np.flatnonzero(~(fast | zero))
-    exact = b"".join(("%.*g" % (digits, v)).encode().ljust(4 * size - 4, b"\0")
-                     for v in x[slow].tolist())
-    canvas[slow, :-1] = np.frombuffer(exact, "<u4").reshape(len(slow), size - 1)
+    if head:
+        canvas[:, 0] = neg * ord("-") + below_one * (ord("0") << 8 | ord(".") << 16)
+    if tail:
+        canvas[:, -1] = seps
+    else:
+        canvas[:, last] |= seps << np.uint32(24)
+    if len(slow):
+        exact = b"".join(("%.*g" % (digits, v)).encode().ljust(4 * groups + 4, b"\0")
+                         for v in x[slow].tolist())
+        canvas[slow, :-1] = np.frombuffer(exact, "<u4").reshape(len(slow), groups + 1)
     return canvas.tobytes().translate(None, b"\0").decode("ascii")
 
 

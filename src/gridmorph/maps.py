@@ -83,17 +83,20 @@ def invert_bilinear(src: Quad, points) -> tuple[np.ndarray, np.ndarray]:
         raise NumericalError("bilinear source quad must be convex")
     pts = np.asarray(points, dtype=float)
     flat = pts.reshape(-1, 2)
+    # lengths in units of a power of two >= the diameter: exact, so u and v keep their bits, and
+    # no square over- or underflows
+    unit = np.ldexp(1.0, -np.frexp(src.diameter)[1])
     a_c, b_c, c_c, d_c = src.corners
-    e = b_c - a_c
-    f = d_c - a_c
-    g = (a_c - b_c) + (c_c - d_c)
-    h = flat - a_c
+    e = (b_c - a_c) * unit
+    f = (d_c - a_c) * unit
+    g = ((a_c - b_c) + (c_c - d_c)) * unit
+    h = (flat - a_c) * unit
 
     qa = float(_cross(e, g))
     qb = float(_cross(e, f)) - _cross(h, g)
     qc = -_cross(h, f)
 
-    scale2 = src.diameter ** 2
+    scale2 = (src.diameter * unit) ** 2
     n = flat.shape[0]
     cand = np.full((n, 2), np.nan)  # up to two u roots per point
     if abs(qa) <= 1e-14 * scale2:

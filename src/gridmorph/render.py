@@ -89,7 +89,7 @@ def _fmt(value: float) -> str:
     return "%.6g" % (float(value) + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
-PRINT_BLOCK = 2 ** 14  # coordinates per fmt_g call: its arrays take ~130 B each
+PRINT_BLOCK = 2 ** 14  # coordinates per fmt_g call: its arrays peak at ~100 B each
 
 
 def _escape(text: str) -> str:

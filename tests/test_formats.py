@@ -274,17 +274,31 @@ def test_quote_equals_json_dumps(text):
 # fmt_g against %, at the SVG's 6 digits and the dataset JSON's 17
 
 DIGITS = pytest.mark.parametrize("digits", [6, 17])
+# a one-byte separator shares the word of the lowest digit group, a longer one has its own
+SEPS = (",", ", ")
 
 
-def fmt_g_text(values, digits):
-    """fmt_g of some values, each followed by ", "."""
+def fmt_g_text(values, digits, sep):
+    """fmt_g of some values, each followed by sep."""
     values = np.asarray(values, dtype=float).ravel()
-    return fmt_g(values, np.full(len(values), np.frombuffer(b", \0\0", "<u4")[0]), digits)
+    word = np.frombuffer(sep.encode().ljust(4, b"\0"), "<u4")[0]
+    return fmt_g(values, np.full(len(values), word), digits)
 
 
-def percent_g(values, digits):
-    return "".join("%.*g, " % (digits, v + 0.0)
+def percent_g(values, digits, sep):
+    return "".join("%.*g%s" % (digits, v + 0.0, sep)
                    for v in np.asarray(values, dtype=float).ravel().tolist())
+
+
+def assert_fmt_g_equals_percent(values, digits):
+    """fmt_g prints the values as % does after each separator of SEPS: as drawn, and those of
+    their absolute values of at least 1 that % prints in fixed notation, whose block has no sign
+    word."""
+    a = np.abs(np.asarray(values, dtype=float).ravel())
+    a = a[(a >= 1) & (a < np.inf)]
+    for block in (values, a[["e" not in "%.*g" % (digits, v) for v in a.tolist()]]):
+        for sep in SEPS:
+            assert fmt_g_text(block, digits, sep) == percent_g(block, digits, sep)
 
 
 def fixed_notation_ties():
@@ -365,8 +379,9 @@ BITS = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.floa
 @example(decade_neighbours())
 @example(EDGES)
 @example(np.round(np.random.default_rng(2).uniform(-1000, 1000, 200), 2))
+@example(np.array([1.5, 2.0, 333.25, np.nan, 7.0, 960.0]))  # one nan: the canvas of %'s rows
 def test_fmt_g_equals_percent(digits, values):
-    assert fmt_g_text(values, digits) == percent_g(values, digits)
+    assert_fmt_g_equals_percent(values, digits)
 
 
 @DIGITS
@@ -374,7 +389,7 @@ def test_fmt_g_equals_percent_across_scales(digits):
     rng = np.random.default_rng(digits)
     values = np.concatenate([rng.choice([-1.0, 1.0], 100_000) * 10 ** rng.uniform(-6, 19, 100_000),
                              rng.normal(size=50_000), rng.uniform(0, 960, 50_000)])
-    assert fmt_g_text(values, digits) == percent_g(values, digits)
+    assert_fmt_g_equals_percent(values, digits)
 
 
 @DIGITS
@@ -385,10 +400,10 @@ def test_fmt_g_digits_do_not_depend_on_log10_rounding(monkeypatch, digits, shift
                              exact_ties(), six_digit_ties_and_carries(), decade_neighbours(),
                              EDGES, np.random.default_rng(4).normal(size=200) * 1e3,
                              [0.5, 1.5, 7.25, 42.0, 314.159, 5e5]])
-    want = percent_g(values, digits)
+    want = percent_g(values, digits, ", ")
     log10 = np.log10
     monkeypatch.setattr(np, "log10", lambda a: log10(a) + shift)
-    assert fmt_g_text(values, digits) == want
+    assert fmt_g_text(values, digits, ", ") == want
 
 
 def power_of_ten_neighbours():
@@ -401,10 +416,13 @@ def power_of_ten_neighbours():
 
 @pytest.mark.parametrize("digits", range(1, 18))
 def test_fmt_g_equals_percent_at_every_precision(digits):
-    # the exponent correction holds at every precision, not only the 6 and 17 digits in use
+    # the exponent correction holds at every precision, not only the 6 and 17 digits in use, and
+    # so do the 32-bit digit groups up to 7 digits and the 64-bit ones above: the largest digits
+    # at every exponent fill the groups times 1, 10 and 100
     values = np.concatenate([power_of_ten_neighbours(), EDGES,
+                             9.87654321987654321 * 10.0 ** np.arange(17),
                              np.random.default_rng(digits).normal(size=200) * 1e3])
-    assert fmt_g_text(values, digits) == percent_g(values, digits)
+    assert_fmt_g_equals_percent(values, digits)
 
 
 def test_dataset_text_is_valid_json_with_schema():

@@ -142,6 +142,18 @@ def test_invert_bilinear_round_trip():
         assert np.abs(uv - np.column_stack([u, v])).max() < 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_bilinear_map_takes_lengths_in_units_of_the_diameter(scale):
+    # no square overflows at 1e300 (a warning) or underflows at 1e-300 (rows of NaN): the quad
+    # maps onto itself
+    quad = Quad(axis_square * scale)
+    m = BilinearMap(quad, quad)
+    assert np.array_equal(m(quad.corners), quad.corners)
+    inner = quad.corners * np.array([[0.5, 0.25]])
+    assert np.allclose(m(inner), inner, rtol=1e-12, atol=0.0)
+
+
 def test_nonconvex_source_rejected():
     dart = np.array([(0.0, 0.0), (2.0, 0.0), (0.5, 0.4), (0.0, 2.0)])
     with pytest.raises(NumericalError, match="bilinear source quad must be convex"):

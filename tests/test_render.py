@@ -231,6 +231,18 @@ def test_render_scene_equals_per_polyline_percent_oracle(monkeypatch, block):
                                                         for scene in scenes]
 
 
+def test_print_blocks_with_and_without_a_sign_word_equal_the_percent_oracle():
+    # fmt_g sizes its canvas to each block: the first block holds a negative pixel coordinate,
+    # the second only pixels of at least 1, the third one below 1, the last the markers
+    half = render.PRINT_BLOCK // 2
+    pixels = np.random.default_rng(6).uniform(1.0, 479.0, (3 * half, 2))
+    pixels[half // 2, 0], pixels[2 * half + 7, 1] = -3.25, 0.5
+    world = pixels * [1.0, -1.0]  # the viewport maps (x, y) to the pixel (x, -y) exactly
+    scene = Scene(size=(480.0, 480.0), viewport=(0.0, -480.0, 480.0, 0.0),
+                  layers=(Polyline(world), Markers(world[:5])))
+    assert render_scene(scene) == percent_render_scene(scene)
+
+
 @pytest.mark.parametrize("block", [2, 6, 64, render.PRINT_BLOCK])
 def test_write_svg_writes_render_scene_bytes(monkeypatch, tmp_path, block):
     rng = np.random.default_rng(block + 1)
