@@ -13,7 +13,7 @@ from importlib import import_module as _import_module
 
 # module -> the names the package root exports from it, each imported on first use (PEP 562)
 _EXPORTS = {
-    "core": "LandmarkConfiguration Sample Segment UNIT_PROCRUSTES UNIT_RAW UNIT_TWO_POINT "
+    "core": "LandmarkConfiguration Sample UNIT_PROCRUSTES UNIT_RAW UNIT_TWO_POINT "
             "centroid_size default_labels enumerate_segments",
     "errors": "GridmorphError InputError NumericalError ParseError",
     "formats": "Dataset parse_csv parse_tps_file read_dataset read_landmarks write_dataset",

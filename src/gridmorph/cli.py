@@ -247,10 +247,9 @@ def cmd_survey(args) -> int:
     template_tag, target_tag = _parse_targets(args.targets, sample)
     template = _group_mean(sample, template_tag, procrustes=False)
     target = _group_mean(sample, target_tag, procrustes=False)
-    panels = [outline_panel(two_point_register(template, Baseline(*seg)),
-                            two_point_register(target, Baseline(*seg)), seg,
-                            f"{seg.i + 1}-{seg.j + 1}")
-              for seg in enumerate_segments(sample.landmark_count)]
+    panels = [outline_panel(two_point_register(template, Baseline(i, j)),
+                            two_point_register(target, Baseline(i, j)), (i, j), f"{i + 1}-{j + 1}")
+              for i, j in enumerate_segments(sample.landmark_count).tolist()]
     write_svg(tile_scenes(panels, panel_size=240.0), args.output)
     print(f"{len(panels)} baseline panels ({template_tag} vs {target_tag}) "
           f"-> {args.output}", file=sys.stderr)
@@ -268,27 +267,26 @@ def cmd_rotations(args) -> int:
     if args.nonaffine:
         target = remove_affine(template, target)
     report = segment_rotations(template, target)
-    selected = filter_rotations(report, args.threshold)
-    at = report.positions(selected)
-    rows = [(seg, report.labels[seg.i], report.labels[seg.j], rot, ratio) for seg, rot, ratio
-            in zip(selected, report.rotations[at].tolist(), report.ratios[at].tolist())]
+    rows = filter_rotations(report, args.threshold)
+    table = [(i + 1, j + 1, report.labels[i], report.labels[j], rot, math.degrees(rot), ratio)
+             for (i, j), rot, ratio in zip(report.segments[rows].tolist(),
+                                           report.rotations[rows].tolist(),
+                                           report.ratios[rows].tolist())]
 
     print(f"{'i':>3} {'j':>3}  {'from':<10} {'to':<10} "
           f"{'rotation_rad':>13} {'rotation_deg':>13} {'length_ratio':>13}")
-    for seg, a, b, rot, ratio in rows:
-        print(f"{seg.i + 1:>3} {seg.j + 1:>3}  {a:<10} {b:<10} {rot:>+13.6f} "
-              f"{math.degrees(rot):>+13.6f} {ratio:>13.6f}")
+    for i, j, a, b, rot, deg, ratio in table:
+        print(f"{i:>3} {j:>3}  {a:<10} {b:<10} {rot:>+13.6f} {deg:>+13.6f} {ratio:>13.6f}")
     mode = "nonaffine" if args.nonaffine else "raw"
-    print(f"{len(selected)} of {len(report.segments)} segments with |rotation| >= "
+    print(f"{len(rows)} of {len(report.segments)} segments with |rotation| >= "
           f"{args.threshold:g} rad ({mode}; {report.convention})", file=sys.stderr)
 
     if args.output:
-        _write_csv(args.output, "i,j,from,to,rotation_rad,rotation_deg,length_ratio", [
-            (seg.i + 1, seg.j + 1, a, b, rot, math.degrees(rot), ratio)
-            for seg, a, b, rot, ratio in rows], "%d,%d,%s,%s,%.12g,%.12g,%.12g")
+        _write_csv(args.output, "i,j,from,to,rotation_rad,rotation_deg,length_ratio", table,
+                   "%d,%d,%s,%s,%.12g,%.12g,%.12g")
         print(f"rotation table -> {args.output}", file=sys.stderr)
     if args.svg:
-        write_svg(network_scene(template, target, tuple(selected)), args.svg)
+        write_svg(network_scene(template, target, report.segments[rows]), args.svg)
         print(f"segment network -> {args.svg}", file=sys.stderr)
     return EXIT_OK
 

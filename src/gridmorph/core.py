@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -203,13 +202,6 @@ class Sample:
     __hash__ = None
 
 
-class Segment(NamedTuple):
-    """Ordered pair of landmark ordinals, 0 <= i < j < k."""
-
-    i: int
-    j: int
-
-
 def as_coords(obj) -> np.ndarray:
     """Coerce a configuration or array-like into a (k, 2) float array."""
     if isinstance(obj, LandmarkConfiguration):
@@ -257,8 +249,11 @@ def centroid_size(config) -> float:
     return float(np.ldexp(size, e))
 
 
-def enumerate_segments(k: int) -> list[Segment]:
-    """All k*(k-1)/2 landmark pairs (i, j) with i < j, in lexicographic order."""
+def enumerate_segments(k: int) -> np.ndarray:
+    """All k*(k-1)/2 landmark pairs (i, j) with i < j, in lexicographic (np.triu_indices) order,
+    as a read-only (m, 2) intp array: the one place that order is made."""
     if k < 2:
         raise InputError(f"need at least 2 landmarks to form segments, got {k}")
-    return [Segment(i, j) for i in range(k - 1) for j in range(i + 1, k)]
+    pairs = np.column_stack(np.triu_indices(k, 1))
+    pairs.flags.writeable = False
+    return pairs

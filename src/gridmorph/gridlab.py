@@ -14,15 +14,14 @@ carry that convention explicitly.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MAX_MARGIN,
-                   LandmarkConfiguration, Segment, as_coords, collinear, freeze_arrays,
-                   require_homologous)
+                   LandmarkConfiguration, as_coords, collinear, enumerate_segments,
+                   freeze_arrays, require_homologous)
 from .errors import InputError, NumericalError
 
 BOUNDARY_TOL = 1e-12  # boundary proximity, relative to the polygon's extent (longer box side)
@@ -368,45 +367,23 @@ def convex_hull_polygon(config) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _SegmentRows(Sequence):
-    """The rows of an (m, 2) pair array as Segments, each made as it is read."""
-
-    pairs: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __getitem__(self, row: int) -> Segment:
-        return Segment(*map(int, self.pairs[row]))  # int() refuses the rows of a slice
-
-
-@dataclass(frozen=True, eq=False)
 class SegmentRotationReport:
     """Signed rotation and length ratio of every interlandmark segment.
 
-    pairs holds the landmark ordinals (i, j) of one segment a row, in enumerate_segments
-    order; segments reads those rows as Segments, each made as it is read. rotations are in
+    segments holds the landmark ordinals (i, j) of one segment a row, as enumerate_segments
+    returns them; row r of rotations and ratios belongs to row r of segments. rotations are in
     radians, wrapped to (-pi, pi], with counterclockwise positive (see convention).
     """
 
-    pairs: np.ndarray      # (m, 2)
+    segments: np.ndarray   # (m, 2)
     labels: tuple[str, ...]
     rotations: np.ndarray  # (m,)
     ratios: np.ndarray     # (m,)
     convention = ROTATION_CONVENTION  # not a field: every report has it
 
     def __post_init__(self):
-        freeze_arrays(self, "pairs", dtype=np.intp)
+        freeze_arrays(self, "segments", dtype=np.intp)
         freeze_arrays(self, "rotations", "ratios")
-
-    @property
-    def segments(self) -> Sequence[Segment]:
-        return _SegmentRows(self.pairs)
-
-    def positions(self, segments) -> np.ndarray:
-        """The row of each (i, j) pair: (k-1) + ... + (k-i) rows precede the first of i."""
-        i, j = np.asarray(segments, dtype=np.intp).reshape(-1, 2).T
-        return i * (2 * len(self.labels) - i - 1) // 2 + j - i - 1
 
 
 def segment_rotations(template: LandmarkConfiguration,
@@ -422,7 +399,8 @@ def segment_rotations(template: LandmarkConfiguration,
         raise InputError(
             f"configurations must share a registration: unit tags are "
             f"{template.unit!r} vs {target.unit!r}")
-    ii, jj = np.triu_indices(len(template), 1)  # the order of enumerate_segments
+    segments = enumerate_segments(len(template))
+    ii, jj = segments.T
     u = template.coords[jj] - template.coords[ii]
     v = target.coords[jj] - target.coords[ii]
     nu = np.hypot(u[:, 0], u[:, 1])
@@ -436,15 +414,14 @@ def segment_rotations(template: LandmarkConfiguration,
     rot = np.arctan2(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0],
                      u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1])
     rot = np.where(rot <= -np.pi, np.pi, rot)  # wrap to (-pi, pi]
-    return SegmentRotationReport(np.column_stack([ii, jj]), template.labels, rot, nv / nu)
+    return SegmentRotationReport(segments, template.labels, rot, nv / nu)
 
 
-def filter_rotations(report: SegmentRotationReport, threshold: float) -> list[Segment]:
-    """Segments whose |rotation| meets the threshold, in (-|rotation|, i, j) order; only the
-    rows that pass are ranked and made Segments."""
+def filter_rotations(report: SegmentRotationReport, threshold: float) -> np.ndarray:
+    """The report's rows whose |rotation| meets the threshold, ranked in (-|rotation|, i, j)
+    order, as an intp array that indexes segments, rotations and ratios alike."""
     if threshold < 0.0:
         raise InputError(f"threshold must be non-negative, got {threshold}")
     size = np.abs(report.rotations)
     rows = np.flatnonzero(size >= threshold)
-    rows = rows[np.argsort(-size[rows], kind="stable")]  # ties keep the lexicographic order
-    return list(map(Segment._make, report.pairs[rows].tolist()))
+    return rows[np.argsort(-size[rows], kind="stable")]  # ties keep the lexicographic order

@@ -91,6 +91,9 @@ def invert_bilinear(src: Quad, points) -> tuple[np.ndarray, np.ndarray]:
     f = (d_c - a_c) * unit
     g = ((a_c - b_c) + (c_c - d_c)) * unit
     h = (flat - a_c) * unit
+    # a point of the quad is within one diameter (< 1 here) of corner A: a row past 2 is outside,
+    # and NaN before the quadratic, whose squares it could overflow
+    h[(np.abs(h) > 2.0).any(axis=1)] = np.nan
 
     qa = float(_cross(e, g))
     qb = float(_cross(e, f)) - _cross(h, g)

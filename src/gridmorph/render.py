@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Segment
 from .errors import InputError
 from .formats import fmt_g
 from .gridlab import DeformedGrid, finite_rows, kept_runs
@@ -32,18 +31,12 @@ FONT_SIZE = 10.0
 
 
 @dataclass(frozen=True, eq=False)
-class Polyline:
+class Polyline:  # one line through points, or with runs one through each points[start:stop]
     points: np.ndarray  # (n, 2) world coordinates
     heavy: bool = False
     dashed: bool = False
     closed: bool = False
-
-
-@dataclass(frozen=True, eq=False)
-class GridLines:  # light polylines through points[start:stop] for each (start, stop) in runs
-    points: np.ndarray  # (n, 2) world coordinates
-    runs: np.ndarray    # (m, 2) row bounds, as gridlab.kept_runs returns them
-    heavy = dashed = closed = False  # drawn in Polyline's default style
+    runs: np.ndarray | None = None  # (m, 2) row bounds, as gridlab.kept_runs returns them
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +55,7 @@ class Label:
 @dataclass(frozen=True, eq=False)
 class SegmentNetwork:
     points: np.ndarray  # (k, 2)
-    segments: tuple[Segment, ...]
+    segments: np.ndarray  # (m, 2) landmark ordinals (i, j), as enumerate_segments returns them
     heavy: bool = False
 
 
@@ -137,10 +130,9 @@ def _layers(scene: Scene, rect):
     """(layer, where) of each layer of a scene in file order, a Panel's scene right after the
     Panel: where is a Panel's pixel rect, or the world->pixel map of the scene's own layers."""
     viewport = scene.viewport if scene.viewport is not None else padded_bounds([
-        *(layer.points for layer in scene.layers
-          if isinstance(layer, (Polyline, SegmentNetwork, Markers))),
-        *(layer.points[start:stop] for layer in scene.layers if isinstance(layer, GridLines)
-          for start, stop in layer.runs.tolist()),
+        *(layer.points for layer in scene.layers if isinstance(layer, (SegmentNetwork, Markers))),
+        *(layer.points[start:stop] for layer in scene.layers if isinstance(layer, Polyline)
+          for start, stop in ([(0, None)] if layer.runs is None else layer.runs.tolist())),
         *(layer.anchor for layer in scene.layers if isinstance(layer, Label))])
     tf = _transform(viewport, rect) if viewport is not None else None
     if tf is None and not all(isinstance(layer, Panel) for layer in scene.layers):
@@ -195,7 +187,7 @@ def _svg(scene: Scene):
         # before number i of pts' x, y, x, y, ..., and cuts[-1] the text after the last
         if isinstance(layer, SegmentNetwork):
             pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)[
-                np.array(layer.segments, dtype=np.intp).reshape(-1)]
+                np.asarray(layer.segments, dtype=np.intp).reshape(-1)]
             cuts = (_LINES[bool(layer.heavy)] * len(layer.segments)).split("%s")
         elif isinstance(layer, Markers):  # where a ring prints its centre again
             pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)
@@ -203,7 +195,7 @@ def _svg(scene: Scene):
             for ring in {ring for ring in layer.rings if ring in range(len(pts))}:
                 texts[ring], repeats[ring] = texts[ring] + _CIRCLES[2], 2
             pts, cuts = np.repeat(pts, repeats, axis=0), "".join(texts).split("%s")
-        elif isinstance(layer, (Polyline, GridLines)):
+        elif isinstance(layer, Polyline):
             pts, cuts = np.asarray(layer.points, dtype=float).reshape(-1, 2), None
             width = _fmt(HEAVY_WIDTH if layer.heavy else LIGHT_WIDTH)
             dash = ' stroke-dasharray="4 3"' if layer.dashed else ""
@@ -212,7 +204,7 @@ def _svg(scene: Scene):
         else:
             joins[-1] += _text(layer, where)
             continue
-        for start, stop in (layer.runs.tolist() if isinstance(layer, GridLines)
+        for start, stop in (layer.runs.tolist() if cuts is None and layer.runs is not None
                             else [(0, len(pts))] * (len(pts) >= 2 or cuts is not None)):
             joins[-1] += head if cuts is None else cuts[0]
             while start < stop:
@@ -259,20 +251,19 @@ def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,
     open circles (predictions). baseline names two landmark ordinals whose
     markers get the enclosing ring, on whichever point sets are present.
     """
-    layers = (*(GridLines(image.reshape(-1, 2), kept_runs(kept))
+    layers = (*(Polyline(image.reshape(-1, 2), runs=kept_runs(kept))
                 for image, kept in grid.families()),
               *(Markers(np.asarray(pts, dtype=float).reshape(-1, 2), filled, tuple(baseline or ()))
                 for pts, filled in ((solid_points, True), (open_points, False)) if pts is not None))
     return Scene(viewport=viewport, layers=layers)
 
 
-def network_scene(template, target, segments: tuple[Segment, ...]) -> Scene:
+def network_scene(template, target, segments: np.ndarray) -> Scene:
     """Scene showing segment networks of two registered configurations.
 
     The template network is light with open markers, the target heavy with
     filled markers, so the eye can track each segment's rotation.
     """
-    segments = tuple(segments)
     layers = [SegmentNetwork(template.coords, segments, heavy=False),
               SegmentNetwork(target.coords, segments, heavy=True),
               Markers(template.coords, filled=False), Markers(target.coords, filled=True)]

@@ -551,6 +551,33 @@ def test_rotations_nonaffine_flag_runs(tmp_path, capsys):
     assert "nonaffine" in capsys.readouterr().err
 
 
+# SHA-256 of each output of the synthetic Vilmann data, recorded before landmark pairs became
+# one (m, 2) index array (x86-64 Linux, numpy 2.4, OpenBLAS); a .txt is the command's stdout.
+DRAWING_GUARD = {
+    "survey.svg": "72181ce982959cfa9527569665f2ae122aba7edd9075cb50089f02fb2aeb1a6f",
+    "raw.csv": "b4c9c2a77d974de2298327e6ba4db1b027871f52c30963456a8768dcf5713f7a",
+    "raw.svg": "002dc5c7fce8a33f0cf56f9f5c087b9138257a24e27a6b516ae933f0045ed8aa",
+    "raw.txt": "c7a57b7f91f8906f43db2e589f08482c07aa2530c7c1c7e59d38a5a94324a4a0",
+    "nonaffine.csv": "b18487f0e64a37623fc75df02d08d0fbea96b9ff16eaa8ad9ce26794883d1938",
+    "nonaffine.svg": "be7e6b67aa96a893d794a759d6d91c76d049f0d46e6f097510486e6adb9cca7a",
+    "nonaffine.txt": "c887ef3fbebaf660e8a0eb44dccca6ed235e92b3a8ef583309a4b7fdd0400f9d",
+}
+
+
+def test_drawing_commands_keep_their_bytes(tmp_path, capsys):
+    path = write_vilmann(tmp_path)
+    assert main(["survey", path, "-o", str(tmp_path / "survey.svg")]) == 0
+    for mode in ("raw", "nonaffine"):
+        argv = ["rotations", path, "--threshold", "0", "-o", str(tmp_path / f"{mode}.csv"),
+                "--svg", str(tmp_path / f"{mode}.svg")]
+        capsys.readouterr()
+        assert main(argv + ["--nonaffine"] * (mode == "nonaffine")) == 0
+        (tmp_path / f"{mode}.txt").write_text(capsys.readouterr().out, encoding="utf-8")
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DRAWING_GUARD}
+    assert digests == DRAWING_GUARD
+
+
 # ---------------------------------------------------------------------------
 # fit
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gridmorph import (InputError, LandmarkConfiguration,
-                       NumericalError, Sample, Segment, affine_fit,
+                       NumericalError, Sample, affine_fit,
                        centroid_size, default_labels, enumerate_segments, gpa_mean,
                        procrustes_align, tps_fit, trend_fit)
 from gridmorph.cli import _group_mean
@@ -222,11 +222,22 @@ def test_enumerate_segments_counts():
 
 def test_enumerate_segments_order_and_bounds():
     segs = enumerate_segments(4)
-    assert segs[0] == Segment(0, 1)
-    assert segs[-1] == Segment(2, 3)
-    assert all(s.i < s.j for s in segs)
+    assert segs[0].tolist() == [0, 1]
+    assert segs[-1].tolist() == [2, 3]
+    assert all(i < j for i, j in segs.tolist())
     # lexicographic order
-    assert segs == sorted(segs)
+    assert segs.tolist() == sorted(segs.tolist())
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 60])
+def test_enumerate_segments_is_a_read_only_triu_indices_array(k):
+    segs = enumerate_segments(k)
+    assert segs.dtype == np.intp and segs.shape == (k * (k - 1) // 2, 2)
+    assert np.array_equal(segs, np.column_stack(np.triu_indices(k, 1)))
+    assert segs.tolist() == [[i, j] for i in range(k - 1) for j in range(i + 1, k)]
+    assert not segs.flags.writeable
+    with pytest.raises(ValueError):
+        segs[0, 0] = 1
 
 
 def test_default_labels():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gridmorph import (MAX_GRID_SAMPLES, AffineMap2, Baseline, BilinearMap, GridSpec,
-                       InputError, LandmarkConfiguration, NumericalError, Quad, Segment,
+                       InputError, LandmarkConfiguration, NumericalError, Quad,
                        SegmentRotationReport, affine_fit, convex_hull_polygon, deform_grid,
                        default_labels, design_matrix, enumerate_segments, extend_grid,
                        filter_rotations, homography_from_quads, kept_runs,
@@ -681,19 +681,25 @@ def two_block_pair():
 def test_rotations_two_block_matches_direct_arithmetic():
     template, target = two_block_pair()
     report = segment_rotations(config(template, "a"), config(target, "b"))
-    for seg, rotation, ratio in zip(report.segments, report.rotations, report.ratios):
-        u = template[seg.j] - template[seg.i]
-        v = target[seg.j] - target[seg.i]
+    for (i, j), rotation, ratio in zip(report.segments.tolist(), report.rotations, report.ratios):
+        u = template[j] - template[i]
+        v = target[j] - target[i]
         want = np.arctan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
         assert rotation == pytest.approx(want, abs=1e-12)
         assert ratio == pytest.approx(np.linalg.norm(v) / np.linalg.norm(u), rel=1e-12)
 
 
 def filter_reference(report, threshold):
-    """filter_rotations as a sort of Segments by (-|rotation|, i, j)."""
-    size = dict(zip(report.segments, np.abs(report.rotations).tolist()))
-    return sorted((seg for seg in size if size[seg] >= threshold),
-                  key=lambda seg: (-size[seg], seg))
+    """filter_rotations as a sort of the report's rows by (-|rotation|, i, j)."""
+    pairs, size = report.segments.tolist(), np.abs(report.rotations).tolist()
+    return sorted((row for row in range(len(pairs)) if size[row] >= threshold),
+                  key=lambda row: (-size[row], pairs[row]))
+
+
+def filtered(report, threshold) -> list[int]:
+    rows = filter_rotations(report, threshold)
+    assert rows.dtype == np.intp and rows.ndim == 1
+    return rows.tolist()
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -705,17 +711,15 @@ def test_rotation_report_rows_equal_per_segment_reference(k, seed):
     tied = SegmentRotationReport(segments, default_labels(k),
                                  rng.choice([-0.3, -0.2, 0.0, 0.2, 0.3, np.pi], len(segments)),
                                  np.ones(len(segments)))
-    assert tied.positions(segments).tolist() == list(range(len(segments)))
     reports = [(tied, [0.0, 0.2, 0.25, 0.3, np.pi, 4.0])]
     if k >= 3:  # a configuration has at least 3 landmarks
         a, b = rng.normal(size=(2, k, 2)) * 10 ** rng.uniform(-3, 3)
         report = segment_rotations(config(a, "a"), config(b, "b"))
-        assert report.pairs.tolist() == [list(seg) for seg in segments]
-        assert len(report.segments) == len(segments) and list(report.segments) == segments
-        assert {type(seg) for seg in report.segments} == {Segment}
-        for seg, rotation, ratio in zip(segments, report.rotations.tolist(),
-                                        report.ratios.tolist()):
-            u, v = a[seg.j] - a[seg.i], b[seg.j] - b[seg.i]
+        assert report.segments.dtype == np.intp and not report.segments.flags.writeable
+        assert report.segments.tolist() == segments.tolist()
+        for (i, j), rotation, ratio in zip(segments.tolist(), report.rotations.tolist(),
+                                           report.ratios.tolist()):
+            u, v = a[j] - a[i], b[j] - b[i]
             want = math.atan2(u[0] * v[1] - u[1] * v[0], u[0] * v[0] + u[1] * v[1])
             assert rotation == pytest.approx(want if want > -math.pi else math.pi, abs=1e-12)
             assert ratio == pytest.approx(math.hypot(*v) / math.hypot(*u), rel=1e-12)
@@ -723,15 +727,15 @@ def test_rotation_report_rows_equal_per_segment_reference(k, seed):
         reports.append((report, [0.0, *rng.choice(sizes, 3).tolist(), sizes.max() + 1.0]))
     for report, thresholds in reports:
         for threshold in thresholds:
-            assert filter_rotations(report, threshold) == filter_reference(report, threshold)
+            assert filtered(report, threshold) == filter_reference(report, threshold)
 
 
 def test_rotations_two_block_filter_selects_within_block():
     template, target = two_block_pair()
     report = segment_rotations(config(template, "a"), config(target, "b"))
-    selected = set(filter_rotations(report, 0.15))
-    within = {Segment(i, j) for i in range(5) for j in range(i + 1, 5)}
-    within |= {Segment(i, j) for i in range(5, 8) for j in range(i + 1, 8)}
+    selected = set(map(tuple, report.segments[filter_rotations(report, 0.15)].tolist()))
+    within = {(i, j) for i in range(5) for j in range(i + 1, 5)}
+    within |= {(i, j) for i in range(5, 8) for j in range(i + 1, 8)}
     assert selected == within  # cross-block segments barely rotate
 
 
@@ -787,7 +791,7 @@ def test_filter_threshold_zero_and_pi():
     b = rng.normal(size=(8, 2))
     report = segment_rotations(config(a, "a"), config(b, "b"))
     assert len(filter_rotations(report, 0.0)) == 28
-    assert filter_rotations(report, np.pi + 1e-9) == []
+    assert filtered(report, np.pi + 1e-9) == []
     with pytest.raises(InputError):
         filter_rotations(report, -0.1)
 
@@ -795,19 +799,17 @@ def test_filter_threshold_zero_and_pi():
 @pytest.mark.parametrize("seed", range(4))
 def test_filter_rotations_equals_sorted_reference_with_ties(seed):
     rng = np.random.default_rng(seed)
-    segments = tuple(enumerate_segments(12))
+    segments = enumerate_segments(12)
     # few distinct magnitudes, each with both signs: most segments tie with others
     rotations = rng.choice([-np.pi, -0.3, -0.2, 0.0, 0.2, 0.3, np.pi], size=len(segments))
     report = SegmentRotationReport(segments, default_labels(12), rotations,
                                    np.ones(len(segments)))
     for threshold in (0.0, 0.2, 0.25, np.pi, 4.0):
-        assert filter_rotations(report, threshold) == filter_reference(report, threshold)
+        assert filtered(report, threshold) == filter_reference(report, threshold)
 
 
 def test_filter_sorted_by_magnitude():
     template, target = two_block_pair()
     report = segment_rotations(config(template, "a"), config(target, "b"))
-    selected = filter_rotations(report, 0.0)
-    index = {seg: i for i, seg in enumerate(report.segments)}
-    mags = [abs(report.rotations[index[s]]) for s in selected]
+    mags = np.abs(report.rotations[filter_rotations(report, 0.0)]).tolist()
     assert mags == sorted(mags, reverse=True)

@@ -154,6 +154,18 @@ def test_bilinear_map_takes_lengths_in_units_of_the_diameter(scale):
     assert np.allclose(m(inner), inner, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("far", [1e160, 1e300])
+def test_bilinear_map_of_a_far_point_is_nan_without_overflow(far):
+    # the kite is no parallelogram, so its inverse solves a quadratic whose squares would
+    # overflow for these points; they are outside, and NaN with no warning
+    _, kite = diamond_and_kite(0.25)
+    m = BilinearMap(Quad(kite), Quad(kite))
+    far_points = np.array([(far, 0.0), (0.0, -far), (-far, far), (far, far)])
+    assert np.isnan(m(far_points)).all()
+    inner = kite.mean(axis=0, keepdims=True)
+    assert np.allclose(m(np.vstack([far_points, inner]))[-1:], inner, rtol=1e-12, atol=1e-15)
+
+
 def test_nonconvex_source_rejected():
     dart = np.array([(0.0, 0.0), (2.0, 0.0), (0.5, 0.4), (0.0, 2.0)])
     with pytest.raises(NumericalError, match="bilinear source quad must be convex"):

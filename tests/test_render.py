@@ -9,15 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gridmorph import (Baseline, InputError, Segment, deform_grid, default_labels, grid_scene, make_grid,
+from gridmorph import (Baseline, InputError, deform_grid, default_labels, grid_scene, make_grid,
                        network_scene, outline_panel, render_scene, tile_scenes,
                        two_point_register, vilmann_target, vilmann_template,
                        write_svg)
 from gridmorph import render
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.gridlab import kept_runs
-from gridmorph.render import (GridLines, Label, Markers, Panel, Polyline, Scene, SegmentNetwork,
-                              _fmt)
+from gridmorph.render import Label, Markers, Panel, Polyline, Scene, SegmentNetwork, _fmt
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -120,7 +119,7 @@ def reference_viewports(scene):
     per label), bounded by row_mask_padded_bounds."""
     chunks = [chunk for layer in scene.layers for chunk in (
         [layer.points[start:stop] for start, stop in layer.runs.tolist()]
-        if isinstance(layer, GridLines) else
+        if isinstance(layer, Polyline) and layer.runs is not None else
         [getattr(layer, key) for key in ("points", "anchor") if hasattr(layer, key)])]
     layers = tuple(dataclasses.replace(layer, scene=reference_viewports(layer.scene))
                    if isinstance(layer, Panel) else layer for layer in scene.layers)
@@ -158,14 +157,14 @@ def percent_render_scene(scene):
                 out.append('<line x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g" stroke="black" '
                            'stroke-width="%s"/>\n' % (x1, y1, x2, y2, width))
             continue
-        if not isinstance(layer, (Polyline, GridLines)):
+        if not isinstance(layer, Polyline):
             out.append(render._text(layer, where))
             continue
         pts = np.asarray(layer.points, dtype=float).reshape(-1, 2)
         tag = "polygon" if layer.closed else "polyline"
         width = "%.6g" % (render.HEAVY_WIDTH if layer.heavy else render.LIGHT_WIDTH)
         dash = ' stroke-dasharray="4 3"' if layer.dashed else ""
-        for start, stop in layer.runs.tolist() if isinstance(layer, GridLines) else [(0, len(pts))]:
+        for start, stop in [(0, len(pts))] if layer.runs is None else layer.runs.tolist():
             if stop - start >= 2:
                 xy = where(pts[start:stop]) + 0.0
                 out.append(f'<{tag} fill="none" stroke="black" stroke-width="{width}"{dash} points="'
@@ -198,7 +197,7 @@ def random_scene(rng, lengths, depth=0):
         layers.append(Polyline(pts, heavy=bool(rng.integers(2)), closed=bool(rng.integers(2))))
         if n and rng.random() < 0.5:  # lines of n samples, with runs of every length
             kept = rng.random((int(rng.integers(1, 4)), n)) < rng.choice([0.5, 0.9, 1.0])
-            layers.append(GridLines(pts[rng.integers(n, size=kept.size)], kept_runs(kept)))
+            layers.append(Polyline(pts[rng.integers(n, size=kept.size)], runs=kept_runs(kept)))
         for m in rng.choice([0, 1, 2, 5, n], size=rng.integers(3)):  # maybe between labels
             # rings name ordinals, some twice, and some of no point: those draw no ring
             rings = tuple(int(i) for i in rng.integers(-1, m + 2, size=rng.integers(4)))
@@ -208,8 +207,7 @@ def random_scene(rng, lengths, depth=0):
                 layers.append(Label(rng.normal(size=2), "a<b&c"))
         if rng.random() < 0.3:  # as many segments as the polyline has points, maybe none
             ends = np.sort(rng.integers(n + 1, size=(n, 2)), axis=1)
-            layers.append(SegmentNetwork(np.vstack([pts, random_centre(rng)]),
-                                         tuple(Segment(int(i), int(j)) for i, j in ends),
+            layers.append(SegmentNetwork(np.vstack([pts, random_centre(rng)]), ends,
                                          heavy=bool(rng.integers(2))))
         if depth < 2 and rng.random() < 0.3:
             inner = random_scene(rng, rng.choice([0, 1, 2, 3, 17], size=3), depth + 1)
@@ -421,7 +419,7 @@ def test_outline_panel_structure():
 
 def test_network_scene_one_line_per_segment():
     template, target, _ = vilmann_pair()
-    segments = (Segment(0, 1), Segment(2, 5), Segment(3, 4))
+    segments = np.array([(0, 1), (2, 5), (3, 4)])
     scene = network_scene(template, target, segments)
     root = parse(render_scene(scene))
     names = tags(root)
