@@ -35,7 +35,7 @@ from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MA
                    PROTOTYPE_KINDS, UNIT_PROCRUSTES, LandmarkConfiguration, Sample,
                    enumerate_segments, frame)
 from .errors import InputError, NumericalError
-from .formats import Dataset, read_landmarks, write_dataset
+from .formats import Dataset, dataset_blocks, read_landmarks, write_blocks
 from .registration import (Baseline, gpa_mean, procrustes_align, remove_affine,
                            two_point_register, two_point_register_sample)
 
@@ -153,14 +153,9 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
 def _write_csv(path: str, header: str, rows, fields: str) -> None:
     """The header line, then each row (a tuple) as the %-format fields prints it."""
-    _write_text(path, "\n".join([header] + [fields % row for row in rows]) + "\n")
+    write_blocks(path, ["\n".join([header] + [fields % row for row in rows]) + "\n"])
 
 
 def _require_group(sample: Sample, tag: str) -> None:
@@ -207,7 +202,7 @@ def _bounds_viewport(chunks) -> tuple[float, float, float, float]:
 
 def cmd_ingest(args) -> int:
     dataset = read_landmarks(args.input)
-    _write_text(args.output, write_dataset(dataset))
+    write_blocks(args.output, dataset_blocks(dataset))
     sample = dataset.sample
     print(f"ingested {len(sample)} configuration(s) of "
           f"{sample.landmark_count} landmarks -> {args.output}", file=sys.stderr)
@@ -226,7 +221,7 @@ def cmd_average(args) -> int:
     out = Dataset(Sample([mean.name for mean in means], sample.labels,
                          [mean.coords for mean in means], UNIT_PROCRUSTES, groups),
                   provenance=dataset.provenance)
-    _write_text(args.output, write_dataset(out))
+    write_blocks(args.output, dataset_blocks(out))
     print(f"wrote {len(means)} Procrustes mean(s) -> {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -234,7 +229,7 @@ def cmd_average(args) -> int:
 def cmd_twopoint(args) -> int:
     dataset = read_landmarks(args.input)
     registered = two_point_register_sample(dataset.sample, args.baseline)
-    _write_text(args.output, write_dataset(Dataset(registered, provenance=dataset.provenance)))
+    write_blocks(args.output, dataset_blocks(Dataset(registered, provenance=dataset.provenance)))
     print(f"registered {len(registered)} configuration(s) to baseline "
           f"{args.baseline.start + 1},{args.baseline.end + 1} -> {args.output}", file=sys.stderr)
     return EXIT_OK
@@ -384,7 +379,7 @@ def _demo_prototype(kind: str, outdir: str):
                              groups={template.name: "template", target.name: "target"}),
                       provenance=(f"demo:{kind}",))
     json_path = os.path.join(outdir, f"demo_{kind}.json")
-    _write_text(json_path, write_dataset(dataset))
+    write_blocks(json_path, dataset_blocks(dataset))
 
     spec = make_grid(template, margin=0.25, cells=8, samples_per_edge=10)
     spline = tps_fit(template, target)
@@ -430,7 +425,7 @@ def cmd_demo(args) -> int:
         from .synthetic import synthetic_vilmann
         dataset = Dataset(synthetic_vilmann(), provenance=("demo:synthetic-vilmann",))
         path = os.path.join(args.outdir, "demo_synthetic_vilmann.json")
-        _write_text(path, write_dataset(dataset))
+        write_blocks(path, dataset_blocks(dataset))
         print(f"synthetic two-age octagon dataset -> {path}", file=sys.stderr)
         return EXIT_OK
     prototype = _demo_prototype(args.kind, args.outdir)
@@ -506,8 +501,8 @@ def _keep_freed_memory() -> None:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    # A command's large containers (a dataset's JSON tree, its lines) hold no cycles, so reference
-    # counting frees them; the collector would only walk them again and again while they live.
+    # A command's large containers (a dataset's decoded objects, a block of CSV rows) hold no
+    # cycles, so reference counting frees them; the collector would only walk them again and again.
     collecting = gc.isenabled()
     gc.disable()
     try:

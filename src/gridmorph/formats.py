@@ -14,12 +14,13 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import io
 import itertools
 import json
 import math
+import os
 import re
 from array import array
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 
@@ -144,19 +145,20 @@ def fmt_g(values: np.ndarray, seps: np.ndarray, digits: int) -> str:
     return canvas.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def write_dataset(dataset: Dataset) -> str:
-    """Serialize to canonical JSON text. Deterministic: same dataset, same bytes.
+def dataset_blocks(dataset: Dataset) -> Iterator[str]:
+    """Canonical JSON text in pieces: its head, WRITE_BLOCK coordinates at a time, its tail.
+    Deterministic: same dataset, same bytes; write_blocks streams them into a file.
 
     Every coordinate is a JSON number with 17 significant digits (exact
-    float64 round trip), as "%.17g" prints it: fmt_g at 17 digits, WRITE_BLOCK
-    coordinates at a time. -0.0 is written as 0: JSON readers may hand "-0"
-    back as the integer zero, so the sign bit would not survive a round trip
-    anyway. Strings are quoted as json.dumps does.
+    float64 round trip), as "%.17g" prints it: fmt_g at 17 digits. -0.0 is
+    written as 0: JSON readers may hand "-0" back as the integer zero, so the
+    sign bit would not survive a round trip anyway. Strings are quoted as
+    json.dumps does.
     """
     sample = dataset.sample
     n, k = len(sample), sample.landmark_count
-    lines = ["{", f'  "schema": {SCHEMA_VERSION},',
-             f'  "landmarks": [{", ".join(map(_quote, sample.labels))}],', '  "configurations": [']
+    yield (f'{{\n  "schema": {SCHEMA_VERSION},\n  "landmarks": '
+           f'[{", ".join(map(_quote, sample.labels))}],\n  "configurations": [\n')
     values = sample.coords.reshape(n, 2 * k)
     rows = max(1, WRITE_BLOCK // (2 * k))  # configurations per block
     seps = np.tile(np.frombuffer(b", \0\0], [", "<u4"), k * rows)  # after an x, after a y
@@ -164,37 +166,47 @@ def write_dataset(dataset: Dataset) -> str:
     for start in range(0, n, rows):
         block, names = values[start:start + rows].ravel(), sample.names[start:start + rows]
         texts = fmt_g(block, seps[:len(block)], 17).split("\n")
-        lines += [f'    {{"id": {_quote(name)}, "group": {_quote(sample.groups.get(name, ""))}, '
-                  f'"coords": [[{text}]]}},' for name, text in zip(names, texts)]
-    lines[-1] = lines[-1][:-1]  # no comma after the last configuration
+        if start:
+            yield ",\n"  # between configurations, none after the last
+        yield ",\n".join([f'    {{"id": {_quote(name)}, "group": '
+                           f'{_quote(sample.groups.get(name, ""))}, "coords": [[{text}]]}}'
+                           for name, text in zip(names, texts)])
     sources = ", ".join(map(_quote, dataset.provenance))
-    # one join, ending in "\n", so the text is built once
-    lines += ["  ],", f'  "provenance": {{"sources": [{sources}]}}', "}", ""]
-    return "\n".join(lines)
+    yield f'\n  ],\n  "provenance": {{"sources": [{sources}]}}\n}}\n'
+
+
+def write_dataset(dataset: Dataset) -> str:
+    """Serialize to canonical JSON text: the join of dataset_blocks(dataset)."""
+    return "".join(dataset_blocks(dataset))
+
+
+def write_blocks(path, blocks: Iterable[str]) -> None:
+    """Stream blocks of text into path, one at a time; on any error, remove the partial file."""
+    handle = open(path, "w", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.writelines(blocks)
+    except BaseException:
+        if os.path.isfile(path) and not os.path.islink(path):  # never a device, pipe or link
+            os.remove(path)
+        raise
 
 
 def _reject_constant(token: str):
     raise InputError(f"non-finite number {token!r} in dataset JSON")
 
 
-def _coords_stack(values: list, k: int) -> np.ndarray | None:
-    """Several "coords" values as one (n, k, 2) array, or None.
-
-    Each value must be a list of k [x, y] pairs. Only JSON numbers are
-    coordinates: true/false, strings and numbers beyond the float64 range
-    (a long integer, 1e400) give None. Types are checked over the chained
-    values, and one cast builds the stack.
-    """
-    if set(map(type, values)) <= {list} and set(map(len, values)) <= {k}:
-        pairs = list(itertools.chain.from_iterable(values))
-        if set(map(type, pairs)) <= {list} and set(map(len, pairs)) <= {2}:
-            numbers = list(itertools.chain.from_iterable(pairs))
-            if set(map(type, numbers)) <= {int, float}:
-                with contextlib.suppress(OverflowError):  # an int beyond the float64 range
-                    stack = np.array(numbers, dtype=float).reshape(len(values), k, 2)
-                    if np.isfinite(stack).all():
-                        return stack
-    return None
+def _compact(obj: dict) -> dict:
+    """json object_hook: an object's "coords" as one flat array('d') when it is a list of
+    [x, y] pairs of JSON numbers (not true/false); one beyond the float64 range (a long
+    integer) leaves it a list. Each configuration is compacted as it is decoded."""
+    coords = obj.get("coords")
+    if type(coords) is list and set(map(type, coords)) <= {list} and set(map(len, coords)) <= {2}:
+        numbers = list(itertools.chain.from_iterable(coords))
+        if set(map(type, numbers)) <= {int, float}:
+            with contextlib.suppress(OverflowError):
+                obj["coords"] = array("d", numbers)
+    return obj
 
 
 def _raise_entry_error(labels: tuple[str, ...], entries: list) -> None:
@@ -205,11 +217,10 @@ def _raise_entry_error(labels: tuple[str, ...], entries: list) -> None:
         cid, coords = entry["id"], entry["coords"]
         if not isinstance(cid, str):
             raise InputError("configuration \"id\" must be a string")
-        stack = _coords_stack([coords], len(coords)) if type(coords) is list else None
-        if stack is None:
+        if type(coords) is not array or not all(map(math.isfinite, coords)):
             raise InputError(
                 f"configuration {cid!r}: \"coords\" must be [[x, y], ...] with finite numbers")
-        LandmarkConfiguration(cid, labels, stack[0])
+        LandmarkConfiguration(cid, labels, np.array(coords).reshape(-1, 2))
         if not isinstance(entry.get("group", ""), str):
             raise InputError(f"configuration {cid!r}: \"group\" must be a string")
 
@@ -217,7 +228,7 @@ def _raise_entry_error(labels: tuple[str, ...], entries: list) -> None:
 def read_dataset(text: str) -> Dataset:
     """Parse canonical JSON; the exact inverse of write_dataset."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, object_hook=_compact)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(doc, dict):
@@ -235,10 +246,10 @@ def read_dataset(text: str) -> Dataset:
     k = len(labels)
     stack = None
     if k >= 3 and len(set(labels)) == k and all(
-            type(e) is dict and type(e.get("id")) is str and "coords" in e
-            and type(e.get("group", "")) is str for e in entries):
-        stack = _coords_stack([e["coords"] for e in entries], k)
-    if stack is None:
+            type(e) is dict and type(e.get("id")) is str and type(e.get("coords")) is array
+            and len(e["coords"]) == 2 * k and type(e.get("group", "")) is str for e in entries):
+        stack = np.frombuffer(b"".join(e["coords"] for e in entries)).reshape(len(entries), k, 2)
+    if stack is None or not np.isfinite(stack).all():
         _raise_entry_error(labels, entries)
     prov = doc.get("provenance", {})
     sources = prov.get("sources", []) if isinstance(prov, dict) else []
@@ -250,7 +261,7 @@ def read_dataset(text: str) -> Dataset:
 
 _KEY_LINE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)=(.*)$")
 
-CAST_BLOCK = 4096  # coordinate lines cast to float at a time
+CAST_BLOCK = 4096  # TPS coordinate lines, or CSV landmarks, cast to float at a time
 
 
 def _floats(tokens, count: int) -> np.ndarray | None:
@@ -382,22 +393,25 @@ def parse_tps_file(text: str) -> Sample:
 
 
 _WIDE_PAIR = re.compile(r"^([xy])(\d+)$")
+_LINE = re.compile(r".*\n|.+")  # the lines io.StringIO(text) reads, without its copy
 
 
 def parse_csv(text: str) -> Sample:
     """Parse landmark CSV, long form (id,label,x,y) or wide form (id,x1,y1,...).
 
     Either form may carry an optional group column: trailing in long form,
-    immediately after id in wide form.
+    immediately after id in wide form. Rows are read and cast to float a
+    block of CAST_BLOCK landmarks at a time.
     """
-    rows = [row for row in csv.reader(io.StringIO(text))
-            if row and any(cell.strip() for cell in row)]
-    if not rows:
+    rows = (row for row in csv.reader(map(re.Match.group, _LINE.finditer(text)))
+            if row and any(cell.strip() for cell in row))
+    first = next(rows, None)
+    if first is None:
         raise ParseError("empty CSV", line=1)
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in first]
     if header[:4] == ["id", "label", "x", "y"] and len(header) in (4, 5):
         if len(header) == 5 and header[4] != "group":
-            raise ParseError(f"unrecognized long-form column {rows[0][4]!r}", line=1)
+            raise ParseError(f"unrecognized long-form column {first[4]!r}", line=1)
         return _parse_csv_long(rows, with_group=len(header) == 5)
     if header and header[0] == "id":
         rest = header[1:]
@@ -411,7 +425,7 @@ def parse_csv(text: str) -> Sample:
                 m = _WIDE_PAIR.match(cell)
                 if not m or m.group(1) != want_axis or int(m.group(2)) != want_num:
                     raise ParseError(
-                        f"unrecognized wide-form column {rows[0][1 + with_group + idx]!r} "
+                        f"unrecognized wide-form column {first[1 + with_group + idx]!r} "
                         f"(expected {want_axis}{want_num})", line=1)
             return _parse_csv_wide(rows, k=len(rest) // 2, with_group=with_group)
     raise ParseError("unrecognized CSV header; expected id,label,x,y or id,x1,y1,...,xk,yk", line=1)
@@ -427,57 +441,69 @@ def _parse_float(token: str, line: int) -> float:
     return value
 
 
-def _csv_coordinates(data: list[list[str]], width: int, first: int, last: int) -> np.ndarray:
-    """Cells first:last of every data row, as floats in one cast.
+def _csv_table(rows, width: int, first: int, last: int, columns) -> tuple[np.ndarray, list]:
+    """Cells first:last of every data row as floats, and each of columns as stripped strings,
+    read and cast a block of CAST_BLOCK landmarks at a time.
 
-    Each row must have width fields and an id. On any failure the rows are
-    checked one at a time (field count, id, then each coordinate in order)
-    and the first error is raised, with its row number.
+    Each row must have width fields and an id. On any failure the rows of
+    the block are checked one at a time (field count, id, then each
+    coordinate in order) and the first error is raised, with its row number.
     """
-    end = next((i for i, row in enumerate(data) if len(row) != width or not row[0].strip()),
-               len(data))
-    cells = itertools.chain.from_iterable(row[first:last] for row in data[:end])
-    values = _floats(map(str.strip, cells), end * (last - first))
-    if values is None or end < len(data):
-        for line_no, row in enumerate(data[:end + 1], start=2):
-            if len(row) != width:
-                raise ParseError(f"expected {width} fields, got {len(row)}", line=line_no)
-            if not row[0].strip():
-                raise ParseError("empty id", line=line_no)
-            for cell in row[first:last]:
-                _parse_float(cell.strip(), line_no)
-    return values
+    kept, blocks, line = [[] for _ in columns], [np.empty(0)], 2
+    while block := list(itertools.islice(rows, max(1, 2 * CAST_BLOCK // (last - first)))):
+        end = next((i for i, row in enumerate(block) if len(row) != width or not row[0].strip()),
+                   len(block))
+        cells = itertools.chain.from_iterable(row[first:last] for row in block[:end])
+        values = _floats(map(str.strip, cells), end * (last - first))
+        if values is None or end < len(block):
+            for line_no, row in enumerate(block[:end + 1], start=line):
+                if len(row) != width:
+                    raise ParseError(f"expected {width} fields, got {len(row)}", line=line_no)
+                if not row[0].strip():
+                    raise ParseError("empty id", line=line_no)
+                for cell in row[first:last]:
+                    _parse_float(cell.strip(), line_no)
+        blocks.append(values)
+        for strings, column in zip(kept, columns):
+            strings += (row[column].strip() for row in block)
+        line += len(block)
+    return np.concatenate(blocks), kept
+
+
+def _groups(ids: list[str], tags: list[list[str]]) -> dict[str, str]:
+    """The first non-empty group tag of each id, if the CSV has a group column."""
+    groups: dict[str, str] = {}
+    for cid, tag in zip(ids, *tags or [itertools.repeat("")]):
+        if tag:
+            groups.setdefault(cid, tag)
+    return groups
 
 
 def _parse_csv_long(rows, with_group: bool) -> Sample:
-    data = rows[1:]
-    values = _csv_coordinates(data, 5 if with_group else 4, 2, 4).reshape(-1, 2)
-    ids = [row[0].strip() for row in data]
+    values, (ids, labels, *tags) = _csv_table(rows, 4 + with_group, 2, 4,
+                                              (0, 1, 4)[:2 + with_group])
+    values = values.reshape(-1, 2)
     order = {cid: i for i, cid in enumerate(dict.fromkeys(ids))}
-    groups: dict[str, str] = {}
-    for cid, row in zip(ids, data):
-        if with_group and row[4].strip():
-            groups.setdefault(cid, row[4].strip())
     codes = np.fromiter(map(order.__getitem__, ids), np.intp, len(ids))
     rank = np.argsort(codes, kind="stable")  # rows grouped by id, in file order within an id
-    labels = np.array([row[1].strip() for row in data], dtype=object)[rank]
+    labels = np.array(labels, dtype=object)[rank]
     counts = np.bincount(codes, minlength=len(order))
-    n, k = len(order), len(data) // max(len(order), 1)
+    n, k = len(order), len(ids) // max(len(order), 1)
     if not (n and (counts == k).all() and (labels.reshape(n, k) == labels[:k]).all()):
         # ids of different lengths or labels: the first to differ from the first id raises
         bounds = np.cumsum(counts)[:-1]
         require_homologous(*(LandmarkConfiguration(cid, tuple(l), xy) for cid, l, xy in
                              zip(order, np.split(labels, bounds), np.split(values[rank], bounds))))
-    return Sample(order, tuple(labels[:k]), values[rank].reshape(n, k, 2), groups=groups)
+    return Sample(order, tuple(labels[:k]), values[rank].reshape(n, k, 2),
+                  groups=_groups(ids, tags))
 
 
 def _parse_csv_wide(rows, k: int, with_group: bool) -> Sample:
     base = 2 if with_group else 1
-    data = rows[1:2] if k < 3 else rows[1:]  # too few landmarks: the first row reports it
-    values = _csv_coordinates(data, base + 2 * k, base, base + 2 * k)
-    groups = {row[0].strip(): row[1].strip() for row in data if with_group and row[1].strip()}
-    return Sample([row[0].strip() for row in data], default_labels(k),
-                  values.reshape(len(data), k, 2), groups=groups)
+    if k < 3:  # too few landmarks: the first row reports it
+        rows = itertools.islice(rows, 1)
+    values, (ids, *tags) = _csv_table(rows, base + 2 * k, base, base + 2 * k, (0, 1)[:base])
+    return Sample(ids, default_labels(k), values.reshape(len(ids), k, 2), groups=_groups(ids, tags))
 
 
 def read_landmarks(path: str) -> Dataset:

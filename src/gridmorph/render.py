@@ -15,13 +15,12 @@ flip, so shapes are never distorted anisotropically.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .formats import fmt_g
+from .formats import fmt_g, write_blocks
 from .gridlab import DeformedGrid, finite_rows, kept_runs
 
 
@@ -233,14 +232,7 @@ def render_scene(scene: Scene) -> str:
 
 def write_svg(scene: Scene, path) -> None:
     """Stream render_scene(scene)'s text into path; on any error, remove the partial file."""
-    handle = open(path, "w", encoding="utf-8", newline="\n")
-    try:
-        with handle:
-            handle.writelines(_svg(scene))
-    except BaseException:
-        if os.path.isfile(path) and not os.path.islink(path):  # never a device, pipe or link
-            os.remove(path)
-        raise
+    write_blocks(path, _svg(scene))
 
 
 def grid_scene(grid: DeformedGrid, *, solid_points=None, open_points=None,

@@ -13,8 +13,9 @@ from gridmorph import errors
 SRC = pathlib.Path(gridmorph.__file__).parent
 BRANCHES = {"InputError", "NumericalError", "ParseError"}
 # (module, enclosing function, raised name): the lazy root's AttributeError is Python's own
-# protocol, and write_svg re-raises whatever interrupted it after removing its partial file
-EXEMPT = {("__init__.py", "__getattr__", "AttributeError"), ("render.py", "write_svg", None)}
+# protocol, and write_blocks (the SVG and dataset writer) re-raises whatever interrupted it after
+# removing its partial file
+EXEMPT = {("__init__.py", "__getattr__", "AttributeError"), ("formats.py", "write_blocks", None)}
 
 
 def raised_names(tree: ast.AST, function: str = ""):

@@ -11,7 +11,8 @@ same message and line number. Inputs are valid files, optionally with a few
 mutations: dropped, duplicated or extra lines, extra fields, nan/inf/1e400,
 SCALE=0, a stray "=", blank lines, CRLF endings and records of different
 lengths. The TPS tests also run with a tiny cast block, so that errors fall
-before, inside and after block boundaries.
+before, inside and after block boundaries; the CSV tests place errors in the
+last of three real cast blocks.
 """
 
 import contextlib
@@ -479,6 +480,50 @@ def test_csv_valid_files_are_samples():
     assert formats.parse_csv(long).names == ("a", "b")
 
 
+def csv_across_blocks(form: str) -> tuple[list[str], list[int], int]:
+    """A valid wide (20 landmarks) or long (8 labels) CSV whose data rows fill two cast blocks
+    of CAST_BLOCK landmarks and part of a third, with two blank rows in the first block; its
+    lines, the indices of its data rows and the data rows per block."""
+    if form == "wide":
+        k, per_block = 20, formats.CAST_BLOCK // 20
+        lines = ["id,group," + ",".join(f"x{i},y{i}" for i in range(1, k + 1))]
+        lines += [f"s{r},g{r % 2}," + ",".join(f"{r}.{i}" for i in range(2 * k))
+                  for r in range(2 * per_block + 50)]
+    else:
+        per_block = formats.CAST_BLOCK
+        lines = ["id,label,x,y,group"]
+        lines += [f"s{r // 8},L{r % 8},{r}.5,{r % 7},g{r // 8 % 2}"
+                  for r in range(2 * per_block + 480)]
+    lines[3:3] = ["", " , "]  # skipped, and not counted in the row numbers
+    return lines, [i for i, line in enumerate(lines) if i and line.strip(" ,")], per_block
+
+
+@pytest.mark.parametrize("form", ["wide", "long"])
+def test_csv_errors_in_the_last_of_three_cast_blocks(form):
+    lines, data, per_block = csv_across_blocks(form)
+    assert_same_outcome(formats.parse_csv, reference_csv, "\n".join(lines), want_valid=True)
+    last = data[2 * per_block:]  # the rows of the third block
+    assert 0 < len(last) < per_block
+    faults = {"cell": lambda cells: cells[:3] + ["1e400x"] + cells[4:],
+              "short": lambda cells: cells[:-1], "id": lambda cells: [" "] + cells[1:]}
+    for at in (last[0], last[len(last) // 2], last[-1]):
+        for fault in faults.values():
+            broken = list(lines)
+            broken[at] = ",".join(fault(broken[at].split(",")))
+            text = "\n".join(broken)
+            assert_same_outcome(formats.parse_csv, reference_csv, text)
+            with pytest.raises(ParseError) as error:
+                formats.parse_csv(text)
+            assert error.value.line == data.index(at) + 2  # header, then the data rows
+    # all three in the last block: the first in file order is reported
+    broken = list(lines)
+    for at, fault in zip(last[::len(last) // 3][:3], ("id", "short", "cell")):
+        broken[at] = ",".join(faults[fault](broken[at].split(",")))
+    assert_same_outcome(formats.parse_csv, reference_csv, "\n".join(broken))
+    with pytest.raises(ParseError, match="empty id"):
+        formats.parse_csv("\n".join(broken))
+
+
 # ---------------------------------------------------------------------------
 # dataset JSON
 
@@ -495,10 +540,10 @@ def dataset_texts(draw):
     generated = list(doc["configurations"])
     for _ in range(draw(st.integers(0, 3))):
         entry = draw(st.sampled_from(generated))
-        kind = draw(st.sampled_from(["coord", "pair", "drop_pair", "id", "group", "missing",
-                                     "dup", "labels", "provenance", "entry"]))
+        kind = draw(st.sampled_from(["coord", "pair", "drop_pair", "nested", "id", "group",
+                                     "missing", "dup", "labels", "provenance", "entry", "top"]))
         pairs = entry.get("coords")
-        if kind in ("coord", "pair", "drop_pair") and not (
+        if kind in ("coord", "pair", "drop_pair", "nested") and not (
                 pairs and all(type(pair) is list and pair for pair in pairs)):
             continue  # an earlier mutation already broke these coords
         if kind == "coord":
@@ -509,6 +554,13 @@ def dataset_texts(draw):
             entry["coords"][0] = draw(st.sampled_from([[1, 2, 3], [1], {}, "xy", None]))
         elif kind == "drop_pair":
             entry["coords"].pop()
+        elif kind == "nested":  # a pair that is an object (of 1 or 2 keys) with its own "coords"
+            entry["coords"][0] = {"coords": draw(st.sampled_from([[[1, 2], [3, 4], [5, 6]],
+                                                                  [[1.5, 2]], []])),
+                                  **draw(st.sampled_from([{}, {"x": 1}]))}
+        elif kind == "top":  # a "coords" member of the document itself
+            doc["coords"] = draw(st.sampled_from([[[1, 2], [3, 4], [5, 6]], [], [[True, 1]],
+                                                  "xy"]))
         elif kind == "id":
             entry["id"] = draw(st.sampled_from([7, None, "c0", ""]))
         elif kind == "group":
@@ -568,6 +620,9 @@ def _doc(**changes):
      "'a': \"coords\" must be"),
     (_doc(configurations__0__group=1, configurations__1__coords=[]), "'a': \"group\" must be"),
     (_doc(configurations__1__coords=[[0, 0], [1, 0]]), "'b': at least 3 landmarks"),
+    # an empty "coords" is a list of no pairs: its landmark count is the first error
+    (_doc(configurations__0__coords=[], configurations__1__id=3),
+     "'a': at least 3 landmarks required, got 0"),
 ])
 def test_read_dataset_reports_the_first_error(text, message):
     assert_same_outcome(formats.read_dataset, reference_dataset, text)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from gridmorph import (Dataset, InputError, ParseError, Sample, parse_csv, parse_tps_file,
                        read_dataset, read_landmarks, synthetic_vilmann, write_dataset)
-from gridmorph import formats
+from gridmorph import cli, formats
 from gridmorph.core import default_labels
 from gridmorph.formats import SCHEMA_VERSION, _quote, fmt_g
 
@@ -482,3 +483,75 @@ def test_read_landmarks_dispatch(tmp_path):
     odd.write_text("whatever", encoding="utf-8")
     with pytest.raises(InputError):
         read_landmarks(odd)
+
+
+# ---------------------------------------------------------------------------
+# memory bounded by the input's shape: one configuration or one block at a time
+
+
+@pytest.fixture(scope="module")
+def pixel_sample():
+    """3000 configurations of 20 landmarks at pixel-like coordinates with 4 decimals, in two
+    groups, the size of the large-sample benchmark."""
+    rng = np.random.default_rng(30)
+    names = [f"spec_{i + 1:05d}" for i in range(3000)]
+    return Sample(names, default_labels(20), np.round(rng.uniform(500, 1500, (3000, 20, 2)), 4),
+                  groups={name: ("young", "old")[i % 2] for i, name in enumerate(names)})
+
+
+def traced_peak(function, *args) -> int:
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_dataset_write_peaks_below_half_its_file(tmp_path, pixel_sample):
+    path = tmp_path / "sample.json"
+    dataset = Dataset(pixel_sample, provenance=("sample.csv",))
+    peak = traced_peak(formats.write_blocks, path, formats.dataset_blocks(dataset))
+    size = path.stat().st_size
+    assert path.read_text(encoding="utf-8") == write_dataset(dataset)
+    assert size > 2_000_000
+    assert peak < size / 2, f"dataset write peak {peak} B for a {size} B file"
+
+
+def test_read_dataset_peaks_below_two_and_a_half_times_its_text(pixel_sample):
+    text = write_dataset(Dataset(pixel_sample))
+    peak = traced_peak(read_dataset, text)
+    # the whole JSON tree of lists and floats took 5.2 times the text
+    assert peak < 2.5 * len(text), f"read_dataset peak {peak} B for a {len(text)} B text"
+
+
+def test_parse_csv_peaks_below_three_times_its_text(pixel_sample):
+    rows = ["id,group," + ",".join(f"x{i},y{i}" for i in range(1, 21))]
+    rows += [f"{name},{pixel_sample.group_of(name)}," + ",".join(f"{v:.4f}" for v in xy.ravel())
+             for name, xy in zip(pixel_sample.names, pixel_sample.coords)]
+    text = "\n".join(rows) + "\n"
+    assert parse_csv(text) == pixel_sample
+    peak = traced_peak(parse_csv, text)
+    # every cell as a str at once took 11 times the text, and io.StringIO's copy alone
+    # (4 bytes a character) 4 times
+    assert peak < 3 * len(text), f"parse_csv peak {peak} B for a {len(text)} B text"
+
+
+def test_interrupted_dataset_write_leaves_no_file(tmp_path, monkeypatch):
+    source, path = tmp_path / "vilmann.json", tmp_path / "out.json"
+    source.write_text(write_dataset(Dataset(synthetic_vilmann())), encoding="utf-8")
+    assert cli.main(["ingest", str(source), "-o", str(path)]) == 0  # an earlier run's output
+    calls = []
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return fmt_g(*args)
+
+    monkeypatch.setattr(formats, "WRITE_BLOCK", 1)  # one configuration a block
+    monkeypatch.setattr(formats, "fmt_g", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["ingest", str(source), "-o", str(path)])
+    assert len(calls) == 2 and not path.exists()
