@@ -23,14 +23,14 @@ _EXPORTS = {
                "points_in_polygon segment_rotations trim_grid",
     "maps": "BilinearMap Homography PROTOTYPE_KINDS PROTOTYPE_PARAMETER Quad "
             "homography_from_quads invert_bilinear prototype_pair",
-    "registration": "AffineMap2 Baseline affine_fit gpa_mean procrustes_align remove_affine "
-                    "two_point_register two_point_register_sample",
+    "registration": "Baseline gpa_mean procrustes_align two_point_register "
+                    "two_point_register_sample",
     "render": "Label Markers Panel Polyline Scene SegmentNetwork grid_scene network_scene "
               "outline_panel render_scene tile_scenes write_svg",
     "synthetic": "PERTURBATION PERTURBED_LANDMARK PLANTED_COEFFICIENTS VILMANN_BASELINE "
                  "VILMANN_LABELS synthetic_vilmann vilmann_target vilmann_template",
-    "tps": "TpsModel bending_energy tps_eval tps_fit",
-    "trend": "PolynomialTrend basis_size design_matrix trend_eval trend_fit",
+    "tps": "TpsModel tps_eval tps_fit",
+    "trend": "PolynomialTrend basis_size design_matrix remove_affine trend_eval trend_fit",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -36,8 +36,8 @@ from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MA
                    enumerate_segments, frame)
 from .errors import InputError, NumericalError
 from .formats import Dataset, dataset_blocks, read_landmarks, write_blocks
-from .registration import (Baseline, gpa_mean, procrustes_align, remove_affine,
-                           two_point_register, two_point_register_sample)
+from .registration import (Baseline, gpa_mean, procrustes_align, two_point_register,
+                           two_point_register_sample)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -137,13 +137,15 @@ OPTIONS = {
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"config {path!r} is not valid JSON: {exc.msg} (line {exc.lineno})")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"config {path!r} is not UTF-8 text (byte {exc.start})")
+        except json.JSONDecodeError as exc:
+            raise InputError(f"config {path!r} is not valid JSON: {exc.msg} (line {exc.lineno})")
+        except UnicodeDecodeError as exc:
+            raise InputError(f"config {path!r} is not UTF-8 text (byte {exc.start})")
+        except (RecursionError, ValueError) as exc:  # too deep; an integer of too many digits
+            raise InputError(f"config {path!r} is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise InputError(f"config {path!r} must hold a JSON object of flag values")
     for key in doc:
@@ -260,6 +262,7 @@ def cmd_rotations(args) -> int:
     template = _group_mean(sample, template_tag, procrustes=True)
     target = procrustes_align(_group_mean(sample, target_tag, procrustes=True), template)
     if args.nonaffine:
+        from .trend import remove_affine
         target = remove_affine(template, target)
     report = segment_rotations(template, target)
     rows = filter_rotations(report, args.threshold)
@@ -528,12 +531,9 @@ def _run(argv) -> int:
                 raise InputError(f"missing --{name}: {text}")
             setattr(args, name, default if value is None else check(value, f"--{name}", given))
         return COMMANDS[args.command][0](args)
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_INPUT
     except MemoryError as exc:  # an allocation past what the machine gives: exit 3, no traceback
         detail = f": {exc}" if str(exc) else ""
         print(f"error: {args.command} ran out of memory{detail}", file=sys.stderr)

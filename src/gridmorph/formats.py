@@ -231,6 +231,8 @@ def read_dataset(text: str) -> Dataset:
         doc = json.loads(text, parse_constant=_reject_constant, object_hook=_compact)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except (RecursionError, ValueError) as exc:  # nested too deeply; an integer of too many digits
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("dataset JSON must be an object")
     schema = doc.get("schema")
@@ -396,22 +398,30 @@ _WIDE_PAIR = re.compile(r"^([xy])(\d+)$")
 _LINE = re.compile(r".*\n|.+")  # the lines io.StringIO(text) reads, without its copy
 
 
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank CSV row with the line it ends on; a csv.Error is a ParseError there."""
+    reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
+    try:
+        yield from ((reader.line_num, row) for row in reader if any(map(str.strip, row)))
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV: {exc}", line=reader.line_num) from exc
+
+
 def parse_csv(text: str) -> Sample:
     """Parse landmark CSV, long form (id,label,x,y) or wide form (id,x1,y1,...).
 
     Either form may carry an optional group column: trailing in long form,
     immediately after id in wide form. Rows are read and cast to float a
-    block of CAST_BLOCK landmarks at a time.
+    block of CAST_BLOCK landmarks at a time. Errors name the line a row ends on.
     """
-    rows = (row for row in csv.reader(map(re.Match.group, _LINE.finditer(text)))
-            if row and any(cell.strip() for cell in row))
-    first = next(rows, None)
+    rows = _csv_rows(text)
+    line, first = next(rows, (1, None))
     if first is None:
         raise ParseError("empty CSV", line=1)
     header = [cell.strip().lower() for cell in first]
     if header[:4] == ["id", "label", "x", "y"] and len(header) in (4, 5):
         if len(header) == 5 and header[4] != "group":
-            raise ParseError(f"unrecognized long-form column {first[4]!r}", line=1)
+            raise ParseError(f"unrecognized long-form column {first[4]!r}", line=line)
         return _parse_csv_long(rows, with_group=len(header) == 5)
     if header and header[0] == "id":
         rest = header[1:]
@@ -426,9 +436,10 @@ def parse_csv(text: str) -> Sample:
                 if not m or m.group(1) != want_axis or int(m.group(2)) != want_num:
                     raise ParseError(
                         f"unrecognized wide-form column {first[1 + with_group + idx]!r} "
-                        f"(expected {want_axis}{want_num})", line=1)
+                        f"(expected {want_axis}{want_num})", line=line)
             return _parse_csv_wide(rows, k=len(rest) // 2, with_group=with_group)
-    raise ParseError("unrecognized CSV header; expected id,label,x,y or id,x1,y1,...,xk,yk", line=1)
+    raise ParseError("unrecognized CSV header; expected id,label,x,y or id,x1,y1,...,xk,yk",
+                     line=line)
 
 
 def _parse_float(token: str, line: int) -> float:
@@ -442,21 +453,22 @@ def _parse_float(token: str, line: int) -> float:
 
 
 def _csv_table(rows, width: int, first: int, last: int, columns) -> tuple[np.ndarray, list]:
-    """Cells first:last of every data row as floats, and each of columns as stripped strings,
+    """Cells first:last of every (line, row) as floats, and each of columns as stripped strings,
     read and cast a block of CAST_BLOCK landmarks at a time.
 
     Each row must have width fields and an id. On any failure the rows of
     the block are checked one at a time (field count, id, then each
-    coordinate in order) and the first error is raised, with its row number.
+    coordinate in order) and the first error is raised, with its line.
     """
-    kept, blocks, line = [[] for _ in columns], [np.empty(0)], 2
-    while block := list(itertools.islice(rows, max(1, 2 * CAST_BLOCK // (last - first)))):
+    kept, blocks = [[] for _ in columns], [np.empty(0)]
+    while numbered := list(itertools.islice(rows, max(1, 2 * CAST_BLOCK // (last - first)))):
+        lines, block = zip(*numbered)
         end = next((i for i, row in enumerate(block) if len(row) != width or not row[0].strip()),
                    len(block))
         cells = itertools.chain.from_iterable(row[first:last] for row in block[:end])
         values = _floats(map(str.strip, cells), end * (last - first))
         if values is None or end < len(block):
-            for line_no, row in enumerate(block[:end + 1], start=line):
+            for line_no, row in zip(lines, block[:end + 1]):
                 if len(row) != width:
                     raise ParseError(f"expected {width} fields, got {len(row)}", line=line_no)
                 if not row[0].strip():
@@ -466,7 +478,6 @@ def _csv_table(rows, width: int, first: int, last: int, columns) -> tuple[np.nda
         blocks.append(values)
         for strings, column in zip(kept, columns):
             strings += (row[column].strip() for row in block)
-        line += len(block)
     return np.concatenate(blocks), kept
 
 

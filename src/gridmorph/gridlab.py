@@ -150,7 +150,7 @@ def extend_grid(spec: GridSpec, direction: str, multiples: float) -> GridSpec:
 
 @dataclass(frozen=True, eq=False)
 class DeformedGrid:
-    """Every grid sample as flat arrays: template preimage (its spec's), image, kept flag.
+    """The image and kept flag of every sample of spec.preimage, as flat arrays.
 
     Rows hold the vertical lines (constant x, left to right), then the
     horizontal lines (constant y, bottom to top), each sampled in order of
@@ -163,11 +163,6 @@ class DeformedGrid:
 
     def __post_init__(self):
         freeze_arrays(self, "image", "kept", dtype=None)
-
-    @property
-    def preimage(self) -> np.ndarray:
-        """(n, 2) template position of every sample: the spec's shared lattice."""
-        return self.spec.preimage
 
     def families(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """(lines, samples, 2) image and (lines, samples) kept views, vertical then horizontal."""

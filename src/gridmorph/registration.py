@@ -1,5 +1,4 @@
-"""Registrations: two-point (baseline) coordinates, Procrustes superimposition,
-and removal of the affine part of a shape comparison.
+"""Registrations: two-point (baseline) coordinates and Procrustes superimposition.
 
 All registrations here are orientation preserving. No operation ever
 applies a reflection; the Procrustes rotation is the closed-form 2D
@@ -8,7 +7,6 @@ optimum with determinant +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,26 +27,6 @@ class Baseline(NamedTuple):
 
     start: int
     end: int
-
-
-@dataclass(frozen=True, eq=False)
-class AffineMap2:
-    """Affine map of the plane: p -> linear @ p + translation."""
-
-    linear: np.ndarray       # (2, 2)
-    translation: np.ndarray  # (2,)
-
-    def __post_init__(self):
-        for attr, shape in (("linear", (2, 2)), ("translation", (2,))):
-            arr = np.asarray(getattr(self, attr), dtype=float).reshape(shape)
-            if not np.all(np.isfinite(arr)):
-                raise InputError("affine map entries must be finite")
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
-
-    def __call__(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return pts @ self.linear.T + self.translation
 
 
 def _check_baseline(k: int, baseline: Baseline) -> Baseline:
@@ -175,26 +153,3 @@ def gpa_mean(sample: Sample, name: str = "mean") -> LandmarkConfiguration:
         f"generalized Procrustes averaging did not converge in {GPA_MAX_ITER} iterations "
         f"(last RMS movement {rms:.3e})")
 
-
-def affine_fit(template: LandmarkConfiguration,
-               target: LandmarkConfiguration) -> AffineMap2:
-    """Least-squares affine map taking template landmarks onto target landmarks: the
-    degree-1 trend.trend_fit, whose basis (1, x, y) gives the translation and linear part."""
-    from .trend import trend_fit  # here, so the data commands never load the drawing modules
-    coef = trend_fit(template, target, 1).coefficients
-    return AffineMap2(coef[1:3].T, coef[0])
-
-
-def remove_affine(template: LandmarkConfiguration,
-                  target: LandmarkConfiguration) -> LandmarkConfiguration:
-    """Strip the affine part of the template->target comparison.
-
-    Returns the target with each landmark replaced by
-    template_i + (target_i - A(template_i)) where A is the least-squares
-    affine fit. Refitting an affine map from the template to the result
-    gives the identity, so only the nonaffine part of the comparison
-    survives. Both inputs should already share a registration.
-    """
-    amap = affine_fit(template, target)
-    adjusted = template.coords + (target.coords - amap(template.coords))
-    return target.with_coords(adjusted)

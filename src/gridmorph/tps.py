@@ -181,7 +181,3 @@ def tps_eval(model: TpsModel, points, *more: TpsModel) -> np.ndarray:
     values = _eval_blocks(points, len(c), 2, evaluate, len(models))
     return values if more else values[0]
 
-
-def bending_energy(model: TpsModel) -> float:
-    """Total bending energy: the sum of the two per-coordinate quadratic forms."""
-    return float(model.energy[0] + model.energy[1])

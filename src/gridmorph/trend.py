@@ -113,7 +113,7 @@ def trend_fit(template: LandmarkConfiguration, target: LandmarkConfiguration,
     k = len(template)
     if k < m:
         raise InputError(f"a degree-{degree} trend requires at least {m} landmarks, got {k}")
-    with np.errstate(over="ignore"):  # powers past the float range go straight to the frame
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or inf * 0: straight to the frame
         design, rank = design_matrix(template.coords, degree), 0
     if np.isfinite(design).all():
         coef, _, rank, singular_values = np.linalg.lstsq(design, target.coords, rcond=None)
@@ -146,6 +146,16 @@ def trend_fit(template: LandmarkConfiguration, target: LandmarkConfiguration,
     condition = float(singular_values[0] / singular_values[-1])
     residuals = target.coords - fitted
     return PolynomialTrend(degree, coef, fitted, residuals, k - m, condition)
+
+
+def remove_affine(template: LandmarkConfiguration,
+                  target: LandmarkConfiguration) -> LandmarkConfiguration:
+    """The target with each landmark replaced by template_i + (target_i - A(template_i)), A the
+    degree-1 trend (the least-squares affine map): refitting it from the template to the result
+    gives the identity, so only the nonaffine part survives. Register both alike first."""
+    coef = trend_fit(template, target, 1).coefficients
+    affine = template.coords @ coef[1:3] + coef[0]
+    return target.with_coords(template.coords + (target.coords - affine))
 
 
 def trend_eval(trend: PolynomialTrend, points) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridmorph import (MAX_GRID_SAMPLES, Dataset, InputError, Sample,
+from gridmorph import (MAX_GRID_SAMPLES, Dataset, InputError, ParseError, Sample,
                        default_labels, gpa_mean, read_dataset, read_landmarks,
                        synthetic_vilmann, two_point_register, write_dataset)
 import gridmorph.tps
@@ -397,6 +397,31 @@ def test_non_utf8_config_is_input_error(tmp_path, capsys):
     assert main(["average", str(good), "--config", str(config),
                  "-o", str(tmp_path / "out.json")]) == 2
     assert "UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[" * 3000 + "]" * 3000, '{"schema": ' + "1" * 5000 + "}"],
+                         ids=["nested-3000-deep", "integer-of-5000-digits"])
+def test_json_that_json_cannot_decode_is_input_error(tmp_path, capsys, text):
+    # json.loads ended each in a RecursionError or a ValueError traceback (exit 1)
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        read_dataset(text)
+    good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out.json"
+    good.write_text(GOOD_JSON, encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
+    assert main(["ingest", str(bad), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+    assert main(["ingest", str(good), "--config", str(bad), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config {str(bad)!r} is not valid JSON: ")
+    assert not out.exists()
+
+
+def test_csv_cell_past_the_field_limit_is_input_error(tmp_path, capsys):
+    # csv.reader refuses a field of more than 131,072 characters: a traceback (exit 1) before
+    path = tmp_path / "long.csv"
+    path.write_text("id,x1,y1,x2,y2,x3,y3\na," + "1" * 200_000 + ",2,3,4,5,6\n", encoding="utf-8")
+    assert main(["ingest", str(path), "-o", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == ("error: line 2: invalid CSV: field larger than field "
+                                       "limit (131072)\n")
 
 
 def byte_guard_inputs():

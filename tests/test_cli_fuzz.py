@@ -1,22 +1,26 @@
-"""Seeded, bounded fuzz of every subcommand's flags and --config documents.
+"""Seeded, bounded fuzz of every subcommand's flags and --config documents, and of the
+bytes of input and config files.
 
 QuickCheck-style property testing (Claessen & Hughes, ICFP 2000): main runs
 in-process on tiny inputs with drawn flag text and drawn config documents,
 and the only property is that it returns 0, 2 or 3 with no exception
 escaping. numpy RuntimeWarnings count as exceptions here (pyproject.toml).
 The strategies cap the grid (cells <= 4, samples <= 3, small extend
-multiples), so the suite stays within a few seconds.
+multiples), so the suite stays within a few seconds. The file fuzz writes
+small valid files with at most one planted fault and blank lines above it;
+a message that names a line must name the fault's.
 """
 
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridmorph import Dataset, synthetic_vilmann, write_dataset
+from gridmorph import Dataset, parse_tps_file, synthetic_vilmann, write_dataset
 from gridmorph.cli import OPTIONS, main
 
 TPS = ("LM=3\n0 0\n1 0\n0 1\nID=a\n"
@@ -151,3 +155,74 @@ def test_subcommand_exits_cleanly(workdir, command, examples):
 def test_demo_exits_cleanly(workdir, kind, invocation):
     # demo takes no table option: only a config file can name one
     run(workdir, ["demo", kind, "--outdir", str(workdir / "out" / "demo")], invocation[1])
+
+
+# ---------------------------------------------------------------------------
+# file bytes
+
+LONG = "1" * 140_000  # past csv's field limit (131,072) and int()'s 4300 digits, in 140 KB
+DEEP = "[" * 3000 + "]" * 3000  # past the recursion limit of json's decoder
+
+# suffix -> (argv before the file, lines of a valid file, after the file)
+FILES = {
+    ".tps": (["ingest"], TPS.splitlines(), ["-o"]),
+    ".csv": (["ingest"], ["id,group,x1,y1,x2,y2,x3,y3", "a,g,0,0,1,0,0,1", "b,g,0,0,2,0.1,0,2",
+                          "c,h,0.1,0,1,0.5,0,1.5"], ["-o"]),
+    ".json": (["ingest"], write_dataset(Dataset(parse_tps_file(TPS))).splitlines(), ["-o"]),
+    "--config": (["twopoint", "in.tps", "--config"], ["{", '  "baseline": "1,2"', "}"], ["-o"]),
+}
+
+
+@st.composite
+def drawn_files(draw, suffix):
+    """(lines, code, line): a valid file's lines with at most one fault and up to three blank
+    lines above it, the exit code it must give, and the 1-based line its message must name
+    (None for a valid file, or for a fault with no line: too deep or too long to decode)."""
+    lines, code = list(FILES[suffix][1]), 2
+    at = draw(st.sampled_from([None, *range(len(lines))]))
+    if at is None:
+        code = 0
+    elif suffix == ".tps":  # records of five lines: LM=3, three coordinate lines, ID=
+        if at % 5 == 0:
+            lines[at] = f"LM={LONG}"
+        elif at % 5 == 4:  # a long ID is valid
+            lines[at], code, at = f"ID={LONG}", 0, None
+        else:
+            lines[at] = draw(st.sampled_from(["0 abc", f"{LONG} 0", "0 0 0", "0,0"]))
+    elif suffix == ".csv":
+        at = max(at, 1)  # a data row
+        cells = lines[at].split(",")
+        lines[at] = ",".join(draw(st.sampled_from([
+            cells[:4] + ["abc"] + cells[5:], cells[:4] + [LONG] + cells[5:], cells[:-1],
+            [""] + cells[1:]])))
+    elif draw(st.booleans()):
+        lines[at] += " x"
+    else:  # a value too deep or too long to decode, or a long string
+        key, value = ('"group": ', '""') if suffix == ".json" else ('"baseline": ', '"1,2"')
+        fault = draw(st.sampled_from([DEEP, LONG, f'"{LONG}"']))
+        lines = "\n".join(lines).replace(key + value, key + fault, 1).split("\n")
+        code = 0 if suffix == ".json" and fault[0] == '"' else 2
+        at = None
+    for gap in sorted(draw(st.lists(st.integers(0, len(lines) if at is None else at),
+                                    max_size=3)), reverse=True):
+        lines.insert(gap, draw(st.sampled_from(["", " ", "\t"])))
+        at = None if at is None else at + 1
+    return lines, code, None if at is None else at + 1
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(list(FILES)).flatmap(lambda suffix: st.tuples(
+    st.just(suffix), drawn_files(suffix), st.sampled_from(["\n", "\r\n"]))))
+def test_drawn_files_exit_cleanly_at_their_true_line(workdir, drawn):
+    suffix, (lines, code, line), newline = drawn
+    path = workdir / ("drawn.json" if suffix == "--config" else f"drawn{suffix}")
+    path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+    assert path.stat().st_size < 300_000
+    before, _, after = FILES[suffix]
+    argv = [str(workdir / arg) if arg == "in.tps" else arg for arg in before]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        got = main([*argv, str(path), *after, str(workdir / "out" / "drawn.json")])
+    err = err.getvalue()
+    assert got == code and "Traceback" not in err, err[:300]
+    assert re.findall(r"\bline (\d+)", err) == ([] if line is None else [str(line)]), err[:300]

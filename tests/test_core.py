@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gridmorph import (InputError, LandmarkConfiguration,
-                       NumericalError, Sample, affine_fit,
+                       NumericalError, Sample,
                        centroid_size, default_labels, enumerate_segments, gpa_mean,
-                       procrustes_align, tps_fit, trend_fit)
+                       procrustes_align, remove_affine, tps_fit, trend_fit)
 from gridmorph.cli import _group_mean
 from gridmorph.core import centered, frame, require_homologous
 from helpers import sample_of
@@ -184,8 +184,8 @@ def test_sample_homology_names_both_configurations():
 
 
 @pytest.mark.parametrize("fit", [tps_fit, lambda a, b: trend_fit(a, b, 1),
-                                 procrustes_align, affine_fit],
-                         ids=["tps_fit", "trend_fit", "procrustes_align", "affine_fit"])
+                                 procrustes_align, remove_affine],
+                         ids=["tps_fit", "trend_fit", "procrustes_align", "remove_affine"])
 def test_fits_reject_relabelled_configurations(fit):
     a = LandmarkConfiguration("alpha", default_labels(4), square)
     b = LandmarkConfiguration("beta", ("L1", "L2", "L4", "L3"), square + 0.5)

@@ -2,14 +2,16 @@
 
 The reference functions below are the line-at-a-time parsers that the
 whole-sample parsers replaced, kept as they were apart from names, an
-errstate that silences the overflow warning of a SCALE product, and the final
+errstate that silences the overflow warning of a SCALE product, the final
 stacking of their configurations, which goes through helpers.sample_of (it
-checks names, then homology, then the stack, as the parsers do). On any text
-both must either return equal samples (names, labels, groups and
-coordinates bit for bit) or raise the same InputError subclass with the
-same message and line number. Inputs are valid files, optionally with a few
-mutations: dropped, duplicated or extra lines, extra fields, nan/inf/1e400,
-SCALE=0, a stray "=", blank lines, CRLF endings and records of different
+checks names, then homology, then the stack, as the parsers do), and the CSV
+reference's line numbers: the line each row ends on (the csv reader's
+line_num), where they counted non-blank rows. On any text both must either
+return equal samples (names, labels, groups and coordinates bit for bit) or
+raise the same InputError subclass with the same message and line number.
+Inputs are valid files, optionally with a few mutations: dropped, duplicated
+or extra lines, extra fields, nan/inf/1e400, SCALE=0, a stray "=", blank
+lines (also just above a bad token), CRLF endings and records of different
 lengths. The TPS tests also run with a tiny cast block, so that errors fall
 before, inside and after block boundaries; the CSV tests place errors in the
 last of three real cast blocks.
@@ -131,7 +133,7 @@ def _reference_float(token, line):
 def _reference_csv_long(rows, with_group):
     width = 5 if with_group else 4
     order, per_id, groups = [], {}, {}
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if len(row) != width:
             raise ParseError(f"expected {width} fields, got {len(row)}", line=line_no)
         cid, label = row[0].strip(), row[1].strip()
@@ -159,7 +161,7 @@ def _reference_csv_wide(rows, k, with_group):
     configs, groups = [], {}
     base = 2 if with_group else 1
     width = base + 2 * k
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if len(row) != width:
             raise ParseError(f"expected {width} fields, got {len(row)}", line=line_no)
         cid = row[0].strip()
@@ -176,14 +178,20 @@ def _reference_csv_wide(rows, k, with_group):
 
 
 def reference_csv(text: str) -> Sample:
-    rows = [row for row in csv.reader(io.StringIO(text))
-            if row and any(cell.strip() for cell in row)]
+    # every non-blank row with the line it ends on, the reader's line_num
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [(reader.line_num, row) for row in reader
+                if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV: {exc}", line=reader.line_num)
     if not rows:
         raise ParseError("empty CSV", line=1)
-    header = [cell.strip().lower() for cell in rows[0]]
+    line, first = rows[0]
+    header = [cell.strip().lower() for cell in first]
     if header[:4] == ["id", "label", "x", "y"] and len(header) in (4, 5):
         if len(header) == 5 and header[4] != "group":
-            raise ParseError(f"unrecognized long-form column {rows[0][4]!r}", line=1)
+            raise ParseError(f"unrecognized long-form column {first[4]!r}", line=line)
         return _reference_csv_long(rows, with_group=len(header) == 5)
     if header and header[0] == "id":
         rest = header[1:]
@@ -197,11 +205,11 @@ def reference_csv(text: str) -> Sample:
                 m = re.match(r"^([xy])(\d+)$", cell)
                 if not m or m.group(1) != want_axis or int(m.group(2)) != want_num:
                     raise ParseError(
-                        f"unrecognized wide-form column {rows[0][1 + with_group + idx]!r} "
-                        f"(expected {want_axis}{want_num})", line=1)
+                        f"unrecognized wide-form column {first[1 + with_group + idx]!r} "
+                        f"(expected {want_axis}{want_num})", line=line)
             return _reference_csv_wide(rows, k=len(rest) // 2, with_group=with_group)
     raise ParseError("unrecognized CSV header; expected id,label,x,y or id,x1,y1,...,xk,yk",
-                     line=1)
+                     line=line)
 
 
 def _reference_coords_array(cid, coords):
@@ -332,7 +340,7 @@ def mutated(draw, lines):
     lines = list(draw(lines))
     for _ in range(draw(st.integers(0, 3))):
         at = draw(st.integers(0, len(lines)))
-        kind = draw(st.sampled_from(["drop", "dup", "extra", "field", "token", "blank"]))
+        kind = draw(st.sampled_from(["drop", "dup", "extra", "field", "token", "blank", "gap"]))
         if kind == "extra" or not lines:
             lines.insert(at, draw(st.sampled_from(POOL)))
             continue
@@ -343,9 +351,11 @@ def mutated(draw, lines):
             lines.insert(at, lines[at])
         elif kind == "field":
             lines[at] += draw(st.sampled_from([" 7", ",7", "\t1e400"]))
-        elif kind == "token":
+        elif kind in ("token", "gap"):
             bad = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "abc", "1=2"]))
             lines[at] = re.sub(r"[^\s,=]+", bad, lines[at], count=1)
+            if kind == "gap":  # a blank line just above the bad token shifts its line number
+                lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
         else:
             lines.insert(at, draw(st.sampled_from(["", " ", "\t"])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
@@ -494,7 +504,7 @@ def csv_across_blocks(form: str) -> tuple[list[str], list[int], int]:
         lines = ["id,label,x,y,group"]
         lines += [f"s{r // 8},L{r % 8},{r}.5,{r % 7},g{r // 8 % 2}"
                   for r in range(2 * per_block + 480)]
-    lines[3:3] = ["", " , "]  # skipped, and not counted in the row numbers
+    lines[3:3] = ["", " , "]  # skipped, but counted in the line numbers
     return lines, [i for i, line in enumerate(lines) if i and line.strip(" ,")], per_block
 
 
@@ -514,7 +524,7 @@ def test_csv_errors_in_the_last_of_three_cast_blocks(form):
             assert_same_outcome(formats.parse_csv, reference_csv, text)
             with pytest.raises(ParseError) as error:
                 formats.parse_csv(text)
-            assert error.value.line == data.index(at) + 2  # header, then the data rows
+            assert error.value.line == at + 1  # the line in the file, blank lines included
     # all three in the last block: the first in file order is reported
     broken = list(lines)
     for at, fault in zip(last[::len(last) // 3][:3], ("id", "short", "cell")):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -152,6 +153,22 @@ def test_csv_bad_value_reports_row():
     with pytest.raises(ParseError) as err:
         parse_csv(text)
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("id,x1,y1,x2,y2,x3,y3\n\na,1,2,3,4,5,6\nb,1,2,3,4,5,z\n", 4, "malformed coordinate 'z'"),
+    ("\n \nid,label,x,y,kind\n", 3, "unrecognized long-form column 'kind'"),
+    ("\nid,x1,y1,x2\n", 2, "unrecognized CSV header"),
+    ("id,label,x,y\r\n\r\na,P,0,0\r\n,P,1,1\r\n", 4, "empty id"),
+    ('id,label,x,y\na,"P\nQ",0,0\na,R,0\n', 4, "expected 4 fields, got 3"),
+    ("id,x1,y1,x2,y2,x3,y3\n\na," + "1" * 200_000 + ",2,3,4,5,6\n", 3,
+     "invalid CSV: field larger than field limit"),
+], ids=["blank-line", "header-after-blanks", "header", "crlf", "quoted-newline", "long-cell"])
+def test_csv_errors_name_the_line_in_the_file(text, line, message):
+    # blank lines count: a row is numbered by the line it ends on, as csv's reader counts them
+    with pytest.raises(ParseError, match=re.escape(message)) as err:
+        parse_csv(text)
+    assert err.value.line == line
 
 
 def test_csv_rejects_nonfinite():

@@ -9,9 +9,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gridmorph import (MAX_GRID_SAMPLES, AffineMap2, Baseline, BilinearMap, GridSpec,
+from gridmorph import (MAX_GRID_SAMPLES, Baseline, BilinearMap, GridSpec,
                        InputError, LandmarkConfiguration, NumericalError, Quad,
-                       SegmentRotationReport, affine_fit, convex_hull_polygon, deform_grid,
+                       SegmentRotationReport, convex_hull_polygon, deform_grid,
                        default_labels, design_matrix, enumerate_segments, extend_grid,
                        filter_rotations, homography_from_quads, kept_runs,
                        landmark_cycle_polygon, make_grid, points_in_polygon, prototype_pair, segment_rotations,
@@ -145,7 +145,7 @@ def test_deform_identity():
     grid = deform_grid(spec, lambda pts: pts)
     assert grid.total_samples > 0
     assert grid.kept.all()
-    assert np.array_equal(grid.preimage, grid.image)
+    assert np.array_equal(grid.spec.preimage, grid.image)
     # vertical lines: nx+1 of them, each with ny*(samples-1)+1 points
     (vertical, _), (horizontal, _) = grid.families()
     assert vertical.shape == (3, 2 * 4 + 1, 2)
@@ -156,8 +156,8 @@ def test_deform_identity():
 
 def test_deform_affine_lines_straight():
     spec = make_grid(unit_square, margin=0.5, cells=6)
-    amap = AffineMap2(np.array([(1.5, 0.4), (-0.2, 0.9)]), np.array([2.0, -1.0]))
-    grid = deform_grid(spec, amap)
+    linear, shift = np.array([(1.5, 0.4), (-0.2, 0.9)]), np.array([2.0, -1.0])
+    grid = deform_grid(spec, lambda p: p @ linear.T + shift)
     for img in (line for image, _ in grid.families() for line in image):
         chord = img[-1] - img[0]
         n = np.array([-chord[1], chord[0]]) / np.linalg.norm(chord)
@@ -174,7 +174,7 @@ def test_deform_quadratic_trend_matches_direct_evaluation():
     trend = trend_fit(config(template), config(target), 2)
     spec = make_grid(config(template), margin=0.25, cells=10)
     grid = deform_grid(spec, trend)
-    direct = design_matrix(grid.preimage, 2) @ trend.coefficients
+    direct = design_matrix(grid.spec.preimage, 2) @ trend.coefficients
     assert np.abs(grid.image - direct).max() < 1e-12
 
 
@@ -189,7 +189,7 @@ def test_deform_marks_nan_not_kept():
     grid = deform_grid(spec, half_plane)
     assert grid.kept.any() and not grid.kept.all()
     assert np.isfinite(grid.image[grid.kept]).all()
-    assert np.array_equal(grid.kept, grid.preimage[:, 0] <= 0.5)
+    assert np.array_equal(grid.kept, grid.spec.preimage[:, 0] <= 0.5)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -214,12 +214,10 @@ def test_every_map_is_a_point_map():
     source, destination = Quad(template.coords), Quad(target.coords)
     spline = tps_fit(template, target)
     trend = trend_fit(template, target, 1)
-    affine = affine_fit(template, target)
     projective = homography_from_quads(source, destination)
     bilinear = BilinearMap(source, destination)
     pts = np.random.default_rng(84).uniform(-0.5, 0.5, size=(17, 2))
     for mapping, direct in ((spline, tps_eval(spline, pts)), (trend, trend_eval(trend, pts)),
-                            (affine, pts @ affine.linear.T + affine.translation),
                             (projective, projective.map_points(pts)),
                             (bilinear, bilinear.map_points(pts))):
         out = mapping(pts)
@@ -234,8 +232,8 @@ def test_grids_of_one_spec_share_one_read_only_preimage():
     spec = make_grid(template, margin=0.25, cells=6, samples_per_edge=4)
     grids = [deform_grid(spec, m) for m in (tps_fit(template, target), lambda pts: pts,
                                             trend_fit(template, target, 1))]
-    assert all(grid.preimage is spec.preimage for grid in grids)
-    assert trim_grid(grids[2], template).preimage is spec.preimage
+    assert all(grid.spec.preimage is spec.preimage for grid in grids)
+    assert trim_grid(grids[2], template).spec.preimage is spec.preimage
     assert not spec.preimage.flags.writeable
     with pytest.raises(ValueError):
         spec.preimage[0, 0] = 1.0
@@ -270,7 +268,7 @@ def test_deform_spline_equals_tps_eval_on_preimage():
     template, target = prototype_pair("kite")
     spline = tps_fit(template, target)
     grid = deform_grid(make_grid(template, margin=0.25, cells=6, samples_per_edge=4), spline)
-    assert np.array_equal(grid.image, tps_eval(spline, grid.preimage))
+    assert np.array_equal(grid.image, tps_eval(spline, grid.spec.preimage))
     assert grid.kept.all()
 
 
@@ -506,12 +504,12 @@ def test_trim_everything_with_distant_polygon():
 
 def test_trim_never_alters_images():
     spec = make_grid(unit_square, margin=0.5, cells=4)
-    amap = AffineMap2(np.array([(1.2, 0.1), (0.0, 0.8)]), np.zeros(2))
-    grid = deform_grid(spec, amap)
+    linear = np.array([(1.2, 0.1), (0.0, 0.8)])
+    grid = deform_grid(spec, lambda p: p @ linear.T)
     trimmed = trim_grid(grid, square_poly)
     assert trimmed.kept_samples < grid.kept_samples
     assert np.array_equal(grid.image, trimmed.image)
-    assert np.array_equal(grid.preimage, trimmed.preimage)
+    assert np.array_equal(grid.spec.preimage, trimmed.spec.preimage)
 
 
 def shoelace(poly):
@@ -544,8 +542,7 @@ def test_trim_kept_fraction_matches_area():
 
 def test_trim_by_image_space():
     spec = make_grid(unit_square, margin=0.0, cells=4)
-    shift = AffineMap2(np.eye(2), np.array([10.0, 0.0]))
-    grid = deform_grid(spec, shift)
+    grid = deform_grid(spec, lambda p: p + np.array([10.0, 0.0]))
     # a polygon around the image keeps everything only when testing images
     around_image = square_poly * 1.2 + np.array([9.9, -0.1])
     by_template = trim_grid(grid, around_image, space="template")

@@ -114,7 +114,7 @@ print(json.dumps({"before": before, "star": sorted(set(star) - {"__builtins__"})
                   "dir": dir(gridmorph)}))
 """)
     assert result["before"] == []
-    assert len(gridmorph.__all__) == 80
+    assert len(gridmorph.__all__) == 77
     assert result["star"] == sorted(gridmorph.__all__)
     assert set(gridmorph.__all__) <= set(result["dir"])
     assert {"render", "tps", "__version__"} <= set(result["dir"])

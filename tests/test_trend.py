@@ -237,6 +237,19 @@ def test_trend_fit_of_a_design_past_the_float_range(capfd, degree, scale):
     assert capfd.readouterr().err == ""
 
 
+def test_trend_fit_of_a_design_with_inf_times_zero():
+    # at 2^600 a landmark on y = 0 makes x^2 y inf * 0 in the raw design, which is not finite,
+    # so the framed design is solved, without an invalid-value warning
+    rng = np.random.default_rng(15)
+    unit = octagon(rng, k=12)
+    unit[3, 1] = 0.0
+    target = unit + 0.05 * rng.normal(size=unit.shape)
+    scale = 2.0 ** 600
+    want = trend_fit(config(unit), config(target), 3).fitted
+    fit = trend_fit(config(unit * scale), config(target * scale), 3)
+    assert np.abs(fit.fitted / scale - want).max() <= 1e-13
+
+
 def test_trend_eval_entire_plane():
     rng = np.random.default_rng(10)
     template = octagon(rng)
