@@ -264,6 +264,7 @@ def read_dataset(text: str) -> Dataset:
 _KEY_LINE = re.compile(r"^([A-Za-z][A-Za-z0-9_]*)=(.*)$")
 
 CAST_BLOCK = 4096  # TPS coordinate lines, or CSV landmarks, cast to float at a time
+TEXT_SLICE = 2 ** 16  # characters of TPS text split into lines at a time
 
 
 def _floats(tokens, count: int) -> np.ndarray | None:
@@ -295,19 +296,21 @@ def parse_tps_file(text: str) -> Sample:
     specimen and SCALE= is applied multiplicatively. Other KEY= lines are
     ignored. Labels default to L1..Lk since the format has none.
 
+    The text is split into lines a slice of about TEXT_SLICE characters at a
+    time, cut just after a newline (a line boundary of str.splitlines, CRLF too).
     One pass tells KEY= lines from coordinate lines, which are cast to float
-    CAST_BLOCK lines at a time. The first error in file order is reported:
-    the lines above a structural error are cast before it is raised, and a
-    block that fails is rescanned line by line.
+    CAST_BLOCK lines at a time, a slice's before the next is read. The first
+    error in file order is reported: the lines above a structural error are
+    cast before it is raised, and a block that fails is rescanned line by line.
     """
-    lines = text.splitlines()
-    rows = array("l")  # index of each coordinate line
+    rows = array("l")  # index in lines of each coordinate line not cast yet
     blocks: list[np.ndarray] = []  # values of the coordinate lines cast so far
     records: list[tuple[str, int, float]] = []  # name, count and scale of closed records
-    ident, scale, count, remaining, start = None, 1.0, 0, 0, 0
+    ident, scale, count, remaining, start, done = None, 1.0, 0, 0, 0, 0  # done: len(blocks) at LM=
+    lines, offset, at = [], 0, 0  # the slice's lines, the lines before it, its end in text
 
     def cast():
-        for b in range(sum(map(len, blocks)) // 2, len(rows), CAST_BLOCK):
+        for b in range(0, len(rows), CAST_BLOCK):
             block = rows[b:b + CAST_BLOCK]
             # "|" (which float() rejects) between lines: if every third token is
             # one and the rest are numbers, each line held exactly two fields
@@ -317,70 +320,72 @@ def parse_tps_file(text: str) -> Sample:
             values = _floats(tokens, 2 * len(block)) if two_fields else None
             if values is None:  # the first bad line of the block raises
                 for i in block:
-                    _tps_coordinates(lines[i], i + 1)
+                    _tps_coordinates(lines[i], offset + i + 1)
             blocks.append(values)
+        del rows[:]
 
-    def fail(message: str, line_no: int):
+    def fail(message: str, i: int):  # at line i of the slice
         cast()  # a bad coordinate line above the error comes first
-        raise ParseError(message, line=line_no)
+        raise ParseError(message, line=offset + i + 1)
 
-    def ends_early(line_no: int):
+    def ends_early(i: int):
         fail(f"record starting at line {start} ends early: "
-             f"{remaining} coordinate line(s) missing", line_no)
+             f"{remaining} coordinate line(s) missing", i)
 
     def close():
         nonlocal ident, scale
         records.append((ident or f"specimen_{len(records) + 1}", count, scale))
         if count < 3 or scale > 1.0:
             # too short, or scaled up (an overflow is non-finite): checked as it closes
-            done = len(blocks)
             cast()
             coords = np.concatenate(blocks[done:])[-2 * count:].reshape(-1, 2)
             with np.errstate(over="ignore"):
                 LandmarkConfiguration(records[-1][0], default_labels(count), coords * scale)
         ident, scale = None, 1.0
 
-    for i, raw in enumerate(lines):
-        line = raw.strip()
-        match = _KEY_LINE.match(line) if "=" in line else None
-        if match is None and line:
-            if not remaining:
-                fail(f"unexpected line outside a landmark record: {line!r}", i + 1)
-            rows.append(i)
-            remaining -= 1
-        elif match:
-            key, value = match.group(1).upper(), match.group(2).strip()
-            if remaining and key == "LM":
-                ends_early(i + 1)
-            elif remaining:
-                fail(f"expected a coordinate line ({remaining} to go), got {key}=", i + 1)
-            elif key == "LM":
-                if count:
-                    close()
-                try:
-                    count = int(value)
-                except ValueError:
-                    fail(f"LM= needs an integer, got {value!r}", i + 1)
-                if count <= 0:
-                    fail(f"LM= must be positive, got {count}", i + 1)
-                remaining, start = count, i + 1
-            elif key == "ID":
-                ident = value
-            elif key == "SCALE":
-                try:
-                    scale = float(value)
-                except ValueError:
-                    fail(f"SCALE= needs a number, got {value!r}", i + 1)
-                if not math.isfinite(scale) or scale <= 0.0:
-                    fail(f"SCALE= must be positive and finite, got {value}", i + 1)
-            # other KEY= lines (IMAGE=, COMMENT=, ...) are ignored
+    while at < len(text):  # a cut just after "\n" is a line boundary of str.splitlines
+        end = text.find("\n", at + TEXT_SLICE - 1) + 1 or len(text)
+        offset, lines, at = offset + len(lines), text[at:end].splitlines(), end
+        for i, raw in enumerate(lines):
+            line = raw.strip()
+            match = _KEY_LINE.match(line) if "=" in line else None
+            if match is None and line:
+                if not remaining:
+                    fail(f"unexpected line outside a landmark record: {line!r}", i)
+                rows.append(i)
+                remaining -= 1
+            elif match:
+                key, value = match.group(1).upper(), match.group(2).strip()
+                if remaining and key == "LM":
+                    ends_early(i)
+                elif remaining:
+                    fail(f"expected a coordinate line ({remaining} to go), got {key}=", i)
+                elif key == "LM":
+                    if count:
+                        close()
+                    try:
+                        count = int(value)
+                    except ValueError:
+                        fail(f"LM= needs an integer, got {value!r}", i)
+                    if count <= 0:
+                        fail(f"LM= must be positive, got {count}", i)
+                    remaining, start, done = count, offset + i + 1, len(blocks)
+                elif key == "ID":
+                    ident = value
+                elif key == "SCALE":
+                    try:
+                        scale = float(value)
+                    except ValueError:
+                        fail(f"SCALE= needs a number, got {value!r}", i)
+                    if not math.isfinite(scale) or scale <= 0.0:
+                        fail(f"SCALE= must be positive and finite, got {value}", i)
+                # other KEY= lines (IMAGE=, COMMENT=, ...) are ignored
+        cast()
     if remaining:
-        ends_early(len(lines))
-    if count:
-        close()
-    if not records:
+        ends_early(len(lines) - 1)
+    if not count:
         raise ParseError("no LM= records found", line=1)
-    cast()
+    close()
     values = np.concatenate(blocks).reshape(-1, 2)
     names, counts, scales = zip(*records)
     if len(set(counts)) > 1:  # records of different lengths: the first to differ raises
@@ -398,13 +403,21 @@ _WIDE_PAIR = re.compile(r"^([xy])(\d+)$")
 _LINE = re.compile(r".*\n|.+")  # the lines io.StringIO(text) reads, without its copy
 
 
-def _csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
-    """Each non-blank CSV row with the line it ends on; a csv.Error is a ParseError there."""
+def _csv_rows(text: str) -> Iterator[tuple[int, list[str] | csv.Error]]:
+    """Each non-blank CSV row with the line it ends on; a row the csv module cannot read is
+    its csv.Error, and the last (raised where that row is checked)."""
     reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
     try:
         yield from ((reader.line_num, row) for row in reader if any(map(str.strip, row)))
     except csv.Error as exc:
-        raise ParseError(f"invalid CSV: {exc}", line=reader.line_num) from exc
+        yield reader.line_num, exc
+
+
+def _readable(row, line: int) -> list[str]:
+    """row, unless it is a csv.Error from _csv_rows: that is raised as a ParseError at line."""
+    if isinstance(row, csv.Error):
+        raise ParseError(f"invalid CSV: {row}", line=line) from row
+    return row
 
 
 def parse_csv(text: str) -> Sample:
@@ -418,6 +431,7 @@ def parse_csv(text: str) -> Sample:
     line, first = next(rows, (1, None))
     if first is None:
         raise ParseError("empty CSV", line=1)
+    first = _readable(first, line)
     header = [cell.strip().lower() for cell in first]
     if header[:4] == ["id", "label", "x", "y"] and len(header) in (4, 5):
         if len(header) == 5 and header[4] != "group":
@@ -425,31 +439,26 @@ def parse_csv(text: str) -> Sample:
         return _parse_csv_long(rows, with_group=len(header) == 5)
     if header and header[0] == "id":
         rest = header[1:]
-        with_group = bool(rest) and rest[0] == "group"
-        if with_group:
-            rest = rest[1:]
+        with_group = rest[:1] == ["group"]
+        rest = rest[with_group:]
         if rest and len(rest) % 2 == 0:
-            for idx, cell in enumerate(rest):
-                want_axis = "x" if idx % 2 == 0 else "y"
-                want_num = idx // 2 + 1
-                m = _WIDE_PAIR.match(cell)
-                if not m or m.group(1) != want_axis or int(m.group(2)) != want_num:
-                    raise ParseError(
-                        f"unrecognized wide-form column {first[1 + with_group + idx]!r} "
-                        f"(expected {want_axis}{want_num})", line=line)
+            for idx, (cell, raw) in enumerate(zip(rest, first[1 + with_group:])):
+                axis, num = "xy"[idx % 2], idx // 2 + 1
+                if not (m := _WIDE_PAIR.match(cell)) or m[1] != axis or int(m[2]) != num:
+                    raise ParseError(f"unrecognized wide-form column {raw!r} "
+                                     f"(expected {axis}{num})", line=line)
             return _parse_csv_wide(rows, k=len(rest) // 2, with_group=with_group)
     raise ParseError("unrecognized CSV header; expected id,label,x,y or id,x1,y1,...,xk,yk",
                      line=line)
 
 
-def _parse_float(token: str, line: int) -> float:
+def _parse_float(token: str, line: int) -> None:
     try:
         value = float(token)
     except ValueError:
         raise ParseError(f"malformed coordinate {token!r}", line=line)
     if not math.isfinite(value):
         raise ParseError(f"non-finite coordinate {token!r}", line=line)
-    return value
 
 
 def _csv_table(rows, width: int, first: int, last: int, columns) -> tuple[np.ndarray, list]:
@@ -463,13 +472,13 @@ def _csv_table(rows, width: int, first: int, last: int, columns) -> tuple[np.nda
     kept, blocks = [[] for _ in columns], [np.empty(0)]
     while numbered := list(itertools.islice(rows, max(1, 2 * CAST_BLOCK // (last - first)))):
         lines, block = zip(*numbered)
-        end = next((i for i, row in enumerate(block) if len(row) != width or not row[0].strip()),
-                   len(block))
+        end = next((i for i, row in enumerate(block) if isinstance(row, csv.Error)
+                    or len(row) != width or not row[0].strip()), len(block))
         cells = itertools.chain.from_iterable(row[first:last] for row in block[:end])
         values = _floats(map(str.strip, cells), end * (last - first))
         if values is None or end < len(block):
             for line_no, row in zip(lines, block[:end + 1]):
-                if len(row) != width:
+                if len(_readable(row, line_no)) != width:
                     raise ParseError(f"expected {width} fields, got {len(row)}", line=line_no)
                 if not row[0].strip():
                     raise ParseError("empty id", line=line_no)
@@ -525,12 +534,9 @@ def read_landmarks(path: str) -> Dataset:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{str(path)!r} is not UTF-8 text (byte {exc.start})") from exc
-    if lower.endswith(".tps"):
-        sample = parse_tps_file(text)
-    elif lower.endswith(".csv"):
-        sample = parse_csv(text)
-    elif lower.endswith(".json"):
+    if lower.endswith(".json"):
         return read_dataset(text)
-    else:
+    parse = {".tps": parse_tps_file, ".csv": parse_csv}.get(lower[-4:])
+    if parse is None:
         raise InputError(f"cannot detect format of {path!r}; expected .tps, .csv or .json")
-    return Dataset(sample, provenance=(str(path),))
+    return Dataset(parse(text), provenance=(str(path),))

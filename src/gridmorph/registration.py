@@ -14,6 +14,7 @@ import numpy as np
 from .core import (UNIT_PROCRUSTES, UNIT_TWO_POINT, LandmarkConfiguration, Sample, centered,
                    frame, require_homologous)
 from .errors import InputError, NumericalError
+from .formats import WRITE_BLOCK
 
 GPA_TOL = 1e-10
 GPA_MAX_ITER = 100
@@ -40,7 +41,7 @@ def _check_baseline(k: int, baseline: Baseline) -> Baseline:
 
 
 def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
-    """Register every configuration to baseline coordinates in one array operation.
+    """Register every configuration to baseline coordinates, WRITE_BLOCK coordinates at a time.
 
     Each gets the orientation-preserving similarity sending its baseline to
     (0,0)-(1,0): no reflection, and the endpoints land exactly on their
@@ -48,25 +49,27 @@ def two_point_register_sample(sample: Sample, baseline: Baseline) -> Sample:
     whose landmarks, or baseline landmarks, (nearly) coincide.
     """
     baseline = _check_baseline(sample.landmark_count, baseline)
-    p = frame(sample.coords, (1, 2))[0]
-    a = p[:, baseline.start]
-    d = p[:, baseline.end] - a
-    size = centered(p)[1]
-    bad = (size <= 0.0) | (np.hypot(d[:, 0], d[:, 1]) <= 1e-12 * size)
-    if bad.any():
-        first = int(np.argmax(bad))
-        name = sample.names[first]
-        if size[first] <= 0.0:
-            raise NumericalError(f"configuration {name!r}: all landmarks coincide")
-        start, end = (sample.labels[i] for i in baseline)
-        raise NumericalError(f"configuration {name!r}: baseline landmarks {start!r} and {end!r} "
-                             "nearly coincide")
-    rel = frame(p - a[:, None], (1, 2))[0]
-    dx, dy = rel[:, baseline.end, 0, None], rel[:, baseline.end, 1, None]
-    nsq = dx * dx + dy * dy
-    # Similarity as division by the baseline vector in complex form.
-    out = np.stack([(rel[..., 0] * dx + rel[..., 1] * dy) / nsq,
-                    (rel[..., 1] * dx - rel[..., 0] * dy) / nsq], axis=-1)
+    out, rows = np.empty_like(sample.coords), max(1, WRITE_BLOCK // sample.coords[0].size)
+    for b in range(0, len(out), rows):  # each step acts on one configuration: the bits of one pass
+        p = frame(sample.coords[b:b + rows], (1, 2))[0]
+        a = p[:, baseline.start]
+        d = p[:, baseline.end] - a
+        size = centered(p)[1]
+        bad = (size <= 0.0) | (np.hypot(d[:, 0], d[:, 1]) <= 1e-12 * size)
+        if bad.any():
+            first = int(np.argmax(bad))
+            name = sample.names[b + first]
+            if size[first] <= 0.0:
+                raise NumericalError(f"configuration {name!r}: all landmarks coincide")
+            start, end = (sample.labels[i] for i in baseline)
+            raise NumericalError(f"configuration {name!r}: baseline landmarks {start!r} and "
+                                 f"{end!r} nearly coincide")
+        rel = frame(p - a[:, None], (1, 2))[0]
+        dx, dy = rel[:, baseline.end, 0, None], rel[:, baseline.end, 1, None]
+        nsq = dx * dx + dy * dy
+        # Similarity as division by the baseline vector in complex form.
+        out[b:b + rows, :, 0] = (rel[..., 0] * dx + rel[..., 1] * dy) / nsq
+        out[b:b + rows, :, 1] = (rel[..., 1] * dx - rel[..., 0] * dy) / nsq
     # the arithmetic already lands the anchors on (0,0) and (1,0), but can
     # leave a -0.0 behind; pin them so the contract holds bit for bit
     out[:, baseline.start] = (0.0, 0.0)

@@ -5,16 +5,18 @@ whole-sample parsers replaced, kept as they were apart from names, an
 errstate that silences the overflow warning of a SCALE product, the final
 stacking of their configurations, which goes through helpers.sample_of (it
 checks names, then homology, then the stack, as the parsers do), and the CSV
-reference's line numbers: the line each row ends on (the csv reader's
-line_num), where they counted non-blank rows. On any text both must either
-return equal samples (names, labels, groups and coordinates bit for bit) or
-raise the same InputError subclass with the same message and line number.
+reference's rows: numbered by the line each ends on (the csv reader's
+line_num), where it counted non-blank rows, and read one at a time as they are
+checked, where it read every row first, so that a row the csv module cannot
+read is reported after a bad row above it. On any text both must either return
+equal samples (names, labels, groups and coordinates bit for bit) or raise the
+same InputError subclass with the same message and line number.
 Inputs are valid files, optionally with a few mutations: dropped, duplicated
 or extra lines, extra fields, nan/inf/1e400, SCALE=0, a stray "=", blank
 lines (also just above a bad token), CRLF endings and records of different
-lengths. The TPS tests also run with a tiny cast block, so that errors fall
-before, inside and after block boundaries; the CSV tests place errors in the
-last of three real cast blocks.
+lengths. The TPS tests also run with a tiny cast block and a tiny text slice,
+so that errors fall before, inside and after block and slice boundaries; the
+CSV tests place errors in the last of three real cast blocks.
 """
 
 import contextlib
@@ -133,7 +135,7 @@ def _reference_float(token, line):
 def _reference_csv_long(rows, with_group):
     width = 5 if with_group else 4
     order, per_id, groups = [], {}, {}
-    for line_no, row in rows[1:]:
+    for line_no, row in rows:
         if len(row) != width:
             raise ParseError(f"expected {width} fields, got {len(row)}", line=line_no)
         cid, label = row[0].strip(), row[1].strip()
@@ -161,7 +163,7 @@ def _reference_csv_wide(rows, k, with_group):
     configs, groups = [], {}
     base = 2 if with_group else 1
     width = base + 2 * k
-    for line_no, row in rows[1:]:
+    for line_no, row in rows:
         if len(row) != width:
             raise ParseError(f"expected {width} fields, got {len(row)}", line=line_no)
         cid = row[0].strip()
@@ -177,17 +179,23 @@ def _reference_csv_wide(rows, k, with_group):
     return sample_of(configs, groups)
 
 
-def reference_csv(text: str) -> Sample:
-    # every non-blank row with the line it ends on, the reader's line_num
+def _reference_rows(text: str):
+    # each non-blank row with the line it ends on (the reader's line_num), read as it is
+    # checked, so that a row the csv module cannot read is raised after the rows above it
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = [(reader.line_num, row) for row in reader
-                if row and any(cell.strip() for cell in row)]
+        for row in reader:
+            if row and any(cell.strip() for cell in row):
+                yield reader.line_num, row
     except csv.Error as exc:
         raise ParseError(f"invalid CSV: {exc}", line=reader.line_num)
-    if not rows:
+
+
+def reference_csv(text: str) -> Sample:
+    rows = _reference_rows(text)
+    line, first = next(rows, (1, None))
+    if first is None:
         raise ParseError("empty CSV", line=1)
-    line, first = rows[0]
     header = [cell.strip().lower() for cell in first]
     if header[:4] == ["id", "label", "x", "y"] and len(header) in (4, 5):
         if len(header) == 5 and header[4] != "group":
@@ -366,10 +374,12 @@ def mutated(draw, lines):
 # TPS
 
 
-@pytest.fixture(params=[formats.CAST_BLOCK, 3], ids=lambda b: f"block{b}")
+@pytest.fixture(params=[("CAST_BLOCK", formats.CAST_BLOCK), ("CAST_BLOCK", 3), ("TEXT_SLICE", 7)],
+                ids=[f"block{formats.CAST_BLOCK}", "block3", "slice7"])
 def cast_block(request, monkeypatch):
-    monkeypatch.setattr(formats, "CAST_BLOCK", request.param)
-    return request.param
+    # the real sizes; 3 lines a cast block; 7 characters a text slice, so that CRLF endings,
+    # blank lines and bad lines fall on the slice boundaries
+    monkeypatch.setattr(formats, *request.param)
 
 
 @FUZZ
@@ -488,6 +498,20 @@ def test_csv_valid_files_are_samples():
     for text in (wide, long):
         assert_same_outcome(formats.parse_csv, reference_csv, text, want_valid=True)
     assert formats.parse_csv(long).names == ("a", "b")
+
+
+@pytest.mark.parametrize("head, row", [("id,x1,y1,x2,y2,x3,y3", "a,1,2,3,4,5,{}"),
+                                       ("id,label,x,y,group", "a,L1,1,{},g")])
+def test_csv_bad_cell_above_an_unreadable_row_of_its_cast_block_comes_first(head, row):
+    # both rows fall in one cast block; the csv module cannot read the second one's long cell
+    unreadable = row.format(7).replace("1", "1" * 200_000, 1)
+    for cell, line, message in (("z", 2, "malformed coordinate 'z'"),
+                                ("6", 3, "invalid CSV: field larger than field limit")):
+        text = "\n".join([head, row.format(cell), unreadable]) + "\n"
+        assert_same_outcome(formats.parse_csv, reference_csv, text)
+        with pytest.raises(ParseError, match=message) as info:
+            formats.parse_csv(text)
+        assert info.value.line == line
 
 
 def csv_across_blocks(form: str) -> tuple[list[str], list[int], int]:

@@ -1,6 +1,5 @@
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from gridmorph import (Dataset, InputError, ParseError, Sample, parse_csv, parse
 from gridmorph import cli, formats
 from gridmorph.core import default_labels
 from gridmorph.formats import SCHEMA_VERSION, _quote, fmt_g
+from helpers import large_sample, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +508,7 @@ def test_read_landmarks_dispatch(tmp_path):
 
 @pytest.fixture(scope="module")
 def pixel_sample():
-    """3000 configurations of 20 landmarks at pixel-like coordinates with 4 decimals, in two
-    groups, the size of the large-sample benchmark."""
-    rng = np.random.default_rng(30)
-    names = [f"spec_{i + 1:05d}" for i in range(3000)]
-    return Sample(names, default_labels(20), np.round(rng.uniform(500, 1500, (3000, 20, 2)), 4),
-                  groups={name: ("young", "old")[i % 2] for i, name in enumerate(names)})
-
-
-def traced_peak(function, *args) -> int:
-    """The tracemalloc peak of one call, in bytes."""
-    tracemalloc.start()
-    try:
-        function(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return large_sample()
 
 
 def test_streamed_dataset_write_peaks_below_half_its_file(tmp_path, pixel_sample):
@@ -553,6 +538,19 @@ def test_parse_csv_peaks_below_three_times_its_text(pixel_sample):
     # every cell as a str at once took 11 times the text, and io.StringIO's copy alone
     # (4 bytes a character) 4 times
     assert peak < 3 * len(text), f"parse_csv peak {peak} B for a {len(text)} B text"
+
+
+def test_parse_tps_file_peaks_below_three_and_a_half_times_its_text(pixel_sample):
+    lines = []
+    for name, xy in zip(pixel_sample.names, pixel_sample.coords):
+        lines += ["LM=20", *(f"{x:.4f} {y:.4f}" for x, y in xy), f"IMAGE={name}.jpg", f"ID={name}"]
+    text = "\n".join(lines) + "\n"
+    sample = parse_tps_file(text)
+    assert sample.names == pixel_sample.names
+    assert sample.coords.tobytes() == pixel_sample.coords.tobytes()
+    peak = traced_peak(parse_tps_file, text)
+    # the lines of the whole text at once took 7.2 times the text
+    assert peak < 3.5 * len(text), f"parse_tps_file peak {peak} B for a {len(text)} B text"
 
 
 def test_interrupted_dataset_write_leaves_no_file(tmp_path, monkeypatch):

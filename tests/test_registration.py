@@ -8,9 +8,9 @@ from gridmorph import (Baseline, InputError, NumericalError, LandmarkConfigurati
                        UNIT_PROCRUSTES, UNIT_TWO_POINT, centroid_size, default_labels, gpa_mean,
                        procrustes_align, remove_affine, trend_fit, two_point_register,
                        two_point_register_sample)
-from gridmorph.core import centered, collinear
+from gridmorph.core import centered, collinear, frame
 from gridmorph.registration import GPA_MAX_ITER, GPA_TOL, _normalized, _rotation_angles
-from helpers import sample_of
+from helpers import large_sample, sample_of, traced_peak
 
 
 def config(coords, name="cfg", unit="raw"):
@@ -442,6 +442,36 @@ def test_two_point_sample_equals_per_configuration(data):
     assert expected[j] == (NumericalError, f"configuration 'c{j}': " + (
         f"baseline landmarks 'L{start + 1}' and 'L{end + 1}' nearly coincide"
         if np.ldexp(*centered(broken[j])[1:]) > 0.0 else "all landmarks coincide"))
+
+
+def whole_array_two_point(sample, baseline):
+    """two_point_register_sample's arithmetic on the whole stack in one pass, as it was before it
+    worked a block at a time (its checks left out)."""
+    p = frame(sample.coords, (1, 2))[0]
+    rel = frame(p - p[:, baseline.start, None], (1, 2))[0]
+    dx, dy = rel[:, baseline.end, 0, None], rel[:, baseline.end, 1, None]
+    nsq = dx * dx + dy * dy
+    out = np.stack([(rel[..., 0] * dx + rel[..., 1] * dy) / nsq,
+                    (rel[..., 1] * dx - rel[..., 0] * dy) / nsq], axis=-1)
+    out[:, baseline.start] = (0.0, 0.0)
+    out[:, baseline.end] = (1.0, 0.0)
+    return out
+
+
+def test_two_point_register_sample_peaks_below_three_times_its_coordinates():
+    sample, baseline = large_sample(), Baseline(0, 10)
+    got = two_point_register_sample(sample, baseline)
+    assert got.coords.tobytes() == whole_array_two_point(sample, baseline).tobytes()
+    assert got.names == sample.names and got.groups == sample.groups
+    peak = traced_peak(two_point_register_sample, sample, baseline)
+    # about ten whole-stack temporaries took 5.1 times the coordinates
+    assert peak < 3 * sample.coords.nbytes, f"peak {peak} B for {sample.coords.nbytes} B"
+    # the first bad configuration is named, though a later block holds another
+    broken = sample.coords.copy()
+    broken[2900, 10] = broken[2900, 0]
+    broken[1234] = broken[1234, 0]
+    with pytest.raises(NumericalError, match="'spec_01235': all landmarks coincide"):
+        two_point_register_sample(Sample(sample.names, sample.labels, broken), baseline)
 
 
 # ---------------------------------------------------------------------------
