@@ -290,11 +290,11 @@ def cmd_rotations(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from .gridlab import (convex_hull_polygon, deform_grid, extend_grid, landmark_cycle_polygon,
-                          make_grid, trim_grid)
+    from .gridlab import (DeformedGrid, convex_hull_polygon, extend_grid, finite_rows,
+                          landmark_cycle_polygon, make_grid, trim_grid)
     from .render import grid_scene, tile_scenes, write_svg
     from .tps import tps_eval, tps_fit
-    from .trend import trend_fit
+    from .trend import trend_eval, trend_fit
     dataset = read_landmarks(args.input)
     sample = dataset.sample
     baseline = args.baseline
@@ -311,19 +311,17 @@ def cmd_fit(args) -> int:
     for side, mult in args.extend:
         spec = extend_grid(spec, side, mult)
 
-    # both splines share the template, so each kernel block is computed once for the two grids
-    observed, fitted_image = tps_eval(spline_observed, spec, spline_fitted)
-    grid_observed = deform_grid(spec, lambda preimage: observed)
-    grid_fitted = deform_grid(spec, lambda preimage: fitted_image)
-    grid_trend = deform_grid(spec, trend)
+    # both splines share the template, so each kernel block is computed once for the two grids;
+    # every image and the template trim read the spec's axis tables, so no preimage is built
+    images = (*tps_eval(spline_observed, spec, spline_fitted), trend_eval(trend, spec))
+    grid_observed, grid_fitted, grid_trend = (DeformedGrid(spec, a, finite_rows(a)) for a in images)
     outline_config, space = (template, "template") if args.trim == "template" else (target, "image")
     polygon = (convex_hull_polygon(outline_config.coords) if args.hull
                else landmark_cycle_polygon(outline_config))
     grid_trimmed = trim_grid(grid_trend, polygon, space=space)
 
     # untrimmed grids keep exactly their finite rows, which is all the viewport reads
-    viewport = _bounds_viewport([grid_observed.image, grid_fitted.image, grid_trend.image,
-                                 target.coords, trend.fitted])
+    viewport = _bounds_viewport([*images, target.coords, trend.fitted])
     ring = (baseline.start, baseline.end)
     # (grid, solid points, open points) of the upper left, upper right, lower left, lower right
     panels = ((grid_observed, target.coords, None), (grid_fitted, None, trend.fitted),

@@ -26,8 +26,8 @@ _UNITS = (UNIT_RAW, UNIT_TWO_POINT, UNIT_PROCRUSTES)
 # drawing module; gridlab and maps re-export them.
 DEFAULT_CELLS = 24
 DEFAULT_SAMPLES_PER_EDGE = 10
-# Most samples one grid may hold (its shared preimage and its image take 32 B a sample):
-# an oversized --cells/--samples request is an InputError, not an out-of-memory kill.
+# Most samples one grid may hold (its image takes 16 B a sample, and fit holds no preimage
+# beside it): an oversized --cells/--samples request is an InputError, not an out-of-memory kill.
 MAX_GRID_SAMPLES = 2 ** 22
 MAX_MARGIN = 100.0  # largest grid margin per bounding box: far out, the fitted maps overflow
 PROTOTYPE_KINDS = ("parallelogram", "rotated_parallelogram", "trapezoid", "kite")

@@ -529,14 +529,12 @@ def _parse_csv_wide(rows, k: int, with_group: bool) -> Sample:
 def read_landmarks(path: str) -> Dataset:
     """Load any supported landmark file, detecting the format by extension."""
     lower = str(path).lower()
+    parse = {".tps": parse_tps_file, ".csv": parse_csv}.get(lower[-4:])
+    if parse is None and not lower.endswith(".json"):
+        raise InputError(f"cannot detect format of {path!r}; expected .tps, .csv or .json")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise InputError(f"{str(path)!r} is not UTF-8 text (byte {exc.start})") from exc
-    if lower.endswith(".json"):
-        return read_dataset(text)
-    parse = {".tps": parse_tps_file, ".csv": parse_csv}.get(lower[-4:])
-    if parse is None:
-        raise InputError(f"cannot detect format of {path!r}; expected .tps, .csv or .json")
-    return Dataset(parse(text), provenance=(str(path),))
+    return read_dataset(text) if parse is None else Dataset(parse(text), provenance=(str(path),))

@@ -54,9 +54,8 @@ class GridSpec:
                              f"y={self.y_range}")
         if self.samples_per_edge < 2:
             raise InputError("need at least 2 samples per cell edge")
-        samples = sum(lines * per_line for lines, per_line in self.line_shapes)
-        if samples > MAX_GRID_SAMPLES:
-            raise InputError(f"grid of {samples} samples exceeds the budget of "
+        if self.size > MAX_GRID_SAMPLES:
+            raise InputError(f"grid of {self.size} samples exceeds the budget of "
                              f"{MAX_GRID_SAMPLES} samples; use fewer cells or samples per edge")
         if self.base_extent is None:
             object.__setattr__(self, "base_extent", (x1 - x0, y1 - y0))
@@ -72,15 +71,47 @@ class GridSpec:
         step = self.samples_per_edge - 1
         return ((self.nx + 1, self.ny * step + 1), (self.ny + 1, self.nx * step + 1))
 
+    @property
+    def size(self) -> int:  # len(preimage)
+        return sum(lines * per_line for lines, per_line in self.line_shapes)
+
+    @cached_property
+    def axes(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """(lines, samples) of the vertical, then the horizontal family: the read-only np.linspace
+        tables preimage copies. Family f's lines hold coordinate f, its samples coordinate 1 - f."""
+        (nv, per_v), (nh, per_h) = self.line_shapes
+        axes = ((np.linspace(*self.x_range, nv), np.linspace(*self.y_range, per_v)),
+                (np.linspace(*self.y_range, nh), np.linspace(*self.x_range, per_h)))
+        for table in (*axes[0], *axes[1]):
+            table.flags.writeable = False
+        return axes
+
+    def fill(self, start: int, out: np.ndarray, tables=None) -> np.ndarray:
+        """out, C-contiguous (m, 2), holding rows start to start + m of preimage, copied from the
+        axes; or, with tables of each family's lines and samples, (m, ...) holding lines[l] +
+        samples[s] for each row's line l and sample s. One copy or add per run of whole lines."""
+        for family, (lines, samples) in enumerate(tables or self.axes):
+            per_line = len(samples)
+            row, end = max(start, 0), min(start + len(out), len(lines) * per_line)
+            while row < end:
+                line, sample = divmod(row, per_line)
+                count = 1 if sample else max(1, (end - row) // per_line)
+                width, at = min(per_line - sample, end - row), row - start
+                piece = out[at:at + count * width].reshape(count, width, -1)
+                run = lines[line:line + count, None], samples[sample:sample + width]
+                if tables:
+                    np.add(*run, out=piece)
+                else:  # two copies: an add over rows of two steps through them a pair at a time
+                    piece[..., family], piece[..., 1 - family] = run
+                row += count * width
+            start -= len(lines) * per_line  # the next family's rows count from its first
+        return out
+
     @cached_property
     def preimage(self) -> np.ndarray:
-        """Every sample, (n, 2), in DeformedGrid's row order: built once, read-only, shared."""
-        (x0, x1), (y0, y1) = self.x_range, self.y_range
-        (nv, per_v), (nh, per_h) = self.line_shapes
-        lattice = np.empty((nv * per_v + nh * per_h, 2))  # filled in place through two views
-        v, h = lattice[:nv * per_v].reshape(nv, -1, 2), lattice[nv * per_v:].reshape(nh, -1, 2)
-        v[..., 0], v[..., 1] = np.linspace(x0, x1, nv)[:, None], np.linspace(y0, y1, per_v)
-        h[..., 0], h[..., 1] = np.linspace(x0, x1, per_h), np.linspace(y0, y1, nh)[:, None]
+        """Every sample, (n, 2), in DeformedGrid's row order: built once, read-only, shared.
+        The grid functions that take a spec read its axes by blocks instead and never build it."""
+        lattice = self.fill(0, np.empty((self.size, 2)))
         lattice.flags.writeable = False
         return lattice
 
@@ -273,21 +304,19 @@ def _lattice_in_polygon(spec: GridSpec, polygon) -> np.ndarray:
     points_in_polygon, which also applies the boundary tolerance."""
     poly = _polygon_array(polygon)
     ends, band_pad = np.roll(poly, -1, axis=0), 4.0 * _slice_pad(poly)[1]
-    inside, band = np.empty(len(spec.preimage), dtype=bool), np.zeros(len(spec.preimage), bool)
-    start = 0
-    for (lines, per_line), along in zip(spec.line_shapes, (1, 0)):
+    inside, start, band, band_points = np.empty(spec.size, dtype=bool), 0, [], []
+    for (lines, per_line), along, (c, s) in zip(spec.line_shapes, (1, 0), spec.axes):
         rows, start = slice(start, start + lines * per_line), start + lines * per_line
-        family = spec.preimage[rows].reshape(lines, per_line, 2)
-        # np.linspace's samples never decrease, so searchsorted can count along each line
-        s, c = family[0, :, along], family[:, :1, 1 - along]  # (samples,), (lines, 1)
+        # np.linspace's samples s never decrease, so searchsorted can count along each line
+        c = c[:, None]  # (lines, 1)
         (au, av), (bu, bv) = poly[:, [along, 1 - along]].T, ends[:, [along, 1 - along]].T
         with np.errstate(all="ignore"):  # a line far from an edge can overflow its crossing
             hit = au + (c - av) * (bu - au) / (bv - av)  # (lines, edges)
             t = (c + np.array([-band_pad, band_pad])[:, None, None] - av) / (bv - av)
         crossed = ((av > c) != (bv > c)) & ~np.isnan(hit)
 
-        def upto(values, where, side="left", dtype=None):  # per line and sample, how many
-            line, edge = np.nonzero(where)  # values are at most it (below it, if side="right")
+        def upto(values, where, side="left", dtype=np.min_scalar_type(len(poly))):  # count, per
+            line, edge = np.nonzero(where)  # line and sample, of values <= it (< it, side="right")
             index = line * (per_line + 1) + np.searchsorted(s, values[line, edge], side)
             counts = np.bincount(index, minlength=lines * (per_line + 1))
             return counts.reshape(lines, -1)[:, :per_line].cumsum(axis=1, dtype=dtype)
@@ -298,10 +327,12 @@ def _lattice_in_polygon(spec: GridSpec, polygon) -> np.ndarray:
         near = np.where(level, np.abs(av - c) <= band_pad, (t.min(0) <= 1.0) & (t.max(0) >= 0.0))
         if near.any():  # each near edge's part within band_pad of the line, widened by band_pad
             u = au + np.where(level, [[[0.0]], [[1.0]]], np.clip(t, 0.0, 1.0)) * (bu - au)
-            band[rows] = (upto(u.min(0) - band_pad, near)
-                          > upto(u.max(0) + band_pad, near, "right")).ravel()
-    if band.any():
-        inside[band] = points_in_polygon(spec.preimage[band], poly)
+            line, sample = np.nonzero(upto(u.min(0) - band_pad, near)
+                                      > upto(u.max(0) + band_pad, near, "right"))
+            band.append(rows.start + line * per_line + sample)
+            band_points.append(np.column_stack((c[line, 0], s[sample])[::2 * along - 1]))  # x, y
+    if any(map(len, band)):
+        inside[np.concatenate(band)] = points_in_polygon(np.concatenate(band_points), poly)
     return inside
 
 

@@ -42,28 +42,12 @@ def _kernel(u: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _lattice_r2(spec: GridSpec, centres: np.ndarray):
-    """fill(start, u): the r2 of spec.preimage's rows from start on into u, from tables of each
-    family's lines (lines, k) and samples (samples, k); None if the tables would pass 8 MB."""
-    if sum(map(sum, spec.line_shapes)) * len(centres) > 16 * EVAL_BLOCK:
-        return None
-    tables, first = [], 0
-    for (lines, per_line), along in zip(spec.line_shapes, (1, 0)):
-        family = spec.preimage[first:first + lines * per_line].reshape(lines, per_line, 2)
-        tables.append((first, np.square(family[:, :1, 1 - along] - centres[:, 1 - along]),
-                       np.square(family[0, :, along, None] - centres[:, along])))
-        first += lines * per_line
-    def fill(start, u):  # a broadcast add per run of whole lines, and per piece of a line
-        for first, lines, samples in tables:
-            per_line, at = len(samples), first - start
-            row, stop = max(-at, 0), min(len(u) - at, len(lines) * per_line)
-            while row < stop:
-                line, sample = divmod(row, per_line)
-                count = 1 if sample else max(1, (stop - row) // per_line)
-                width = min(per_line - sample, stop - row)
-                np.add(lines[line:line + count, None], samples[sample:sample + width],
-                       out=u[at + row:at + row + count * width].reshape(count, width, -1))
-                row += count * width
-    return fill
+    """Tables of each family's lines (lines, k) and samples (samples, k) whose spec.fill gives the
+    r2 of spec.preimage's rows; None if they would pass 8 MB."""
+    if sum(map(sum, spec.line_shapes)) * len(centres) <= 16 * EVAL_BLOCK:
+        return [(np.square(lines[:, None] - centres[:, axis]),
+                 np.square(samples[:, None] - centres[:, 1 - axis]))
+                for axis, (lines, samples) in enumerate(spec.axes)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,17 +123,22 @@ def tps_fit(template: LandmarkConfiguration, target: LandmarkConfiguration, *mor
 
 
 def _eval_blocks(points, width: int, buffers: int, evaluate, outputs: int = 1) -> np.ndarray:
-    """Values at (..., 2) points, stacked (outputs, ..., 2): evaluate(start, block, values,
-    *scratch) fills values[i] for each output i at the EVAL_BLOCK // width rows from start on;
-    every block gets the same (rows, width) float buffers; a short last block, their first rows."""
-    pts = np.asarray(points, dtype=float)
-    flat = pts.reshape(-1, 2)
-    rows = max(1, EVAL_BLOCK // width)
-    out = np.empty((outputs, len(flat), 2))
-    scratch = [np.empty((min(rows, len(flat)), width)) for _ in range(buffers)]
-    for start in range(0, len(flat), rows):
-        evaluate(start, flat[start:start + rows], out[:, start:start + rows], *scratch)
-    return out.reshape(outputs, *pts.shape)
+    """Values at (..., 2) points or a GridSpec's lattice (n, 2), stacked (outputs, ..., 2):
+    evaluate(start, block, values, *scratch) fills values[i] for each output i at the EVAL_BLOCK
+    // width rows from start on; every block gets the same (rows, width) float buffers, a short
+    last block their first rows. A lattice's rows are copied in whole blocks, 512 KB at most."""
+    lattice = isinstance(points, GridSpec)
+    pts = None if lattice else np.asarray(points, dtype=float)
+    n, rows = points.size if lattice else pts.size // 2, max(1, EVAL_BLOCK // width)
+    out = np.empty((outputs, n, 2))
+    scratch = [np.empty((min(rows, n), width)) for _ in range(buffers)]
+    span = rows * max(1, EVAL_BLOCK // 2 // rows) if lattice else n
+    xy = np.empty((min(span, n), 2)) if lattice else pts.reshape(-1, 2)
+    for start in range(0, n, rows):
+        if lattice and start % span == 0:
+            xy = points.fill(start, xy[:n - start])  # the last copy holds only the rows left
+        evaluate(start, xy[start % span:][:rows], out[:, start:start + rows], *scratch)
+    return out if lattice else out.reshape(outputs, *pts.shape)
 
 
 def tps_eval(model: TpsModel, points, *more: TpsModel) -> np.ndarray:
@@ -163,12 +152,11 @@ def tps_eval(model: TpsModel, points, *more: TpsModel) -> np.ndarray:
     models, c = (model, *more), model.template_points
     if not all(np.array_equal(m.template_points, c) for m in more):
         raise InputError("splines evaluated together must share their template points")
-    fill = _lattice_r2(points, c) if isinstance(points, GridSpec) else None
-    points = points.preimage if isinstance(points, GridSpec) else points
+    tables = _lattice_r2(points, c) if isinstance(points, GridSpec) else None
     def evaluate(start, xy, values, u, t):
         u, t = u[:len(xy)], t[:len(xy)]
-        if fill:
-            fill(start, u)
+        if tables:
+            points.fill(start, u, tables)
         else:
             u[:], t[:] = xy[:, :1], xy[:, 1:]  # broadcast copies, then contiguous subtracts
             u -= c[:, 0]

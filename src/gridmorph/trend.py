@@ -159,7 +159,7 @@ def remove_affine(template: LandmarkConfiguration,
 
 
 def trend_eval(trend: PolynomialTrend, points) -> np.ndarray:
-    """Evaluate the fitted polynomials at one point (2,) or many (..., 2).
+    """Evaluate the fitted polynomials at one point (2,), many (..., 2) or a GridSpec's lattice.
 
     The trend is an entire polynomial map, defined everywhere in the plane,
     including far outside the hull of the landmarks; extrapolation is up to

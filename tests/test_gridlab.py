@@ -243,6 +243,27 @@ def test_grids_of_one_spec_share_one_read_only_preimage():
     assert np.array_equal(again.preimage, spec.preimage)
 
 
+@pytest.mark.parametrize("spec", [
+    GridSpec((-1.5, 2.0), (0.25, 1.0), 7, 3, 4),
+    extend_grid(GridSpec((0.0, 1e-3), (-7.0, -6.999), 5, 5, 2), "up", 1.5),
+    GridSpec((0.0, 1.0), (0.0, 1.0), 1, 1, 2),
+], ids=["wide", "extended", "one-cell"])
+def test_fill_copies_any_rows_of_the_lattice_from_its_axes(spec):
+    # the vertical lines left to right, then the horizontal bottom to top, each from np.linspace
+    (x0, x1), (y0, y1) = spec.x_range, spec.y_range
+    (nv, per_v), (nh, per_h) = spec.line_shapes
+    want = np.array([(x, y) for x in np.linspace(x0, x1, nv) for y in np.linspace(y0, y1, per_v)]
+                    + [(x, y) for y in np.linspace(y0, y1, nh) for x in np.linspace(x0, x1, per_h)])
+    rng = np.random.default_rng(nv * nh)
+    ranges = [(0, spec.size), (0, 1), (spec.size - 1, spec.size), (per_v - 1, nv * per_v + 1),
+              *(sorted(rng.integers(0, spec.size + 1, 2)) for _ in range(50))]
+    for start, stop in ranges:
+        got = spec.fill(start, np.full((stop - start, 2), np.nan))
+        assert np.array_equal(got.view(np.uint64), want[start:stop].view(np.uint64))
+    assert "preimage" not in vars(spec) and not any(t.flags.writeable for t in sum(spec.axes, ()))
+    assert np.array_equal(spec.preimage.view(np.uint64), want.view(np.uint64))
+
+
 def test_map_that_writes_into_its_input_raises():
     spec = make_grid(unit_square, margin=0.5, cells=3)
     lattice = spec.preimage.copy()

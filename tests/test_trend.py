@@ -6,9 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gridmorph import (Baseline, InputError, LandmarkConfiguration, NumericalError, basis_size,
-                       default_labels, design_matrix, make_grid, trend_eval, trend_fit,
-                       two_point_register)
+from gridmorph import (Baseline, GridSpec, InputError, LandmarkConfiguration, NumericalError,
+                       basis_size, default_labels, design_matrix, extend_grid, make_grid,
+                       trend_eval, trend_fit, two_point_register)
 from gridmorph.tps import EVAL_BLOCK
 from gridmorph.trend import BASIS_POWERS
 
@@ -81,6 +81,35 @@ def test_trend_eval_equals_whole_design_at_block_boundaries(degree, extra):
     assert np.array_equal(trend_eval(fit, pts), want)
     assert np.array_equal(trend_eval(fit, np.asfortranarray(pts)), want)
     assert np.array_equal(trend_eval(fit, pts.reshape(-1, 1, 2)), want.reshape(-1, 1, 2))
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(3, 60), cells=st.tuples(
+           st.integers(1, 30), st.integers(1, 30)), samples=st.integers(2, 12),
+       corner=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)), scale=st.floats(-3.0, 3.0),
+       extends=st.lists(st.tuples(st.sampled_from(["left", "right", "down", "up"]),
+                                  st.floats(0.1, 2.0)), max_size=2))
+def test_eval_on_a_lattice_equals_eval_at_its_preimage(seed, k, cells, samples, corner, scale,
+                                                       extends):
+    # a lattice's blocks are copied from its axis tables: the bits of its preimage's rows
+    rng = np.random.default_rng(seed)
+    degree = 1 + seed % 3
+    k = max(k, basis_size(degree))
+    size = 10.0 ** scale
+    (x0, y0), (w, h) = np.array(corner) * size, rng.uniform(0.5, 2.0, 2) * size
+    spec = GridSpec((x0, x0 + w), (y0, y0 + h), *cells, samples)
+    for side, multiples in extends:
+        spec = extend_grid(spec, side, multiples)
+    template = np.array([x0, y0]) + rng.uniform(0.0, 1.0, size=(k, 2)) * (w, h)
+    fit = trend_fit(config(template), config(template + rng.normal(scale=0.2, size=(k, 2))
+                                             * size), degree)
+    got = trend_eval(fit, spec)
+    assert "preimage" not in vars(spec)
+    assert np.array_equal(bits(got), bits(trend_eval(fit, spec.preimage)))
 
 
 def test_trend_eval_peak_memory_is_output_plus_one_block():
