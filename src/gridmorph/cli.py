@@ -139,7 +139,7 @@ def _load_config(path: str | None) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            doc = json.loads(handle.read().removeprefix("\ufeff"))  # BOM: see read_landmarks
         except json.JSONDecodeError as exc:
             raise InputError(f"config {path!r} is not valid JSON: {exc.msg} (line {exc.lineno})")
         except UnicodeDecodeError as exc:

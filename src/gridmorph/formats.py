@@ -534,7 +534,8 @@ def read_landmarks(path: str) -> Dataset:
         raise InputError(f"cannot detect format of {path!r}; expected .tps, .csv or .json")
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+            # a byte-order mark (Excel's "CSV UTF-8") goes after decoding: byte offsets count it
+            text = handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"{str(path)!r} is not UTF-8 text (byte {exc.start})") from exc
     return read_dataset(text) if parse is None else Dataset(parse(text), provenance=(str(path),))

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (DEFAULT_CELLS, DEFAULT_SAMPLES_PER_EDGE, MAX_GRID_SAMPLES, MAX_MARGIN,
-                   LandmarkConfiguration, as_coords, collinear, enumerate_segments,
+                   LandmarkConfiguration, as_coords, collinear, enumerate_segments, frame,
                    freeze_arrays, require_homologous)
 from .errors import InputError, NumericalError
 
@@ -235,7 +235,9 @@ def deform_grid(spec: GridSpec, mapping) -> DeformedGrid:
     return DeformedGrid(spec, image, finite_rows(image))
 
 
-def _polygon_array(polygon) -> np.ndarray:
+def _polygon_array(polygon) -> tuple[np.ndarray, int]:
+    """(vertices, e): the polygon scaled exactly by 2^-e into its frame (core.frame), where no
+    square of a length over- or underflows, so every verdict is the one at unit scale."""
     poly = as_coords(polygon)
     if poly.shape[0] < 3:
         raise NumericalError(f"polygon needs at least 3 vertices, got {poly.shape[0]}")
@@ -243,7 +245,8 @@ def _polygon_array(polygon) -> np.ndarray:
         raise NumericalError("polygon vertices must be finite")
     if collinear(poly):
         raise NumericalError("polygon is degenerate (all vertices collinear)")
-    return poly
+    poly, e = frame(poly, None)
+    return poly, e.item()
 
 
 def _slice_pad(poly: np.ndarray) -> tuple[float, float]:
@@ -259,11 +262,14 @@ def points_in_polygon(points, polygon) -> np.ndarray:
     Only finite points can be inside. They are sorted by y once; each edge
     tests only those within its y span.
     """
-    poly = _polygon_array(polygon)
+    poly, e = _polygon_array(polygon)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     order = np.argsort(pts[:, 1])
     order = order[finite_rows(pts)[order]]
     xs, ys = pts[order, 0], pts[order, 1]
+    with np.errstate(over="ignore"):  # past the float range in the frame: far outside, and inf
+        np.ldexp(xs, -e, out=xs)      # sorts last, so no edge's slice holds it
+        np.ldexp(ys, -e, out=ys)
     inside = np.zeros(len(order), dtype=bool)
     boundary = np.zeros(len(order), dtype=bool)
     ends = np.roll(poly, -1, axis=0)
@@ -302,15 +308,15 @@ def _lattice_in_polygon(spec: GridSpec, polygon) -> np.ndarray:
     own expression, so its bits; a vertical line swaps x and y, which can differ only within
     rounding of an edge. The samples within four slice pads of an edge (the band) go through
     points_in_polygon, which also applies the boundary tolerance."""
-    poly = _polygon_array(polygon)
+    poly, e = _polygon_array(polygon)  # the axis tables are taken into the polygon's frame too
     ends, band_pad = np.roll(poly, -1, axis=0), 4.0 * _slice_pad(poly)[1]
     inside, start, band, band_points = np.empty(spec.size, dtype=bool), 0, [], []
     for (lines, per_line), along, (c, s) in zip(spec.line_shapes, (1, 0), spec.axes):
         rows, start = slice(start, start + lines * per_line), start + lines * per_line
-        # np.linspace's samples s never decrease, so searchsorted can count along each line
-        c = c[:, None]  # (lines, 1)
         (au, av), (bu, bv) = poly[:, [along, 1 - along]].T, ends[:, [along, 1 - along]].T
         with np.errstate(all="ignore"):  # a line far from an edge can overflow its crossing
+            # np.linspace's samples s never decrease, so searchsorted can count along each line
+            c, s = np.ldexp(c, -e)[:, None], np.ldexp(s, -e)  # (lines, 1), (per_line,)
             hit = au + (c - av) * (bu - au) / (bv - av)  # (lines, edges)
             t = (c + np.array([-band_pad, band_pad])[:, None, None] - av) / (bv - av)
         crossed = ((av > c) != (bv > c)) & ~np.isnan(hit)
@@ -372,11 +378,13 @@ def landmark_cycle_polygon(config) -> np.ndarray:
 
 
 def convex_hull_polygon(config) -> np.ndarray:
-    """Convex hull of the landmarks (monotone chain), counterclockwise."""
-    pts = sorted(map(tuple, as_coords(config)))
+    """Convex hull of the landmarks (monotone chain), counterclockwise. The chain turns on the
+    landmarks in their frame (core.frame), so the hull is the same at every scale."""
+    coords = as_coords(config)
+    pts = sorted(zip(*frame(coords, None)[0].T.tolist(), range(len(coords))))  # (x, y, row)
 
     def half(points):
-        chain: list[tuple[float, float]] = []
+        chain: list[tuple[float, float, int]] = []
         for p in points:  # drop the last point while it does not turn left on the way to p
             while len(chain) >= 2 and ((chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
                                        - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])) <= 0:
@@ -389,7 +397,7 @@ def convex_hull_polygon(config) -> np.ndarray:
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 3:
         raise NumericalError("landmarks are collinear; hull is degenerate")
-    return np.asarray(hull, dtype=float)
+    return coords[[p[2] for p in hull]]
 
 
 @dataclass(frozen=True, eq=False)

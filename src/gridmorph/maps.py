@@ -189,8 +189,7 @@ class Homography:
             raise InputError(f"homography needs a (3, 3) matrix, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise InputError("homography entries must be finite")
-        # relative to the product of the column norms (Hadamard's bound), so units do not matter
-        if abs(np.linalg.det(m)) <= 1e-12 * np.prod(np.linalg.norm(m, axis=0)):
+        if _singular(m):
             raise NumericalError("homography matrix is singular (|det| <= 1e-12 x Hadamard bound)")
         if abs(m[2, 2]) > 1e-12:
             m = m / m[2, 2]
@@ -214,15 +213,34 @@ class Homography:
         return out.reshape(shape)
 
 
+def _singular(m: np.ndarray) -> bool:
+    """Whether |det m| <= 1e-12 (|w| |A e1| |A e2| + |p| |A|_F |t|), the Hadamard bound of
+    det m = w det A - p adj(A) t (A the top-left 2x2 block, t, p the rest of the last column and
+    row). A, t and p are each taken in their frames and the terms in p and t weighed by 2^g, g =
+    e_p + e_t - e_a, which no change of either plane's unit alters: the verdict is unit-free."""
+    unit_a, e_a = frame(m[:2, :2], None)
+    (a, b), (c, d) = unit_a
+    (tx, ty), e_t = frame(m[:2, 2], None)
+    (px, py), e_p = frame(m[2, :2], None)
+    g, w = (e_p + e_t - e_a).item(), m[2, 2]
+    det = w * (a * d - b * c) - np.ldexp(px * (d * tx - b * ty) + py * (a * ty - c * tx), g)
+    norm_a = np.hypot(np.hypot(a, b), np.hypot(c, d))
+    bound = (abs(w) * np.hypot(a, c) * np.hypot(b, d)
+             + np.ldexp(np.hypot(px, py) * norm_a * np.hypot(tx, ty), g))
+    return abs(det) <= 1e-12 * bound
+
+
 def homography_from_quads(src: Quad, dst: Quad) -> Homography:
     """The unique projective map sending source corners to destination corners.
 
     Assembled as the standard 8x8 linear system on homogeneous coordinates
-    with the bottom-right matrix entry pinned to 1.
+    with the bottom-right matrix entry pinned to 1. The collinearity tests and the
+    system take each quad's corners scaled exactly by 2^-e into its frame (core.frame),
+    and the matrix is scaled back exactly, so neither quad's unit matters.
     """
-    for name, quad in (("source", src), ("destination", dst)):
-        c = quad.corners
-        scale2 = quad.diameter ** 2
+    (src_unit, e), (dst_unit, f) = frame(src.corners, None), frame(dst.corners, None)
+    for name, quad, c, g in (("source", src, src_unit, e), ("destination", dst, dst_unit, f)):
+        scale2 = np.ldexp(quad.diameter, -g.item()) ** 2
         for drop in range(4):
             tri = np.delete(c, drop, axis=0)
             area2 = _cross(tri[1] - tri[0], tri[2] - tri[0])
@@ -230,14 +248,17 @@ def homography_from_quads(src: Quad, dst: Quad) -> Homography:
                 raise NumericalError(
                     f"{name} quad has three collinear corners (omit corner {drop})")
     a = np.zeros((8, 8))
-    for i, ((x, y), (xp, yp)) in enumerate(zip(src.corners, dst.corners)):
+    for i, ((x, y), (xp, yp)) in enumerate(zip(src_unit, dst_unit)):
         a[2 * i] = [x, y, 1, 0, 0, 0, -xp * x, -xp * y]
         a[2 * i + 1] = [0, 0, 0, x, y, 1, -yp * x, -yp * y]
     try:
-        h = np.linalg.solve(a, dst.corners.ravel())  # right-hand side x'0, y'0, x'1, ...
+        h = np.linalg.solve(a, dst_unit.ravel())  # right-hand side x'0, y'0, x'1, ...
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"homography system is singular: {exc}") from exc
-    return Homography(np.append(h, 1.0).reshape(3, 3))
+    h = np.append(h, 1.0).reshape(3, 3)
+    h[:2] = np.ldexp(h[:2], f.item())  # back to the destination's unit, then the source's
+    h[:, :2] = np.ldexp(h[:, :2], -e.item())
+    return Homography(h)
 
 
 _SQUARE_AXIS = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])

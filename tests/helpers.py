@@ -1,5 +1,6 @@
 """Shared test helpers: a Sample stacked from LandmarkConfiguration objects, the sample of the
-large-sample benchmark's size and the tracemalloc peak of one call."""
+large-sample benchmark's size, the tracemalloc peak of one call and the wide CSV texts that
+tests/smoke.py shares with the tests."""
 
 import tracemalloc
 
@@ -43,3 +44,35 @@ def traced_peak(function, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def ring_csv(k: int) -> str:
+    """Two k-landmark circles in groups young and old, the second 1.1 times as wide, as wide CSV
+    text with six decimals: at k = 20000 its spline needs a (20000, 20000) array."""
+    angles = 2 * np.pi * np.arange(k) / k
+    rows = ["id,group," + ",".join(f"x{i},y{i}" for i in range(1, k + 1))]
+    for n, group in enumerate(("young", "old")):
+        x, y = (1.0 + 0.1 * n) * np.cos(angles), np.sin(angles)
+        rows.append(f"s{n},{group}," + ",".join(f"{a:.6f},{b:.6f}" for a, b in zip(x, y)))
+    return "\n".join(rows) + "\n"
+
+
+def short_baseline_outline(gap):
+    """Three 12-landmark outlines per group as wide CSV text, landmark 2 placed gap times the
+    outline's size (20) from landmark 1. Plain float arithmetic written with six decimals, so
+    the bytes are the same everywhere."""
+    outline = [(10, 0), (9, 5), (5, 9), (0, 10), (-5, 9), (-9, 5), (-10, 0), (-9, -5), (-5, -9),
+               (0, -10), (5, -9), (9, -5)]
+    rows = ["id,group," + ",".join(f"x{i},y{i}" for i in range(1, 13))]
+    for n in range(6):
+        group, cells = ("young", "old")[n // 3], []
+        for j, (x, y) in enumerate(outline):
+            if j == 1:
+                x, y = 10 + 12 * gap, 16 * gap
+            if group == "old":
+                x, y = x + 0.01 * x * y, y + 0.005 * x * x
+            if j > 1:
+                x, y = x + 0.01 * ((3 * n + j) % 5 - 2), y + 0.01 * ((n + 2 * j) % 3 - 1)
+            cells += [f"{x + 0.5 * n:.6f}", f"{y - 0.25 * n:.6f}"]
+        rows.append(f"spec_{n + 1},{group}," + ",".join(cells))
+    return "\n".join(rows) + "\n"

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import gc
 import hashlib
 import json
@@ -20,7 +21,7 @@ from gridmorph import cli, render
 from gridmorph.cli import COMMANDS, build_parser, main
 from gridmorph.core import LandmarkConfiguration
 from gridmorph.registration import Baseline
-from helpers import sample_of, traced_peak
+from helpers import ring_csv, sample_of, short_baseline_outline, traced_peak
 
 SVG = "{http://www.w3.org/2000/svg}"
 
@@ -119,13 +120,7 @@ def test_option_errors_come_before_the_input_is_read(tmp_path, capsys, monkeypat
 def test_out_of_memory_is_exit_3_without_a_traceback(tmp_path):
     # the spline of 20,000 landmarks needs a (20000, 20000) array: 3 GiB, past the child's limit
     resource = pytest.importorskip("resource")
-    k = 20000
-    angles = 2 * np.pi * np.arange(k) / k
-    rows = ["id,group," + ",".join(f"x{i},y{i}" for i in range(1, k + 1))]
-    for n, group in enumerate(("young", "old")):
-        x, y = (1.0 + 0.1 * n) * np.cos(angles), np.sin(angles)
-        rows.append(f"s{n},{group}," + ",".join(f"{a:.6f},{b:.6f}" for a, b in zip(x, y)))
-    (tmp_path / "wide.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "wide.csv").write_text(ring_csv(20000), encoding="utf-8")
 
     def limit():  # in the child only: 1 GiB of address space, ample for numpy and the input
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -386,7 +381,35 @@ def test_non_utf8_input_is_input_error(tmp_path, capsys, suffix):
     with pytest.raises(InputError, match="UTF-8"):
         read_landmarks(str(path))
     assert main(["ingest", str(path), "-o", str(tmp_path / "out.json")]) == 2
-    assert "UTF-8" in capsys.readouterr().err
+    assert "UTF-8 text (byte 15)" in capsys.readouterr().err
+    # the offset counts from the file's start, a byte-order mark included
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert main(["ingest", str(path), "-o", str(tmp_path / "out.json")]) == 2
+    assert "UTF-8 text (byte 18)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text, argv, code", [
+    ("in.tps", "LM=3\n0 0\n1 0\n0 1\nID=a\n", ["ingest", "in.tps", "-o", "out.json"], 0),
+    ("in.csv", "id,x1,y1,x2,y2,x3,y3\na,0,0,1,0,0,1\n", ["ingest", "in.csv", "-o", "out.json"], 0),
+    ("in.json", GOOD_JSON, ["ingest", "in.json", "-o", "out.json"], 0),
+    ("in.tps", "LM=3\n0 0\n1 x\n2 2\n", ["ingest", "in.tps", "-o", "out.json"], 2),
+    ("cfg.json", '{"threshold": 2.9}', ["rotations", "vilmann.json", "--config", "cfg.json",
+                                         "-o", "out.csv"], 0),
+], ids=["tps", "csv", "json", "tps-line-3", "config"])
+def test_byte_order_mark_is_read_as_no_mark(tmp_path, capsys, monkeypatch, name, text, argv, code):
+    # Excel's "CSV UTF-8" and some TPS writers put EF BB BF first: the same output bytes, exit
+    # code and messages with the mark as without it (it was a header, line 1 or JSON error)
+    monkeypatch.chdir(tmp_path)
+    write_vilmann(tmp_path)
+    runs = []
+    for mark in (b"", codecs.BOM_UTF8):
+        (tmp_path / name).write_bytes(mark + text.encode("utf-8"))
+        for out in tmp_path.glob("out.*"):
+            out.unlink()
+        runs.append((main(argv), capsys.readouterr(),
+                     {out.name: out.read_bytes() for out in tmp_path.glob("out.*")}))
+    assert runs[0][0] == code
+    assert runs[1] == runs[0]
 
 
 def test_unknown_extension_is_named_before_the_bytes_are_decoded(tmp_path, capsys, monkeypatch):
@@ -696,27 +719,6 @@ def test_fit_saturated_cubic(tmp_path, capsys):
                  "--outdir", str(tmp_path / "out")]) == 0
     out = capsys.readouterr().out
     assert "saturated" in out
-
-
-def short_baseline_outline(gap):
-    """Three 12-landmark outlines per group as wide CSV text, landmark 2 placed gap times the
-    outline's size (20) from landmark 1. Plain float arithmetic written with six decimals, so
-    the bytes are the same everywhere."""
-    outline = [(10, 0), (9, 5), (5, 9), (0, 10), (-5, 9), (-9, 5), (-10, 0), (-9, -5), (-5, -9),
-               (0, -10), (5, -9), (9, -5)]
-    rows = ["id,group," + ",".join(f"x{i},y{i}" for i in range(1, 13))]
-    for n in range(6):
-        group, cells = ("young", "old")[n // 3], []
-        for j, (x, y) in enumerate(outline):
-            if j == 1:
-                x, y = 10 + 12 * gap, 16 * gap
-            if group == "old":
-                x, y = x + 0.01 * x * y, y + 0.005 * x * x
-            if j > 1:
-                x, y = x + 0.01 * ((3 * n + j) % 5 - 2), y + 0.01 * ((n + 2 * j) % 3 - 1)
-            cells += [f"{x + 0.5 * n:.6f}", f"{y - 0.25 * n:.6f}"]
-        rows.append(f"spec_{n + 1},{group}," + ",".join(cells))
-    return "\n".join(rows) + "\n"
 
 
 # What fit --degree 3 --baseline 1,2 prints and writes today for a 1e-3 gap (x86-64 Linux,

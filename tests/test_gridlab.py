@@ -499,6 +499,69 @@ def test_points_in_polygon_boundary_tolerance_is_scale_free(exponent, offset):
     assert got.tolist() == SWEEP_INSIDE
 
 
+def star_polygon(rng, m):
+    """m vertices in angular order around the origin, radii 0.2 to 1: a simple polygon."""
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    radii = rng.uniform(0.2, 1.0, m)
+    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+
+
+def verdict_or_error(function, *args):
+    try:
+        return function(*args)
+    except NumericalError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 12), k=st.integers(-600, 600))
+def test_points_in_polygon_at_any_unit_is_the_unit_verdict(seed, m, k):
+    # the polygon and the points are taken in the polygon's frame, scaled exactly by a power of
+    # two: at 2^k every verdict is the one at unit scale, with no overflow warning (at 2^520 the
+    # squared tolerance overflowed, at 2^-560 it underflowed, and verdicts flipped)
+    rng = np.random.default_rng(seed)
+    poly = star_polygon(rng, m)
+    ends = np.roll(poly, -1, axis=0)
+    pts = np.vstack([rng.uniform(-1.2, 1.2, (400, 2)), poly, (poly + ends) / 2,
+                     poly + rng.normal(scale=1e-13, size=poly.shape)])
+    want = points_in_polygon(pts, poly)
+    assert np.array_equal(points_in_polygon(np.ldexp(pts, k), np.ldexp(poly, k)), want)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 12), k=st.integers(-600, 600),
+       cells=st.tuples(st.integers(1, 12), st.integers(1, 12)))
+def test_lattice_trim_at_any_unit_is_the_unit_trim(seed, m, k, cells):
+    # the spec's axis tables are taken into the polygon's frame with it: at 2^k the kept flags
+    # are those at unit scale (at 2^520 and 2^-560 they were not)
+    rng = np.random.default_rng(seed)
+    poly = star_polygon(rng, m)
+    lo, hi = rng.uniform(-1.5, -0.5, 2), rng.uniform(0.5, 1.5, 2)
+
+    def kept(scale):
+        spec = GridSpec(*zip(np.ldexp(lo, scale).tolist(), np.ldexp(hi, scale).tolist()), *cells)
+        return trim_grid(deform_grid(spec, lambda pts: pts), np.ldexp(poly, scale)).kept
+    assert np.array_equal(kept(k), kept(0))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(3, 12), k=st.integers(-600, 600),
+       collinear=st.booleans())
+def test_convex_hull_at_any_unit_is_the_rescaled_unit_hull(seed, m, k, collinear):
+    # the chain turns on the landmarks in their frame and returns their own rows: at 2^k the
+    # hull is the unit hull times 2^k (2^-560 was "collinear", 2^520 warned of an overflow)
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (m, 2))
+    if collinear:
+        pts[:, 1] = 0.5 * pts[:, 0]
+    hull = verdict_or_error(convex_hull_polygon, pts)
+    got = verdict_or_error(convex_hull_polygon, np.ldexp(pts, k))
+    if isinstance(hull, str):
+        assert got == hull
+    else:
+        assert np.array_equal(got, np.ldexp(hull, k))
+
+
 def test_degenerate_polygon_rejected():
     with pytest.raises(NumericalError):
         points_in_polygon(np.zeros((1, 2)), np.array([(0, 0), (1, 1), (2, 2)], dtype=float))

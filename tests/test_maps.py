@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridmorph import (BilinearMap, Homography, InputError, NumericalError, PROTOTYPE_KINDS,
                        Quad, homography_from_quads, invert_bilinear, prototype_pair)
@@ -421,6 +423,37 @@ def test_homography_leaves_callers_matrix_writeable():
     assert not h.matrix.flags.writeable
     m[0, 0] = 5.0  # the map keeps its own copy
     assert h.matrix[0, 0] == 0.0
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from((None,) + PROTOTYPE_KINDS),
+       k=st.integers(-600, 600))
+def test_homography_at_any_unit_is_the_rescaled_unit_matrix(seed, kind, k):
+    # the collinearity tests and the solve take the corners in their frames, the matrix is
+    # scaled back exactly, and the singularity test weighs its blocks by their exponents: at 2^k
+    # the matrix is diag(2^k, 2^k, 1) H diag(2^-k, 2^-k, 1) bit for bit, with no warning (1e155
+    # was an OverflowError, 1e-13 a false "singular" and 1e-200 a false "collinear")
+    if kind is None:
+        rng = np.random.default_rng(seed)
+        angles = np.sort(rng.uniform(0, 2 * np.pi, 4))
+        src = np.column_stack([np.cos(angles), np.sin(angles)])
+        dst = src * rng.uniform(0.5, 2.0) + rng.normal(scale=0.2, size=(4, 2))
+    else:
+        src, dst = (config.coords for config in prototype_pair(kind))
+
+    def matrix(scale):
+        try:
+            h = homography_from_quads(Quad(np.ldexp(src, scale)), Quad(np.ldexp(dst, scale)))
+            return h.matrix
+        except NumericalError as exc:
+            return str(exc)
+    h, got = matrix(0), matrix(k)
+    if isinstance(h, str):
+        assert got == h
+    else:
+        want = h.copy()
+        want[:2, 2], want[2, :2] = np.ldexp(h[:2, 2], k), np.ldexp(h[2, :2], -k)
+        assert np.array_equal(got, want)
 
 
 def test_homography_rejects_rank_deficient_matrix():
