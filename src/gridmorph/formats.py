@@ -67,7 +67,30 @@ _POW10_LO = _POW10 - _POW10_HI
 
 
 @functools.cache
-def _forms(digits: int, index: type) -> np.ndarray:
+def _halves() -> tuple[np.ndarray, np.ndarray]:
+    """The words of the two 3-digit halves of a 6-digit integer printed with k fraction digits
+    (0 to 5), built on first use: the high half h's at [6000 z + 1000 k + h], z: the low half is
+    000, and the low half l's at [1000 k + l]. A word holds its half's digits, the point where
+    it falls (after the high half when k is 3) and no trailing zeros of the fraction, nor a point
+    that would end the number."""
+    shift = np.arange(4, dtype=np.uint32) * np.uint32(8)
+    chars = (np.arange(1000)[:, None] // np.array([100, 10, 1]) % 10 + ord("0")).astype(np.uint32)
+    zeros = np.cumprod(chars[:, ::-1] == ord("0"), axis=1).sum(axis=1)  # trailing, 0 to 3
+
+    def words(fraction: int, point: bool, strip: bool) -> np.ndarray:  # strip: only 0s follow
+        text = np.insert(chars, 3 - fraction, ord("."), axis=1) if point else chars
+        cut = np.minimum(zeros, fraction) * strip
+        length = text.shape[1] - cut - (point & strip & (cut == fraction))
+        live = np.arange(text.shape[1]) < length[:, None]
+        return ((text << shift[:text.shape[1]]) * live).sum(axis=1, dtype=np.uint32)
+
+    high = [words(max(k - 3, 0), k >= 3, z) for z in (False, True) for k in range(6)]
+    return np.concatenate(high), np.concatenate([words(min(k, 3), k in (1, 2), True)
+                                                 for k in range(6)])
+
+
+@functools.cache
+def _forms(digits: int) -> np.ndarray:
     """[g, 2k + z]: the form of group g (0 the lowest) of the digits times 10^(-k % 3) of a
     value with k fraction digits, z: every lower group is 0. The lowest (k + 2) // 3 groups are
     the fraction, group (digits + 2 + -k % 3) // 3 - 1 leads, and a point ends the whole part
@@ -76,7 +99,7 @@ def _forms(digits: int, index: type) -> np.ndarray:
                       [[0, _POINT], [_INT, _INT_POINT]][g == lead][
                           g == (k + 2) // 3 and k < digits and not z]
                       for k in range(digits + 4) for lead in [(digits + 2 + -k % 3) // 3 - 1]
-                      for z in (0, 1)] for g in range((digits + 5) // 3)], dtype=index)
+                      for z in (0, 1)] for g in range((digits + 5) // 3)], dtype=np.int64)
 
 
 def fmt_g(values: np.ndarray, seps: np.ndarray, digits: int) -> str:
@@ -91,10 +114,12 @@ def fmt_g(values: np.ndarray, seps: np.ndarray, digits: int) -> str:
     integer hi > 2^53, and its sign decides a hi that is a half (to even if lo == 0).
     Exponential notation, non-finite values and carries into a (digits + 1)-th digit go to %
     (Steele & White, PLDI 1990). A value owns a row of a canvas of words, as wide as its block
-    needs: sign and "0." if a value is negative or below 1; the digits times 10^(-k % 3) in
-    3-digit groups (the point in byte 3 of the lowest whole-number group), 32-bit up to 7 digits
-    (10^(digits + 2) < 2^32); a separator, unless each is one byte: that goes in byte 3 of group
-    0, which no form fills (no lower group, so no point). A block with a row for % has them all.
+    needs: sign and "0." if a value is negative or below 1; the digits; a separator, unless each
+    is one byte and no lowest digit word is full: that goes in its byte 3. At 6 digits, a block
+    of 0 and |x| in [1, 10^6) (the figures' pixels) prints its digits as two _halves, the point
+    in them (in the low half for |x| >= 1000); other blocks print them times 10^(-k % 3) in
+    3-digit groups, 64-bit, the point in byte 3 of the lowest whole-number group, so group 0 is
+    never full. A block with a row for % has every word.
     """
     x = np.asarray(values, dtype=float)
     a, zero, top = np.abs(x), x == 0, 10.0 ** digits
@@ -105,7 +130,7 @@ def fmt_g(values: np.ndarray, seps: np.ndarray, digits: int) -> str:
     # log10 can be one off: k is corrected against the exact powers of ten
     k = np.clip(k - (s >= top).view(np.int8) + (s < top / 10).view(np.int8), 0, digits + 3)
     hi = a * _POW10[k]
-    d = np.rint(hi).astype(np.int64)
+    d = np.rint(hi).astype(np.int32 if digits <= 9 else np.int64)
     near = np.abs(hi - np.floor(hi) - 0.5) <= top * 2.0 ** -52
     if near.any():
         near = slice(None) if near.all() else np.flatnonzero(near)  # all of them at 17 digits
@@ -114,30 +139,41 @@ def fmt_g(values: np.ndarray, seps: np.ndarray, digits: int) -> str:
         al, ph, pl = an - ah, _POW10_HI[kn], _POW10_LO[kn]
         lo = ((ah * ph - hn) + ah * pl + al * ph) + al * pl  # hn + lo == |x| 10^k exactly
         sign = np.sign(lo)  # 2 (hn - rint(hn)) is +-1 where hn is a half that rint made even
-        d[near] += (np.rint(lo) + (2 * (hn - np.rint(hn)) == sign) * sign).astype(np.int64)
+        d[near] += (np.rint(lo) + (2 * (hn - np.rint(hn)) == sign) * sign).astype(d.dtype)
     d *= ~zero
     fast &= (d >= 10 ** (digits - 1)) & (d < 10 ** digits)
     neg, below_one, slow = x < 0, k >= digits, np.flatnonzero(~(fast | zero))
     head = int(len(slow) > 0 or neg.any() or below_one.any())
-    tail = int(len(slow) > 0 or seps.max(initial=0) > 255)
-    word, index = (np.uint32, np.int32) if digits <= 7 else (np.uint64, np.int64)
-    rest = d.astype(word) * (10 ** (-np.arange(digits + 4) % 3)).astype(word)[k]
-    table, forms, k2, groups = _digit_words(), _forms(digits, index), 2 * k, (digits + 5) // 3
-    canvas = np.empty((len(x), head + groups + tail), dtype="<u4")
-    lower_zero, last = np.ones(len(x), dtype=bool), head + groups - 1
-    for g in range(groups):  # into columns last (group 0) to head
-        q = rest // word(1000)
-        group = rest - q * word(1000)
-        np.take(table, group.view(index) + forms[g][k2 + lower_zero], out=canvas[:, last - g],
-                mode="clip")  # both addends signed: a mixed sum would widen or turn float
-        lower_zero &= group == 0
-        rest = q
+    if digits == 6 and not (len(slow) or below_one.any()):  # 0 has k = 5: "0.00" less zeros
+        high_words, low_words = _halves()
+        high, low = np.divmod(d, np.int32(1000))
+        thousands = np.multiply(k, 1000, dtype=np.int32)
+        low_word = low_words.take(low + thousands, mode="clip")
+        high += thousands
+        high += (low == 0) * np.int32(6000)
+        groups, tail = 2, int(seps.max(initial=0) > 255 or low_word.max(initial=0) >= 1 << 24)
+        canvas = np.empty((len(x), head + groups + tail), dtype="<u4")
+        canvas[:, head + 1] = low_word
+        np.take(high_words, high, out=canvas[:, head], mode="clip")  # "clip": no out buffer
+    else:
+        groups, tail = (digits + 5) // 3, int(len(slow) > 0 or seps.max(initial=0) > 255)
+        rest = d.astype(np.uint64) * (10 ** (-np.arange(digits + 4) % 3)).astype(np.uint64)[k]
+        table, forms, k2 = _digit_words(), _forms(digits), 2 * k
+        canvas = np.empty((len(x), head + groups + tail), dtype="<u4")
+        lower_zero = np.ones(len(x), dtype=bool)
+        for g in range(groups):  # into columns head + groups - 1 (group 0) to head
+            q = rest // np.uint64(1000)
+            group = rest - q * np.uint64(1000)
+            np.take(table, group.view(np.int64) + forms[g][k2 + lower_zero],  # both signed: a
+                    out=canvas[:, head + groups - 1 - g], mode="clip")  # mixed sum turns float
+            lower_zero &= group == 0
+            rest = q
     if head:
         canvas[:, 0] = neg * ord("-") + below_one * (ord("0") << 8 | ord(".") << 16)
     if tail:
         canvas[:, -1] = seps
     else:
-        canvas[:, last] |= seps << np.uint32(24)
+        canvas[:, head + groups - 1] |= seps << np.uint32(24)
     if len(slow):
         exact = b"".join(("%.*g" % (digits, v)).encode().ljust(4 * groups + 4, b"\0")
                          for v in x[slow].tolist())

@@ -267,9 +267,14 @@ def points_in_polygon(points, polygon) -> np.ndarray:
     order = np.argsort(pts[:, 1])
     order = order[finite_rows(pts)[order]]
     xs, ys = pts[order, 0], pts[order, 1]
-    with np.errstate(over="ignore"):  # past the float range in the frame: far outside, and inf
-        np.ldexp(xs, -e, out=xs)      # sorts last, so no edge's slice holds it
+    with np.errstate(over="ignore"):  # past the float range in the frame: inf, dropped below
+        np.ldexp(xs, -e, out=xs)
         np.ldexp(ys, -e, out=ys)
+    # the polygon is within 1 of 0 in its frame: a point past 2 is outside by any tolerance, and
+    # no distance to an edge of one that is not can overflow
+    near = (np.abs(xs) <= 2.0) & (np.abs(ys) <= 2.0)
+    if not near.all():
+        order, xs, ys = order[near], xs[near], ys[near]
     inside = np.zeros(len(order), dtype=bool)
     boundary = np.zeros(len(order), dtype=bool)
     ends = np.roll(poly, -1, axis=0)

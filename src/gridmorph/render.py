@@ -6,7 +6,8 @@ same scene twice yields byte-identical output, which makes figures
 diffable and lets tests freeze golden files. write_svg streams the text
 that render_scene returns into its file, one block at a time. Every number
 of a polyline, a marker or a segment network is printed by formats.fmt_g at
-6 digits, in one call per block of PRINT_BLOCK numbers.
+6 digits, in one call per block of PRINT_BLOCK numbers: pixels of at least 1
+as two table words each, digits and point together.
 
 Scene coordinates are mathematical (y up). The viewport maps a world
 rectangle onto the pixel canvas with a single isotropic scale and a y
@@ -81,7 +82,7 @@ def _fmt(value: float) -> str:
     return "%.6g" % (float(value) + 0.0)  # + 0.0 turns -0.0 into 0.0
 
 
-PRINT_BLOCK = 2 ** 14  # coordinates per fmt_g call: its arrays peak at ~100 B each
+PRINT_BLOCK = 2 ** 14  # coordinates per fmt_g call: its arrays peak at ~80 B each
 
 
 def _escape(text: str) -> str:

@@ -398,6 +398,11 @@ BITS = st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(np.floa
 @example(EDGES)
 @example(np.round(np.random.default_rng(2).uniform(-1000, 1000, 200), 2))
 @example(np.array([1.5, 2.0, 333.25, np.nan, 7.0, 960.0]))  # one nan: the canvas of %'s rows
+@example(np.array([1.5, 2.0, 333.25, 0.0, 7.0, 960.0]))  # one 0: still two halves
+@example(np.array([1.5, 2.0, 333.25, 0.5, 7.0, 960.0]))  # one below 1: groups and "0."
+@example(np.array([1.5, 2.0, 333.25, -7.0, 7.0, 960.0]))  # one negative: a sign word
+@example(10 ** np.random.default_rng(7).uniform(3, 6, 300))  # the point in the low half
+@example(np.array([999.9995, 9999.995, 99999.95, 999999.5, 1.5, 1234.5, 12345.75]))  # carries
 def test_fmt_g_equals_percent(digits, values):
     assert_fmt_g_equals_percent(values, digits)
 
@@ -435,8 +440,8 @@ def power_of_ten_neighbours():
 @pytest.mark.parametrize("digits", range(1, 18))
 def test_fmt_g_equals_percent_at_every_precision(digits):
     # the exponent correction holds at every precision, not only the 6 and 17 digits in use, and
-    # so do the 32-bit digit groups up to 7 digits and the 64-bit ones above: the largest digits
-    # at every exponent fill the groups times 1, 10 and 100
+    # so do the digit groups: the largest digits at every exponent fill the groups times 1, 10
+    # and 100
     values = np.concatenate([power_of_ten_neighbours(), EDGES,
                              9.87654321987654321 * 10.0 ** np.arange(17),
                              np.random.default_rng(digits).normal(size=200) * 1e3])

@@ -526,6 +526,12 @@ def test_points_in_polygon_at_any_unit_is_the_unit_verdict(seed, m, k):
                      poly + rng.normal(scale=1e-13, size=poly.shape)])
     want = points_in_polygon(pts, poly)
     assert np.array_equal(points_in_polygon(np.ldexp(pts, k), np.ldexp(poly, k)), want)
+    # far points in the y span of the square at 2^k are outside, with no warning: 1e300 is inf
+    # in the frame of a square below about 2^-28 (inf times 0 on its vertical edge), and the
+    # squared distance of 1.7e308 overflowed for squares up to about 2^510
+    square = np.ldexp([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)], k)
+    far = [(1e300, np.ldexp(0.5, k)), (1.7e308, np.ldexp(0.5, k)), (-1.7e308, 0.0)]
+    assert not points_in_polygon(far, square).any()
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

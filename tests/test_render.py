@@ -230,13 +230,19 @@ def test_render_scene_equals_per_polyline_percent_oracle(monkeypatch, block):
 
 
 def test_print_blocks_with_and_without_a_sign_word_equal_the_percent_oracle():
-    # fmt_g sizes its canvas to each block: the first block holds a negative pixel coordinate,
-    # the second only pixels of at least 1, the third one below 1, the last the markers
+    # fmt_g picks each block's layout and sizes its canvas to it. The blocks hold: a negative
+    # pixel coordinate; only pixels of at least 1; one below 1; pixels in [1000, 10^4) and in
+    # [10^4, 10^6), whose low half holds the point; carries into the next power of ten and a 0;
+    # the last the markers
     half = render.PRINT_BLOCK // 2
-    pixels = np.random.default_rng(6).uniform(1.0, 479.0, (3 * half, 2))
+    rng = np.random.default_rng(6)
+    pixels = np.concatenate([rng.uniform(1.0, 479.0, (3 * half, 2)),
+                             rng.uniform(1e3, 1e4, (half, 2)), 10 ** rng.uniform(4, 6, (half, 2)),
+                             rng.uniform(1.0, 479.0, (half + 5, 2))])
     pixels[half // 2, 0], pixels[2 * half + 7, 1] = -3.25, 0.5
+    pixels[5 * half + 3:5 * half + 6] = [(999.9995, 9999.995), (99999.95, 999999.5), (0.0, 7.0)]
     world = pixels * [1.0, -1.0]  # the viewport maps (x, y) to the pixel (x, -y) exactly
-    scene = Scene(size=(480.0, 480.0), viewport=(0.0, -480.0, 480.0, 0.0),
+    scene = Scene(size=(1e6, 1e6), viewport=(0.0, -1e6, 1e6, 0.0),
                   layers=(Polyline(world), Markers(world[:5])))
     assert render_scene(scene) == percent_render_scene(scene)
 
